@@ -243,7 +243,9 @@ def _gauge_from_config(cfg: RunConfig) -> GaugeField:
     raise MalformedSpec(f"unknown gauge kind {cfg.gauge_kind!r}")
 
 
-def run_kernel_cert(cfg: RunConfig, report: Report):
+def _kernel_stage(cfg: RunConfig, report: Report, verdict_key):
+    """Kernel certificate, convergence and complement floor, with the stage
+    verdict under ``verdict_key``; returns whether every gate passed."""
     rep = kernel_certificate(cfg.n_x)
     half = kernel_certificate(cfg.n_x // 2)
     ratio = half.comparison_error / rep.comparison_error
@@ -262,8 +264,12 @@ def run_kernel_cert(cfg: RunConfig, report: Report):
                   for xi, v in zip(x, rep.vector.samples)])
     ok = (rep.comparison_error <= 5e-3 and rep.gap_ratio <= 1e-6
           and 3.0 <= ratio <= 5.0 and floor >= 0.999)
-    report.kv("verdict", "KERNEL-CERTIFIED" if ok else "TOLERANCE-VIOLATION")
-    return 0 if ok else 3
+    report.kv(verdict_key, "KERNEL-CERTIFIED" if ok else "TOLERANCE-VIOLATION")
+    return ok
+
+
+def run_kernel_cert(cfg: RunConfig, report: Report):
+    return 0 if _kernel_stage(cfg, report, "verdict") else 3
 
 
 def _counterexample_profile(cfg: RunConfig):
@@ -313,7 +319,7 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
 
 
 def run_certify_nonregular(cfg: RunConfig, report: Report):
-    rc = run_kernel_cert(cfg, report)
+    kernel_ok = _kernel_stage(cfg, report, "kernel_verdict")
     t, zrep, arep = _counterexample_profile(cfg)
     jump = float(zrep.profile[0])
     bulk = float(zrep.profile[1:].max()) if zrep.profile.size > 1 else 0.0
@@ -324,7 +330,7 @@ def run_certify_nonregular(cfg: RunConfig, report: Report):
     report.kv("adjoint_field_max_deviation", adj_dev, tol="<=1e-8")
     report.table("zfield_profile", ("pi", "density_gap", "adjacent_deviation"),
                  _profile_rows(t.pi_grid, zrep))
-    ok = (rc == 0 and jump >= 1e-2 and bulk <= 1e-8 and adj_dev <= 1e-8)
+    ok = (kernel_ok and jump >= 1e-2 and bulk <= 1e-8 and adj_dev <= 1e-8)
     report.kv("verdict", "NONREGULAR-CERTIFIED" if ok else "TOLERANCE-VIOLATION")
     return 1 if ok else 3
 

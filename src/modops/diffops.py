@@ -173,6 +173,10 @@ class GridOperator:
     vanishing-endpoint subspace, which makes the minimal-inside-periodic
     ladder exact on the grid; a one-sided periodic operator carries correct
     seam derivatives for periodic functions whose derivative is not periodic.
+
+    The matrix and the domain frame are a pure function of ``(n, tag,
+    action_style)``, so operators compare and hash by that triple; fields
+    built from equal operators share one fiber.
     """
 
     __slots__ = ("n", "h", "tag", "matrix", "action_style")
@@ -199,6 +203,18 @@ class GridOperator:
         else:
             D = _d_onesided(self.n)
         self.matrix = 1j * D
+        self.matrix.flags.writeable = False
+
+    def _key(self):
+        return self.n, self.tag, self.action_style
+
+    def __eq__(self, other):
+        if not isinstance(other, GridOperator):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def constraint_matrix(self):
         """Rows C with the domain equal to ker C (empty for the maximal tag)."""

@@ -1,11 +1,12 @@
 """Operator fields over a grid of base points in [0, 1].
 
-A :class:`FiberedOperator` stores one domained operator per grid point: the
-fibers of an operator on a module of operator-valued functions.  The module
-provides the nonregular counterexample field (minimal condition at the base
-point 0, periodic elsewhere), bounded-transform fields and their jump
-detector, the glued ("tilde") extension whose admitted elements have
-continuously varying image fields, and gauge-conjugated regular fields.
+A :class:`FiberedOperator` holds one domained operator per grid point, each
+distinct one stored once: the fibers of an operator on a module of
+operator-valued functions.  The module provides the nonregular
+counterexample field (minimal condition at the base point 0, periodic
+elsewhere), bounded-transform fields and their jump detector, the glued
+("tilde") extension whose admitted elements have continuously varying image
+fields, and gauge-conjugated regular fields.
 
 Continuity of a field over a finite grid has no literal meaning, so it is
 surrogated everywhere by an adjacent-fiber deviation modulus; the modulus is
@@ -54,7 +55,6 @@ __all__ = [
     "tilde_extension",
     "gauge_extension",
     "extension_inclusion_check",
-    "operator_closure",
 ]
 
 # fields flagged as discontinuous when a deviation exceeds 10x the median,
@@ -68,10 +68,17 @@ PAIRING_DEFECT_C = 60.0
 
 
 class FiberedOperator:
-    """Grid-indexed family of domained operators sharing one ambient space."""
+    """Grid-indexed family of domained operators sharing one ambient space.
+
+    Each distinct fiber is stored once in ``distinct_fibers``; ``index_map``
+    sends grid point ``i`` to its fiber there.  Fibers passed as one object
+    are one fiber (no content comparison), so field operations do their
+    dense work once per distinct fiber.  Sharing is safe because domained
+    operators freeze their arrays.
+    """
 
     def __init__(self, pi_grid, fibers, tags=None, grid_ops=None, symbol=None,
-                 algebra_index=None):
+                 algebra_index=None, coupled_frame=None):
         pi_grid = np.asarray(pi_grid, dtype=float)
         if pi_grid.ndim != 1 or pi_grid.size < 1:
             raise ValueError("pi_grid must be a nonempty 1-d array")
@@ -82,30 +89,46 @@ class FiberedOperator:
         fibers = list(fibers)
         if len(fibers) != pi_grid.size:
             raise ValueError("need one fiber per grid point")
-        amb = {f.ambient_dim for f in fibers}
-        if len(amb) != 1:
+        distinct, index_map, slot = [], [], {}
+        for f in fibers:
+            if id(f) not in slot:
+                slot[id(f)] = len(distinct)
+                distinct.append(f)
+            index_map.append(slot[id(f)])
+        if len({f.ambient_dim for f in distinct}) != 1:
             raise ValueError("all fibers must share one ambient dimension")
         self.pi_grid = pi_grid
-        self.fibers = fibers
+        self.distinct_fibers = tuple(distinct)
+        self.index_map = tuple(index_map)
         self.tags = list(tags) if tags is not None else None
         self.grid_ops = list(grid_ops) if grid_ops is not None else None
         self.symbol = symbol
         self.algebra_index = algebra_index
-        self.continuity_profile = None
-        self.coupled_frame = None
+        self.coupled_frame = coupled_frame
+
+    @property
+    def fibers(self):
+        """One fiber per grid point, as shared references (read-only)."""
+        return self.per_point(self.distinct_fibers)
+
+    def per_point(self, per_fiber):
+        """Spread one value per distinct fiber to one value per grid point."""
+        return tuple(per_fiber[k] for k in self.index_map)
 
     @property
     def n_fibers(self):
-        return len(self.fibers)
+        return len(self.index_map)
 
     @property
     def ambient_dim(self):
-        return self.fibers[0].ambient_dim
+        return self.distinct_fibers[0].ambient_dim
 
     @classmethod
     def from_grid_operators(cls, pi_grid, grid_ops):
+        """Field of grid derivatives; equal operators share one fiber."""
         ops = list(grid_ops)
-        return cls(pi_grid, [g.as_domained() for g in ops],
+        shared = {g: g.as_domained() for g in dict.fromkeys(ops)}
+        return cls(pi_grid, [shared[g] for g in ops],
                    tags=[g.tag for g in ops], grid_ops=ops)
 
     @classmethod
@@ -133,17 +156,7 @@ class FiberedOperator:
         return cls(grid, fibers, symbol=symbol, algebra_index=index)
 
     def fiber(self, i) -> DomainedOperator:
-        return self.fibers[i]
-
-    def apply_algebra(self, a: AlgebraElement) -> AlgebraElement:
-        """Apply a symbol-backed field to an algebra element, fiber by fiber."""
-        if self.algebra_index is None:
-            raise ValueError("fibered operator is not algebra-backed")
-        out = {}
-        for i, lab in enumerate(self.algebra_index.labels):
-            d = self.algebra_index.dim(lab)
-            out[lab] = (self.fibers[i].apply(a.fibers[lab].ravel())).reshape(d, d)
-        return AlgebraElement(self.algebra_index, out)
+        return self.distinct_fibers[self.index_map[i]]
 
     def __repr__(self):
         return (f"FiberedOperator(n_fibers={self.n_fibers}, "
@@ -277,11 +290,13 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
         # the adjoint symbol is the conjugate field only while every fiber is
         # everywhere defined; operator-part extraction breaks the match else
         sym = None
-        if F.symbol is not None and all(f.is_full_domain for f in F.fibers):
+        if F.symbol is not None and all(f.is_full_domain for f in F.distinct_fibers):
             sym = F.symbol.H
-        return FiberedOperator(F.pi_grid, [adjoint_via_graph(f) for f in F.fibers],
+        adjoints = [adjoint_via_graph(f) for f in F.distinct_fibers]
+        return FiberedOperator(F.pi_grid, F.per_point(adjoints),
                                symbol=sym, algebra_index=F.algebra_index)
-    adj_ops = [g.adjoint() for g in F.grid_ops]
+    adjoint_of = {g: g.adjoint() for g in dict.fromkeys(F.grid_ops)}
+    adj_ops = [adjoint_of[g] for g in F.grid_ops]
     pinned = list(adj_ops)
     n = F.grid_ops[0].n
     h2 = (1.0 / n) ** 2
@@ -303,7 +318,7 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
 # --------------------------------------------------------------------------
 @dataclass
 class ZFieldReport:
-    """Per-fiber transforms with the adjacent-deviation profile."""
+    """Per-grid-point transforms with the adjacent-deviation profile."""
 
     transforms: list
     profile: np.ndarray
@@ -320,21 +335,21 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
 
     Deviations ``J_i = ||z_{i+1} - z_i||`` are flagged as discontinuities
     when they exceed ten times the median profile value; an absolute floor
-    keeps constant fields with roundoff from flagging.
+    keeps constant fields with roundoff from flagging.  Each distinct fiber
+    is transformed once, and adjacent points sharing a fiber deviate by 0.
     """
-    transforms = [z_transform(f) for f in F.fibers]
-    devs = []
-    for i in range(len(transforms) - 1):
-        devs.append(np.linalg.norm(transforms[i + 1].z - transforms[i].z, 2))
-    profile = np.asarray(devs)
-    F.continuity_profile = profile
+    distinct = [z_transform(f) for f in F.distinct_fibers]
+    k = F.index_map
+    profile = np.asarray([
+        0.0 if a == b else np.linalg.norm(distinct[b].z - distinct[a].z, 2)
+        for a, b in zip(k, k[1:])])
     med = float(np.median(profile)) if profile.size else 0.0
-    scale = max(1.0, max((np.linalg.norm(t.z, 2) for t in transforms), default=1.0))
+    scale = max(1.0, max(np.linalg.norm(t.z, 2) for t in distinct))
     floor = JUMP_FLOOR * scale
     flagged = [i for i, d in enumerate(profile)
                if d > JUMP_MEDIAN_FACTOR * med and d > floor]
-    return ZFieldReport(transforms=transforms, profile=profile, median=med,
-                        flagged=flagged)
+    return ZFieldReport(transforms=list(F.per_point(distinct)), profile=profile,
+                        median=med, flagged=flagged)
 
 
 # --------------------------------------------------------------------------
@@ -355,15 +370,15 @@ def fiber_identity_check(T: FiberedOperator, a: AlgebraElement,
     if a.index != index:
         raise ValueError("element lives over a different index")
     worst = 0.0
-    adjoints = [adjoint_via_graph(f) for f in T.fibers]
+    adjoints = T.per_point([adjoint_via_graph(f) for f in T.distinct_fibers])
     for i, lab in enumerate(index.labels):
         d = index.dim(lab)
         vec = a.fibers[lab].ravel()
-        ok, res = T.fibers[i].contains(vec, tol)
+        ok, res = T.fiber(i).contains(vec, tol)
         if not ok:
             raise DomainViolation(f"element is outside the domain at fiber {lab!r}",
                                   residual=res)
-        image = T.fibers[i].apply(vec)
+        image = T.fiber(i).apply(vec)
         ok, res = adjoints[i].contains(image, tol)
         if not ok:
             raise DomainViolation(
@@ -377,29 +392,21 @@ def fiber_identity_check(T: FiberedOperator, a: AlgebraElement,
 # --------------------------------------------------------------------------
 # glued (tilde) extension
 # --------------------------------------------------------------------------
-def operator_closure(op: DomainedOperator) -> DomainedOperator:
-    """Finite-scale closure used by the gluing machinery.
-
-    A matrix restricted to an explicit subspace is already a closed operator,
-    so this is the identity map; it exists as the named hook where the
-    machinery conceptually passes to fiber closures.
-    """
-    return op
-
-
 def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     """Largest fibered extension whose image fields glue within a modulus.
 
-    The fibers of the result are the closures of ``F``'s fibers.  Admitted
-    elements are fields in the product of the closure domains whose image
-    fields have adjacent-fiber deviation at most ``modulus`` — the finite
-    surrogate for the image field being one global algebra element.  The
-    elements of ``F``'s own domain are always admitted (their image fields
-    are bona fide elements by construction), so the result extends ``F``
-    fiberwise.  ``modulus=None`` means no gluing constraint, the right
-    reading on a finite discrete base where every field is an element.
+    The fibers of the result are the closures of ``F``'s fibers, which are
+    ``F``'s fibers themselves: a matrix restricted to an explicit subspace
+    is already closed.  Admitted elements are fields in the product of the
+    closure domains whose image fields have adjacent-fiber deviation at most
+    ``modulus`` — the finite surrogate for the image field being one global
+    algebra element.  The elements of ``F``'s own domain are always admitted
+    (their image fields are bona fide elements by construction), so the
+    result extends ``F`` fiberwise.  ``modulus=None`` means no gluing
+    constraint, the right reading on a finite discrete base where every
+    field is an element.
     """
-    closures = [operator_closure(f) for f in F.fibers]
+    closures = F.fibers
     N = len(closures)
     amb = F.ambient_dim
     if modulus is None:
@@ -426,19 +433,15 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
                                           np.ones(pool.shape[1] - s.size, bool)])]
     filtered = pool @ keep
 
-    granted = F.coupled_frame
-    if granted is None:
-        granted = _block_diag_frames([f.frame for f in F.fibers])
+    granted = pool if F.coupled_frame is None else F.coupled_frame
     coupled = orthonormal_frame(np.hstack([granted, filtered]))
 
     fibers = []
     for i, c in enumerate(closures):
         block = coupled[i * amb:(i + 1) * amb, :]
         fibers.append(DomainedOperator(c.action, orthonormal_frame(block)))
-    out = FiberedOperator(F.pi_grid, fibers, symbol=F.symbol,
-                          algebra_index=F.algebra_index)
-    out.coupled_frame = coupled
-    return out
+    return FiberedOperator(F.pi_grid, fibers, symbol=F.symbol,
+                           algebra_index=F.algebra_index, coupled_frame=coupled)
 
 
 def _block_diag_frames(frames):

@@ -112,6 +112,7 @@ def test_certify_nonregular_exit_code_is_certified_negative(tmp_path):
     assert code == 1
     text = out.read_text()
     assert "verdict = NONREGULAR-CERTIFIED" in text
+    assert "kernel_verdict = KERNEL-CERTIFIED" in text
     assert "[table zfield_profile]" in text
 
 
@@ -137,6 +138,25 @@ def test_phi_roundtrip_pipeline(tmp_path):
     code = main(["phi-roundtrip", "--out", str(out)])
     assert code == 0
     assert "verdict = ROUNDTRIP-VERIFIED" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-cert", "--n-x", "64"],
+    ["certify-nonregular", "--n-x", "64", "--n-pi", "5"],
+    ["zfield", "--n-x", "64", "--n-pi", "5"],
+    ["extend", "--n-x", "48", "--n-pi", "5", "--modulus", "0.5"],
+    ["phi-roundtrip"],
+    ["density-check", "--config", DENSITY_SPEC],
+], ids=lambda argv: argv[0])
+def test_every_report_key_has_one_line(tmp_path, argv):
+    if "--config" in argv:
+        argv = argv[:2] + [write(tmp_path, argv[2])]
+    out = tmp_path / "r.txt"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    keys = [line.split(" = ", 1)[0] for line in out.read_text().splitlines()
+            if " = " in line and not line.startswith("#")]
+    assert "verdict" in keys
+    assert len(keys) == len(set(keys)), sorted(k for k in keys if keys.count(k) > 1)
 
 
 def test_missing_config_is_input_error(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modops.diffops import (
@@ -118,6 +120,56 @@ def test_invalid_action_styles_rejected():
         GridOperator(32, MAXIMAL, action_style="wrap")
     with pytest.raises(ValueError):
         GridOperator(32, BoundaryTag.twisted(0.2), action_style="onesided")
+
+
+@st.composite
+def grid_operator_specs(draw):
+    """(n, tag, action_style) with the style left to its default at times."""
+    n = draw(st.sampled_from([8, 12]))
+    tag = draw(st.one_of(
+        st.sampled_from([MAXIMAL, MINIMAL, PERIODIC]),
+        st.sampled_from([0.0, 0.7, np.pi]).map(BoundaryTag.twisted)))
+    styles = {"maximal": [None, "onesided"], "twisted": [None, "wrap"]}
+    return n, tag, draw(st.sampled_from(styles.get(tag.kind,
+                                                   [None, "onesided", "wrap"])))
+
+
+def _resolved_style(tag, style):
+    return style or ("onesided" if tag.kind in ("maximal", "minimal") else "wrap")
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=grid_operator_specs(), b=grid_operator_specs())
+def test_grid_operator_equality_is_value_equality(a, b):
+    A, B = GridOperator(*a), GridOperator(*b)
+    same = (a[0] == b[0] and a[1] == b[1]
+            and _resolved_style(a[1], a[2]) == _resolved_style(b[1], b[2]))
+    assert (A == B) == same
+    assert (A != B) == (not same)
+    if same:
+        assert hash(A) == hash(B)
+        assert np.array_equal(A.matrix, B.matrix)
+        assert np.array_equal(A.domain_frame(), B.domain_frame())
+
+
+def test_grid_operator_equality_separates_tags_and_styles():
+    # the untwisted twisted tag has the periodic matrix and frame, yet it is
+    # another tag, so the operators differ
+    assert GridOperator(32, BoundaryTag.twisted(0.0)) != GridOperator(32, PERIODIC)
+    assert GridOperator(32, BoundaryTag.twisted(0.5)) != GridOperator(
+        32, BoundaryTag.twisted(0.5 + 1e-9))
+    assert GridOperator(32, MINIMAL, "wrap") != GridOperator(32, MINIMAL)
+    assert GridOperator(32, PERIODIC) != GridOperator(33, PERIODIC)
+    assert GridOperator(32, PERIODIC) != "periodic"
+    ops = [GridOperator(32, PERIODIC), GridOperator(32, PERIODIC, "wrap"),
+           GridOperator(32, BoundaryTag.twisted(2 * np.pi)), GridOperator(32, MINIMAL)]
+    assert len(set(ops)) == 3
+
+
+def test_grid_operator_matrix_is_frozen():
+    op = GridOperator(16, PERIODIC)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
 
 
 # ------------------------------------------------------------------ symmetry

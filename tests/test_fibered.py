@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import modops.fibered as fibered
 
 from modops.algebra import AlgebraElement, FiberIndex
 from modops.diffops import MINIMAL, PERIODIC, BoundaryTag, GridOperator
@@ -69,11 +73,94 @@ def test_zfield_constant_field_never_flags():
 
 def test_zfield_counterexample_jump_profile():
     t = build_counterexample_t(8, N_X)
+    before = dict(vars(t))
     rep = zfield(t)
     assert rep.flagged == [0]
     assert rep.profile[0] >= 1e-2
     assert np.max(rep.profile[1:]) <= 1e-8
-    assert t.continuity_profile is rep.profile
+    # the input field is left as it was: same attributes, same objects
+    assert vars(t).keys() == before.keys()
+    assert all(vars(t)[k] is v for k, v in before.items())
+
+
+def reference_zfield(fibers):
+    """Dense reference: every grid point transformed, every adjacent
+    difference measured, flags decided over all transforms."""
+    transforms = [z_transform(f) for f in fibers]
+    profile = np.asarray([np.linalg.norm(b.z - a.z, 2)
+                          for a, b in zip(transforms, transforms[1:])])
+    med = float(np.median(profile)) if profile.size else 0.0
+    floor = fibered.JUMP_FLOOR * max(1.0, max(np.linalg.norm(t.z, 2)
+                                              for t in transforms))
+    flagged = [i for i, d in enumerate(profile)
+               if d > fibered.JUMP_MEDIAN_FACTOR * med and d > floor]
+    return transforms, profile, flagged
+
+
+def _fiber_pool(seed, size, dim=4):
+    """Distinct random fibers, one of them on a proper domain and one a
+    small perturbation of another, so that jumps and near-constancy mix."""
+    rng = np.random.default_rng(seed)
+    acts = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(size)]
+    acts[-1] = acts[0] + 1e-6 * rng.standard_normal((dim, dim))
+    pool = [DomainedOperator.full(a) for a in acts]
+    pool[1] = DomainedOperator(acts[1], orthonormal_frame(
+        rng.standard_normal((dim, dim - 1))))
+    return pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       pattern=st.lists(st.integers(0, 3), min_size=1, max_size=9))
+@example(seed=0, pattern=[0, 0, 0, 1, 1, 0, 0])        # adjacent repeats
+@example(seed=1, pattern=[0, 1, 0, 2, 0, 1, 3, 1])     # non-adjacent repeats
+@example(seed=2, pattern=[0, 1, 2, 3])                 # every fiber distinct
+@example(seed=3, pattern=[3, 3, 3, 0, 3, 3, 3, 3, 3])  # one step among repeats
+def test_zfield_shared_fibers_match_dense_reference(seed, pattern):
+    pool = _fiber_pool(seed, 4)
+    per_point = [pool[k] for k in pattern]
+    F = FiberedOperator(np.linspace(0, 1, len(pattern)), per_point)
+    assert len(F.distinct_fibers) == len(set(pattern))
+    assert all(a is b for a, b in zip(F.fibers, per_point))
+    rep = zfield(F)
+    transforms, profile, flagged = reference_zfield(per_point)
+    assert len(rep.transforms) == len(pattern)
+    assert_allclose(rep.profile, profile, rtol=0, atol=1e-12)
+    assert_allclose(rep.gaps, [t.density_gap for t in transforms], rtol=0, atol=1e-12)
+    assert rep.flagged == flagged
+    for got, ref in zip(rep.transforms, transforms):
+        assert np.linalg.norm(got.z - ref.z, 2) <= 1e-12
+
+
+def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return z_transform(T)
+
+    monkeypatch.setattr(fibered, "z_transform", counting)
+    t = build_counterexample_t(8, 48)
+    rep = zfield(t)
+    assert len(calls) == 2 and len(rep.transforms) == 8
+    assert rep.transforms[2] is rep.transforms[7]
+    # the adjoint field's fresh periodic operators become one fiber
+    calls.clear()
+    zfield(adjoint_field(t))
+    assert len(calls) == 1
+
+
+def test_from_grid_operators_shares_equal_operators():
+    ops = [GridOperator(48, MINIMAL, "wrap")] + [GridOperator(48, PERIODIC)
+                                                for _ in range(4)]
+    F = FiberedOperator.from_grid_operators(np.linspace(0, 1, 5), ops)
+    assert len(F.distinct_fibers) == 2 and F.index_map == (0, 1, 1, 1, 1)
+    assert F.fibers[1] is F.fibers[4]
+    assert F.grid_ops == ops and F.tags == [op.tag for op in ops]
+    twisted = [GridOperator(48, PERIODIC), GridOperator(48, BoundaryTag.twisted(0.0))]
+    G = FiberedOperator.from_grid_operators([0.0, 1.0], twisted)
+    assert len(G.distinct_fibers) == 2
 
 
 def test_zfield_adjoint_of_counterexample_is_flat():
@@ -101,6 +188,29 @@ def test_adjoint_field_algebra_backed_is_fiberwise_graph_adjoint():
     for f, a in zip(F.fibers, adj.fibers):
         assert_allclose(a.action, adjoint_via_graph(f).action, atol=1e-10)
     assert adj.symbol.allclose(sym.H)
+
+
+def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
+    rng = np.random.default_rng(8)
+    idx = FiberIndex.points(5, dim=2)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    sym = AlgebraElement(idx, {lab: m for lab in idx.labels})
+    op = DomainedOperator.full(np.kron(m, np.eye(2)))
+    F = FiberedOperator(np.linspace(0, 1, 5), [op] * 5, symbol=sym,
+                        algebra_index=idx)
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return adjoint_via_graph(T)
+
+    monkeypatch.setattr(fibered, "adjoint_via_graph", counting)
+    adj = adjoint_field(F)
+    assert len(calls) == 1 and len(adj.distinct_fibers) == 1
+    assert adj.n_fibers == 5 and adj.symbol.allclose(sym.H)
+    a = random_symbol(rng, idx)
+    assert fiber_identity_check(F, a) <= 1e-9
+    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- fiber identity
@@ -171,8 +281,8 @@ def test_tilde_modulus_filters_incoherent_directions():
     B = np.diag([0.0, 1.0])
     f1 = DomainedOperator.full(A)
     f2 = DomainedOperator.full(B)
-    F = FiberedOperator([0.0, 1.0], [f1, f2])
-    F.coupled_frame = np.zeros((4, 0), dtype=complex)   # start from nothing
+    F = FiberedOperator([0.0, 1.0], [f1, f2],
+                        coupled_frame=np.zeros((4, 0), dtype=complex))  # start from nothing
     S = tilde_extension(F, modulus=1e-6)
     # glued directions: (e2, v) and (v, e1) pairs with zero image deviation
     cf = S.coupled_frame
