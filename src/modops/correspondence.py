@@ -234,8 +234,7 @@ class RoundtripVerdict:
 
 def _equivalent(A: DomainedOperator, B: DomainedOperator, tol):
     """Equal closures at finite scale: same domain span, same action on it."""
-    same_dom = bool(
-        np.linalg.norm(A.domain_projector() - B.domain_projector(), 2) <= 10 * tol)
+    same_dom = A.same_domain(B, tol)
     act = np.linalg.norm((A.action - B.action) @ A.domain_projector(), 2)
     return same_dom, bool(
         same_dom and act <= tol * (1.0 + np.linalg.norm(A.action, 2)))

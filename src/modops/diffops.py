@@ -107,17 +107,6 @@ class GridFunction:
     def grid(self):
         return np.linspace(0.0, 1.0, self.samples.size)
 
-    def serialize(self):
-        """(n, sample list) record for structured-text emission."""
-        return self.n, [complex(v) for v in self.samples]
-
-    @classmethod
-    def from_serialized(cls, n, samples):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.size != n + 1:
-            raise ValueError(f"expected {n + 1} samples, got {samples.size}")
-        return cls(samples)
-
     def norm(self):
         w = trapezoid_weights(self.n)
         return float(np.sqrt(np.sum(w * np.abs(self.samples) ** 2)))

@@ -34,13 +34,18 @@ from .errors import (
 )
 from .operators import (
     DomainedOperator,
-    ZTransform,
     adjoint_via_graph,
     graph_inclusion,
     orthonormal_frame,
     z_transform,
 )
-from .tolerances import TOL_ALG, TOL_GAP, TOL_GRAPH
+from .tolerances import (
+    GAUGE_HALVING_RATIO,
+    TOL_ALG,
+    TOL_GAP,
+    TOL_GRAPH,
+    UNITARY_SLACK,
+)
 
 __all__ = [
     "FiberedOperator",
@@ -164,30 +169,36 @@ class FiberedOperator:
 
 
 class GaugeField:
-    """Family of unitaries over the grid, the identity at the base point."""
+    """Diagonal unitaries over the grid, the identity at the base point.
 
-    def __init__(self, pi_grid, unitaries, base_point_identity=True,
+    Every gauge is a field of multiplication operators, so grid point ``i``
+    holds its diagonal as the phase vector ``phases[i]``, and conjugation by
+    it is elementwise.  Phases that pass the unitarity gate are stored
+    normalized to modulus one.
+    """
+
+    def __init__(self, pi_grid, phases, base_point_identity=True,
                  tol=TOL_ALG, twists=None):
         pi_grid = np.asarray(pi_grid, dtype=float)
-        self.pi_grid = pi_grid
-        self.unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
-        if len(self.unitaries) != pi_grid.size:
-            raise ValueError("need one unitary per grid point")
-        n = self.unitaries[0].shape[0]
-        for u in self.unitaries:
-            if u.shape != (n, n):
-                raise ValueError("gauge unitaries must share one dimension")
-            if np.linalg.norm(u.conj().T @ u - np.eye(n), 2) > tol * 10:
-                raise ValueError("gauge entries must be unitary within tolerance")
-        if base_point_identity and np.linalg.norm(
-                self.unitaries[0] - np.eye(n), 2) > tol * 10:
+        phases = np.asarray(phases, dtype=complex)
+        if phases.ndim != 2:
+            raise ValueError("gauge phases must be an (n_pi, n) array")
+        if phases.shape[0] != pi_grid.size:
+            raise ValueError("need one phase vector per grid point")
+        # for diagonal u these are ||u*u - 1||_2 and ||u_0 - 1||_2 exactly
+        slack = UNITARY_SLACK * tol
+        if np.max(np.abs(np.abs(phases) ** 2 - 1.0)) > slack:
+            raise ValueError("gauge entries must be unitary within tolerance")
+        if base_point_identity and np.max(np.abs(phases[0] - 1.0)) > slack:
             raise ValueError("gauge is flagged base_point_identity but U_0 != 1")
+        self.pi_grid = pi_grid
+        self.phases = phases / np.abs(phases)
         self.base_point_identity = base_point_identity
         self.twists = twists
 
     @classmethod
     def identity(cls, pi_grid, dim):
-        return cls(pi_grid, [np.eye(dim, dtype=complex)] * len(pi_grid))
+        return cls(pi_grid, np.ones((len(pi_grid), dim), dtype=complex))
 
     @classmethod
     def from_phase_samples(cls, pi_grid, g_samples):
@@ -202,9 +213,8 @@ class GaugeField:
             raise ValueError("phase sample table must be (n_pi, n_x + 1)")
         if np.max(np.abs(g[0])) > 0:
             raise ValueError("base-point phase row must vanish")
-        unitaries = [np.diag(np.exp(1j * row)) for row in g]
         twists = [float(row[-1] - row[0]) for row in g]
-        return cls(pi_grid, unitaries, twists=twists)
+        return cls(pi_grid, np.exp(1j * g), twists=twists)
 
     @classmethod
     def linear_phase(cls, pi_grid, n_x):
@@ -214,7 +224,7 @@ class GaugeField:
         return cls.from_phase_samples(pi_grid, g)
 
     def __len__(self):
-        return len(self.unitaries)
+        return self.phases.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -488,43 +498,70 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     if w.density_gap <= tol_gap:
         raise NotDense("base operator is not regular at this resolution")
 
-    fibers, transforms = [], []
-    for u in U.unitaries:
-        act = u @ base.action @ u.conj().T
-        frame = orthonormal_frame(u @ base.frame)
-        fibers.append(DomainedOperator(act, frame))
-        transforms.append(ZTransform(u @ w.z @ u.conj().T))
-
-    probes = [w.z, np.eye(base.ambient_dim, dtype=complex)]
-    rng = np.random.default_rng(7)
-    v1 = rng.standard_normal(base.ambient_dim) + 1j * rng.standard_normal(base.ambient_dim)
-    v2 = rng.standard_normal(base.ambient_dim) + 1j * rng.standard_normal(base.ambient_dim)
-    probes.append(np.outer(v1 / np.linalg.norm(v1), (v2 / np.linalg.norm(v2)).conj()))
-    _gauge_continuity_check(U, probes)
-
-    devs = np.asarray([np.linalg.norm(transforms[i + 1].z - transforms[i].z, 2)
-                       for i in range(len(transforms) - 1)])
+    fibers = [base._phase_rotated(p) for p in U.phases]
+    transforms = [w._phase_rotated(p) for p in U.phases]
+    devs = np.asarray([np.linalg.norm(b.z - a.z, 2)
+                       for a, b in zip(transforms, transforms[1:])])
+    _gauge_continuity_check(U, w.z, devs)
     field = FiberedOperator(U.pi_grid, fibers)
     return GaugeExtensionResult(field=field, transforms=transforms, deviations=devs)
 
 
-def _gauge_continuity_check(U: GaugeField, probes):
-    """Linear-in-step bound checked against the twice-coarsened subgrid."""
+def _rank_one_probe(n):
+    """Unit vectors ``a, b`` of the rank-one probe compact ``a b*``."""
+    rng = np.random.default_rng(7)
+    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+
+
+def _rank_two_norm(x1, y1, x0, y0):
+    """Exact ``||x1 y1* - x0 y0*||_2`` from a 2x2 Hermitian eigenproblem, for
+    vectors of length at least 2.
+
+    The difference is ``X Y*`` with ``X = [x1 - x0, x0]`` and
+    ``Y = [y1, y1 - y0]``; with ``X = Q_X R_X`` and ``Y = Q_Y R_Y`` its norm
+    is that of the 2x2 matrix ``C = R_X R_Y*``.
+    """
+    rx = np.linalg.qr(np.column_stack([x1 - x0, x0]), mode="r")
+    ry = np.linalg.qr(np.column_stack([y1, y1 - y0]), mode="r")
+    c = rx @ ry.conj().T
+    h = c @ c.conj().T
+    a, d = h[0, 0].real, h[1, 1].real
+    return float(np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), abs(h[0, 1]))))
+
+
+def _conjugation_deviation(phases, z, z_devs=None):
+    """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
+    compacts ``S``: the transform ``z``, the identity and a rank-one ``a b*``.
+
+    ``U S U*`` is ``S * outer(p, conj(p))``; the identity conjugates to
+    ``diag(|p|^2)`` and ``a b*`` to ``(p a)(p b)*``, so only the ``z`` probe
+    needs a dense 2-norm, and none when its deviations ``z_devs`` are given.
+    """
+    if z_devs is None:
+        conj = [z * np.outer(p, p.conj()) for p in phases]
+        z_devs = [np.linalg.norm(c1 - c0, 2) for c0, c1 in zip(conj, conj[1:])]
+    mod2 = np.abs(phases) ** 2
+    a, b = _rank_one_probe(phases.shape[1])
+    worst = max(z_devs, default=0.0)
+    for i in range(len(phases) - 1):
+        p0, p1 = phases[i], phases[i + 1]
+        worst = max(worst, np.max(np.abs(mod2[i + 1] - mod2[i])),
+                    _rank_two_norm(p1 * a, p1 * b, p0 * a, p0 * b))
+    return float(worst)
+
+
+def _gauge_continuity_check(U: GaugeField, z, z_devs):
+    """Linear-in-step bound checked against the twice-coarsened subgrid;
+    ``z_devs`` are the adjacent deviations of the gauged ``z`` on the full grid."""
     if len(U) < 5:
         return
-    def max_dev(unitaries):
-        worst = 0.0
-        for S in probes:
-            conj = [u @ S @ u.conj().T for u in unitaries]
-            for a, b in zip(conj, conj[1:]):
-                worst = max(worst, np.linalg.norm(b - a, 2))
-        return worst
-
-    fine = max_dev(U.unitaries)
-    coarse = max_dev(U.unitaries[::2])
+    fine = _conjugation_deviation(U.phases, z, z_devs)
     if fine <= JUMP_FLOOR:
         return
-    if fine / coarse > 0.85:
+    coarse = _conjugation_deviation(U.phases[::2], z)
+    if fine > GAUGE_HALVING_RATIO * coarse:
         raise GaugeNotContinuous(
             f"adjacent deviation {fine:.3e} does not halve under step halving "
             f"(coarse {coarse:.3e})")
@@ -563,9 +600,7 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
     if gauge is not None:
         if len(gauge) != S.n_fibers:
             raise ValueError("gauge must match the grid")
-        s_fibers = [DomainedOperator(u @ f.action @ u.conj().T,
-                                     orthonormal_frame(u @ f.frame))
-                    for u, f in zip(gauge.unitaries, S.fibers)]
+        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, S.fibers)]
     gauged_S = FiberedOperator(S.pi_grid, s_fibers)
 
     rows, failing = [], []
@@ -583,8 +618,7 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
             chain = False
         if not graph_inclusion(st, tt, tol).included:
             chain = False
-        same_dom = np.linalg.norm(tt.domain_projector() - tf.domain_projector(),
-                                  2) <= 10 * tol
+        same_dom = tt.same_domain(tf, tol)
         same_act = graph_inclusion(tf, tt, tol).included
         if not (same_dom and same_act):
             chain = False

@@ -23,7 +23,14 @@ from .errors import (
     RestrictionIdentityViolated,
     SingularResolvent,
 )
-from .tolerances import RESOLVENT_COND_MAX, TOL_ALG, TOL_GAP, TOL_GRAPH
+from .tolerances import (
+    PROJECTOR_GATE,
+    RESOLVENT_COND_MAX,
+    TOL_ALG,
+    TOL_GAP,
+    TOL_GRAPH,
+    UNITARY_SLACK,
+)
 
 __all__ = [
     "DomainedOperator",
@@ -91,15 +98,28 @@ class DomainedOperator:
         gram = frame.conj().T @ frame
         if not np.allclose(gram, np.eye(frame.shape[1]), atol=1e-10):
             raise ValueError("frame columns must be orthonormal")
+        self._freeze(action, frame)
+
+    def _freeze(self, action, frame):
         action.flags.writeable = False
         frame.flags.writeable = False
         self.action = action
         self.frame = frame
-        self.ambient_dim = n
+        self.ambient_dim = action.shape[0]
 
     @classmethod
     def full(cls, action):
         return cls(action, None)
+
+    def _phase_rotated(self, p) -> "DomainedOperator":
+        """``diag(p) T diag(p)*`` on the domain ``diag(p) D(T)``, for unimodular ``p``.
+
+        Conjugation by a diagonal unitary is elementwise, and it maps the
+        orthonormal frame to an orthonormal frame, so no Gram check is run.
+        """
+        out = DomainedOperator.__new__(DomainedOperator)
+        out._freeze(self.action * np.outer(p, p.conj()), p[:, None] * self.frame)
+        return out
 
     @property
     def domain_dim(self):
@@ -111,6 +131,17 @@ class DomainedOperator:
 
     def domain_projector(self):
         return self.frame @ self.frame.conj().T
+
+    def same_domain(self, other, tol=TOL_GRAPH):
+        """Whether the domain projectors of ``self`` and ``other`` satisfy
+        ``||P - P'||_2 <= PROJECTOR_GATE * tol``.
+
+        The Frobenius norm bounds the 2-norm from above, so the SVD runs
+        only when that bound does not settle the gate.
+        """
+        gap = self.domain_projector() - other.domain_projector()
+        bound = PROJECTOR_GATE * tol
+        return bool(np.linalg.norm(gap) <= bound or np.linalg.norm(gap, 2) <= bound)
 
     def restricted(self):
         """Action composed with the domain frame: ambient x domain matrix."""
@@ -161,6 +192,15 @@ class ZTransform:
         gap = float(np.linalg.eigvalsh(np.eye(z.shape[1]) - z.conj().T @ z)[0])
         self.z = z
         self.density_gap = max(gap, 0.0)
+
+    def _phase_rotated(self, p) -> "ZTransform":
+        """Transform ``diag(p) z diag(p)*`` for unimodular ``p``; the
+        contraction verdict and the density gap are unitarily invariant, so
+        both carry over."""
+        out = ZTransform.__new__(ZTransform)
+        out.z = self.z * np.outer(p, p.conj())
+        out.density_gap = self.density_gap
+        return out
 
     def is_regular_certificate(self, tol_gap=TOL_GAP):
         return self.density_gap > tol_gap
@@ -280,7 +320,7 @@ def restrict_via_isometry(zt: ZTransform, u, tol=TOL_ALG) -> ZTransform:
     """
     u = _as_matrix(u)
     z = zt.z
-    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > tol * 10:
+    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > UNITARY_SLACK * tol:
         raise NotIsometry("u*u differs from the identity")
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
     _check_sqrt_identity(u.conj().T @ R2 @ u, hermitian_sqrt(R2) @ u,
@@ -293,7 +333,7 @@ def extend_via_coisometry(zt: ZTransform, u, tol=TOL_ALG) -> ZTransform:
     under the mirrored square-root identity ``(u(1-zz*)u*)^{1/2} = u (1-zz*)^{1/2}``."""
     u = _as_matrix(u)
     z = zt.z
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > tol * 10:
+    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > UNITARY_SLACK * tol:
         raise NotCoisometry("u u* differs from the identity")
     R2 = np.eye(z.shape[0]) - z @ z.conj().T
     _check_sqrt_identity(u @ R2 @ u.conj().T, u @ hermitian_sqrt(R2),

@@ -17,3 +17,13 @@ RESOLVENT_COND_MAX = 1e14
 
 # relative singular-value gap accepted as numerical-kernel evidence
 KERNEL_GAP = 1e-6
+
+# unitarity and isometry gates accept ||u*u - 1||_2 <= UNITARY_SLACK * tol
+UNITARY_SLACK = 10.0
+
+# two domains count as one when ||P_1 - P_2||_2 <= PROJECTOR_GATE * tol
+PROJECTOR_GATE = 10.0
+
+# a continuous gauge's adjacent conjugation deviation roughly halves when
+# the grid step does; a fine/coarse ratio above this flags a discontinuity
+GAUGE_HALVING_RATIO = 0.85

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from modops.fibered import (
 )
 from modops.operators import (
     DomainedOperator,
+    ZTransform,
     adjoint_via_graph,
     graph_inclusion,
     orthonormal_frame,
@@ -304,12 +307,14 @@ def test_tilde_of_gauge_built_field_is_itself():
 # -------------------------------------------------------------------- gauge
 def test_gauge_field_validation():
     grid = np.linspace(0, 1, 4)
-    with pytest.raises(ValueError):
-        GaugeField(grid, [np.eye(3)] * 3)
-    with pytest.raises(ValueError):
-        GaugeField(grid, [2 * np.eye(3)] * 4)
-    with pytest.raises(ValueError):
-        GaugeField(grid, [np.diag([1j, 1, 1])] * 4)  # not identity at base
+    with pytest.raises(ValueError, match="one phase vector per grid point"):
+        GaugeField(grid, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="unitary within tolerance"):
+        GaugeField(grid, np.full((4, 3), 2.0))
+    with pytest.raises(ValueError, match=re.escape("U_0 != 1")):
+        GaugeField(grid, np.tile([1j, 1, 1], (4, 1)))
+    with pytest.raises(ValueError, match=re.escape("(n_pi, n) array")):
+        GaugeField(grid, [np.eye(3)] * 4)          # dense matrices, not phases
 
 
 def test_gauge_from_phase_samples_records_twists():
@@ -390,6 +395,130 @@ def test_gauge_covariance_of_the_transform():
     lhs = z_transform(DomainedOperator.full(u @ T.action @ u.conj().T)).z
     rhs = u @ z_transform(T).z @ u.conj().T
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+
+
+def dense_gauge_reference(t0, g):
+    """Dense reference for a gauge ``exp(i g)``: every conjugation a matrix
+    product, every gauged frame re-orthonormalized, every transform checked
+    afresh, and the continuity check's adjacent-deviation loop over the
+    probe compacts.  Returns (fibers, transforms, deviations, fine, coarse,
+    raises)."""
+    base = t0.as_domained()
+    w = z_transform(base)
+    us = [np.diag(np.exp(1j * row)) for row in g]
+    fibers = [DomainedOperator(u @ base.action @ u.conj().T,
+                               orthonormal_frame(u @ base.frame)) for u in us]
+    transforms = [ZTransform(u @ w.z @ u.conj().T) for u in us]
+    devs = np.asarray([np.linalg.norm(b.z - a.z, 2)
+                       for a, b in zip(transforms, transforms[1:])])
+    n = base.ambient_dim
+    rng = np.random.default_rng(7)
+    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    probes = [w.z, np.eye(n, dtype=complex),
+              np.outer(v1 / np.linalg.norm(v1), (v2 / np.linalg.norm(v2)).conj())]
+
+    def max_dev(unitaries):
+        worst = 0.0
+        for S in probes:
+            conj = [u @ S @ u.conj().T for u in unitaries]
+            for a, b in zip(conj, conj[1:]):
+                worst = max(worst, np.linalg.norm(b - a, 2))
+        return worst
+
+    fine, coarse = max_dev(us), max_dev(us[::2])
+    raises = len(us) >= 5 and fine > fibered.JUMP_FLOOR and fine / coarse > 0.85
+    return fibers, transforms, devs, fine, coarse, raises
+
+
+def _phase_table(n_pi, n_x, coeffs, jump, jump_at):
+    """Smooth phases g(pi, x) vanishing at pi = 0, plus an optional step in pi."""
+    pi = np.linspace(0, 1, n_pi)[:, None]
+    x = np.linspace(0, 1, n_x + 1)[None, :]
+    c0, c1, c2 = coeffs
+    g = pi * (c0 * x + c1 * np.sin(np.pi * x)) + pi ** 2 * c2 * np.cos(2 * np.pi * x)
+    return g + jump * (np.arange(n_pi)[:, None] >= jump_at) * x
+
+
+# the dense reference subtracts O(1) matrices, so agreement is relative
+# 1e-12 above an absolute roundoff floor of 1e-14
+RTOL, ATOL = 1e-12, 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_x=st.sampled_from([8, 12, 16, 24]), n_pi=st.integers(2, 9),
+       coeffs=st.tuples(*[st.floats(-2, 2)] * 3),
+       jump=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), jump_at=st.integers(1, 8))
+@example(n_x=16, n_pi=9, coeffs=(1.0, 0.0, 0.0), jump=0.0, jump_at=1)   # linear
+@example(n_x=16, n_pi=9, coeffs=(0.0, 0.0, 0.0), jump=2.0, jump_at=4)   # step only
+@example(n_x=12, n_pi=6, coeffs=(0.0, 0.0, 0.0), jump=0.0, jump_at=1)   # identity
+def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at):
+    g = _phase_table(n_pi, n_x, coeffs, jump, jump_at)
+    t0 = GridOperator(n_x, PERIODIC)
+    gauge = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g)
+    fibers, transforms, devs, fine, coarse, raises = dense_gauge_reference(t0, g)
+    w = z_transform(t0.as_domained())
+    if raises:
+        with pytest.raises(GaugeNotContinuous):
+            gauge_extension(t0, gauge)
+    else:
+        res = gauge_extension(t0, gauge)
+        for got, ref in zip(res.field.fibers, fibers):
+            assert_allclose(got.action, ref.action, rtol=0, atol=1e-12)
+            assert_allclose(got.domain_projector(), ref.domain_projector(),
+                            rtol=0, atol=1e-12)
+        for got, ref in zip(res.transforms, transforms):
+            assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
+        assert_allclose([t.density_gap for t in res.transforms],
+                        [t.density_gap for t in transforms], rtol=RTOL)
+        assert_allclose(res.deviations, devs, rtol=RTOL, atol=ATOL)
+    assert_allclose(fibered._conjugation_deviation(gauge.phases, w.z),
+                    fine, rtol=RTOL, atol=ATOL)
+    assert_allclose(fibered._conjugation_deviation(gauge.phases[::2], w.z),
+                    coarse, rtol=RTOL, atol=ATOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+       log_step=st.floats(-8, 0))
+def test_rank_two_norm_matches_dense_norm(seed, n, log_step):
+    rng = np.random.default_rng(seed)
+    x0, y0, dx, dy = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                      for _ in range(4))
+    x1, y1 = x0 + 10.0 ** log_step * dx, y0 + 10.0 ** log_step * dy
+    dense = np.linalg.norm(np.outer(x1, y1.conj()) - np.outer(x0, y0.conj()), 2)
+    assert_allclose(fibered._rank_two_norm(x1, y1, x0, y0), dense,
+                    rtol=1e-10, atol=ATOL * 10)
+
+
+def test_phase_rotated_frames_are_orthonormal():
+    n_pi = 9
+    grid = np.linspace(0, 1, n_pi)
+    g = _phase_table(n_pi, N_X, (1.0, 0.3, -0.5), 0.0, 1)
+    gauge = GaugeField.from_phase_samples(grid, g)
+    t = build_counterexample_t(n_pi, N_X)
+    res = gauge_extension(GridOperator(N_X, PERIODIC), gauge)
+    rotated = [f._phase_rotated(p) for p, f in zip(gauge.phases, t.fibers)]
+    for f in list(res.field.fibers) + rotated:
+        F = f.frame
+        assert np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1]), 2) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), proper=st.booleans())
+def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
+    # z(U T U*) = U z(T) U* with U = diag(p), the phase path against the
+    # transform of the densely conjugated operator
+    rng = np.random.default_rng(seed)
+    act = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    frame = orthonormal_frame(rng.standard_normal((n, n - 1))) if proper else None
+    T = DomainedOperator(act, frame)
+    p = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    u = np.diag(p)
+    dense = z_transform(DomainedOperator(u @ T.action @ u.conj().T,
+                                         orthonormal_frame(u @ T.frame))).z
+    assert_allclose(z_transform(T)._phase_rotated(p).z, dense, rtol=0, atol=1e-12)
+    assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------- extension check

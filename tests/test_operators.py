@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modops.errors import (
@@ -140,6 +142,24 @@ def test_graph_pair_membership():
     v = rng.standard_normal(5)
     assert GraphPair(v, T.action @ v).in_graph(T)
     assert not GraphPair(v, T.action @ v + 1e-3).in_graph(T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), log_angle=st.floats(-11, -7),
+       tol=st.sampled_from([1e-9, 1e-10]))
+@example(k=12, log_angle=np.log10(8e-9), tol=1e-9)   # Frobenius above, 2-norm below
+@example(k=1, log_angle=-10.0, tol=1e-9)             # settled by the Frobenius bound
+def test_same_domain_matches_the_dense_two_norm_gate(k, log_angle, tol):
+    # k orthonormal directions each rotated by one small angle: the projector
+    # difference has 2-norm sin(angle) and Frobenius norm sqrt(2k) sin(angle)
+    n = 2 * k + 1
+    angle = 10.0 ** log_angle
+    eye = np.eye(n)
+    F = eye[:, :k]
+    G = np.cos(angle) * eye[:, :k] + np.sin(angle) * eye[:, k:2 * k]
+    A, B = DomainedOperator(np.eye(n), F), DomainedOperator(np.eye(n), G)
+    dense = np.linalg.norm(A.domain_projector() - B.domain_projector(), 2) <= 10 * tol
+    assert A.same_domain(B, tol) == dense
 
 
 # ----------------------------------------------------------- graph inclusion
