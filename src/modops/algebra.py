@@ -5,7 +5,8 @@ An algebra here is a finite direct sum of full matrix algebras, indexed by a
 models both matrix-valued function algebras over a finite point set and plain
 direct sums.  The module provides the positivity calculus (PSD square roots),
 single-fiber localizers, the fiberwise density check for right ideals, and
-multiplier-symbol extraction for operators that act by multiplication.
+multiplier-symbol extraction for operators that act by multiplication, and
+owns the shared dense kernels: block-diagonal assembly and Hermitian roots.
 """
 from __future__ import annotations
 
@@ -32,6 +33,31 @@ def _freeze(a):
     a = np.ascontiguousarray(a, dtype=complex)
     a.flags.writeable = False
     return a
+
+
+def block_diag(blocks):
+    """Block-diagonal matrix of the (possibly rectangular) ``blocks``, in order."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def eigh_sqrt(m, inverse=False, floor=0.0):
+    """``hermitian_sqrt(m, inverse, floor)`` together with the eigenvalues of
+    the Hermitian part of ``m``, ascending and before the ``floor`` clip."""
+    lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    vals = np.sqrt(np.clip(lam, floor, None))
+    return (v / vals if inverse else v * vals) @ v.conj().T, lam
+
+
+def hermitian_sqrt(m, inverse=False, floor=0.0):
+    """Principal square root (or inverse square root) of a Hermitian PSD matrix."""
+    return eigh_sqrt(m, inverse, floor)[0]
 
 
 @dataclass(frozen=True)
@@ -164,22 +190,12 @@ class AlgebraElement:
 
     def left_mult_matrix(self):
         """Matrix of b -> a @ b on the flattened algebra (block kron form)."""
-        n = self.index.flat_dim
-        out = np.zeros((n, n), dtype=complex)
-        sl = self.index.flat_slices()
-        for lab, d in zip(self.index.labels, self.index.dims):
-            out[sl[lab], sl[lab]] = np.kron(self.fibers[lab], np.eye(d))
-        return out
+        return block_diag(np.kron(self.fibers[lab], np.eye(d))
+                          for lab, d in zip(self.index.labels, self.index.dims))
 
     def direct_sum_matrix(self):
         """Block-diagonal matrix of the element acting on the sum of fiber columns."""
-        n = sum(self.index.dims)
-        out = np.zeros((n, n), dtype=complex)
-        pos = 0
-        for lab, d in zip(self.index.labels, self.index.dims):
-            out[pos:pos + d, pos:pos + d] = self.fibers[lab]
-            pos += d
-        return out
+        return block_diag(self.fibers[lab] for lab in self.index.labels)
 
     def allclose(self, other, tol=TOL_ALG):
         scale = 1.0 + max(self.norm(), other.norm())
@@ -277,12 +293,10 @@ def psd_sqrt(a: AlgebraElement, tol_psd=None) -> AlgebraElement:
         raise NotPSD("element is not Hermitian within tolerance")
     roots = {}
     for lab, m in a.fibers.items():
-        lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+        roots[lab], lam = eigh_sqrt(m)
         if lam[0] < -tol_psd:
             raise NotPSD(f"fiber {lab!r} has eigenvalue {lam[0]:.3e} < -{tol_psd:.3e}",
                          min_eigenvalue=float(lam[0]))
-        lam = np.clip(lam, 0.0, None)
-        roots[lab] = (v * np.sqrt(lam)) @ v.conj().T
     return AlgebraElement(a.index, roots)
 
 
@@ -323,8 +337,8 @@ def ideal_density_check(generators) -> DensityReport:
     for lab, d in zip(index.labels, index.dims):
         stacked = np.hstack([g.fibers[lab] for g in gens])
         s = np.linalg.svd(stacked, compute_uv=False)
-        cutoff = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > max(cutoff, TOL_ALG * max(s[0] if s.size else 0.0, 1e-300))))
+        rtol = max(max(stacked.shape) * np.finfo(float).eps, TOL_ALG)
+        rank = int(np.sum(s > rtol * s[0]))
         ranks[lab] = rank
         per_fiber[lab] = rank == d
     return DensityReport(per_fiber=per_fiber, ranks=ranks)
@@ -343,11 +357,10 @@ def multiplier_symbol_extract(T, index: FiberIndex, tol=TOL_ALG) -> AlgebraEleme
     if T.ambient_dim != index.flat_dim:
         raise ValueError("operator ambient does not match the flattened algebra")
     one = AlgebraElement.identity(index)
-    proj = T.frame @ T.frame.conj().T
     sym_fibers = {}
     for lab in index.labels:
         ind = localize(one, lab).to_vector()
-        if np.linalg.norm(ind - proj @ ind) > tol * (1.0 + np.linalg.norm(ind)):
+        if not T.contains(ind, tol)[0]:
             raise ValueError(f"indicator of fiber {lab!r} is outside the domain")
         image = AlgebraElement.from_vector(index, T.action @ ind)
         sym_fibers[lab] = image.fibers[lab]

@@ -196,6 +196,13 @@ def config_from_sections(command, sections, **overrides):
 # --------------------------------------------------------------------------
 # report writing
 # --------------------------------------------------------------------------
+# gate bounds, each written once as its report text "<=b", ">=b" or "in [lo,hi]"
+_GATES = {"comparison_error": "<=5e-3", "gap_ratio": "<=1e-6",
+          "convergence_ratio": "in [3,5]", "complement_floor": ">=0.999",
+          "z_jump_at_base": ">=1e-2", "max_positive_base_deviation": "<=1e-8",
+          "adjoint_field_max_deviation": "<=1e-8"}
+
+
 class Report:
     def __init__(self, command):
         self.lines = [f"# modops {command} report",
@@ -206,6 +213,16 @@ class Report:
             value = f"{value:.12e}"
         suffix = f"  [tol={tol}]" if tol is not None else ""
         self.lines.append(f"{key} = {value}{suffix}")
+
+    def gate(self, key, value):
+        """Write ``key`` with its bound from ``_GATES``; return whether it passes."""
+        bound = _GATES[key]
+        self.kv(key, value, tol=bound)
+        if bound.startswith("in "):
+            lo, hi = map(float, bound[4:-1].split(","))
+            return bool(lo <= value <= hi)
+        b = float(bound[2:])
+        return bool(value >= b if bound.startswith(">=") else value <= b)
 
     def table(self, name, header, rows):
         self.lines.append(f"[table {name}]")
@@ -252,18 +269,16 @@ def _kernel_stage(cfg: RunConfig, report: Report, verdict_key):
     floor = periodic_complement_floor(cfg.n_x)
     report.kv("n_x", cfg.n_x)
     report.kv("kernel_dim", rep.kernel_dim, tol="=1")
-    report.kv("comparison_error", rep.comparison_error, tol="<=5e-3")
+    ok = report.gate("comparison_error", rep.comparison_error)
     report.kv("sigma_small", rep.sigma_small)
     report.kv("sigma_next", rep.sigma_next)
-    report.kv("gap_ratio", rep.gap_ratio, tol="<=1e-6")
-    report.kv("convergence_ratio", float(ratio), tol="in [3,5]")
-    report.kv("complement_floor", floor, tol=">=0.999")
+    ok &= report.gate("gap_ratio", rep.gap_ratio)
+    ok &= report.gate("convergence_ratio", float(ratio))
+    ok &= report.gate("complement_floor", floor)
     x = rep.vector.grid()
     report.table("kernel_vector", ("x", "re", "im"),
                  [(f"{xi:.6f}", float(v.real), float(v.imag))
                   for xi, v in zip(x, rep.vector.samples)])
-    ok = (rep.comparison_error <= 5e-3 and rep.gap_ratio <= 1e-6
-          and 3.0 <= ratio <= 5.0 and floor >= 0.999)
     report.kv(verdict_key, "KERNEL-CERTIFIED" if ok else "TOLERANCE-VIOLATION")
     return ok
 
@@ -325,12 +340,12 @@ def run_certify_nonregular(cfg: RunConfig, report: Report):
     bulk = float(zrep.profile[1:].max()) if zrep.profile.size > 1 else 0.0
     adj_dev = float(arep.profile.max()) if arep.profile.size else 0.0
     report.kv("n_pi", cfg.n_pi)
-    report.kv("z_jump_at_base", jump, tol=">=1e-2")
-    report.kv("max_positive_base_deviation", bulk, tol="<=1e-8")
-    report.kv("adjoint_field_max_deviation", adj_dev, tol="<=1e-8")
+    ok = report.gate("z_jump_at_base", jump)
+    ok &= report.gate("max_positive_base_deviation", bulk)
+    ok &= report.gate("adjoint_field_max_deviation", adj_dev)
     report.table("zfield_profile", ("pi", "density_gap", "adjacent_deviation"),
                  _profile_rows(t.pi_grid, zrep))
-    ok = (kernel_ok and jump >= 1e-2 and bulk <= 1e-8 and adj_dev <= 1e-8)
+    ok &= kernel_ok
     report.kv("verdict", "NONREGULAR-CERTIFIED" if ok else "TOLERANCE-VIOLATION")
     return 1 if ok else 3
 

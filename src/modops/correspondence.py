@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiberIndex, ModuleVector
+from .algebra import AlgebraElement, FiberIndex, ModuleVector, block_diag
 from .errors import IllDefined
 from .operators import DomainedOperator, graph_inclusion
-from .tolerances import TOL_ALG
+from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
     "ModuleModel",
@@ -70,22 +70,10 @@ class ModuleModel:
     def rows(self, label):
         return self.row_dims[self.index.labels.index(label)]
 
-    # -- flattening ----------------------------------------------------------
-    def vec(self, x: ModuleVector):
-        return x.to_vector()
-
-    def unvec(self, v) -> ModuleVector:
-        return ModuleVector.from_vector(self.index, self.row_dims, v)
-
     def basis_vectors(self):
         """Elementary module basis, flattened order."""
-        out = []
-        n = self.flat_dim
-        for i in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[i] = 1.0
-            out.append(self.unvec(e))
-        return out
+        return [ModuleVector.from_vector(self.index, self.row_dims, e)
+                for e in np.eye(self.flat_dim, dtype=complex)]
 
     def left_product(self, a: AlgebraElement, x: ModuleVector) -> ModuleVector:
         """Module product a . x for a in K(E) (per-fiber m x m times m x k)."""
@@ -140,16 +128,7 @@ def left_module_operator(model: ModuleModel, blocks: dict,
                                   np.eye(k)))
         else:
             frames.append(np.eye(m * k, dtype=complex))
-    n = model.flat_dim
-    action = np.zeros((n, n), dtype=complex)
-    frame = np.zeros((n, sum(f.shape[1] for f in frames)), dtype=complex)
-    r = c = 0
-    for a, f in zip(acts, frames):
-        action[r:r + a.shape[0], r:r + a.shape[0]] = a
-        frame[r:r + f.shape[0], c:c + f.shape[1]] = f
-        r += a.shape[0]
-        c += f.shape[1]
-    return DomainedOperator(action, frame)
+    return DomainedOperator(block_diag(acts), block_diag(frames))
 
 
 def _operator_from_pairs(pairs_in, pairs_out, ambient, tol):
@@ -164,8 +143,7 @@ def _operator_from_pairs(pairs_in, pairs_out, ambient, tol):
     U = np.column_stack(pairs_in)
     W = np.column_stack(pairs_out)
     uu, ss, vvh = np.linalg.svd(U, full_matrices=False)
-    scale = ss[0] if ss.size and ss[0] > 0 else 1.0
-    rank = int(np.sum(ss > 1e-12 * scale))
+    rank = int(np.sum(ss > RANK_RTOL * ss[0]))
     vr = vvh.conj().T[:, :rank]
     # image of the input kernel, via the complement of the rank projector
     leak = np.linalg.norm(W - (W @ vr) @ vr.conj().T, 2)
@@ -189,9 +167,9 @@ def phi1(T: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperat
     kmodel = model.compact_model
     ins, outs = [], []
     basis = model.basis_vectors()
-    for j in range(T.domain_dim):
-        x = model.unvec(T.frame[:, j])
-        tx = model.unvec(T.apply(T.frame[:, j]))
+    for f in T.frame.T:
+        x = ModuleVector.from_vector(model.index, model.row_dims, f)
+        tx = ModuleVector.from_vector(model.index, model.row_dims, T.apply(f))
         for y in basis:
             ins.append(RankOneOperator(x, y).matrix().to_vector())
             outs.append(RankOneOperator(tx, y).matrix().to_vector())
@@ -214,8 +192,8 @@ def phi2(S: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperat
         a = AlgebraElement.from_vector(model.compact_index, S.frame[:, j])
         sa = AlgebraElement.from_vector(model.compact_index, S.apply(S.frame[:, j]))
         for x in basis:
-            ins.append(model.vec(model.left_product(a, x)))
-            outs.append(model.vec(model.left_product(sa, x)))
+            ins.append(model.left_product(a, x).to_vector())
+            outs.append(model.left_product(sa, x).to_vector())
     return _operator_from_pairs(ins, outs, model.flat_dim, tol)
 
 

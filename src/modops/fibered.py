@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiberIndex
+from .algebra import AlgebraElement, FiberIndex, block_diag
 from .diffops import (
     MINIMAL,
     PERIODIC,
@@ -417,7 +417,6 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     field is an element.
     """
     closures = F.fibers
-    N = len(closures)
     amb = F.ambient_dim
     if modulus is None:
         # no gluing constraint: the admitted set is the whole product, left
@@ -425,19 +424,10 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
         return FiberedOperator(F.pi_grid, closures, symbol=F.symbol,
                                algebra_index=F.algebra_index)
 
-    pool = _block_diag_frames([c.frame for c in closures])
-    dev_rows = np.zeros(((N - 1) * amb, pool.shape[1]), dtype=complex)
-    col = 0
-    images = []
-    for i, c in enumerate(closures):
-        images.append((i, col, c.restricted()))
-        col += c.domain_dim
-    for i in range(N - 1):
-        r = slice(i * amb, (i + 1) * amb)
-        _, c0, B0 = images[i]
-        _, c1, B1 = images[i + 1]
-        dev_rows[r, c0:c0 + B0.shape[1]] -= B0
-        dev_rows[r, c1:c1 + B1.shape[1]] += B1
+    pool = block_diag(c.frame for c in closures)
+    # row block i: image of fiber i + 1 minus image of fiber i
+    images = block_diag(c.restricted() for c in closures)
+    dev_rows = images[amb:] - images[:-amb]
     u, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
     keep = vh.conj().T[:, np.concatenate([s <= modulus,
                                           np.ones(pool.shape[1] - s.size, bool)])]
@@ -452,18 +442,6 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
         fibers.append(DomainedOperator(c.action, orthonormal_frame(block)))
     return FiberedOperator(F.pi_grid, fibers, symbol=F.symbol,
                            algebra_index=F.algebra_index, coupled_frame=coupled)
-
-
-def _block_diag_frames(frames):
-    rows = sum(f.shape[0] for f in frames)
-    cols = sum(f.shape[1] for f in frames)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for f in frames:
-        out[r:r + f.shape[0], c:c + f.shape[1]] = f
-        r += f.shape[0]
-        c += f.shape[1]
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,15 @@ RESOLVENT_COND_MAX = 1e14
 # relative singular-value gap accepted as numerical-kernel evidence
 KERNEL_GAP = 1e-6
 
+# rank cutoff relative to the largest singular value
+RANK_RTOL = 1e-12
+
+# entrywise tolerance of the Gram-matrix check of a domain frame
+FRAME_ORTHO_ATOL = 1e-10
+
+# graph inclusion accepts a domain-membership residual <= MEMBERSHIP_SLACK * tol
+MEMBERSHIP_SLACK = 2.0
+
 # unitarity and isometry gates accept ||u*u - 1||_2 <= UNITARY_SLACK * tol
 UNITARY_SLACK = 10.0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modops.cli import (
+    Report,
     RunConfig,
     config_from_sections,
     main,
@@ -204,6 +205,36 @@ c = 1,0 ; 0,0
     assert "n_fibers = 3" in text
 
 
+def test_zfield_symbol_with_an_empty_fiber_domain(tmp_path):
+    # fiber b's domain frame has no columns: its transform is 0 with gap 1
+    spec = """\
+[algebra]
+labels = a b
+dims = 2 2
+
+[operator]
+kind = symbol
+element = t
+domain = d
+
+[element t]
+a = 1,0 0,0 ; 0,0 2,0
+b = 0,0 1,0 ; -1,0 0,0
+
+[element d]
+a = 1,0 ; 0,0
+b = 0 ; 0
+"""
+    out = tmp_path / "z0.txt"
+    code = main(["zfield", "--config", write(tmp_path, spec), "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    start = lines.index("[table zfield_profile]")
+    assert lines[start + 1] == "pi,density_gap,adjacent_deviation"
+    assert lines[start + 3].split(",")[1] == f"{1.0:.12e}"
+    assert "verdict = PROFILE-EMITTED" in lines
+
+
 def test_zfield_tags_operator_record(tmp_path):
     spec = """\
 [grid]
@@ -226,6 +257,20 @@ def test_kernel_cert_tolerances_and_vector_table(tmp_path):
     text = out.read_text()
     assert "[tol=<=5e-3]" in text
     assert "[table kernel_vector]" in text
+
+
+def test_report_gates_include_their_bounds():
+    # each bound is parsed from its [tol=...] text; both ends of an
+    # interval and every one-sided bound pass when met exactly
+    r = Report("kernel-cert")
+    assert r.gate("convergence_ratio", 3.0) and r.gate("convergence_ratio", 5.0)
+    assert not r.gate("convergence_ratio", 2.99) and not r.gate("convergence_ratio", 5.01)
+    assert r.gate("comparison_error", 5e-3) and not r.gate("comparison_error", 5.01e-3)
+    assert r.gate("complement_floor", 0.999) and not r.gate("complement_floor", 0.998)
+    assert r.gate("z_jump_at_base", 1e-2) and not r.gate("z_jump_at_base", 0.99e-2)
+    assert not r.gate("adjoint_field_max_deviation", float("nan"))
+    assert r.lines[2] == "convergence_ratio = 3.000000000000e+00  [tol=in [3,5]]"
+    assert r.lines[6] == "comparison_error = 5.000000000000e-03  [tol=<=5e-3]"
 
 
 def test_gauge_samples_spec(tmp_path):

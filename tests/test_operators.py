@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from modops.diffops import MAXIMAL, MINIMAL, PERIODIC, BoundaryTag, GridOperator
 from modops.errors import (
     ExtensionIdentityViolated,
     NotDense,
@@ -35,6 +36,69 @@ def random_operator(rng, n, scale=1.0):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_domained(seed, n, codim, log_scale):
+    """Random complex action of 2-norm about 10**log_scale on a random domain
+    of codimension ``codim`` (capped at ``n``; the full frame when 0)."""
+    rng = np.random.default_rng(seed)
+    A = 10.0 ** log_scale * (rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    if codim == 0:
+        return DomainedOperator.full(A)
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :max(n - codim, 0)]
+    return DomainedOperator(A, frame)
+
+
+# proper and full domains, down to an empty one, with norms up to about 1e3
+domained_operators = st.builds(random_domained, st.integers(0, 10_000),
+                               st.integers(1, 9), st.integers(0, 9), st.floats(-2, 3))
+
+
+def graph_frame(T):
+    """Orthonormal frame of the graph inside ambient + ambient."""
+    return orthonormal_frame(np.vstack([T.frame, T.restricted()]))
+
+
+def graph_complement_adjoint(T):
+    """Reference adjoint: the orthogonal complement of the graph pulled back
+    through the flip, with the multivalued part projected away."""
+    n = T.ambient_dim
+    g = graph_frame(T)
+    u, _, _ = np.linalg.svd(g, full_matrices=True)
+    comp = u[:, g.shape[1]:]
+    # flip inverse: (w1, w2) -> (-w2, w1)
+    X = -comp[n:, :]
+    Y = comp[:n, :]
+    ux, sx, vxh = np.linalg.svd(X, full_matrices=False)
+    cutoff = 1e-12 * (sx[0] if sx.size and sx[0] > 0 else 1.0)
+    rank = int(np.sum(sx > cutoff))
+    dom = ux[:, :rank]
+    act = Y @ (vxh.conj().T[:, :rank] / sx[:rank]) @ dom.conj().T
+    mul = orthonormal_frame(Y @ vxh.conj().T[:, rank:])
+    if mul.shape[1]:
+        act = act - mul @ (mul.conj().T @ act)
+    return DomainedOperator(act, dom)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the numpy.linalg factorizations called while the test runs;
+    a matrix 2-norm counts as ``norm2`` (numpy takes it by an SVD)."""
+    calls = []
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls.append("norm2")
+        return norm(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
 
 
 # ---------------------------------------------------------------- transforms
@@ -86,6 +150,32 @@ def test_transform_of_adjoint_is_adjoint_of_transform():
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(T=domained_operators)
+def test_density_gap_matches_the_dense_transform_oracle(T):
+    # the gap taken from the eigendecomposition against ZTransform's own
+    # eigvalsh of 1 - z*z, down to an empty domain (z = 0, gap 1)
+    zt = z_transform(T)
+    oracle = ZTransform(zt.z)
+    assert abs(zt.density_gap - oracle.density_gap) <= 1e-12
+    assert 0.0 < zt.density_gap <= 1.0
+
+
+def test_z_transform_of_an_empty_domain_is_zero():
+    zt = z_transform(DomainedOperator(np.ones((3, 3)), np.zeros((3, 0))))
+    assert np.all(zt.z == 0) and zt.density_gap == 1.0
+
+
+def test_closed_forms_factorize_once_or_not_at_all(linalg_calls):
+    T = random_domained(0, 7, 3, 1.0)
+    linalg_calls.clear()
+    z_transform(T)
+    assert linalg_calls == ["eigh"]
+    linalg_calls.clear()
+    adjoint_via_graph(T)
+    assert linalg_calls == []
+
+
 def test_z_transform_on_truncation_domain_vanishes_off_domain():
     rng = np.random.default_rng(3)
     frame = np.zeros((6, 3))
@@ -123,13 +213,42 @@ def test_adjoint_of_subdomain_operator_matches_direct_transpose_oracle():
     assert np.linalg.norm(adj.action - oracle, 2) <= 1e-10
 
 
+def assert_adjoint_matches_the_graph_complement_oracle(T):
+    adj, oracle = adjoint_via_graph(T), graph_complement_adjoint(T)
+    assert adj.is_full_domain and oracle.is_full_domain
+    bound = 1e-10 * (1.0 + np.linalg.norm(T.action, 2))
+    assert np.linalg.norm(adj.action - oracle.action, 2) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=domained_operators)
+def test_adjoint_matches_the_graph_complement_oracle(T):
+    assert_adjoint_matches_the_graph_complement_oracle(T)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("tag", [MINIMAL, MAXIMAL, PERIODIC, BoundaryTag.twisted(0.7)],
+                         ids=lambda tag: tag.kind)
+def test_adjoint_of_grid_derivatives_matches_the_graph_complement_oracle(tag, n):
+    assert_adjoint_matches_the_graph_complement_oracle(GridOperator(n, tag).as_domained())
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=domained_operators)
+def test_adjoint_commutes_with_the_transform(T):
+    # z(T*) = z(T)*: with B = T F, z(T)* = F (1 + B*B)^{-1/2} B*, which is
+    # z(F B*) = F B* (1 + B B*)^{-1/2} because F*F = 1
+    lhs = z_transform(adjoint_via_graph(T)).z
+    assert_allclose(lhs, z_transform(T).z.conj().T, rtol=0, atol=1e-10)
+
+
 def test_tau_orthogonality_dimension_count():
     rng = np.random.default_rng(6)
     n = 6
     T = random_operator(rng, n)
     adj = adjoint_via_graph(T)
-    g = T.graph_frame()
-    ga = adj.graph_frame()
+    g = graph_frame(T)
+    ga = graph_frame(adj)
     # flip of the adjoint graph spans exactly the orthocomplement of the graph
     flipped = np.vstack([ga[n:], -ga[:n]])
     assert np.linalg.norm(g.conj().T @ flipped, 2) <= 1e-10
