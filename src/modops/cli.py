@@ -9,6 +9,7 @@ given one config; only the "# generated:" header line varies.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -50,6 +51,30 @@ _SECTION_KEYS = {
 }
 
 
+# dense (n_x + 1)^2 complex matrices a grid command keeps alive at once, as
+# (per base point, fixed), counted low from the code; a request whose count
+# cannot fit in physical memory is refused before anything is allocated
+_DENSE_MATRICES = {
+    # GridOperator.reduced: grid matrix, domain frame, weighted action
+    "kernel-cert": (0, 3),
+    # counterexample: 2 grid matrices, 2 fibers (action, frame), 2 transforms;
+    # its adjoint field: grid matrix, fiber (action, frame), transform
+    "certify-nonregular": (0, 12),
+    # a tags field with one distinct fiber: grid matrix, action, frame, transform
+    "zfield": (0, 4),
+    # per base point: gauged fiber (action, frame), its transform and the
+    # gauged counterexample fiber (action, frame); fixed: t0's matrix, base
+    # fiber (action, frame) and transform, counterexample (2 grid matrices,
+    # 2 fibers)
+    "extend": (5, 10),
+}
+
+
+def _physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -77,6 +102,21 @@ class RunConfig:
             raise MalformedSpec(f"n_x = {self.n_x} outside the supported range")
         if not 2 <= self.n_pi <= 4096:
             raise MalformedSpec(f"n_pi = {self.n_pi} outside the supported range")
+        self._check_memory()
+
+    def _check_memory(self):
+        """Refuse a grid whose dense matrices cannot fit in physical memory."""
+        symbol_zfield = self.command == "zfield" and self.operator_kind == "symbol"
+        if self.command not in _DENSE_MATRICES or symbol_zfield:
+            return                      # no grid: the command never reads n_x
+        per_point, fixed = _DENSE_MATRICES[self.command]
+        k = per_point * self.n_pi + fixed
+        need, have = 16 * (self.n_x + 1) ** 2 * k, _physical_memory()
+        if need > have:
+            raise MalformedSpec(
+                f"n_x = {self.n_x} needs at least {need / 1e9:.1f} GB for {k} dense "
+                f"{self.n_x + 1}x{self.n_x + 1} complex matrices, more than the "
+                f"{have / 1e9:.1f} GB of physical memory")
 
 
 # --------------------------------------------------------------------------

@@ -345,8 +345,9 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
 
     Deviations ``J_i = ||z_{i+1} - z_i||`` are flagged as discontinuities
     when they exceed ten times the median profile value; an absolute floor
-    keeps constant fields with roundoff from flagging.  Each distinct fiber
-    is transformed once, and adjacent points sharing a fiber deviate by 0.
+    keeps constant fields with roundoff from flagging.  The floor needs no
+    scale: every transform is a contraction.  Each distinct fiber is
+    transformed once, and adjacent points sharing a fiber deviate by 0.
     """
     distinct = [z_transform(f) for f in F.distinct_fibers]
     k = F.index_map
@@ -354,10 +355,8 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
         0.0 if a == b else np.linalg.norm(distinct[b].z - distinct[a].z, 2)
         for a, b in zip(k, k[1:])])
     med = float(np.median(profile)) if profile.size else 0.0
-    scale = max(1.0, max(np.linalg.norm(t.z, 2) for t in distinct))
-    floor = JUMP_FLOOR * scale
     flagged = [i for i, d in enumerate(profile)
-               if d > JUMP_MEDIAN_FACTOR * med and d > floor]
+               if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
     return ZFieldReport(transforms=list(F.per_point(distinct)), profile=profile,
                         median=med, flagged=flagged)
 
@@ -509,20 +508,24 @@ def _rank_two_norm(x1, y1, x0, y0):
     return float(np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), abs(h[0, 1]))))
 
 
-def _conjugation_deviation(phases, z, z_devs=None):
-    """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
-    compacts ``S``: the transform ``z``, the identity and a rank-one ``a b*``.
+def _z_probe_differences(phases, z):
+    """Adjacent differences of ``pi -> U_pi z U_pi*``, one at a time;
+    ``U z U*`` is ``z * outer(p, conj(p))``."""
+    prev = None
+    for p in phases:
+        cur = z * np.outer(p, p.conj())
+        if prev is not None:
+            yield cur - prev
+        prev = cur
 
-    ``U S U*`` is ``S * outer(p, conj(p))``; the identity conjugates to
-    ``diag(|p|^2)`` and ``a b*`` to ``(p a)(p b)*``, so only the ``z`` probe
-    needs a dense 2-norm, and none when its deviations ``z_devs`` are given.
-    """
-    if z_devs is None:
-        conj = [z * np.outer(p, p.conj()) for p in phases]
-        z_devs = [np.linalg.norm(c1 - c0, 2) for c0, c1 in zip(conj, conj[1:])]
+
+def _exact_probe_deviation(phases):
+    """Largest adjacent deviation of the identity and rank-one probes, exact
+    without a dense 2-norm: the identity conjugates to ``diag(|p|^2)`` and
+    ``a b*`` to ``(p a)(p b)*``."""
     mod2 = np.abs(phases) ** 2
     a, b = _rank_one_probe(phases.shape[1])
-    worst = max(z_devs, default=0.0)
+    worst = 0.0
     for i in range(len(phases) - 1):
         p0, p1 = phases[i], phases[i + 1]
         worst = max(worst, np.max(np.abs(mod2[i + 1] - mod2[i])),
@@ -530,15 +533,43 @@ def _conjugation_deviation(phases, z, z_devs=None):
     return float(worst)
 
 
+def _conjugation_deviation(phases, z, z_devs=None):
+    """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
+    compacts ``S``: the transform ``z``, the identity and a rank-one ``a b*``.
+
+    Only the ``z`` probe needs a dense 2-norm, and none when its deviations
+    ``z_devs`` are given.
+    """
+    if z_devs is None:
+        z_devs = [np.linalg.norm(d, 2) for d in _z_probe_differences(phases, z)]
+    return float(max(max(z_devs, default=0.0), _exact_probe_deviation(phases)))
+
+
+def _conjugation_deviation_bound(phases, z):
+    """Lower bound of :func:`_conjugation_deviation` with no factorization:
+    the ``z`` probe enters by its largest column norm, as ``||X e_j||_2 <=
+    ||X||_2``, the other probes exactly."""
+    cols = max((float(np.max(np.linalg.norm(d, axis=0)))
+                for d in _z_probe_differences(phases, z)), default=0.0)
+    return max(cols, _exact_probe_deviation(phases))
+
+
 def _gauge_continuity_check(U: GaugeField, z, z_devs):
     """Linear-in-step bound checked against the twice-coarsened subgrid;
-    ``z_devs`` are the adjacent deviations of the gauged ``z`` on the full grid."""
+    ``z_devs`` are the adjacent deviations of the gauged ``z`` on the full grid.
+
+    A lower bound of the coarse deviation that already clears the ratio
+    passes the gate; only otherwise is the exact coarse value computed.
+    """
     if len(U) < 5:
         return
     fine = _conjugation_deviation(U.phases, z, z_devs)
     if fine <= JUMP_FLOOR:
         return
-    coarse = _conjugation_deviation(U.phases[::2], z)
+    coarse_phases = U.phases[::2]
+    if fine <= GAUGE_HALVING_RATIO * _conjugation_deviation_bound(coarse_phases, z):
+        return
+    coarse = _conjugation_deviation(coarse_phases, z)
     if fine > GAUGE_HALVING_RATIO * coarse:
         raise GaugeNotContinuous(
             f"adjacent deviation {fine:.3e} does not halve under step halving "
@@ -568,6 +599,9 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
     ``S`` is conjugated by ``U_i`` before the inclusion test (the two fields
     are then expressed over one trivialization).  The gluing chain verifies
     S inside tilde(S), tilde(S) inside tilde(T), and tilde(T) = T fiberwise.
+    A link between one fiber object and itself holds by reflexivity, so with
+    ``modulus=None``, where the tilde fields keep their input fibers, the
+    chain reuses the row verdicts and decides no link afresh.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
@@ -588,17 +622,21 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         if not res.included:
             failing.append(float(pi))
 
+    def includes(a, b):
+        # a link between one object and itself holds by reflexivity
+        return a is b or graph_inclusion(a, b, tol).included
+
+    def chain_holds(row_ok, sf, st, tt, tf):
+        if st is sf and tt is tf:
+            middle = row_ok     # tilde(S)_i in tilde(T)_i is the row S_i in T_i
+        else:
+            middle = includes(st, tt)
+        return (includes(sf, st) and middle
+                and (tt is tf or (tt.same_domain(tf, tol) and includes(tf, tt))))
+
     s_tilde = tilde_extension(gauged_S, modulus)
     t_tilde = tilde_extension(T, modulus)
-    chain = True
-    for sf, st, tt, tf in zip(s_fibers, s_tilde.fibers, t_tilde.fibers, T.fibers):
-        if not graph_inclusion(sf, st, tol).included:
-            chain = False
-        if not graph_inclusion(st, tt, tol).included:
-            chain = False
-        same_dom = tt.same_domain(tf, tol)
-        same_act = graph_inclusion(tf, tt, tol).included
-        if not (same_dom and same_act):
-            chain = False
+    chain = all(chain_holds(ok, sf, st, tt, tf) for (_, ok, _), sf, st, tt, tf
+                in zip(rows, s_fibers, s_tilde.fibers, t_tilde.fibers, T.fibers))
     return ExtensionReport(rows=rows, included=not failing,
                            tilde_chain_ok=chain, failing=failing)

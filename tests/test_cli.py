@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import modops.cli as cli
 from modops.cli import (
     Report,
     RunConfig,
     config_from_sections,
     main,
     parse_spec_file,
+    run,
 )
 from modops.errors import MalformedSpec
 
@@ -78,6 +82,43 @@ def test_config_range_guards():
         RunConfig("zfield", n_pi=1)
     with pytest.raises(MalformedSpec):
         RunConfig("frobnicate")
+
+
+def test_extend_refuses_a_grid_too_large_to_hold(capsys):
+    assert main(["extend", "--n-x", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: n_x = 20000 needs at least ")
+    assert "GB for 90 dense 20001x20001 complex matrices" in err
+
+
+def test_memory_gate_compares_with_physical_memory(monkeypatch):
+    RunConfig("extend", n_x=400)            # the defaults fit this machine
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.2 GB for 90 dense"):
+        RunConfig("extend", n_x=400)
+    # commands without a grid are not gated
+    RunConfig("phi-roundtrip", n_x=400)
+    RunConfig("zfield", n_x=400, operator_kind="symbol")
+    with pytest.raises(MalformedSpec, match="needs at least"):
+        RunConfig("extend", n_x=400, operator_kind="symbol")   # extend ignores it
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("kernel-cert", {}), ("certify-nonregular", {}), ("extend", {}),
+    ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic",)})])
+def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
+    # the gate's estimate never exceeds the memory the pipeline really takes
+    n_x, n_pi = 64, 5
+    cfg = RunConfig(command, n_x=n_x, n_pi=n_pi, output_path=str(tmp_path / "r.txt"),
+                    **extra)
+    per_point, fixed = cli._DENSE_MATRICES[command]
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= 16 * (n_x + 1) ** 2 * (per_point * n_pi + fixed)
 
 
 # ---------------------------------------------------------------- pipelines

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -521,6 +521,47 @@ def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
     assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_x=st.sampled_from([8, 12, 16, 24]), n_pi=st.integers(2, 9),
+       coeffs=st.tuples(*[st.floats(-2, 2)] * 3),
+       jump=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), jump_at=st.integers(1, 8))
+@example(n_x=16, n_pi=9, coeffs=(1.0, 0.0, 0.0), jump=0.0, jump_at=1)   # linear
+@example(n_x=16, n_pi=9, coeffs=(0.0, 0.0, 0.0), jump=2.0, jump_at=4)   # step only
+@example(n_x=12, n_pi=6, coeffs=(0.0, 0.0, 0.0), jump=0.0, jump_at=1)   # identity
+def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_at):
+    g = _phase_table(n_pi, n_x, coeffs, jump, jump_at)
+    phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
+    z = z_transform(GridOperator(n_x, PERIODIC).as_domained()).z
+    for sub in (phases, phases[::2]):
+        bound = fibered._conjugation_deviation_bound(sub, z)
+        exact = fibered._conjugation_deviation(sub, z)
+        # the SVD's 2-norm carries a few ulps of roundoff
+        assert 0.0 <= bound <= exact * (1 + 1e-13)
+        if not np.any(g):
+            assert bound == 0.0
+
+
+def test_continuity_gate_takes_no_coarse_norm_for_a_smooth_gauge(linalg_calls):
+    n_x, n_pi = 64, 9
+    grid = np.linspace(0, 1, n_pi)
+    t0 = GridOperator(n_x, PERIODIC)
+    smooth = GaugeField.from_phase_samples(
+        grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1))
+    linalg_calls.clear()
+    gauge_extension(t0, smooth)
+    # the fine transform deviations only; the coarse side settles on its bound
+    assert linalg_calls.count("norm2") == n_pi - 1
+    # a step still raises, with the exact coarse value in its message
+    x = np.linspace(0, 1, n_x + 1)
+    step = GaugeField.from_phase_samples(grid, np.outer((grid >= 0.5) * 1.0, 2.0 * x))
+    z = z_transform(t0.as_domained()).z
+    coarse = fibered._conjugation_deviation(step.phases[::2], z)
+    linalg_calls.clear()
+    with pytest.raises(GaugeNotContinuous, match=re.escape(f"(coarse {coarse:.3e})")):
+        gauge_extension(t0, step)
+    assert linalg_calls.count("norm2") == (n_pi - 1) + (n_pi - 1) // 2
+
+
 # ------------------------------------------------------------- extension check
 def test_extension_check_reflexive():
     t = build_counterexample_t(4, 48)
@@ -557,6 +598,109 @@ def test_extension_check_reports_failing_fiber():
     rep = extension_inclusion_check(S, T)
     assert not rep.included
     assert rep.failing == [pytest.approx(0.5)]
+
+
+def reference_extension_check(S, T, tol, gauge, modulus):
+    """Dense reference: every row inclusion, and every link of the gluing
+    chain decided by its own graph inclusion and projector comparison.
+    Returns (rows, included, failing, tilde_chain_ok)."""
+    s_fibers = S.fibers
+    if gauge is not None:
+        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, S.fibers)]
+    rows, failing = [], []
+    for pi, sf, tf in zip(S.pi_grid, s_fibers, T.fibers):
+        res = graph_inclusion(sf, tf, tol)
+        rows.append((float(pi), res.included, res.residual))
+        if not res.included:
+            failing.append(float(pi))
+    s_tilde = tilde_extension(FiberedOperator(S.pi_grid, s_fibers), modulus)
+    t_tilde = tilde_extension(T, modulus)
+    chain = True
+    for sf, st_, tt, tf in zip(s_fibers, s_tilde.fibers, t_tilde.fibers, T.fibers):
+        if not graph_inclusion(sf, st_, tol).included:
+            chain = False
+        if not graph_inclusion(st_, tt, tol).included:
+            chain = False
+        same_dom = tt.same_domain(tf, tol)
+        same_act = graph_inclusion(tf, tt, tol).included
+        if not (same_dom and same_act):
+            chain = False
+    return rows, not failing, failing, chain
+
+
+def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
+    """(S, T, gauge) as ``extend`` builds them, on a grid too coarse for
+    ``build_counterexample_t``; ``perturb`` shifts one fiber of ``S``."""
+    grid = np.linspace(0, 1, n_pi)
+    ops = [GridOperator(n_x, MINIMAL, "wrap")] + [GridOperator(n_x, PERIODIC)] * (n_pi - 1)
+    S = FiberedOperator.from_grid_operators(grid, ops)
+    if perturb is not None:
+        fibers = list(S.fibers)
+        bad = fibers[perturb]
+        fibers[perturb] = DomainedOperator(bad.action + 1e-2 * np.eye(n_x + 1), bad.frame)
+        S = FiberedOperator(grid, fibers)
+    if gauge_kind == "none":
+        gauge = GaugeField.identity(grid, n_x + 1)
+    elif gauge_kind == "linear":
+        gauge = GaugeField.linear_phase(grid, n_x)
+    else:
+        gauge = GaugeField.from_phase_samples(grid, _phase_table(n_pi, n_x, coeffs, 0.0, 1))
+    T = gauge_extension(GridOperator(n_x, PERIODIC), gauge).field
+    return S, T, (None if gauge_kind == "none" else gauge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_x=st.sampled_from([16, 24, 48]), n_pi=st.integers(2, 7),
+       gauge_kind=st.sampled_from(["none", "linear", "table"]),
+       coeffs=st.tuples(*[st.floats(-1, 1)] * 3),
+       modulus=st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+       perturb=st.one_of(st.none(), st.integers(0, 6)),
+       tol=st.sampled_from([1e-9, 1e-12, 1e-15]))
+@example(n_x=48, n_pi=6, gauge_kind="linear", coeffs=(0, 0, 0), modulus=None,
+         perturb=None, tol=1e-9)
+@example(n_x=48, n_pi=5, gauge_kind="none", coeffs=(0, 0, 0), modulus=None,
+         perturb=2, tol=1e-9)
+@example(n_x=24, n_pi=6, gauge_kind="table", coeffs=(1.0, 0.3, -0.5), modulus=1.0,
+         perturb=None, tol=1e-12)
+@example(n_x=16, n_pi=7, gauge_kind="linear", coeffs=(0, 0, 0), modulus=None,
+         perturb=3, tol=1e-15)
+def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
+                                                 modulus, perturb, tol):
+    if perturb is not None:
+        perturb %= n_pi
+    try:
+        S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
+    except GaugeNotContinuous:
+        assume(False)
+    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
+    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
+    assert rep.rows == rows
+    assert rep.included == included and rep.failing == failing
+    assert rep.tilde_chain_ok == chain
+
+
+def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
+    n_pi, n_x = 6, 48
+    S, T, gauge = _extension_case(n_x, n_pi, "linear", None, None)
+    calls = {"graph_inclusion": 0, "same_domain": 0}
+
+    def counting_inclusion(*args):
+        calls["graph_inclusion"] += 1
+        return graph_inclusion(*args)
+
+    def counting_same_domain(self, other, tol):
+        calls["same_domain"] += 1
+        return same_domain(self, other, tol)
+
+    same_domain = DomainedOperator.same_domain
+    monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
+    monkeypatch.setattr(DomainedOperator, "same_domain", counting_same_domain)
+    rep = extension_inclusion_check(S, T, gauge=gauge)
+    assert rep and calls == {"graph_inclusion": n_pi, "same_domain": 0}
+    # with a modulus the tilde fibers are new objects and every link runs
+    calls.update(graph_inclusion=0, same_domain=0)
+    rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1.0)
+    assert rep and calls == {"graph_inclusion": 4 * n_pi, "same_domain": n_pi}
 
 
 def test_refinement_stability_of_fiber_verdicts_and_deviations():
