@@ -9,6 +9,7 @@ given one config; only the "# generated:" header line varies.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -62,11 +63,12 @@ _DENSE_MATRICES = {
     "certify-nonregular": (0, 12),
     # a tags field with one distinct fiber: grid matrix, action, frame, transform
     "zfield": (0, 4),
-    # per base point: gauged fiber (action, frame), its transform and the
-    # gauged counterexample fiber (action, frame); fixed: t0's matrix, base
-    # fiber (action, frame) and transform, counterexample (2 grid matrices,
-    # 2 fibers)
-    "extend": (5, 10),
+    # no per-point matrix: the gauged fields are phase tables over their
+    # base fibers; while a row inclusion runs: t0's matrix, base fiber
+    # (action, frame) and transform, counterexample (2 grid matrices, 2
+    # fibers), and graph_inclusion's membership residual and both actions
+    # on the frame of S
+    "extend": (0, 13),
 }
 
 
@@ -102,6 +104,12 @@ class RunConfig:
             raise MalformedSpec(f"n_x = {self.n_x} outside the supported range")
         if not 2 <= self.n_pi <= 4096:
             raise MalformedSpec(f"n_pi = {self.n_pi} outside the supported range")
+        if not (math.isfinite(self.tol_graph) and self.tol_graph > 0):
+            raise MalformedSpec(
+                f"tol_graph = {self.tol_graph} must be finite and positive")
+        if self.modulus is not None and not (math.isfinite(self.modulus)
+                                             and self.modulus >= 0):
+            raise MalformedSpec(f"modulus = {self.modulus} must be finite and >= 0")
         self._check_memory()
 
     def _check_memory(self):
@@ -296,7 +304,10 @@ def _gauge_from_config(cfg: RunConfig) -> GaugeField:
             raise MalformedSpec(
                 f"gauge samples must be {cfg.n_pi} x {cfg.n_x + 1}, "
                 f"got {cfg.gauge_samples.shape}")
-        return GaugeField.from_phase_samples(grid, cfg.gauge_samples)
+        try:
+            return GaugeField.from_phase_samples(grid, cfg.gauge_samples)
+        except ValueError as exc:
+            raise MalformedSpec(f"gauge samples: {exc}") from None
     raise MalformedSpec(f"unknown gauge kind {cfg.gauge_kind!r}")
 
 

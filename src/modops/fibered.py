@@ -34,6 +34,7 @@ from .errors import (
 )
 from .operators import (
     DomainedOperator,
+    ZTransform,
     adjoint_via_graph,
     graph_inclusion,
     orthonormal_frame,
@@ -41,6 +42,7 @@ from .operators import (
 )
 from .tolerances import (
     GAUGE_HALVING_RATIO,
+    GAUGE_INCREMENT_MATCH,
     TOL_ALG,
     TOL_GAP,
     TOL_GRAPH,
@@ -80,10 +82,15 @@ class FiberedOperator:
     are one fiber (no content comparison), so field operations do their
     dense work once per distinct fiber.  Sharing is safe because domained
     operators freeze their arrays.
+
+    A gauged field also holds a phase table ``phases``, one unimodular row
+    per grid point as a :class:`GaugeField` stores them: fiber ``i`` is then
+    ``distinct_fibers[index_map[i]]`` conjugated by ``diag(phases[i])``, and
+    it is built only when read.
     """
 
     def __init__(self, pi_grid, fibers, tags=None, grid_ops=None, symbol=None,
-                 algebra_index=None, coupled_frame=None):
+                 algebra_index=None, coupled_frame=None, phases=None):
         pi_grid = np.asarray(pi_grid, dtype=float)
         if pi_grid.ndim != 1 or pi_grid.size < 1:
             raise ValueError("pi_grid must be a nonempty 1-d array")
@@ -102,6 +109,10 @@ class FiberedOperator:
             index_map.append(slot[id(f)])
         if len({f.ambient_dim for f in distinct}) != 1:
             raise ValueError("all fibers must share one ambient dimension")
+        if phases is not None:
+            phases = np.asarray(phases, dtype=complex)
+            if phases.shape != (pi_grid.size, distinct[0].ambient_dim):
+                raise ValueError("phase table must be (n_pi, ambient_dim)")
         self.pi_grid = pi_grid
         self.distinct_fibers = tuple(distinct)
         self.index_map = tuple(index_map)
@@ -110,15 +121,28 @@ class FiberedOperator:
         self.symbol = symbol
         self.algebra_index = algebra_index
         self.coupled_frame = coupled_frame
+        self.phases = phases
 
     @property
     def fibers(self):
-        """One fiber per grid point, as shared references (read-only)."""
+        """One fiber per grid point (read-only): shared references, or with
+        a phase table, gauged fibers built on each read."""
         return self.per_point(self.distinct_fibers)
 
     def per_point(self, per_fiber):
-        """Spread one value per distinct fiber to one value per grid point."""
-        return tuple(per_fiber[k] for k in self.index_map)
+        """Spread one value per distinct fiber to one value per grid point,
+        conjugated by the phase table when there is one (the values then
+        need ``_phase_rotated``, as fibers and transforms have)."""
+        spread = tuple(per_fiber[k] for k in self.index_map)
+        if self.phases is None:
+            return spread
+        return tuple(v._phase_rotated(p) for v, p in zip(spread, self.phases))
+
+    def _on_same_index(self, per_fiber, phases, **attrs) -> "FiberedOperator":
+        """A field on this grid and index map over the distinct fibers
+        ``per_fiber``, with the phase table ``phases``."""
+        return FiberedOperator(self.pi_grid, [per_fiber[k] for k in self.index_map],
+                               phases=phases, **attrs)
 
     @property
     def n_fibers(self):
@@ -161,7 +185,8 @@ class FiberedOperator:
         return cls(grid, fibers, symbol=symbol, algebra_index=index)
 
     def fiber(self, i) -> DomainedOperator:
-        return self.distinct_fibers[self.index_map[i]]
+        f = self.distinct_fibers[self.index_map[i]]
+        return f if self.phases is None else f._phase_rotated(self.phases[i])
 
     def __repr__(self):
         return (f"FiberedOperator(n_fibers={self.n_fibers}, "
@@ -174,7 +199,7 @@ class GaugeField:
     Every gauge is a field of multiplication operators, so grid point ``i``
     holds its diagonal as the phase vector ``phases[i]``, and conjugation by
     it is elementwise.  Phases that pass the unitarity gate are stored
-    normalized to modulus one.
+    normalized to modulus one, read-only.
     """
 
     def __init__(self, pi_grid, phases, base_point_identity=True,
@@ -185,14 +210,16 @@ class GaugeField:
             raise ValueError("gauge phases must be an (n_pi, n) array")
         if phases.shape[0] != pi_grid.size:
             raise ValueError("need one phase vector per grid point")
-        # for diagonal u these are ||u*u - 1||_2 and ||u_0 - 1||_2 exactly
+        # for diagonal u these are ||u*u - 1||_2 and ||u_0 - 1||_2 exactly;
+        # both gates are written so that a NaN entry fails them
         slack = UNITARY_SLACK * tol
-        if np.max(np.abs(np.abs(phases) ** 2 - 1.0)) > slack:
+        if not np.max(np.abs(np.abs(phases) ** 2 - 1.0)) <= slack:
             raise ValueError("gauge entries must be unitary within tolerance")
-        if base_point_identity and np.max(np.abs(phases[0] - 1.0)) > slack:
+        if base_point_identity and not np.max(np.abs(phases[0] - 1.0)) <= slack:
             raise ValueError("gauge is flagged base_point_identity but U_0 != 1")
         self.pi_grid = pi_grid
         self.phases = phases / np.abs(phases)
+        self.phases.flags.writeable = False
         self.base_point_identity = base_point_identity
         self.twists = twists
 
@@ -211,7 +238,9 @@ class GaugeField:
         g = np.asarray(g_samples, dtype=float)
         if g.ndim != 2 or g.shape[0] != len(pi_grid):
             raise ValueError("phase sample table must be (n_pi, n_x + 1)")
-        if np.max(np.abs(g[0])) > 0:
+        if not np.all(np.isfinite(g)):
+            raise ValueError("phase samples must be finite")
+        if not np.all(g[0] == 0):
             raise ValueError("base-point phase row must vanish")
         twists = [float(row[-1] - row[0]) for row in g]
         return cls(pi_grid, np.exp(1j * g), twists=twists)
@@ -302,9 +331,10 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
         sym = None
         if F.symbol is not None and all(f.is_full_domain for f in F.distinct_fibers):
             sym = F.symbol.H
+        # (U T U*)* = U T* U*: a gauged field keeps its phase table
         adjoints = [adjoint_via_graph(f) for f in F.distinct_fibers]
-        return FiberedOperator(F.pi_grid, F.per_point(adjoints),
-                               symbol=sym, algebra_index=F.algebra_index)
+        return F._on_same_index(adjoints, F.phases, symbol=sym,
+                                algebra_index=F.algebra_index)
     adjoint_of = {g: g.adjoint() for g in dict.fromkeys(F.grid_ops)}
     adj_ops = [adjoint_of[g] for g in F.grid_ops]
     pinned = list(adj_ops)
@@ -347,17 +377,16 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     when they exceed ten times the median profile value; an absolute floor
     keeps constant fields with roundoff from flagging.  The floor needs no
     scale: every transform is a contraction.  Each distinct fiber is
-    transformed once, and adjacent points sharing a fiber deviate by 0.
+    transformed once, and adjacent points sharing a fiber deviate by 0; a
+    gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
     """
-    distinct = [z_transform(f) for f in F.distinct_fibers]
-    k = F.index_map
-    profile = np.asarray([
-        0.0 if a == b else np.linalg.norm(distinct[b].z - distinct[a].z, 2)
-        for a, b in zip(k, k[1:])])
+    transforms = F.per_point([z_transform(f) for f in F.distinct_fibers])
+    profile = np.asarray([0.0 if a is b else np.linalg.norm(b.z - a.z, 2)
+                          for a, b in zip(transforms, transforms[1:])])
     med = float(np.median(profile)) if profile.size else 0.0
     flagged = [i for i, d in enumerate(profile)
                if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
-    return ZFieldReport(transforms=list(F.per_point(distinct)), profile=profile,
+    return ZFieldReport(transforms=list(transforms), profile=profile,
                         median=med, flagged=flagged)
 
 
@@ -415,14 +444,14 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     constraint, the right reading on a finite discrete base where every
     field is an element.
     """
-    closures = F.fibers
-    amb = F.ambient_dim
     if modulus is None:
         # no gluing constraint: the admitted set is the whole product, left
         # implicit (coupled_frame None) to keep large grids cheap
-        return FiberedOperator(F.pi_grid, closures, symbol=F.symbol,
-                               algebra_index=F.algebra_index)
+        return F._on_same_index(F.distinct_fibers, F.phases, symbol=F.symbol,
+                                algebra_index=F.algebra_index)
 
+    closures = F.fibers
+    amb = F.ambient_dim
     pool = block_diag(c.frame for c in closures)
     # row block i: image of fiber i + 1 minus image of fiber i
     images = block_diag(c.restricted() for c in closures)
@@ -438,7 +467,7 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     fibers = []
     for i, c in enumerate(closures):
         block = coupled[i * amb:(i + 1) * amb, :]
-        fibers.append(DomainedOperator(c.action, orthonormal_frame(block)))
+        fibers.append(DomainedOperator._trusted(c.action, orthonormal_frame(block)))
     return FiberedOperator(F.pi_grid, fibers, symbol=F.symbol,
                            algebra_index=F.algebra_index, coupled_frame=coupled)
 
@@ -448,9 +477,14 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
 # --------------------------------------------------------------------------
 @dataclass
 class GaugeExtensionResult:
-    field: FiberedOperator
-    transforms: list
+    field: FiberedOperator          # the base fiber under the gauge's phase table
+    base_transform: ZTransform      # w, the transform of the base fiber
     deviations: np.ndarray
+
+    @property
+    def transforms(self):
+        """``U_pi w U_pi*`` per grid point, built on each read."""
+        return self.field.per_point([self.base_transform])
 
     @property
     def max_deviation(self):
@@ -467,6 +501,9 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     field must look linear in the grid step: the maximal adjacent deviation
     of ``pi -> U_pi S U_pi*`` over probe compacts has to drop by roughly half
     when the grid step does, else :class:`GaugeNotContinuous` is raised.
+
+    The field holds the one base fiber under ``U``'s phase table, so no
+    per-point matrix is built until a caller reads one.
     """
     if not U.base_point_identity:
         raise ValueError("gauge extension needs the base-point identity gauge")
@@ -475,13 +512,31 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     if w.density_gap <= tol_gap:
         raise NotDense("base operator is not regular at this resolution")
 
-    fibers = [base._phase_rotated(p) for p in U.phases]
-    transforms = [w._phase_rotated(p) for p in U.phases]
-    devs = np.asarray([np.linalg.norm(b.z - a.z, 2)
-                       for a, b in zip(transforms, transforms[1:])])
+    devs = _increment_deviations(U.phases, w.z)
     _gauge_continuity_check(U, w.z, devs)
-    field = FiberedOperator(U.pi_grid, fibers)
-    return GaugeExtensionResult(field=field, transforms=transforms, deviations=devs)
+    field = FiberedOperator(U.pi_grid, [base] * len(U), phases=U.phases)
+    return GaugeExtensionResult(field=field, base_transform=w, deviations=devs)
+
+
+def _increment_deviations(phases, z):
+    """Adjacent deviations ``||U_{i+1} z U_{i+1}* - U_i z U_i*||_2``.
+
+    Conjugated by ``U_i*`` the difference is ``z o (q q*) - z`` for the
+    increment ``q = p_{i+1} conj(p_i)``.  An increment within
+    ``GAUGE_INCREMENT_MATCH`` (max norm) of one whose 2-norm was taken
+    reuses that value: for unimodular ``q, r`` and ``||z|| <= 1`` the two
+    values differ by ``|Delta| <= ||z o (q q* - r r*)||_2 <= 2 ||q - r||_inf``.
+    On a uniform one-parameter gauge every increment matches the first.
+    """
+    taken, devs = [], []
+    for q in phases[1:] * phases[:-1].conj():
+        dev = next((d for r, d in taken
+                    if np.max(np.abs(q - r)) <= GAUGE_INCREMENT_MATCH), None)
+        if dev is None:
+            dev = float(np.linalg.norm(z * np.outer(q, q.conj()) - z, 2))
+            taken.append((q, dev))
+        devs.append(dev)
+    return np.asarray(devs, dtype=float)
 
 
 def _rank_one_probe(n):
@@ -597,46 +652,61 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
 
     With a gauge, the comparison runs in the gauge frame: fiber ``i`` of
     ``S`` is conjugated by ``U_i`` before the inclusion test (the two fields
-    are then expressed over one trivialization).  The gluing chain verifies
-    S inside tilde(S), tilde(S) inside tilde(T), and tilde(T) = T fiberwise.
-    A link between one fiber object and itself holds by reflexivity, so with
-    ``modulus=None``, where the tilde fields keep their input fibers, the
-    chain reuses the row verdicts and decides no link afresh.
+    are then expressed over one trivialization).  When the gauged ``S`` and
+    ``T`` carry equal phase tables, row ``i`` is decided on their ungauged
+    fibers, since a common unitary leaves graph inclusion unchanged, and
+    each distinct pair of fibers is decided once; otherwise every row is
+    decided on the gauged fibers.
+
+    The gluing chain verifies S inside tilde(S), tilde(S) inside tilde(T),
+    and tilde(T) = T fiberwise.  When the tilde fields keep their input
+    fibers, as with ``modulus=None``, the outer links join a fiber to itself
+    and hold by reflexivity, and the middle link is the row, so the chain
+    decides nothing afresh.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
     if not np.allclose(S.pi_grid, T.pi_grid):
         raise ValueError("fields must share the base grid")
-
-    s_fibers = S.fibers
     if gauge is not None:
         if len(gauge) != S.n_fibers:
             raise ValueError("gauge must match the grid")
-        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, S.fibers)]
-    gauged_S = FiberedOperator(S.pi_grid, s_fibers)
+        phases = gauge.phases if S.phases is None else S.phases * gauge.phases
+        S = S._on_same_index(S.distinct_fibers, phases)
 
-    rows, failing = [], []
-    for pi, sf, tf in zip(S.pi_grid, s_fibers, T.fibers):
-        res = graph_inclusion(sf, tf, tol)
-        rows.append((float(pi), res.included, res.residual))
-        if not res.included:
-            failing.append(float(pi))
+    if _same_phases(S.phases, T.phases):
+        pairs = list(zip(S.index_map, T.index_map))
+        decided = {(a, b): graph_inclusion(S.distinct_fibers[a],
+                                           T.distinct_fibers[b], tol)
+                   for a, b in dict.fromkeys(pairs)}
+        results = [decided[pair] for pair in pairs]
+    else:
+        results = [graph_inclusion(S.fiber(i), T.fiber(i), tol)
+                   for i in range(S.n_fibers)]
+    rows = [(float(pi), res.included, res.residual)
+            for pi, res in zip(S.pi_grid, results)]
+    failing = [pi for pi, ok, _ in rows if not ok]
 
-    def includes(a, b):
-        # a link between one object and itself holds by reflexivity
-        return a is b or graph_inclusion(a, b, tol).included
-
-    def chain_holds(row_ok, sf, st, tt, tf):
-        if st is sf and tt is tf:
-            middle = row_ok     # tilde(S)_i in tilde(T)_i is the row S_i in T_i
-        else:
-            middle = includes(st, tt)
-        return (includes(sf, st) and middle
-                and (tt is tf or (tt.same_domain(tf, tol) and includes(tf, tt))))
-
-    s_tilde = tilde_extension(gauged_S, modulus)
+    s_tilde = tilde_extension(S, modulus)
     t_tilde = tilde_extension(T, modulus)
-    chain = all(chain_holds(ok, sf, st, tt, tf) for (_, ok, _), sf, st, tt, tf
-                in zip(rows, s_fibers, s_tilde.fibers, t_tilde.fibers, T.fibers))
+    if _keeps_fibers(s_tilde, S) and _keeps_fibers(t_tilde, T):
+        chain = not failing
+    else:
+        chain = all(graph_inclusion(sf, st, tol).included
+                    and graph_inclusion(st, tt, tol).included
+                    and tt.same_domain(tf, tol) and graph_inclusion(tf, tt, tol).included
+                    for sf, st, tt, tf
+                    in zip(S.fibers, s_tilde.fibers, t_tilde.fibers, T.fibers))
     return ExtensionReport(rows=rows, included=not failing,
                            tilde_chain_ok=chain, failing=failing)
+
+
+def _same_phases(a, b):
+    """Whether two phase tables (or ``None``, no gauge) are equal by value."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _keeps_fibers(tilde, F):
+    """Whether ``tilde`` holds ``F``'s fibers themselves at every grid point."""
+    return (tilde.index_map == F.index_map and tilde.phases is F.phases
+            and all(a is b for a, b in zip(tilde.distinct_fibers, F.distinct_fibers)))

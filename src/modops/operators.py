@@ -104,15 +104,22 @@ class DomainedOperator:
     def full(cls, action):
         return cls(action, None)
 
+    @classmethod
+    def _trusted(cls, action, frame) -> "DomainedOperator":
+        """An operator whose frame is orthonormal by construction, as from
+        :func:`orthonormal_frame`; the Gram check does not run."""
+        out = cls.__new__(cls)
+        out._freeze(action, frame)
+        return out
+
     def _phase_rotated(self, p) -> "DomainedOperator":
         """``diag(p) T diag(p)*`` on the domain ``diag(p) D(T)``, for unimodular ``p``.
 
         Conjugation by a diagonal unitary is elementwise, and it maps the
         orthonormal frame to an orthonormal frame, so no Gram check is run.
         """
-        out = DomainedOperator.__new__(DomainedOperator)
-        out._freeze(self.action * np.outer(p, p.conj()), p[:, None] * self.frame)
-        return out
+        return DomainedOperator._trusted(self.action * np.outer(p, p.conj()),
+                                         p[:, None] * self.frame)
 
     @property
     def domain_dim(self):

@@ -6,6 +6,7 @@ and floors eigenvalues before square roots.  TOL_GRAPH separates genuine
 graph violations from roundoff; TOL_GAP decides when (1 - z*z) counts as
 invertible.  All are overridable per call.
 """
+import sys
 
 TOL_ALG = 1e-10
 TOL_PSD_FACTOR = 1e-12
@@ -36,3 +37,7 @@ PROJECTOR_GATE = 10.0
 # a continuous gauge's adjacent conjugation deviation roughly halves when
 # the grid step does; a fine/coarse ratio above this flags a discontinuity
 GAUGE_HALVING_RATIO = 0.85
+
+# two gauge increments q_i = p_{i+1} conj(p_i) count as one when
+# max |q_i - q_j| <= GAUGE_INCREMENT_MATCH, a few ulps of roundoff
+GAUGE_INCREMENT_MATCH = 16 * sys.float_info.epsilon

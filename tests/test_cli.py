@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,19 +89,67 @@ def test_extend_refuses_a_grid_too_large_to_hold(capsys):
     assert main(["extend", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: n_x = 20000 needs at least ")
-    assert "GB for 90 dense 20001x20001 complex matrices" in err
+    assert "GB for 13 dense 20001x20001 complex matrices" in err
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=400)            # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.2 GB for 90 dense"):
-        RunConfig("extend", n_x=400)
+    RunConfig("extend", n_x=400)            # 13 matrices of 401x401 take 33 MB
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.8 GB for 13 dense"):
+        RunConfig("extend", n_x=2000)
     # commands without a grid are not gated
-    RunConfig("phi-roundtrip", n_x=400)
-    RunConfig("zfield", n_x=400, operator_kind="symbol")
+    RunConfig("phi-roundtrip", n_x=2000)
+    RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
-        RunConfig("extend", n_x=400, operator_kind="symbol")   # extend ignores it
+        RunConfig("extend", n_x=2000, operator_kind="symbol")   # extend ignores it
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tol_graph", float("nan"), "tol_graph = nan must be finite and positive"),
+    ("tol_graph", float("inf"), "tol_graph = inf must be finite and positive"),
+    ("tol_graph", -1.0, "tol_graph = -1.0 must be finite and positive"),
+    ("tol_graph", 0.0, "tol_graph = 0.0 must be finite and positive"),
+    ("modulus", float("nan"), "modulus = nan must be finite and >= 0"),
+    ("modulus", float("inf"), "modulus = inf must be finite and >= 0"),
+    ("modulus", -1.0, "modulus = -1.0 must be finite and >= 0")])
+def test_config_refuses_non_finite_or_negative_tolerances(key, value, message):
+    with pytest.raises(MalformedSpec, match=re.escape(message)):
+        RunConfig("extend", n_x=40, n_pi=5, **{key: value})
+    RunConfig("extend", n_x=40, n_pi=5, modulus=0.0)      # a zero modulus is fine
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol-graph", "nan"], "tol_graph = nan"), (["--tol-graph", "-1"], "tol_graph = -1.0"),
+    (["--modulus", "-1"], "modulus = -1.0"), (["--modulus", "nan"], "modulus = nan")])
+def test_non_finite_options_exit_2(capsys, argv, message):
+    assert main(["extend", "--n-x", "40", "--n-pi", "5", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message} must be")
+
+
+def _samples_spec(n_x, n_pi, entry):
+    """A phase-samples spec of g = pi * x with ``entry(i, j)`` overriding row i, column j."""
+    x = np.linspace(0, 1, n_x + 1)
+    rows = [" ".join(entry(i, j) or repr(float(p * x[j])) for j in range(n_x + 1))
+            for i, p in enumerate(np.linspace(0, 1, n_pi))]
+    return (f"[grid]\nn_x = {n_x}\nn_pi = {n_pi}\n\n"
+            "[gauge]\nkind = phase-samples\nsamples = " + " ; ".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda i, j: "nan" if (i, j) == (1, 3) else None, "phase samples must be finite"),
+    (lambda i, j: "inf" if (i, j) == (1, 3) else None, "phase samples must be finite"),
+    (lambda i, j: "nan" if (i, j) == (0, 3) else None, "phase samples must be finite"),
+    (lambda i, j: "0.5" if (i, j) == (0, 3) else None, "base-point phase row must vanish")])
+def test_bad_phase_samples_exit_2(tmp_path, capsys, entry, message):
+    path = write(tmp_path, _samples_spec(40, 2, entry))
+    cfg = config_from_sections("extend", parse_spec_file(path))
+    with pytest.raises(MalformedSpec, match=re.escape(f"gauge samples: {message}")):
+        run(cfg)
+    out = tmp_path / "never.txt"
+    assert main(["extend", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: gauge samples: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra", [

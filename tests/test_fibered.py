@@ -22,6 +22,7 @@ from modops.fibered import (
     tilde_extension,
     zfield,
 )
+from modops.tolerances import GAUGE_INCREMENT_MATCH
 from modops.operators import (
     DomainedOperator,
     ZTransform,
@@ -134,6 +135,27 @@ def test_zfield_shared_fibers_match_dense_reference(seed, pattern):
     assert rep.flagged == flagged
     for got, ref in zip(rep.transforms, transforms):
         assert np.linalg.norm(got.z - ref.z, 2) <= 1e-12
+
+
+def test_gauged_field_operations_match_their_dense_fibers():
+    # zfield and adjoint_field of a phase-table field against the same
+    # operations on its materialized fibers
+    n_x, n_pi = 24, 6
+    grid = np.linspace(0, 1, n_pi)
+    g = _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)
+    F = gauge_extension(GridOperator(n_x, PERIODIC),
+                        GaugeField.from_phase_samples(grid, g)).field
+    dense = list(F.fibers)
+    rep = zfield(F)
+    transforms, profile, flagged = reference_zfield(dense)
+    assert_allclose(rep.profile, profile, rtol=0, atol=1e-12)
+    assert rep.flagged == flagged
+    for got, ref in zip(rep.transforms, transforms):
+        assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
+    adj = adjoint_field(F)
+    assert adj.phases is F.phases and len(adj.distinct_fibers) == 1
+    for got, f in zip(adj.fibers, dense):
+        assert_allclose(got.action, adjoint_via_graph(f).action, rtol=0, atol=1e-12)
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
@@ -295,6 +317,27 @@ def test_tilde_modulus_filters_incoherent_directions():
     assert loose.coupled_frame.shape[1] == 4
 
 
+@pytest.mark.parametrize("modulus", [0.25, 1.0, 10.0])
+def test_tilde_frames_are_orthonormal_without_a_gram_check(monkeypatch, modulus):
+    grid = np.linspace(0, 1, 5)
+    gauge = GaugeField.linear_phase(grid, 48)
+    gauged = gauge_extension(GridOperator(48, PERIODIC), gauge).field
+    fields = [build_counterexample_t(5, 48), gauged]
+    init = DomainedOperator.__init__
+    checked = []
+
+    def counting_init(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DomainedOperator, "__init__", counting_init)
+    for F in fields:
+        for f in tilde_extension(F, modulus).fibers:
+            gram = f.frame.conj().T @ f.frame
+            assert np.linalg.norm(gram - np.eye(f.domain_dim), 2) <= 1e-12
+    assert checked == []
+
+
 def test_tilde_of_gauge_built_field_is_itself():
     grid = np.linspace(0, 1, 6)
     g = GaugeField.linear_phase(grid, N_X)
@@ -315,6 +358,27 @@ def test_gauge_field_validation():
         GaugeField(grid, np.tile([1j, 1, 1], (4, 1)))
     with pytest.raises(ValueError, match=re.escape("(n_pi, n) array")):
         GaugeField(grid, [np.eye(3)] * 4)          # dense matrices, not phases
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_gauge_gates_fail_on_non_finite_entries(bad):
+    # a comparison with NaN is false, so each gate must fail unless it holds
+    grid = np.linspace(0, 1, 4)
+    for row in (0, 2):
+        phases = np.ones((4, 3), dtype=complex)
+        phases[row, 1] = bad
+        with pytest.raises(ValueError, match="unitary within tolerance"):
+            GaugeField(grid, phases)
+    g = np.outer(grid, np.linspace(0, 1, 5))
+    for row in (0, 2):
+        samples = g.copy()
+        samples[row, 1] = np.real(bad)
+        with pytest.raises(ValueError, match="phase samples must be finite"):
+            GaugeField.from_phase_samples(grid, samples)
+    samples = g.copy()
+    samples[0, 1] = 1e-300
+    with pytest.raises(ValueError, match="base-point phase row must vanish"):
+        GaugeField.from_phase_samples(grid, samples)
 
 
 def test_gauge_from_phase_samples_records_twists():
@@ -445,14 +509,23 @@ def _phase_table(n_pi, n_x, coeffs, jump, jump_at):
 RTOL, ATOL = 1e-12, 1e-14
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(n_x=st.sampled_from([8, 12, 16, 24]), n_pi=st.integers(2, 9),
        coeffs=st.tuples(*[st.floats(-2, 2)] * 3),
-       jump=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), jump_at=st.integers(1, 8))
-@example(n_x=16, n_pi=9, coeffs=(1.0, 0.0, 0.0), jump=0.0, jump_at=1)   # linear
-@example(n_x=16, n_pi=9, coeffs=(0.0, 0.0, 0.0), jump=2.0, jump_at=4)   # step only
-@example(n_x=12, n_pi=6, coeffs=(0.0, 0.0, 0.0), jump=0.0, jump_at=1)   # identity
-def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at):
+       jump=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), jump_at=st.integers(1, 8),
+       group=st.booleans())
+@example(n_x=16, n_pi=9, coeffs=(1.0, 0.0, 0.0), jump=0.0, jump_at=1,
+         group=False)                                                  # linear
+@example(n_x=16, n_pi=9, coeffs=(0.0, 0.0, 0.0), jump=2.0, jump_at=4,
+         group=False)                                                  # step only
+@example(n_x=12, n_pi=6, coeffs=(0.0, 0.0, 0.0), jump=0.0, jump_at=1,
+         group=False)                                                  # identity
+@example(n_x=24, n_pi=9, coeffs=(1.5, -0.7, 1.0), jump=1.0, jump_at=3,
+         group=True)                                                   # pi * phi(x)
+def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, group):
+    if group:
+        # g = pi * phi(x): every increment is exp(i phi / (n_pi - 1))
+        coeffs, jump = (coeffs[0], coeffs[1], 0.0), 0.0
     g = _phase_table(n_pi, n_x, coeffs, jump, jump_at)
     t0 = GridOperator(n_x, PERIODIC)
     gauge = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g)
@@ -559,7 +632,55 @@ def test_continuity_gate_takes_no_coarse_norm_for_a_smooth_gauge(linalg_calls):
     linalg_calls.clear()
     with pytest.raises(GaugeNotContinuous, match=re.escape(f"(coarse {coarse:.3e})")):
         gauge_extension(t0, step)
-    assert linalg_calls.count("norm2") == (n_pi - 1) + (n_pi - 1) // 2
+    # 2 distinct increments (the identity and the step), 4 coarse norms
+    assert linalg_calls.count("norm2") == 2 + (n_pi - 1) // 2
+
+
+def test_fine_deviations_take_one_norm_per_distinct_increment(linalg_calls):
+    n_x, n_pi = 64, 9
+    grid = np.linspace(0, 1, n_pi)
+    t0 = GridOperator(n_x, PERIODIC)
+    cases = {"linear": (GaugeField.linear_phase(grid, n_x), 1),
+             "group": (GaugeField.from_phase_samples(
+                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, 0.0), 0.0, 1)), 1),
+             "table": (GaugeField.from_phase_samples(
+                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)), n_pi - 1)}
+    for name, (gauge, norms) in cases.items():
+        linalg_calls.clear()
+        res = gauge_extension(t0, gauge)
+        assert linalg_calls.count("norm2") == norms, name
+        dense = [np.linalg.norm(b.z - a.z, 2)
+                 for a, b in zip(res.transforms, res.transforms[1:])]
+        assert_allclose(res.deviations, dense, rtol=RTOL, atol=ATOL)
+
+
+def test_uniform_gauge_increments_match_within_the_tolerance():
+    # a one-parameter gauge on a uniform grid has one increment up to
+    # roundoff, also at the benchmark's n_x = 400
+    for n_pi in (16, 64, 256):
+        phases = GaugeField.linear_phase(np.linspace(0, 1, n_pi), 400).phases
+        q = phases[1:] * phases[:-1].conj()
+        assert np.max(np.abs(q - q[0])) <= GAUGE_INCREMENT_MATCH
+
+
+def test_gauged_fields_build_fibers_only_when_read(monkeypatch):
+    n_x, n_pi = 48, 6
+    grid = np.linspace(0, 1, n_pi)
+    gauge = GaugeField.linear_phase(grid, n_x)
+    rotations = []
+    rotate = DomainedOperator._phase_rotated
+
+    def counting(self, p):
+        rotations.append(p)
+        return rotate(self, p)
+
+    monkeypatch.setattr(DomainedOperator, "_phase_rotated", counting)
+    res = gauge_extension(GridOperator(n_x, PERIODIC), gauge)
+    t = build_counterexample_t(n_pi, 48)
+    rep = extension_inclusion_check(t, res.field, gauge=gauge)
+    assert rep and rotations == []
+    assert len(res.field.distinct_fibers) == 1 and res.field.phases is gauge.phases
+    assert len(res.field.fibers) == n_pi and len(rotations) == n_pi
 
 
 # ------------------------------------------------------------- extension check
@@ -628,6 +749,13 @@ def reference_extension_check(S, T, tol, gauge, modulus):
     return rows, not failing, failing, chain
 
 
+# gauges of the extension check: "linear" and "group" (pi * phi(x)) have
+# equal increments, "table" (a pi^2 term) and "step" do not; "mismatch"
+# gauges S by a table and T linearly, and "none" gives T the identity
+# table, so that its rows cannot share S's phases
+GAUGE_KINDS = ["none", "linear", "group", "table", "step", "mismatch"]
+
+
 def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
     """(S, T, gauge) as ``extend`` builds them, on a grid too coarse for
     ``build_counterexample_t``; ``perturb`` shifts one fiber of ``S``."""
@@ -639,19 +767,32 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
         bad = fibers[perturb]
         fibers[perturb] = DomainedOperator(bad.action + 1e-2 * np.eye(n_x + 1), bad.frame)
         S = FiberedOperator(grid, fibers)
+    c0, c1, c2 = coeffs
+    tables = {"group": (c0, c1, 0.0), "table": coeffs, "step": coeffs,
+              "mismatch": coeffs}
     if gauge_kind == "none":
         gauge = GaugeField.identity(grid, n_x + 1)
     elif gauge_kind == "linear":
         gauge = GaugeField.linear_phase(grid, n_x)
     else:
-        gauge = GaugeField.from_phase_samples(grid, _phase_table(n_pi, n_x, coeffs, 0.0, 1))
-    T = gauge_extension(GridOperator(n_x, PERIODIC), gauge).field
+        jump = 1.0 + c0 if gauge_kind == "step" else 0.0
+        gauge = GaugeField.from_phase_samples(
+            grid, _phase_table(n_pi, n_x, tables[gauge_kind], jump, max(1, n_pi // 2)))
+    t0 = GridOperator(n_x, PERIODIC)
+    if gauge_kind == "step":
+        # a step fails the continuity gate: the field is built as
+        # gauge_extension would build it
+        T = FiberedOperator(grid, [t0.as_domained()] * n_pi, phases=gauge.phases)
+    elif gauge_kind == "mismatch":
+        T = gauge_extension(t0, GaugeField.linear_phase(grid, n_x)).field
+    else:
+        T = gauge_extension(t0, gauge).field
     return S, T, (None if gauge_kind == "none" else gauge)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_x=st.sampled_from([16, 24, 48]), n_pi=st.integers(2, 7),
-       gauge_kind=st.sampled_from(["none", "linear", "table"]),
+       gauge_kind=st.sampled_from(GAUGE_KINDS),
        coeffs=st.tuples(*[st.floats(-1, 1)] * 3),
        modulus=st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
        perturb=st.one_of(st.none(), st.integers(0, 6)),
@@ -664,6 +805,10 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
          perturb=None, tol=1e-12)
 @example(n_x=16, n_pi=7, gauge_kind="linear", coeffs=(0, 0, 0), modulus=None,
          perturb=3, tol=1e-15)
+@example(n_x=24, n_pi=7, gauge_kind="step", coeffs=(0.5, 0.3, -0.5), modulus=None,
+         perturb=5, tol=1e-12)
+@example(n_x=24, n_pi=5, gauge_kind="mismatch", coeffs=(1.0, 0.3, -0.5),
+         modulus=None, perturb=None, tol=1e-9)
 def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
                                                  modulus, perturb, tol):
     if perturb is not None:
@@ -674,14 +819,17 @@ def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
         assume(False)
     rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
     rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
-    assert rep.rows == rows
+    # rows decided on the ungauged fibers move their residuals at roundoff
+    assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
+    assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows],
+                    rtol=RTOL, atol=ATOL)
     assert rep.included == included and rep.failing == failing
     assert rep.tilde_chain_ok == chain
 
 
 def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     n_pi, n_x = 6, 48
-    S, T, gauge = _extension_case(n_x, n_pi, "linear", None, None)
+    S, T, gauge = _extension_case(n_x, n_pi, "linear", (0, 0, 0), None)
     calls = {"graph_inclusion": 0, "same_domain": 0}
 
     def counting_inclusion(*args):
@@ -696,11 +844,31 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
     monkeypatch.setattr(DomainedOperator, "same_domain", counting_same_domain)
     rep = extension_inclusion_check(S, T, gauge=gauge)
-    assert rep and calls == {"graph_inclusion": n_pi, "same_domain": 0}
+    # rows: one per distinct pair (minimal, t0) and (periodic, t0)
+    assert rep and calls == {"graph_inclusion": 2, "same_domain": 0}
     # with a modulus the tilde fibers are new objects and every link runs
     calls.update(graph_inclusion=0, same_domain=0)
     rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1.0)
-    assert rep and calls == {"graph_inclusion": 4 * n_pi, "same_domain": n_pi}
+    assert rep and calls == {"graph_inclusion": 2 + 3 * n_pi, "same_domain": n_pi}
+
+
+@pytest.mark.parametrize("gauge_kind, perturb, rows", [
+    ("linear", None, 2), ("group", None, 2), ("table", None, 2),
+    ("linear", 3, 3),          # the shifted fiber is a third distinct S fiber
+    ("linear", 0, 2),          # ... replacing the only minimal one
+    ("mismatch", None, 6), ("none", None, 6)])  # unequal phase tables
+def test_rows_are_decided_once_per_distinct_pair(monkeypatch, gauge_kind, perturb, rows):
+    n_pi, n_x = 6, 24
+    S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, (1.0, 0.3, -0.5), perturb)
+    calls = []
+
+    def counting_inclusion(*args):
+        calls.append(args)
+        return graph_inclusion(*args)
+
+    monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
+    extension_inclusion_check(S, T, gauge=gauge)
+    assert len(calls) == rows
 
 
 def test_refinement_stability_of_fiber_verdicts_and_deviations():
