@@ -95,7 +95,7 @@ class RunConfig:
     operator_kind: str = "counterexample"
     operator_element: str | None = None
     operator_domain: str | None = None
-    operator_tags: tuple | None = None
+    operator_tags: tuple | None = None       # BoundaryTags, or their names
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -110,6 +110,8 @@ class RunConfig:
         if self.modulus is not None and not (math.isfinite(self.modulus)
                                              and self.modulus >= 0):
             raise MalformedSpec(f"modulus = {self.modulus} must be finite and >= 0")
+        if self.operator_tags is not None:
+            self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         self._check_memory()
 
     def _check_memory(self):
@@ -130,6 +132,26 @@ class RunConfig:
 # --------------------------------------------------------------------------
 # spec-file parsing
 # --------------------------------------------------------------------------
+_TAG_NAMES = {"minimal": MINIMAL, "maximal": MAXIMAL, "periodic": PERIODIC}
+
+
+def _parse_tag(name):
+    """Boundary tag named ``minimal``, ``maximal``, ``periodic`` or
+    ``twisted:<theta>`` with a finite angle ``theta``; a ``BoundaryTag`` is
+    returned as it is."""
+    if isinstance(name, BoundaryTag):
+        return name
+    if name in _TAG_NAMES:
+        return _TAG_NAMES[name]
+    if name.startswith("twisted:"):
+        try:
+            return BoundaryTag.twisted(float(name[8:]))
+        except ValueError:
+            raise MalformedSpec(
+                f"boundary tag {name!r} needs a finite twist angle") from None
+    raise MalformedSpec(f"unknown boundary tag {name!r}")
+
+
 def _parse_complex(token, lineno):
     try:
         if "," in token:
@@ -235,7 +257,13 @@ def config_from_sections(command, sections, **overrides):
         if not name.startswith("element "):
             continue
         ename = name.split()[1]
-        elements[ename] = {k: _parse_matrix(v, ln) for k, (v, ln) in body.items()}
+        elements[ename] = {}
+        for key, (value, lineno) in body.items():
+            m = _parse_matrix(value, lineno)
+            if not np.all(np.isfinite(m)):
+                raise MalformedSpec(f"line {lineno}: element {ename!r} entries "
+                                    "must be finite", line=lineno)
+            elements[ename][key] = m
     cfg["elements"] = elements
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**cfg)
@@ -346,9 +374,6 @@ def _counterexample_profile(cfg: RunConfig):
     return t, zrep, arep
 
 
-_TAG_NAMES = {"minimal": MINIMAL, "maximal": MAXIMAL, "periodic": PERIODIC}
-
-
 def _field_from_config(cfg: RunConfig) -> FiberedOperator:
     """Materialize the [operator] record into a fibered operator."""
     if cfg.operator_kind == "counterexample":
@@ -356,15 +381,7 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
     if cfg.operator_kind == "tags":
         if not cfg.operator_tags:
             raise MalformedSpec("operator kind tags needs a tags list")
-        ops = []
-        for name in cfg.operator_tags:
-            if name.startswith("twisted:"):
-                ops.append(GridOperator(cfg.n_x,
-                                        BoundaryTag.twisted(float(name[8:]))))
-            elif name in _TAG_NAMES:
-                ops.append(GridOperator(cfg.n_x, _TAG_NAMES[name]))
-            else:
-                raise MalformedSpec(f"unknown boundary tag {name!r}")
+        ops = [GridOperator(cfg.n_x, tag) for tag in cfg.operator_tags]
         grid = np.linspace(0.0, 1.0, len(ops))
         return FiberedOperator.from_grid_operators(grid, ops)
     if cfg.operator_kind == "symbol":

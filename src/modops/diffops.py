@@ -7,6 +7,11 @@ stencils at the ends; the periodic and twisted variants use wraparound rows,
 which makes their reduced matrices exactly Hermitian.  Boundary conditions
 are eliminated (the domain is a constrained subspace), never penalized:
 penalties would distort spectra.
+
+The reduced periodic matrix is moreover circulant, so the DFT diagonalizes
+it: its bounded transform, complement floor and Fourier spectrum come from
+an FFT of its first column once that structure is checked, and a twisted
+operator is the periodic one conjugated by a diagonal phase.
 """
 from __future__ import annotations
 
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, UnexpectedKernelDim
-from .operators import DomainedOperator
-from .tolerances import KERNEL_GAP
+from .errors import GridTooCoarse, NotCirculant, SingularResolvent, UnexpectedKernelDim
+from .operators import DomainedOperator, ZTransform, z_transform
+from .tolerances import CIRCULANT_MATCH, KERNEL_GAP, RESOLVENT_COND_MAX
 
 __all__ = [
     "BoundaryTag",
@@ -27,6 +32,8 @@ __all__ = [
     "GridOperator",
     "KernelReport",
     "build_derivative",
+    "circulant_eigenvalues",
+    "grid_transform",
     "kernel_certificate",
     "periodic_spectrum",
     "periodic_complement_floor",
@@ -49,7 +56,10 @@ class BoundaryTag:
     def __post_init__(self):
         if self.kind not in ("maximal", "periodic", "minimal", "twisted"):
             raise ValueError(f"unknown boundary tag {self.kind!r}")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
+        theta = float(self.theta)
+        if not np.isfinite(theta):
+            raise ValueError(f"twist angle must be finite, got {theta!r}")
+        object.__setattr__(self, "theta", theta % (2.0 * np.pi))
 
     @classmethod
     def twisted(cls, theta):
@@ -149,6 +159,12 @@ def _d_wrap(n):
     return D
 
 
+def _twist_phases(n, theta):
+    """Samples of ``e^{i theta x}`` on the grid; conjugating the periodic
+    derivative by them gives the twisted one."""
+    return np.exp(1j * theta * np.linspace(0.0, 1.0, n + 1))
+
+
 class GridOperator:
     """Discretized ``i d/dx`` with a boundary tag fixing its domain.
 
@@ -184,8 +200,7 @@ class GridOperator:
             raise ValueError("the twisted operator is defined by conjugation")
         self.action_style = action_style
         if tag.kind == "twisted":
-            x = np.linspace(0.0, 1.0, self.n + 1)
-            u = np.exp(1j * tag.theta * x)
+            u = _twist_phases(self.n, tag.theta)
             D = (u[:, None] * _d_wrap(self.n)) * np.conj(u)[None, :]
         elif action_style == "wrap":
             D = _d_wrap(self.n)
@@ -235,11 +250,19 @@ class GridOperator:
         if self.tag.kind == "minimal":
             F[1:n, :] = np.eye(n - 1)
             return F
-        s = 1.0 / np.sqrt(2.0)
-        F[0, 0] = s
-        F[n, 0] = s if self.tag.kind == "periodic" else s * np.exp(1j * self.tag.theta)
+        f = self._row_weights()
+        F[0, 0], F[n, 0] = f[0], f[n]
         F[1:n, 1:] = np.eye(n - 1)
         return F
+
+    def _row_weights(self):
+        """The one nonzero entry of each row of a periodic or twisted frame:
+        row ``a`` holds ``f[a]`` in column ``a``, rows 0 and n in column 0."""
+        f = np.ones(self.n + 1, dtype=complex)
+        f[0] = f[-1] = 1.0 / np.sqrt(2.0)
+        if self.tag.kind == "twisted":
+            f[-1] *= np.exp(1j * self.tag.theta)
+        return f
 
     def _domain_dim(self):
         if self.tag.kind == "maximal":
@@ -255,13 +278,36 @@ class GridOperator:
         return (s[:, None] * self.matrix) / s[None, :]
 
     def as_domained(self) -> DomainedOperator:
-        return DomainedOperator(self.weighted_action(), self.domain_frame())
+        """The weighted action on the domain frame, which is orthonormal by
+        construction, so no Gram check runs."""
+        return DomainedOperator._trusted(self.weighted_action(), self.domain_frame())
 
     def reduced(self):
-        """(matrix on the constrained subspace, embedding) in weighted coords."""
-        F = self.domain_frame()
-        A = self.weighted_action()
-        return F.conj().T @ A @ F, F
+        """(matrix on the constrained subspace, embedding) in weighted coords.
+
+        The reduced matrix ``F* A F`` is read off by slicing: every frame
+        column is a unit vector, except the seam column of the periodic and
+        twisted tags, whose two endpoint rows fold into index 0.
+        """
+        F, A, n = self.domain_frame(), self.weighted_action(), self.n
+        if self.tag.kind == "maximal":
+            return A, F
+        if self.tag.kind == "minimal":
+            return A[1:n, 1:n].copy(), F
+        f = self._row_weights()
+        M = (f.conj()[:, None] * A) * f[None, :]
+        T0 = M[:n, :n].copy()
+        T0[0, :] += M[n, :n]
+        T0[:, 0] += M[:n, n]
+        T0[0, 0] += M[n, n]
+        return T0, F
+
+    def _embedded(self, X):
+        """``F X F*`` for this periodic or twisted operator's frame ``F``,
+        by indexing: the inverse of the folding in :meth:`reduced`."""
+        rows = np.r_[0:self.n, 0]
+        f = self._row_weights()
+        return (f[:, None] * X[np.ix_(rows, rows)]) * f.conj()[None, :]
 
     def apply(self, f: GridFunction) -> GridFunction:
         if f.n != self.n:
@@ -284,6 +330,85 @@ def build_derivative(n, tag: BoundaryTag) -> GridOperator:
     if n < 8:
         raise GridTooCoarse(f"need n >= 8 grid steps, got {n}")
     return GridOperator(n, tag)
+
+
+def _circulant(c):
+    """The circulant matrix with first column ``c``: entry ``(j, k)`` is
+    ``c[(j - k) mod n]``."""
+    n = c.size
+    return c[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
+def circulant_eigenvalues(m):
+    """Real eigenvalues of a Hermitian circulant ``m``, or None when ``m`` is
+    not one within ``CIRCULANT_MATCH``.
+
+    A circulant is fixed by its first column ``c``, and the DFT diagonalizes
+    it: the vector ``exp(2 pi i j k / n)`` (over ``j``) has eigenvalue
+    ``fft(c)[k]``, which is the order returned.  Two checks run before the
+    eigenvalues are trusted: every entry of ``m`` matches the shifted ``c``
+    within ``CIRCULANT_MATCH * max|c|``, and every ``fft(c)`` has an
+    imaginary part within ``CIRCULANT_MATCH * sum|c|``, the scale of the
+    FFT's roundoff.  Both are written so that a NaN fails them.
+    """
+    c = m[:, 0]
+    deviation = np.max(np.abs(m - _circulant(c)))
+    if not deviation <= CIRCULANT_MATCH * np.max(np.abs(c)):
+        return None
+    lam = np.fft.fft(c)
+    if not np.max(np.abs(lam.imag)) <= CIRCULANT_MATCH * np.sum(np.abs(c)):
+        return None
+    return lam.real
+
+
+def _periodic_eigenvalues(n):
+    """``circulant_eigenvalues`` of the reduced periodic derivative, which
+    must pass its checks."""
+    lam = circulant_eigenvalues(GridOperator(n, PERIODIC).reduced()[0])
+    if lam is None:
+        raise NotCirculant(f"the reduced periodic derivative at n = {n} "
+                           "fails the circulant check")
+    return lam
+
+
+def _circulant_transform(op: GridOperator):
+    """Closed-form transform of a wrap-style periodic operator, or None when
+    its reduced matrix fails the checks of :func:`circulant_eigenvalues` or
+    its seam rows differ."""
+    T0, _ = op.reduced()
+    lam = circulant_eigenvalues(T0)
+    # equal rows 0 and n map the domain into itself, so B = F T0
+    if lam is None or not np.array_equal(op.matrix[0], op.matrix[op.n]):
+        return None
+    resolvent = 1.0 + lam ** 2
+    cond = resolvent.max() / resolvent.min()
+    if cond > RESOLVENT_COND_MAX:
+        raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
+    z0 = _circulant(np.fft.ifft(lam / np.sqrt(resolvent)))
+    return ZTransform._exact(op._embedded(z0), 1.0 / float(resolvent.max()))
+
+
+def grid_transform(op: GridOperator) -> ZTransform:
+    """Bounded transform of a grid derivative, as :func:`z_transform` of
+    ``op.as_domained()`` gives it.
+
+    A wrap-style periodic operator has a Hermitian circulant reduced matrix
+    ``T0`` with eigenvalues ``lam``, and equal seam rows, so with its frame
+    ``F`` the restricted action is ``F T0``.  Its transform is then
+    ``F z0 F*`` for the circulant ``z0`` with eigenvalues
+    ``lam / sqrt(1 + lam^2)``, and its density gap is ``1 / (1 + max lam^2)``:
+    no factorization runs, and the condition gate of ``z_transform`` applies
+    to ``(1 + max lam^2) / (1 + min lam^2)``.  A twisted operator is the
+    periodic one conjugated by ``u = e^{i theta x}``, and so is its
+    transform.  Every other operator, and one whose circulant checks fail,
+    takes the dense ``z_transform``.
+    """
+    if op.tag.kind in ("periodic", "twisted") and op.action_style == "wrap":
+        twisted = op.tag.kind == "twisted"
+        zt = _circulant_transform(GridOperator(op.n, PERIODIC) if twisted else op)
+        if zt is not None:
+            return zt._phase_rotated(_twist_phases(op.n, op.tag.theta)) if twisted else zt
+    return z_transform(op.as_domained())
 
 
 @dataclass
@@ -346,39 +471,30 @@ def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
 
 
 def periodic_complement_floor(n) -> float:
-    """Smallest singular value of ``1 + T*T`` for the periodic derivative.
+    """Smallest singular value of ``1 + T*T`` for the periodic derivative:
+    ``1 + min lam^2`` over the eigenvalues ``lam`` of its circulant reduced
+    matrix.
 
     The reduced periodic matrix is exactly Hermitian, so the value sits at 1
-    up to roundoff; anything noticeably below 1 signals a broken assembly.
+    up to roundoff; anything noticeably below 1 signals a broken assembly,
+    and a matrix that is not circulant raises :class:`NotCirculant`.
     """
     if n < 32:
         raise GridTooCoarse(f"need n >= 32, got {n}")
-    T0, _ = GridOperator(n, PERIODIC).reduced()
-    M = np.eye(n) + T0.conj().T @ T0
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    return float(1.0 + np.min(_periodic_eigenvalues(n) ** 2))
 
 
 def periodic_spectrum(n, m):
     """Eigenvalues of the periodic derivative for Fourier modes -m..m.
 
-    Eigenvalues are matched to sampled Fourier modes by eigenvector overlap
-    rather than by magnitude: the centered stencil aliases mode k with mode
-    n/2 - k (and the alternating vector sits in the kernel at even n), so a
-    nearest-to-zero selection would pick up spurious high modes.  Returned in
-    mode order -m, ..., 0, ..., m; the values approximate -2 pi k with
-    relative error O((k h)^2).
+    The reduced coordinates of the sampled mode ``e^{2 pi i k x}`` are a
+    multiple of the DFT vector of index ``k mod n``, so its eigenvalue is
+    that entry of :func:`circulant_eigenvalues`.  Reading it by index, not
+    by magnitude, matters: the centered stencil aliases mode k with mode
+    n/2 - k (and the alternating vector sits in the kernel at even n).
+    Returned in mode order -m, ..., 0, ..., m; the values approximate
+    -2 pi k with relative error O((k h)^2).
     """
     if m > n // 4:
         raise GridTooCoarse(f"need m <= n/4 (got m={m}, n={n})")
-    T0, F = GridOperator(n, PERIODIC).reduced()
-    lam, vec = np.linalg.eigh(0.5 * (T0 + T0.conj().T))
-    x = np.linspace(0.0, 1.0, n + 1)
-    sw = np.sqrt(trapezoid_weights(n))
-    out = []
-    for k in range(-m, m + 1):
-        mode = sw * np.exp(2j * np.pi * k * x)
-        coords = F.conj().T @ mode
-        coords /= np.linalg.norm(coords)
-        overlaps = np.abs(vec.conj().T @ coords)
-        out.append(float(lam[int(np.argmax(overlaps))]))
-    return np.asarray(out)
+    return _periodic_eigenvalues(n)[np.arange(-m, m + 1) % n]

@@ -77,6 +77,10 @@ class GridTooCoarse(ModopsError):
     """Grid parameters are below the documented minimum."""
 
 
+class NotCirculant(ModopsError):
+    """A matrix that should be a Hermitian circulant fails that check."""
+
+
 class UnexpectedKernelDim(ModopsError):
     """Numerical kernel dimension differs from the expected value."""
 

@@ -24,6 +24,7 @@ from .diffops import (
     PERIODIC,
     BoundaryTag,
     GridOperator,
+    grid_transform,
     trapezoid_weights,
 )
 from .errors import (
@@ -87,6 +88,9 @@ class FiberedOperator:
     per grid point as a :class:`GaugeField` stores them: fiber ``i`` is then
     ``distinct_fibers[index_map[i]]`` conjugated by ``diag(phases[i])``, and
     it is built only when read.
+
+    A field built by :meth:`from_grid_operators` keeps ``grid_ops``, the
+    operator each grid point's fiber was built from.
     """
 
     def __init__(self, pi_grid, fibers, tags=None, grid_ops=None, symbol=None,
@@ -379,8 +383,15 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     scale: every transform is a contraction.  Each distinct fiber is
     transformed once, and adjacent points sharing a fiber deviate by 0; a
     gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
+    A grid-backed field transforms the grid operator of each distinct fiber
+    by :func:`grid_transform`, in closed form where it is periodic or twisted.
     """
-    transforms = F.per_point([z_transform(f) for f in F.distinct_fibers])
+    if F.grid_ops is None:
+        per_fiber = [z_transform(f) for f in F.distinct_fibers]
+    else:
+        op_of = dict(zip(F.index_map, F.grid_ops))
+        per_fiber = [grid_transform(op_of[k]) for k in range(len(F.distinct_fibers))]
+    transforms = F.per_point(per_fiber)
     profile = np.asarray([0.0 if a is b else np.linalg.norm(b.z - a.z, 2)
                           for a, b in zip(transforms, transforms[1:])])
     med = float(np.median(profile)) if profile.size else 0.0
@@ -495,7 +506,8 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
                     tol_gap=TOL_GAP) -> GaugeExtensionResult:
     """Conjugate one regular grid operator into a fibered field, ``T_pi =
     U_pi t0 U_pi*`` with domain ``U_pi D(t0)``, plus its transform field
-    ``z_pi = U_pi w U_pi*`` where ``w`` transforms ``t0``.
+    ``z_pi = U_pi w U_pi*`` where ``w`` transforms ``t0`` (by
+    :func:`grid_transform`, so in closed form for a periodic ``t0``).
 
     The gauge must be the identity at the base point and its conjugation
     field must look linear in the grid step: the maximal adjacent deviation
@@ -508,7 +520,7 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     if not U.base_point_identity:
         raise ValueError("gauge extension needs the base-point identity gauge")
     base = t0.as_domained()
-    w = z_transform(base)
+    w = grid_transform(t0)
     if w.density_gap <= tol_gap:
         raise NotDense("base operator is not regular at this resolution")
 

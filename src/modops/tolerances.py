@@ -41,3 +41,8 @@ GAUGE_HALVING_RATIO = 0.85
 # two gauge increments q_i = p_{i+1} conj(p_i) count as one when
 # max |q_i - q_j| <= GAUGE_INCREMENT_MATCH, a few ulps of roundoff
 GAUGE_INCREMENT_MATCH = 16 * sys.float_info.epsilon
+
+# a reduced grid matrix counts as a Hermitian circulant when each entry is
+# within CIRCULANT_MATCH * max|c| of its shifted first column c and each
+# fft(c) within CIRCULANT_MATCH * sum|c| of the real axis, a few ulps
+CIRCULANT_MATCH = 16 * sys.float_info.epsilon

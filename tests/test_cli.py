@@ -13,6 +13,7 @@ from modops.cli import (
     parse_spec_file,
     run,
 )
+from modops.diffops import PERIODIC, BoundaryTag
 from modops.errors import MalformedSpec
 
 DENSITY_SPEC = """\
@@ -375,3 +376,49 @@ def test_gauge_samples_spec(tmp_path):
     code = main(["extend", "--config", write(tmp_path, spec), "--out", str(out)])
     assert code == 0
     assert "REGULAR-EXTENSION-VERIFIED" in out.read_text()
+
+
+@pytest.mark.parametrize("tag", ["twisted:abc", "twisted:nan", "twisted:inf",
+                                 "twisted:", "twisted:-inf"])
+def test_malformed_twisted_tags_exit_2(tmp_path, capsys, tag):
+    # the tags are parsed when the config is built, before anything runs
+    spec = f"[grid]\nn_x = 64\n\n[operator]\nkind = tags\ntags = periodic {tag}\n"
+    path = write(tmp_path, spec)
+    message = f"boundary tag {tag!r} needs a finite twist angle"
+    with pytest.raises(MalformedSpec, match=re.escape(message)):
+        config_from_sections("zfield", parse_spec_file(path))
+    out = tmp_path / "never.txt"
+    assert main(["zfield", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_unknown_tag_is_refused_when_the_config_is_built():
+    with pytest.raises(MalformedSpec, match="unknown boundary tag 'sideways'"):
+        RunConfig("zfield", operator_kind="tags", operator_tags=("periodic", "sideways"))
+    cfg = RunConfig("zfield", operator_kind="tags",
+                    operator_tags=("minimal", "twisted:0.5"))
+    assert [t.kind for t in cfg.operator_tags] == ["minimal", "twisted"]
+    assert cfg.operator_tags[1].theta == 0.5
+
+
+def test_boundary_tag_values_are_kept_when_the_config_is_built():
+    given = (BoundaryTag.twisted(0.5), "periodic")
+    cfg = RunConfig("zfield", operator_kind="tags", operator_tags=given)
+    assert cfg.operator_tags == (given[0], PERIODIC)
+    assert RunConfig("zfield", operator_kind="tags",
+                     operator_tags=cfg.operator_tags).operator_tags == cfg.operator_tags
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "1,nan", "-inf,0"])
+def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
+    spec = DENSITY_SPEC.replace("a = 1,0 0,0 ; 0,0 1,0", f"a = 1,0 {entry} ; 0,0 1,0")
+    path = write(tmp_path, spec)
+    message = "line 7: element 'one' entries must be finite"
+    with pytest.raises(MalformedSpec, match=re.escape(message)) as err:
+        config_from_sections("density-check", parse_spec_file(path))
+    assert err.value.line == 7
+    out = tmp_path / "never.txt"
+    assert main(["density-check", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import modops.diffops as diffops
 from modops.diffops import (
     MAXIMAL,
     MINIMAL,
@@ -12,13 +13,15 @@ from modops.diffops import (
     GridFunction,
     GridOperator,
     build_derivative,
+    circulant_eigenvalues,
+    grid_transform,
     kernel_certificate,
     periodic_complement_floor,
     periodic_spectrum,
     trapezoid_weights,
 )
-from modops.errors import GridTooCoarse
-from modops.operators import adjoint_via_graph, graph_inclusion
+from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
+from modops.operators import adjoint_via_graph, graph_inclusion, z_transform
 
 
 # ---------------------------------------------------------------------- tags
@@ -32,6 +35,12 @@ def test_tag_adjoint_pairing():
 
 def test_twisted_phase_normalized():
     assert BoundaryTag.twisted(2 * np.pi + 0.5).theta == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_twisted_tag_refuses_non_finite_angles(theta):
+    with pytest.raises(ValueError, match="twist angle must be finite"):
+        BoundaryTag.twisted(theta)
 
 
 # ------------------------------------------------------------- grid function
@@ -94,6 +103,35 @@ def test_twisted_operator_is_gauge_conjugate_of_periodic():
     tw = GridOperator(n, BoundaryTag.twisted(theta))
     assert_allclose(tw.matrix, (u[:, None] * per.matrix) * np.conj(u)[None, :],
                     atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9, 48, 101])
+def test_grid_frames_are_orthonormal_without_a_gram_check(monkeypatch, n):
+    # as_domained trusts the frame, so the frame itself is checked here
+    gram_checks = []
+    monkeypatch.setattr(diffops.DomainedOperator, "__init__",
+                        lambda *args: gram_checks.append(args))
+    for tag in (MAXIMAL, MINIMAL, PERIODIC, BoundaryTag.twisted(2.1)):
+        dom = GridOperator(n, tag).as_domained()
+        F = dom.frame
+        assert np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1]), 2) <= 1e-12
+        assert not dom.frame.flags.writeable and not dom.action.flags.writeable
+    assert gram_checks == []
+
+
+def _matmul_reduced(op):
+    F = op.domain_frame()
+    return F.conj().T @ op.weighted_action() @ F
+
+
+@pytest.mark.parametrize("tag", [MAXIMAL, MINIMAL, PERIODIC, BoundaryTag.twisted(0.7)])
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_sliced_reduced_matrix_matches_the_frame_product(tag, n):
+    for style in (None, "wrap") if tag.kind == "minimal" else (None,):
+        op = GridOperator(n, tag, style)
+        T0, F = op.reduced()
+        assert_allclose(T0, _matmul_reduced(op), rtol=0, atol=1e-13 * n)
+        assert np.array_equal(F, op.domain_frame())
 
 
 def test_domain_frames_are_orthonormal_and_satisfy_constraints():
@@ -283,3 +321,151 @@ def test_periodic_spectrum_fourier_oracle():
 def test_periodic_spectrum_mode_count_guard():
     with pytest.raises(GridTooCoarse):
         periodic_spectrum(64, 32)
+
+
+def overlap_spectrum(n, m):
+    """Dense oracle of periodic_spectrum: eigh of the reduced periodic
+    matrix, each sampled Fourier mode matched to its eigenvalue by
+    eigenvector overlap."""
+    op = GridOperator(n, PERIODIC)
+    T0, F = _matmul_reduced(op), op.domain_frame()
+    lam, vec = np.linalg.eigh(0.5 * (T0 + T0.conj().T))
+    x = np.linspace(0.0, 1.0, n + 1)
+    sw = np.sqrt(trapezoid_weights(n))
+    out = []
+    for k in range(-m, m + 1):
+        coords = F.conj().T @ (sw * np.exp(2j * np.pi * k * x))
+        coords /= np.linalg.norm(coords)
+        out.append(float(lam[int(np.argmax(np.abs(vec.conj().T @ coords)))]))
+    return np.asarray(out)
+
+
+def svd_floor(n):
+    """Dense oracle of periodic_complement_floor: the smallest singular
+    value of 1 + T0*T0."""
+    T0 = _matmul_reduced(GridOperator(n, PERIODIC))
+    return float(np.linalg.svd(np.eye(n) + T0.conj().T @ T0, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 101, 200])
+def test_periodic_spectrum_matches_the_overlap_oracle(n):
+    m = n // 4
+    assert_allclose(periodic_spectrum(n, m), overlap_spectrum(n, m),
+                     rtol=0, atol=1e-12 * n)
+
+
+def test_periodic_spectrum_and_floor_take_no_factorization(linalg_calls):
+    periodic_spectrum(400, 100)
+    periodic_complement_floor(400)
+    assert linalg_calls == []
+
+
+# ------------------------------------------------------ circulant closed form
+def _twisted_or_periodic(theta):
+    return PERIODIC if theta is None else BoundaryTag.twisted(theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(32, 160),
+       theta=st.one_of(st.none(), st.floats(0.0, 2 * np.pi, exclude_max=True)))
+def test_closed_form_transform_matches_the_dense_oracle(n, theta):
+    op = GridOperator(n, _twisted_or_periodic(theta))
+    closed, dense = grid_transform(op), z_transform(op.as_domained())
+    assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
+    assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
+    # the SVD resolves the smallest singular value to about eps ||1 + T0*T0||
+    assert periodic_complement_floor(n) == pytest.approx(svd_floor(n), rel=0,
+                                                         abs=1e-14 * n ** 2)
+
+
+@pytest.mark.parametrize("n, tag", [(400, PERIODIC), (401, BoundaryTag.twisted(0.7)),
+                                    (400, BoundaryTag.twisted(3.0))])
+def test_closed_form_transform_at_size(linalg_calls, n, tag):
+    op = GridOperator(n, tag)
+    closed = grid_transform(op)
+    assert linalg_calls == []
+    dense = z_transform(op.as_domained())
+    assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
+    assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
+
+
+def test_circulant_eigenvalues_are_the_dft_symbol():
+    rng = np.random.default_rng(3)
+    n = 12
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c += np.conj(c[(-np.arange(n)) % n])          # Hermitian: c[-k] = conj(c[k])
+    C = diffops._circulant(c)
+    assert_allclose(C, C.conj().T, rtol=0, atol=0)
+    lam = circulant_eigenvalues(C)
+    j = np.arange(n)
+    for k in range(n):
+        v = np.exp(2j * np.pi * j * k / n)
+        assert_allclose(C @ v, lam[k] * v, rtol=0, atol=1e-12)
+
+
+def test_circulant_checks_refuse_other_matrices():
+    rng = np.random.default_rng(4)
+    n = 10
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c += np.conj(c[(-np.arange(n)) % n])
+    C = diffops._circulant(c)
+    bumped = C.copy()
+    bumped[3, 7] += 1e-9
+    assert circulant_eigenvalues(bumped) is None
+    assert circulant_eigenvalues(diffops._circulant(1j * c + 1.0)) is None  # not Hermitian
+    nan = C.copy()
+    nan[2, 2] = np.nan
+    assert circulant_eigenvalues(nan) is None
+    assert circulant_eigenvalues(_matmul_reduced(GridOperator(64, MINIMAL))) is None
+
+
+@pytest.mark.parametrize("tag, style", [(MINIMAL, "wrap"), (MINIMAL, None),
+                                        (MAXIMAL, None), (PERIODIC, "onesided")])
+def test_non_circulant_fibers_take_the_dense_transform(linalg_calls, tag, style):
+    op = GridOperator(64, tag, style)
+    zt = grid_transform(op)
+    assert linalg_calls == ["eigh"]
+    dense = z_transform(op.as_domained())
+    assert_allclose(zt.z, dense.z, rtol=0, atol=0)
+    assert zt.density_gap == dense.density_gap
+
+
+@pytest.mark.parametrize("tag", [PERIODIC, BoundaryTag.twisted(1.1)])
+def test_failed_circulant_check_falls_back_to_the_dense_transform(
+        monkeypatch, linalg_calls, tag):
+    monkeypatch.setattr(diffops, "circulant_eigenvalues", lambda m: None)
+    op = GridOperator(64, tag)
+    zt = grid_transform(op)
+    assert linalg_calls == ["eigh"]
+    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
+    with pytest.raises(NotCirculant):
+        periodic_complement_floor(64)
+    with pytest.raises(NotCirculant):
+        periodic_spectrum(64, 3)
+
+
+def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):
+    # opposite changes to rows 0 and n leave the folded T0 circulant, but
+    # the action then leaves the periodic domain, so B = F T0 fails
+    op = GridOperator(64, PERIODIC)
+    m = op.matrix.copy()
+    m[0, 5] += 1.0
+    m[64, 5] -= 1.0
+    op.matrix = m
+    assert circulant_eigenvalues(op.reduced()[0]) is not None
+    assert diffops._circulant_transform(op) is None
+    zt = grid_transform(op)
+    assert linalg_calls == ["eigh"]
+    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
+
+
+def test_closed_form_keeps_the_condition_gate(monkeypatch):
+    # at n = 64, cond(1 + T*T) = 1 + max lam^2 is about 4e3
+    monkeypatch.setattr(diffops, "RESOLVENT_COND_MAX", 1e3)
+    monkeypatch.setattr("modops.operators.RESOLVENT_COND_MAX", 1e3)
+    for tag in (PERIODIC, BoundaryTag.twisted(0.4)):
+        op = GridOperator(64, tag)
+        with pytest.raises(SingularResolvent, match="condition number"):
+            grid_transform(op)
+        with pytest.raises(SingularResolvent, match="condition number"):
+            z_transform(op.as_domained())

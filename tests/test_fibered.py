@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import modops.fibered as fibered
 
 from modops.algebra import AlgebraElement, FiberIndex
-from modops.diffops import MINIMAL, PERIODIC, BoundaryTag, GridOperator
+from modops.diffops import MAXIMAL, MINIMAL, PERIODIC, BoundaryTag, GridOperator
 from modops.errors import DomainViolation, GaugeNotContinuous, GridTooCoarse
 from modops.fibered import (
     FiberedOperator,
@@ -159,13 +159,18 @@ def test_gauged_field_operations_match_their_dense_fibers():
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
+    # a grid-backed field goes through grid_transform, any other field
+    # through z_transform; both paths are counted
     calls = []
 
-    def counting(T):
-        calls.append(T)
-        return z_transform(T)
+    def counting(transform):
+        def counted(T):
+            calls.append(T)
+            return transform(T)
+        return counted
 
-    monkeypatch.setattr(fibered, "z_transform", counting)
+    monkeypatch.setattr(fibered, "z_transform", counting(z_transform))
+    monkeypatch.setattr(fibered, "grid_transform", counting(fibered.grid_transform))
     t = build_counterexample_t(8, 48)
     rep = zfield(t)
     assert len(calls) == 2 and len(rep.transforms) == 8
@@ -174,6 +179,35 @@ def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
     calls.clear()
     zfield(adjoint_field(t))
     assert len(calls) == 1
+
+
+def test_zfield_on_the_counterexample_takes_one_eigh(linalg_calls):
+    # the periodic fibers, of t and of its adjoint, are transformed in
+    # closed form; only the minimal base fiber takes the dense eigh, and the
+    # jump at the base point its one 2-norm
+    t = build_counterexample_t(16, 400)
+    zfield(t)
+    assert linalg_calls == ["eigh", "norm2"]
+    linalg_calls.clear()
+    zfield(adjoint_field(t))
+    assert linalg_calls == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_x=st.integers(32, 96),
+       tags=st.lists(st.one_of(
+           st.sampled_from([MINIMAL, PERIODIC, MAXIMAL]),
+           st.floats(0.0, 6.28).map(BoundaryTag.twisted)), min_size=1, max_size=6))
+def test_zfield_of_grid_fields_matches_dense_reference(n_x, tags):
+    F = FiberedOperator.from_grid_operators(np.linspace(0, 1, len(tags)),
+                                            [GridOperator(n_x, tag) for tag in tags])
+    rep = zfield(F)
+    transforms, profile, flagged = reference_zfield(F.fibers)
+    assert_allclose(rep.profile, profile, rtol=0, atol=1e-12)
+    assert_allclose(rep.gaps, [t.density_gap for t in transforms], rtol=1e-14, atol=0)
+    assert rep.flagged == flagged
+    for got, ref in zip(rep.transforms, transforms):
+        assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
 
 
 def test_from_grid_operators_shares_equal_operators():
@@ -399,6 +433,15 @@ def test_gauge_extension_identity_gauge_constant_field():
         assert_allclose(f.action, base.action, atol=1e-12)
 
 
+def test_gauge_extension_transforms_its_periodic_base_in_closed_form(linalg_calls):
+    t0 = GridOperator(N_X, PERIODIC)
+    res = gauge_extension(t0, GaugeField.linear_phase(np.linspace(0, 1, 5), N_X))
+    assert "eigh" not in linalg_calls
+    dense = z_transform(t0.as_domained())
+    assert_allclose(res.base_transform.z, dense.z, rtol=0, atol=1e-12)
+    assert res.base_transform.density_gap == pytest.approx(dense.density_gap, rel=1e-14)
+
+
 def test_gauge_extension_linear_phase_yields_twisted_domains():
     # conjugating the periodic operator by e^{i pi x} lands on the domain
     # with endpoint twist e^{i pi}
@@ -522,6 +565,8 @@ RTOL, ATOL = 1e-12, 1e-14
          group=False)                                                  # identity
 @example(n_x=24, n_pi=9, coeffs=(1.5, -0.7, 1.0), jump=1.0, jump_at=3,
          group=True)                                                   # pi * phi(x)
+@example(n_x=16, n_pi=6, coeffs=(1.3143247571037335, -1.3741434154272083, 0.0),
+         jump=0.0, jump_at=1, group=False)              # reference gap 1e-12 low
 def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, group):
     if group:
         # g = pi * phi(x): every increment is exp(i phi / (n_pi - 1))
@@ -542,8 +587,12 @@ def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, g
                             rtol=0, atol=1e-12)
         for got, ref in zip(res.transforms, transforms):
             assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
+        # the reference gaps are eigvalsh(1 - z*z), subject to the absolute
+        # floor; the dense transform's 1 / lambda_max is accurate relatively
         assert_allclose([t.density_gap for t in res.transforms],
-                        [t.density_gap for t in transforms], rtol=RTOL)
+                        [t.density_gap for t in transforms], rtol=RTOL, atol=ATOL)
+        assert_allclose([t.density_gap for t in res.transforms], w.density_gap,
+                        rtol=RTOL)
         assert_allclose(res.deviations, devs, rtol=RTOL, atol=ATOL)
     assert_allclose(fibered._conjugation_deviation(gauge.phases, w.z),
                     fine, rtol=RTOL, atol=ATOL)
