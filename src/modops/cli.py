@@ -56,18 +56,20 @@ _SECTION_KEYS = {
 # (per base point, fixed), counted low from the code; a request whose count
 # cannot fit in physical memory is refused before anything is allocated
 _DENSE_MATRICES = {
-    # GridOperator.reduced: grid matrix, domain frame, weighted action
+    # GridOperator.reduced: grid matrix, weighted action, its row-scaled copy
     "kernel-cert": (0, 3),
-    # counterexample: 2 grid matrices, 2 fibers (action, frame), 2 transforms;
-    # its adjoint field: grid matrix, fiber (action, frame), transform
-    "certify-nonregular": (0, 12),
-    # a tags field with one distinct fiber: grid matrix, action, frame, transform
+    # the minimal fiber's dense transform, the one fiber built: the
+    # counterexample's 2 grid matrices, the fiber's action and frame, B, 1 +
+    # B*B, and its eigenvectors v, v / sqrt(lam) and v* while they multiply
+    "certify-nonregular": (0, 9),
+    # a tags field with one periodic fiber, in closed form while its reduced
+    # matrix is sliced: grid matrix, weighted action, its two scaled copies
     "zfield": (0, 4),
     # no per-point matrix: the gauged fields are phase tables over their
-    # base fibers; while a row inclusion runs: t0's matrix, base fiber
-    # (action, frame) and transform, counterexample (2 grid matrices, 2
-    # fibers), and graph_inclusion's membership residual and both actions
-    # on the frame of S
+    # grid fibers; while a row inclusion runs: t0's matrix and transform,
+    # the counterexample's 2 grid matrices, the 3 distinct fibers built
+    # dense (action, frame), and graph_inclusion's membership residual and
+    # both actions on the frame of S
     "extend": (0, 13),
 }
 
@@ -319,6 +321,15 @@ class Report:
 # --------------------------------------------------------------------------
 # pipelines
 # --------------------------------------------------------------------------
+def _from_spec(build, *args):
+    """``build(*args)`` for an object made from the spec; a value it refuses
+    is an input error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise MalformedSpec(str(exc)) from None
+
+
 def _gauge_from_config(cfg: RunConfig) -> GaugeField:
     grid = np.linspace(0.0, 1.0, cfg.n_pi)
     if cfg.gauge_kind == "identity":
@@ -388,7 +399,8 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
         if cfg.algebra is None or cfg.operator_element not in cfg.elements:
             raise MalformedSpec(
                 "operator kind symbol needs [algebra] and a matching [element]")
-        symbol = AlgebraElement(cfg.algebra, cfg.elements[cfg.operator_element])
+        symbol = _from_spec(AlgebraElement, cfg.algebra,
+                            cfg.elements[cfg.operator_element])
         domains = None
         if cfg.operator_domain is not None:
             if cfg.operator_domain not in cfg.elements:
@@ -462,7 +474,7 @@ def run_extend(cfg: RunConfig, report: Report):
 def run_phi_roundtrip(cfg: RunConfig, report: Report):
     index = cfg.algebra or FiberIndex(("p0", "p1"), (2, 2))
     rows = cfg.rows or tuple(min(3, d + 1) for d in index.dims)
-    model = ModuleModel(index, rows)
+    model = _from_spec(ModuleModel, index, rows)
     rng = np.random.default_rng(cfg.seed)
     blocks = {}
     for lab, m in zip(index.labels, model.row_dims):
@@ -492,7 +504,7 @@ def run_density_check(cfg: RunConfig, report: Report):
         missing = set(cfg.algebra.labels) - set(fibers)
         if missing:
             raise MalformedSpec(f"element {name!r} is missing fibers {sorted(missing)}")
-        gens.append(AlgebraElement(cfg.algebra, fibers))
+        gens.append(_from_spec(AlgebraElement, cfg.algebra, fibers))
     verdict = ideal_density_check(gens)
     report.kv("labels", " ".join(cfg.algebra.labels))
     report.kv("generators", len(gens))

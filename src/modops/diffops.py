@@ -184,11 +184,12 @@ class GridOperator:
     built from equal operators share one fiber.
     """
 
-    __slots__ = ("n", "h", "tag", "matrix", "action_style")
+    __slots__ = ("n", "h", "ambient_dim", "tag", "matrix", "action_style")
 
     def __init__(self, n, tag: BoundaryTag, action_style=None):
         self.n = int(n)
         self.h = 1.0 / self.n
+        self.ambient_dim = self.n + 1
         self.tag = tag
         if action_style is None:
             action_style = "onesided" if tag.kind in ("maximal", "minimal") else "wrap"
@@ -283,24 +284,23 @@ class GridOperator:
         return DomainedOperator._trusted(self.weighted_action(), self.domain_frame())
 
     def reduced(self):
-        """(matrix on the constrained subspace, embedding) in weighted coords.
-
-        The reduced matrix ``F* A F`` is read off by slicing: every frame
-        column is a unit vector, except the seam column of the periodic and
-        twisted tags, whose two endpoint rows fold into index 0.
+        """The matrix ``F* A F`` on the constrained subspace in weighted
+        coordinates, ``F`` the :meth:`domain_frame`, read off by slicing:
+        every frame column is a unit vector, except the seam column of the
+        periodic and twisted tags, whose two endpoint rows fold into index 0.
         """
-        F, A, n = self.domain_frame(), self.weighted_action(), self.n
+        A, n = self.weighted_action(), self.n
         if self.tag.kind == "maximal":
-            return A, F
+            return A
         if self.tag.kind == "minimal":
-            return A[1:n, 1:n].copy(), F
+            return A[1:n, 1:n].copy()
         f = self._row_weights()
         M = (f.conj()[:, None] * A) * f[None, :]
         T0 = M[:n, :n].copy()
         T0[0, :] += M[n, :n]
         T0[:, 0] += M[:n, n]
         T0[0, 0] += M[n, n]
-        return T0, F
+        return T0
 
     def _embedded(self, X):
         """``F X F*`` for this periodic or twisted operator's frame ``F``,
@@ -315,9 +315,10 @@ class GridOperator:
         return GridFunction(self.matrix @ f.samples)
 
     def adjoint(self) -> "GridOperator":
-        """Tag-level adjoint (default action style for the adjoint tag)."""
+        """Tag-level adjoint (default action style for the adjoint tag); a
+        self-paired tag gives the operator itself, whose matrix is read-only."""
         if self.tag.adjoint_tag == self.tag:
-            return GridOperator(self.n, self.tag, self.action_style)
+            return self
         return GridOperator(self.n, self.tag.adjoint_tag)
 
     def __repr__(self):
@@ -364,7 +365,7 @@ def circulant_eigenvalues(m):
 def _periodic_eigenvalues(n):
     """``circulant_eigenvalues`` of the reduced periodic derivative, which
     must pass its checks."""
-    lam = circulant_eigenvalues(GridOperator(n, PERIODIC).reduced()[0])
+    lam = circulant_eigenvalues(GridOperator(n, PERIODIC).reduced())
     if lam is None:
         raise NotCirculant(f"the reduced periodic derivative at n = {n} "
                            "fails the circulant check")
@@ -375,8 +376,7 @@ def _circulant_transform(op: GridOperator):
     """Closed-form transform of a wrap-style periodic operator, or None when
     its reduced matrix fails the checks of :func:`circulant_eigenvalues` or
     its seam rows differ."""
-    T0, _ = op.reduced()
-    lam = circulant_eigenvalues(T0)
+    lam = circulant_eigenvalues(op.reduced())
     # equal rows 0 and n map the domain into itself, so B = F T0
     if lam is None or not np.array_equal(op.matrix[0], op.matrix[op.n]):
         return None

@@ -76,25 +76,25 @@ PAIRING_DEFECT_C = 60.0
 
 
 class FiberedOperator:
-    """Grid-indexed family of domained operators sharing one ambient space.
+    """Grid-indexed family of operators sharing one ambient space.
 
     Each distinct fiber is stored once in ``distinct_fibers``; ``index_map``
     sends grid point ``i`` to its fiber there.  Fibers passed as one object
     are one fiber (no content comparison), so field operations do their
     dense work once per distinct fiber.  Sharing is safe because domained
-    operators freeze their arrays.
+    and grid operators freeze their arrays.
 
     A gauged field also holds a phase table ``phases``, one unimodular row
     per grid point as a :class:`GaugeField` stores them: fiber ``i`` is then
     ``distinct_fibers[index_map[i]]`` conjugated by ``diag(phases[i])``, and
     it is built only when read.
 
-    A field built by :meth:`from_grid_operators` keeps ``grid_ops``, the
-    operator each grid point's fiber was built from.
+    A grid fiber is stored as its :class:`GridOperator`, and its dense
+    :class:`DomainedOperator` is built only where one is read.
     """
 
-    def __init__(self, pi_grid, fibers, tags=None, grid_ops=None, symbol=None,
-                 algebra_index=None, coupled_frame=None, phases=None):
+    def __init__(self, pi_grid, fibers, symbol=None, algebra_index=None,
+                 coupled_frame=None, phases=None):
         pi_grid = np.asarray(pi_grid, dtype=float)
         if pi_grid.ndim != 1 or pi_grid.size < 1:
             raise ValueError("pi_grid must be a nonempty 1-d array")
@@ -120,8 +120,6 @@ class FiberedOperator:
         self.pi_grid = pi_grid
         self.distinct_fibers = tuple(distinct)
         self.index_map = tuple(index_map)
-        self.tags = list(tags) if tags is not None else None
-        self.grid_ops = list(grid_ops) if grid_ops is not None else None
         self.symbol = symbol
         self.algebra_index = algebra_index
         self.coupled_frame = coupled_frame
@@ -129,18 +127,20 @@ class FiberedOperator:
 
     @property
     def fibers(self):
-        """One fiber per grid point (read-only): shared references, or with
-        a phase table, gauged fibers built on each read."""
-        return self.per_point(self.distinct_fibers)
+        """One dense fiber per grid point (read-only), built on each read:
+        shared references, or with a phase table, gauged fibers."""
+        return self.per_point([_dense(f) for f in self.distinct_fibers])
 
     def per_point(self, per_fiber):
         """Spread one value per distinct fiber to one value per grid point,
         conjugated by the phase table when there is one (the values then
         need ``_phase_rotated``, as fibers and transforms have)."""
-        spread = tuple(per_fiber[k] for k in self.index_map)
-        if self.phases is None:
-            return spread
-        return tuple(v._phase_rotated(p) for v, p in zip(spread, self.phases))
+        return tuple(self._at(per_fiber, i) for i in range(self.n_fibers))
+
+    def _at(self, per_fiber, i):
+        """Grid point ``i``'s value of ``per_fiber``, gauged by its phases."""
+        v = per_fiber[self.index_map[i]]
+        return v if self.phases is None else v._phase_rotated(self.phases[i])
 
     def _on_same_index(self, per_fiber, phases, **attrs) -> "FiberedOperator":
         """A field on this grid and index map over the distinct fibers
@@ -160,9 +160,8 @@ class FiberedOperator:
     def from_grid_operators(cls, pi_grid, grid_ops):
         """Field of grid derivatives; equal operators share one fiber."""
         ops = list(grid_ops)
-        shared = {g: g.as_domained() for g in dict.fromkeys(ops)}
-        return cls(pi_grid, [shared[g] for g in ops],
-                   tags=[g.tag for g in ops], grid_ops=ops)
+        shared = {g: g for g in ops}
+        return cls(pi_grid, [shared[g] for g in ops])
 
     @classmethod
     def from_algebra_symbol(cls, index: FiberIndex, symbol: AlgebraElement,
@@ -189,12 +188,17 @@ class FiberedOperator:
         return cls(grid, fibers, symbol=symbol, algebra_index=index)
 
     def fiber(self, i) -> DomainedOperator:
-        f = self.distinct_fibers[self.index_map[i]]
+        f = _dense(self.distinct_fibers[self.index_map[i]])
         return f if self.phases is None else f._phase_rotated(self.phases[i])
 
     def __repr__(self):
         return (f"FiberedOperator(n_fibers={self.n_fibers}, "
                 f"ambient={self.ambient_dim})")
+
+
+def _dense(f) -> DomainedOperator:
+    """A stored fiber as a domained operator, built if it is a grid fiber."""
+    return f.as_domained() if isinstance(f, GridOperator) else f
 
 
 class GaugeField:
@@ -206,8 +210,7 @@ class GaugeField:
     normalized to modulus one, read-only.
     """
 
-    def __init__(self, pi_grid, phases, base_point_identity=True,
-                 tol=TOL_ALG, twists=None):
+    def __init__(self, pi_grid, phases, base_point_identity=True, tol=TOL_ALG):
         pi_grid = np.asarray(pi_grid, dtype=float)
         phases = np.asarray(phases, dtype=complex)
         if phases.ndim != 2:
@@ -225,7 +228,6 @@ class GaugeField:
         self.phases = phases / np.abs(phases)
         self.phases.flags.writeable = False
         self.base_point_identity = base_point_identity
-        self.twists = twists
 
     @classmethod
     def identity(cls, pi_grid, dim):
@@ -236,8 +238,7 @@ class GaugeField:
         """Multiplication gauges ``exp(i g(pi, .))`` from real phase samples.
 
         ``g_samples[i]`` holds g(pi_i, x_j) on the space grid; the base row
-        must vanish so the base-point gauge is the identity.  The induced
-        endpoint twist g(pi, 1) - g(pi, 0) is recorded per fiber.
+        must vanish so the base-point gauge is the identity.
         """
         g = np.asarray(g_samples, dtype=float)
         if g.ndim != 2 or g.shape[0] != len(pi_grid):
@@ -246,8 +247,7 @@ class GaugeField:
             raise ValueError("phase samples must be finite")
         if not np.all(g[0] == 0):
             raise ValueError("base-point phase row must vanish")
-        twists = [float(row[-1] - row[0]) for row in g]
-        return cls(pi_grid, np.exp(1j * g), twists=twists)
+        return cls(pi_grid, np.exp(1j * g))
 
     @classmethod
     def linear_phase(cls, pi_grid, n_x):
@@ -320,30 +320,31 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
     """Adjoint of a fibered operator, fiber by fiber, with the module
     continuity correction at isolated exceptional fibers.
 
-    For algebra-backed fields this is the graph adjoint per fiber.  For
-    grid-backed fields the boundary tags map to their adjoint tags; then any
-    fiber whose neighbors all carry one common adjoint operator different
-    from the local one is pinned to that neighbor operator, because over a
-    connected base the adjoint's image field must glue continuously and the
-    isolated fiber's freedom is cut down to the neighbors' limit.  Pinning is
-    only applied after verifying the discrete pairing identity on smooth
-    probes at second-order accuracy.
+    For an ungauged field of grid fibers the boundary tags map to their
+    adjoint tags; then any fiber whose neighbors all carry one common adjoint
+    operator different from the local one is pinned to that neighbor
+    operator, because over a connected base the adjoint's image field must
+    glue continuously and the isolated fiber's freedom is cut down to the
+    neighbors' limit.  Pinning is only applied after verifying the discrete
+    pairing identity on smooth probes at second-order accuracy.  Any other
+    field takes the graph adjoint of each distinct fiber.
     """
-    if F.grid_ops is None:
+    ops = F.distinct_fibers
+    if F.phases is not None or not all(isinstance(f, GridOperator) for f in ops):
+        dense = [_dense(f) for f in ops]
         # the adjoint symbol is the conjugate field only while every fiber is
         # everywhere defined; operator-part extraction breaks the match else
         sym = None
-        if F.symbol is not None and all(f.is_full_domain for f in F.distinct_fibers):
+        if F.symbol is not None and all(f.is_full_domain for f in dense):
             sym = F.symbol.H
         # (U T U*)* = U T* U*: a gauged field keeps its phase table
-        adjoints = [adjoint_via_graph(f) for f in F.distinct_fibers]
+        adjoints = [adjoint_via_graph(f) for f in dense]
         return F._on_same_index(adjoints, F.phases, symbol=sym,
                                 algebra_index=F.algebra_index)
-    adjoint_of = {g: g.adjoint() for g in dict.fromkeys(F.grid_ops)}
-    adj_ops = [adjoint_of[g] for g in F.grid_ops]
+    adjoint_of = [g.adjoint() for g in ops]
+    adj_ops = [adjoint_of[k] for k in F.index_map]
     pinned = list(adj_ops)
-    n = F.grid_ops[0].n
-    h2 = (1.0 / n) ** 2
+    h2 = (1.0 / ops[0].n) ** 2
     for i, local in enumerate(adj_ops):
         neighbors = [adj_ops[j] for j in (i - 1, i + 1) if 0 <= j < len(adj_ops)]
         if not neighbors:
@@ -351,7 +352,7 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
         ref = neighbors[0]
         if any(nb.tag != ref.tag for nb in neighbors) or ref.tag == local.tag:
             continue
-        defect = _pairing_defect(F.grid_ops[i], ref)
+        defect = _pairing_defect(ops[F.index_map[i]], ref)
         if defect <= PAIRING_DEFECT_C * h2:
             pinned[i] = ref
     return FiberedOperator.from_grid_operators(F.pi_grid, pinned)
@@ -383,14 +384,11 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     scale: every transform is a contraction.  Each distinct fiber is
     transformed once, and adjacent points sharing a fiber deviate by 0; a
     gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
-    A grid-backed field transforms the grid operator of each distinct fiber
-    by :func:`grid_transform`, in closed form where it is periodic or twisted.
+    A grid fiber is transformed by :func:`grid_transform`, in closed form
+    where it is periodic or twisted.
     """
-    if F.grid_ops is None:
-        per_fiber = [z_transform(f) for f in F.distinct_fibers]
-    else:
-        op_of = dict(zip(F.index_map, F.grid_ops))
-        per_fiber = [grid_transform(op_of[k]) for k in range(len(F.distinct_fibers))]
+    per_fiber = [grid_transform(f) if isinstance(f, GridOperator) else z_transform(f)
+                 for f in F.distinct_fibers]
     transforms = F.per_point(per_fiber)
     profile = np.asarray([0.0 if a is b else np.linalg.norm(b.z - a.z, 2)
                           for a, b in zip(transforms, transforms[1:])])
@@ -488,7 +486,7 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
 # --------------------------------------------------------------------------
 @dataclass
 class GaugeExtensionResult:
-    field: FiberedOperator          # the base fiber under the gauge's phase table
+    field: FiberedOperator          # t0 under the gauge's phase table
     base_transform: ZTransform      # w, the transform of the base fiber
     deviations: np.ndarray
 
@@ -514,19 +512,18 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     of ``pi -> U_pi S U_pi*`` over probe compacts has to drop by roughly half
     when the grid step does, else :class:`GaugeNotContinuous` is raised.
 
-    The field holds the one base fiber under ``U``'s phase table, so no
-    per-point matrix is built until a caller reads one.
+    The field holds ``t0`` itself under ``U``'s phase table, so no dense
+    fiber is built until a caller reads one.
     """
     if not U.base_point_identity:
         raise ValueError("gauge extension needs the base-point identity gauge")
-    base = t0.as_domained()
     w = grid_transform(t0)
     if w.density_gap <= tol_gap:
         raise NotDense("base operator is not regular at this resolution")
 
     devs = _increment_deviations(U.phases, w.z)
     _gauge_continuity_check(U, w.z, devs)
-    field = FiberedOperator(U.pi_grid, [base] * len(U), phases=U.phases)
+    field = FiberedOperator(U.pi_grid, [t0] * len(U), phases=U.phases)
     return GaugeExtensionResult(field=field, base_transform=w, deviations=devs)
 
 
@@ -686,14 +683,15 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
         S = S._on_same_index(S.distinct_fibers, phases)
 
+    s_dense = [_dense(f) for f in S.distinct_fibers]
+    t_dense = [_dense(f) for f in T.distinct_fibers]
     if _same_phases(S.phases, T.phases):
         pairs = list(zip(S.index_map, T.index_map))
-        decided = {(a, b): graph_inclusion(S.distinct_fibers[a],
-                                           T.distinct_fibers[b], tol)
+        decided = {(a, b): graph_inclusion(s_dense[a], t_dense[b], tol)
                    for a, b in dict.fromkeys(pairs)}
         results = [decided[pair] for pair in pairs]
     else:
-        results = [graph_inclusion(S.fiber(i), T.fiber(i), tol)
+        results = [graph_inclusion(S._at(s_dense, i), T._at(t_dense, i), tol)
                    for i in range(S.n_fibers)]
     rows = [(float(pi), res.included, res.residual)
             for pi, res in zip(S.pi_grid, results)]
@@ -708,7 +706,8 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
                     and graph_inclusion(st, tt, tol).included
                     and tt.same_domain(tf, tol) and graph_inclusion(tf, tt, tol).included
                     for sf, st, tt, tf
-                    in zip(S.fibers, s_tilde.fibers, t_tilde.fibers, T.fibers))
+                    in zip(S.per_point(s_dense), s_tilde.fibers, t_tilde.fibers,
+                           T.per_point(t_dense)))
     return ExtensionReport(rows=rows, included=not failing,
                            tilde_chain_ok=chain, failing=failing)
 

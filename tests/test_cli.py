@@ -422,3 +422,24 @@ def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
     assert main(["density-check", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("phi-roundtrip", "[algebra]\nlabels = a b\ndims = 2 2\nrows = 3\n",
+     "need one row dimension per label"),
+    ("density-check", "[algebra]\nlabels = p0 p1\ndims = 2 2\n\n[element e]\n"
+                      "p0 = 1 0 ; 0 1\np1 = 1 0 0 ; 0 1 0\n",
+     "fiber 'p1' must be 2x2, got (2, 3)"),
+    ("zfield", "[algebra]\nlabels = a b\ndims = 2 2\n\n[operator]\nkind = symbol\n"
+               "element = s\n\n[element s]\na = 1 0 ; 0 1\n",
+     "fibers must provide every label exactly once")])
+def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, message):
+    # exit 1 is a certified negative result, so a spec whose module or
+    # element cannot be built must not reach it
+    path = write(tmp_path, spec)
+    with pytest.raises(MalformedSpec, match=re.escape(message)):
+        run(config_from_sections(command, parse_spec_file(path)))
+    out = tmp_path / "never.txt"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()

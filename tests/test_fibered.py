@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import modops.fibered as fibered
 
 from modops.algebra import AlgebraElement, FiberIndex
+from modops.cli import RunConfig, run
 from modops.diffops import MAXIMAL, MINIMAL, PERIODIC, BoundaryTag, GridOperator
 from modops.errors import DomainViolation, GaugeNotContinuous, GridTooCoarse
 from modops.fibered import (
@@ -44,10 +45,10 @@ def random_symbol(rng, index):
 # ------------------------------------------------------------- construction
 def test_counterexample_tags_and_identical_bulk():
     t = build_counterexample_t(6, N_X)
-    assert t.tags[0] == MINIMAL
-    assert all(tag == PERIODIC for tag in t.tags[1:])
-    for op in t.grid_ops[2:]:
-        assert op is t.grid_ops[1]          # one shared bulk operator
+    tags = [t.distinct_fibers[k].tag for k in t.index_map]
+    assert tags[0] == MINIMAL
+    assert all(tag == PERIODIC for tag in tags[1:])
+    assert t.index_map == (0, 1, 1, 1, 1, 1)    # one shared bulk operator
     assert t.pi_grid[0] == 0.0
 
 
@@ -145,6 +146,7 @@ def test_gauged_field_operations_match_their_dense_fibers():
     g = _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)
     F = gauge_extension(GridOperator(n_x, PERIODIC),
                         GaugeField.from_phase_samples(grid, g)).field
+    assert F.distinct_fibers == (GridOperator(n_x, PERIODIC),)
     dense = list(F.fibers)
     rep = zfield(F)
     transforms, profile, flagged = reference_zfield(dense)
@@ -175,7 +177,7 @@ def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
     rep = zfield(t)
     assert len(calls) == 2 and len(rep.transforms) == 8
     assert rep.transforms[2] is rep.transforms[7]
-    # the adjoint field's fresh periodic operators become one fiber
+    # the adjoint field's periodic operators are one fiber
     calls.clear()
     zfield(adjoint_field(t))
     assert len(calls) == 1
@@ -215,11 +217,46 @@ def test_from_grid_operators_shares_equal_operators():
                                                 for _ in range(4)]
     F = FiberedOperator.from_grid_operators(np.linspace(0, 1, 5), ops)
     assert len(F.distinct_fibers) == 2 and F.index_map == (0, 1, 1, 1, 1)
-    assert F.fibers[1] is F.fibers[4]
-    assert F.grid_ops == ops and F.tags == [op.tag for op in ops]
+    assert [F.distinct_fibers[k] for k in F.index_map] == ops
+    fs = F.fibers                       # one read: equal points, one object
+    assert fs[1] is fs[4] and fs[0] is not fs[1]
     twisted = [GridOperator(48, PERIODIC), GridOperator(48, BoundaryTag.twisted(0.0))]
     G = FiberedOperator.from_grid_operators([0.0, 1.0], twisted)
     assert len(G.distinct_fibers) == 2
+
+
+@pytest.fixture
+def as_domained_calls(monkeypatch):
+    """Tags of the grid operators whose dense fiber is built, in call order."""
+    calls = []
+    build = GridOperator.as_domained
+
+    def counted(op):
+        calls.append(op.tag.kind)
+        return build(op)
+
+    monkeypatch.setattr(GridOperator, "as_domained", counted)
+    return calls
+
+
+def test_grid_fields_build_dense_fibers_only_where_read(as_domained_calls, tmp_path):
+    t = build_counterexample_t(8, 64)
+    adjoint_field(t)
+    gauge_extension(GridOperator(64, PERIODIC),
+                    GaugeField.linear_phase(np.linspace(0, 1, 8), 64))
+    assert as_domained_calls == []
+    # one read of the fibers builds each distinct fiber once
+    t.fibers
+    assert as_domained_calls == ["minimal", "periodic"]
+    # certify-nonregular builds only the minimal fiber, for its dense transform
+    as_domained_calls.clear()
+    run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
+                  output_path=str(tmp_path / "c.txt")))
+    assert as_domained_calls == ["minimal"]
+    # extend builds the distinct fibers of its two fields once each
+    as_domained_calls.clear()
+    run(RunConfig("extend", n_x=64, n_pi=8, output_path=str(tmp_path / "e.txt")))
+    assert sorted(as_domained_calls) == ["minimal", "periodic", "periodic"]
 
 
 def test_zfield_adjoint_of_counterexample_is_flat():
@@ -232,10 +269,10 @@ def test_zfield_adjoint_of_counterexample_is_flat():
 def test_adjoint_field_tags_periodic_everywhere():
     t = build_counterexample_t(5, N_X)
     adj = adjoint_field(t)
-    assert all(tag == PERIODIC for tag in adj.tags)
+    assert all(adj.distinct_fibers[k].tag == PERIODIC for k in adj.index_map)
     # adjoint of an all-periodic field stays all-periodic
     again = adjoint_field(adj)
-    assert all(tag == PERIODIC for tag in again.tags)
+    assert all(again.distinct_fibers[k].tag == PERIODIC for k in again.index_map)
 
 
 def test_adjoint_field_algebra_backed_is_fiberwise_graph_adjoint():
@@ -415,14 +452,6 @@ def test_gauge_gates_fail_on_non_finite_entries(bad):
         GaugeField.from_phase_samples(grid, samples)
 
 
-def test_gauge_from_phase_samples_records_twists():
-    grid = np.linspace(0, 1, 5)
-    x = np.linspace(0, 1, N_X + 1)
-    g = np.outer(grid, x ** 2)
-    gauge = GaugeField.from_phase_samples(grid, g)
-    assert gauge.twists == pytest.approx(list(grid))
-
-
 def test_gauge_extension_identity_gauge_constant_field():
     grid = np.linspace(0, 1, 5)
     res = gauge_extension(GridOperator(N_X, PERIODIC),
@@ -486,7 +515,7 @@ def test_general_gauge_twist_phase_matches_endpoint_difference():
     gauge = GaugeField.from_phase_samples(grid, g)
     res = gauge_extension(GridOperator(n, PERIODIC), gauge)
     for i, fiber in enumerate(res.field.fibers):
-        theta = gauge.twists[i]
+        theta = g[i, -1] - g[i, 0]
         tw = GridOperator(n, BoundaryTag.twisted(theta))
         # twist constraint annihilates the gauge-built domain
         C = tw.constraint_matrix()
