@@ -60,6 +60,28 @@ def hermitian_sqrt(m, inverse=False, floor=0.0):
     return eigh_sqrt(m, inverse, floor)[0]
 
 
+def complement_eigh(d, b):
+    """Eigenpairs of ``diag(d)`` compressed to the orthogonal complement of
+    the real unit vector ``b`` (length ``m >= 2``): ascending ``mu`` and an
+    ``m x (m - 1)`` matrix ``Y`` with orthonormal columns orthogonal to ``b``
+    such that ``(1 - b b^T) diag(d) Y = Y diag(mu)``.
+
+    The reflector ``H = 1 - beta v v^T`` with ``v = b + sign(b_m) e_m``
+    maps ``b`` onto the last axis, so its first ``m - 1`` columns span the
+    complement, and ``H diag(d) H`` is a rank-two update of ``diag(d)``:
+    one ``eigh`` of size ``m - 1`` runs.
+    """
+    d, b = np.asarray(d, dtype=float), np.asarray(b, dtype=float)
+    v = b.copy()
+    v[-1] += np.copysign(1.0, b[-1])
+    beta = 2.0 / (v @ v)
+    dv = d * v
+    hdh = (np.diag(d) - beta * (np.outer(v, dv) + np.outer(dv, v))
+           + beta ** 2 * (v @ dv) * np.outer(v, v))
+    mu, w = np.linalg.eigh(hdh[:-1, :-1])
+    return mu, np.vstack([w, np.zeros(w.shape[1])]) - beta * np.outer(v, v[:-1] @ w)
+
+
 @dataclass(frozen=True)
 class FiberIndex:
     """Ordered finite set of fiber labels with a matrix dimension per label."""

@@ -37,6 +37,7 @@ from .fibered import (
     extension_inclusion_check,
     gauge_extension,
     zfield,
+    zfields,
 )
 from .operators import orthonormal_frame
 from .tolerances import TOL_GRAPH
@@ -52,26 +53,42 @@ _SECTION_KEYS = {
 }
 
 
-# dense (n_x + 1)^2 complex matrices a grid command keeps alive at once, as
+# dense (n_x + 1)^2 complex matrices a grid pipeline keeps alive at once, as
 # (per base point, fixed), counted low from the code; a request whose count
 # cannot fit in physical memory is refused before anything is allocated
 _DENSE_MATRICES = {
     # GridOperator.reduced: grid matrix, weighted action, its row-scaled copy
     "kernel-cert": (0, 3),
-    # the minimal fiber's dense transform, the one fiber built: the
-    # counterexample's 2 grid matrices, the fiber's action and frame, B, 1 +
-    # B*B, and its eigenvectors v, v / sqrt(lam) and v* while they multiply
-    "certify-nonregular": (0, 9),
-    # a tags field with one periodic fiber, in closed form while its reduced
-    # matrix is sliced: grid matrix, weighted action, its two scaled copies
-    "zfield": (0, 4),
+    # both fibers in closed form, the minimal one first; while the periodic
+    # one's matrix is folded and checked: the counterexample's 2 grid
+    # matrices, the minimal fiber's transform, and 3 at once (weighted
+    # action, its scaled copy and the fold; or T0, its circulant and their
+    # difference)
+    "certify-nonregular": (0, 6),
+    "zfield counterexample": (0, 6),
+    # a tags field of periodic and twisted fibers, in closed form while its
+    # reduced matrix is sliced: grid matrix, weighted action, its two
+    # scaled copies
+    "zfield tags": (0, 4),
+    # a tags field with a one-sided minimal or maximal fiber, whose dense
+    # transform is the peak: its grid matrix, the fiber's action and frame,
+    # B, 1 + B*B, and its eigenvectors v, v / sqrt(lam) and v* while they
+    # multiply
+    "zfield one-sided tags": (0, 8),
     # no per-point matrix: the gauged fields are phase tables over their
     # grid fibers; while a row inclusion runs: t0's matrix and transform,
-    # the counterexample's 2 grid matrices, the 3 distinct fibers built
-    # dense (action, frame), and graph_inclusion's membership residual and
-    # both actions on the frame of S
-    "extend": (0, 13),
+    # the counterexample's 2 grid matrices, its 2 distinct fibers built
+    # dense (action, frame; the gauged field's base equals its periodic
+    # fiber), and graph_inclusion's membership residual and both actions on
+    # the frame of S
+    "extend": (0, 11),
 }
+
+# smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
+# at n_x // 2, and a kernel certificate needs 32 steps, as does the
+# counterexample field; every other grid pipeline serves the range's 8
+_MIN_N_X = {"kernel-cert": 64, "certify-nonregular": 64, "extend": 32,
+            "zfield counterexample": 32}
 
 
 def _physical_memory():
@@ -114,14 +131,30 @@ class RunConfig:
             raise MalformedSpec(f"modulus = {self.modulus} must be finite and >= 0")
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
-        self._check_memory()
+        pipeline = self._grid_pipeline()
+        if pipeline is None:
+            return                      # no grid: n_x is never read
+        low = _MIN_N_X.get(pipeline, 0)
+        if self.n_x < low:
+            raise MalformedSpec(f"{pipeline} needs n_x >= {low}, got {self.n_x}")
+        self._check_memory(pipeline)
 
-    def _check_memory(self):
+    def _grid_pipeline(self):
+        """The key of this run in ``_DENSE_MATRICES``, or None when it reads
+        no grid; a zfield run is keyed by what its field's fibers are."""
+        if self.command != "zfield":
+            return self.command if self.command in _DENSE_MATRICES else None
+        if self.operator_kind == "symbol":
+            return None
+        if self.operator_kind != "tags":
+            return "zfield counterexample"
+        if any(t.kind in ("minimal", "maximal") for t in self.operator_tags or ()):
+            return "zfield one-sided tags"
+        return "zfield tags"
+
+    def _check_memory(self, pipeline):
         """Refuse a grid whose dense matrices cannot fit in physical memory."""
-        symbol_zfield = self.command == "zfield" and self.operator_kind == "symbol"
-        if self.command not in _DENSE_MATRICES or symbol_zfield:
-            return                      # no grid: the command never reads n_x
-        per_point, fixed = _DENSE_MATRICES[self.command]
+        per_point, fixed = _DENSE_MATRICES[pipeline]
         k = per_point * self.n_pi + fixed
         need, have = 16 * (self.n_x + 1) ** 2 * k, _physical_memory()
         if need > have:
@@ -379,9 +412,8 @@ def run_kernel_cert(cfg: RunConfig, report: Report):
 
 def _counterexample_profile(cfg: RunConfig):
     t = build_counterexample_t(cfg.n_pi, cfg.n_x)
-    zrep = zfield(t)
-    adj = adjoint_field(t)
-    arep = zfield(adj)
+    # the adjoint field's periodic fibers equal t's: transformed once
+    zrep, arep = zfields(t, adjoint_field(t))
     return t, zrep, arep
 
 

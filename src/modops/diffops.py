@@ -11,7 +11,10 @@ penalties would distort spectra.
 The reduced periodic matrix is moreover circulant, so the DFT diagonalizes
 it: its bounded transform, complement floor and Fourier spectrum come from
 an FFT of its first column once that structure is checked, and a twisted
-operator is the periodic one conjugated by a diagonal phase.
+operator is the periodic one conjugated by a diagonal phase.  The wrap-style
+minimal operator is the periodic matrix on the subspace without the seam
+coordinate, so its transform deflates to one symmetric eigenproblem of
+about n/4 secular roots.
 """
 from __future__ import annotations
 
@@ -19,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import complement_eigh
 from .errors import GridTooCoarse, NotCirculant, SingularResolvent, UnexpectedKernelDim
 from .operators import DomainedOperator, ZTransform, z_transform
-from .tolerances import CIRCULANT_MATCH, KERNEL_GAP, RESOLVENT_COND_MAX
+from .tolerances import (
+    CIRCULANT_MATCH,
+    KERNEL_GAP,
+    RESOLVENT_COND_MAX,
+    SPECTRUM_GROUP_MATCH,
+)
 
 __all__ = [
     "BoundaryTag",
@@ -37,6 +46,7 @@ __all__ = [
     "kernel_certificate",
     "periodic_spectrum",
     "periodic_complement_floor",
+    "transform_jump",
     "trapezoid_weights",
 ]
 
@@ -257,8 +267,9 @@ class GridOperator:
         return F
 
     def _row_weights(self):
-        """The one nonzero entry of each row of a periodic or twisted frame:
-        row ``a`` holds ``f[a]`` in column ``a``, rows 0 and n in column 0."""
+        """The one nonzero entry of each row of the seam frame: the frame of
+        a periodic or twisted tag, and the periodic frame for the others.
+        Row ``a`` holds ``f[a]`` in column ``a``, rows 0 and n in column 0."""
         f = np.ones(self.n + 1, dtype=complex)
         f[0] = f[-1] = 1.0 / np.sqrt(2.0)
         if self.tag.kind == "twisted":
@@ -289,11 +300,17 @@ class GridOperator:
         every frame column is a unit vector, except the seam column of the
         periodic and twisted tags, whose two endpoint rows fold into index 0.
         """
-        A, n = self.weighted_action(), self.n
         if self.tag.kind == "maximal":
-            return A
+            return self.weighted_action()
         if self.tag.kind == "minimal":
-            return A[1:n, 1:n].copy()
+            return self.weighted_action()[1:self.n, 1:self.n].copy()
+        return self._folded()
+
+    def _folded(self):
+        """``F* A F`` for the seam frame ``F`` of :meth:`_row_weights`: the
+        reduced matrix of a periodic or twisted operator, and of a minimal
+        one on the periodic subspace."""
+        A, n = self.weighted_action(), self.n
         f = self._row_weights()
         M = (f.conj()[:, None] * A) * f[None, :]
         T0 = M[:n, :n].copy()
@@ -303,11 +320,14 @@ class GridOperator:
         return T0
 
     def _embedded(self, X):
-        """``F X F*`` for this periodic or twisted operator's frame ``F``,
-        by indexing: the inverse of the folding in :meth:`reduced`."""
+        """``F X F*`` for the seam frame ``F`` of :meth:`_row_weights`, by
+        indexing: the inverse of :meth:`_folded`."""
         rows = np.r_[0:self.n, 0]
         f = self._row_weights()
-        return (f[:, None] * X[np.ix_(rows, rows)]) * f.conj()[None, :]
+        out = X[np.ix_(rows, rows)]
+        out *= f[:, None]
+        out *= f.conj()[None, :]
+        return out
 
     def apply(self, f: GridFunction) -> GridFunction:
         if f.n != self.n:
@@ -372,20 +392,106 @@ def _periodic_eigenvalues(n):
     return lam
 
 
-def _circulant_transform(op: GridOperator):
-    """Closed-form transform of a wrap-style periodic operator, or None when
-    its reduced matrix fails the checks of :func:`circulant_eigenvalues` or
-    its seam rows differ."""
-    lam = circulant_eigenvalues(op.reduced())
+def _checked_symbol(op: GridOperator):
+    """:func:`circulant_eigenvalues` of a wrap-style operator's matrix folded
+    onto the periodic or twisted subspace, or None when they fail their
+    checks or its seam rows differ."""
+    lam = circulant_eigenvalues(op._folded())
     # equal rows 0 and n map the domain into itself, so B = F T0
     if lam is None or not np.array_equal(op.matrix[0], op.matrix[op.n]):
         return None
-    resolvent = 1.0 + lam ** 2
-    cond = resolvent.max() / resolvent.min()
+    return lam
+
+
+def _resolvent_gap(eigenvalues):
+    """Density gap ``1 / max`` of the eigenvalues of ``1 + B*B``, behind the
+    condition gate of :func:`z_transform`."""
+    top = float(eigenvalues.max())
+    cond = top / eigenvalues.min()
     if cond > RESOLVENT_COND_MAX:
         raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
+    return 1.0 / top
+
+
+def _circulant_transform(op: GridOperator):
+    """Closed-form transform of a wrap-style periodic operator, or None when
+    :func:`_checked_symbol` refuses it."""
+    lam = _checked_symbol(op)
+    if lam is None:
+        return None
+    resolvent = 1.0 + lam ** 2
+    gap = _resolvent_gap(resolvent)
     z0 = _circulant(np.fft.ifft(lam / np.sqrt(resolvent)))
-    return ZTransform._exact(op._embedded(z0), 1.0 / float(resolvent.max()))
+    return ZTransform._exact(op._embedded(z0), gap)
+
+
+def _pole_labels(d):
+    """Group label of each entry of ``d``: entries within
+    ``SPECTRUM_GROUP_MATCH * max d`` of each other share one, and the labels
+    count the groups in ascending order of their values."""
+    order = np.argsort(d, kind="stable")
+    split = np.diff(d[order]) > SPECTRUM_GROUP_MATCH * d[order[-1]]
+    labels = np.empty(d.size, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(split)])
+    return labels
+
+
+class _DeflatedTransform(ZTransform):
+    """The transform of a wrap-style minimal operator assembled from its
+    deflated core.  It keeps the operator's ``matrix`` and ``jump_core =
+    diag(sqrt(d_g - 1)) G``, whose 2-norm is the distance to the transform
+    of the periodic operator with that matrix."""
+
+    __slots__ = ("matrix", "jump_core")
+
+
+def _deflated_transform(op: GridOperator):
+    """Closed-form transform of a wrap-style minimal operator, or None when
+    :func:`_checked_symbol` refuses it.
+
+    With the periodic frame ``F_p``, the matrix folded onto it is a checked
+    circulant ``T0 = V diag(lam) V*`` (``V`` the unitary DFT), and equal seam
+    rows make the restricted action ``B = F_p T0[:, 1:]``: the minimal frame
+    is ``F_p`` without its seam column.  So ``1 + B*B`` is
+    ``C = V diag(d) V*``, ``d = 1 + lam^2``, with index 0 deleted, and
+    ``V* e_0`` has every entry ``1/sqrt(n)``.  Group the equal ``d`` into
+    ``m`` poles ``d_g``; inside a group every eigenvector orthogonal to
+    ``e_0`` keeps its eigenvalue (Bunch, Nielsen & Sorensen, Numer. Math. 31,
+    1978), and the rest is ``diag(d_g)`` compressed to the complement of
+    ``b_g = sqrt(|g| / n)``, whose eigenvalues ``mu`` solve the secular
+    equation (Golub, SIAM Review 15, 1973).  With the group indicators
+    ``S[k, g] = 1/sqrt(|g|)`` and the compression's eigenvectors ``Y``,
+
+        (1 + B*B)^{-1/2} = V (diag(d^{-1/2}) + S G S^T) V*,
+        G = Y diag(mu^{-1/2}) Y^T - diag(d_g^{-1/2}),
+
+    on the complement of ``e_0``; extended by 0 on ``e_0`` it is an ``X``
+    with ``X e_0 = 0``, and the transform is ``F_p T0 X F_p*``, built by
+    FFTs.  The eigenvalues of
+    ``1 + B*B`` are the ``mu`` and the deflated ``d_g``, which fix the gap
+    and the condition gate.  Since ``S^T diag(lam^2) S = diag(d_g - 1)``,
+    the distance to the periodic transform ``F_p V diag(lam / sqrt(d)) V*
+    F_p*`` is ``||diag(sqrt(d_g - 1)) G||_2``.
+    """
+    lam = _checked_symbol(op)
+    if lam is None:
+        return None
+    labels = _pole_labels(1.0 + lam ** 2)
+    sizes = np.bincount(labels)
+    lam2 = np.bincount(labels, weights=lam ** 2) / sizes
+    d = 1.0 + lam2
+    mu, y = complement_eigh(d, np.sqrt(sizes / op.n))
+    gap = _resolvent_gap(np.concatenate([mu, d[sizes > 1]]))
+    g = (y / np.sqrt(mu)) @ y.T - np.diag(1.0 / np.sqrt(d))
+    s = 1.0 / np.sqrt(sizes)[labels]
+    r = s[:, None] * g[np.ix_(labels, labels)] * s[None, :]
+    r[np.diag_indices(op.n)] += 1.0 / np.sqrt(d)[labels]
+    # V M V* for any M: an FFT along the rows, an inverse FFT down the columns
+    z0 = np.fft.ifft(np.fft.fft(lam[:, None] * r, axis=1), axis=0)
+    z0[:, 0] = 0.0              # X e_0 = 0 up to roundoff, exactly here
+    zt = _DeflatedTransform._exact(op._embedded(z0), gap)
+    zt.matrix, zt.jump_core = op.matrix, np.sqrt(lam2)[:, None] * g
+    return zt
 
 
 def grid_transform(op: GridOperator) -> ZTransform:
@@ -400,15 +506,41 @@ def grid_transform(op: GridOperator) -> ZTransform:
     no factorization runs, and the condition gate of ``z_transform`` applies
     to ``(1 + max lam^2) / (1 + min lam^2)``.  A twisted operator is the
     periodic one conjugated by ``u = e^{i theta x}``, and so is its
-    transform.  Every other operator, and one whose circulant checks fail,
-    takes the dense ``z_transform``.
+    transform.  A wrap-style minimal operator is the periodic matrix on a
+    smaller domain, and its transform comes from one ``eigh`` of size about
+    ``n / 4`` (:func:`_deflated_transform`).  Every other operator, and one
+    whose checks fail, takes the dense ``z_transform``.
     """
-    if op.tag.kind in ("periodic", "twisted") and op.action_style == "wrap":
-        twisted = op.tag.kind == "twisted"
-        zt = _circulant_transform(GridOperator(op.n, PERIODIC) if twisted else op)
+    if op.action_style == "wrap":
+        if op.tag.kind == "twisted":
+            zt = _circulant_transform(GridOperator(op.n, PERIODIC))
+            if zt is not None:
+                zt = zt._phase_rotated(_twist_phases(op.n, op.tag.theta))
+        elif op.tag.kind == "minimal":
+            zt = _deflated_transform(op)
+        else:
+            zt = _circulant_transform(op)
         if zt is not None:
-            return zt._phase_rotated(_twist_phases(op.n, op.tag.theta)) if twisted else zt
+            return zt
     return z_transform(op.as_domained())
+
+
+def transform_jump(a, za: ZTransform, b, zb: ZTransform) -> float:
+    """``||zb.z - za.z||_2`` for the transforms ``za``, ``zb`` of the fibers
+    ``a``, ``b``, as :func:`grid_transform` or ``z_transform`` gives them.
+
+    When one transform is a wrap-style minimal operator's closed form and
+    the other fiber the periodic operator of the same matrix, whose
+    transform is then the circulant closed form, the norm is read off the
+    deflated core, an ``m x m`` matrix; any other pair takes the dense
+    2-norm.
+    """
+    for zm, p in ((za, b), (zb, a)):
+        if (isinstance(zm, _DeflatedTransform) and isinstance(p, GridOperator)
+                and p.tag == PERIODIC and p.action_style == "wrap"
+                and np.array_equal(p.matrix, zm.matrix)):
+            return float(np.linalg.norm(zm.jump_core, 2))
+    return float(np.linalg.norm(zb.z - za.z, 2))
 
 
 @dataclass

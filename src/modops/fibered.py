@@ -25,6 +25,7 @@ from .diffops import (
     BoundaryTag,
     GridOperator,
     grid_transform,
+    transform_jump,
     trapezoid_weights,
 )
 from .errors import (
@@ -59,6 +60,7 @@ __all__ = [
     "build_counterexample_t",
     "adjoint_field",
     "zfield",
+    "zfields",
     "fiber_identity_check",
     "tilde_extension",
     "gauge_extension",
@@ -385,13 +387,30 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     transformed once, and adjacent points sharing a fiber deviate by 0; a
     gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
     A grid fiber is transformed by :func:`grid_transform`, in closed form
-    where it is periodic or twisted.
+    where it is periodic, twisted or wrap-style minimal, and the jump from a
+    wrap-style minimal fiber to the periodic one comes from the same closed
+    form (:func:`transform_jump`).
     """
-    per_fiber = [grid_transform(f) if isinstance(f, GridOperator) else z_transform(f)
-                 for f in F.distinct_fibers]
+    return zfields(F)[0]
+
+
+def zfields(*fields: FiberedOperator) -> list:
+    """:func:`zfield` of each field, every distinct fiber among them
+    transformed once: grid fibers compare by value, other fibers by
+    identity."""
+    distinct = dict.fromkeys(f for F in fields for f in F.distinct_fibers)
+    built = {f: grid_transform(f) if isinstance(f, GridOperator) else z_transform(f)
+             for f in distinct}
+    return [_zfield_report(F, [built[f] for f in F.distinct_fibers]) for F in fields]
+
+
+def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
+    """The report of ``F`` from the transforms of its distinct fibers."""
     transforms = F.per_point(per_fiber)
-    profile = np.asarray([0.0 if a is b else np.linalg.norm(b.z - a.z, 2)
-                          for a, b in zip(transforms, transforms[1:])])
+    fibers = [F.distinct_fibers[k] for k in F.index_map]
+    profile = np.asarray([0.0 if za is zb else transform_jump(a, za, b, zb)
+                          for a, za, b, zb in zip(fibers, transforms,
+                                                  fibers[1:], transforms[1:])])
     med = float(np.median(profile)) if profile.size else 0.0
     flagged = [i for i, d in enumerate(profile)
                if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
@@ -683,8 +702,11 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
         S = S._on_same_index(S.distinct_fibers, phases)
 
-    s_dense = [_dense(f) for f in S.distinct_fibers]
-    t_dense = [_dense(f) for f in T.distinct_fibers]
+    # one dense build per fiber value: grid operators compare by value
+    distinct = dict.fromkeys(S.distinct_fibers + T.distinct_fibers)
+    dense = {f: _dense(f) for f in distinct}
+    s_dense = [dense[f] for f in S.distinct_fibers]
+    t_dense = [dense[f] for f in T.distinct_fibers]
     if _same_phases(S.phases, T.phases):
         pairs = list(zip(S.index_map, T.index_map))
         decided = {(a, b): graph_inclusion(s_dense[a], t_dense[b], tol)

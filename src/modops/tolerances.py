@@ -46,3 +46,9 @@ GAUGE_INCREMENT_MATCH = 16 * sys.float_info.epsilon
 # within CIRCULANT_MATCH * max|c| of its shifted first column c and each
 # fft(c) within CIRCULANT_MATCH * sum|c| of the real axis, a few ulps
 CIRCULANT_MATCH = 16 * sys.float_info.epsilon
+
+# two eigenvalues d of 1 + T0^2 for a circulant T0 count as one pole of the
+# secular equation when they differ by at most SPECTRUM_GROUP_MATCH * max d;
+# mathematically equal ones differ by a few ulps of max d, distinct ones on
+# the periodic grid by more than 1e-8 of it up to n = 20000
+SPECTRUM_GROUP_MATCH = 64 * sys.float_info.epsilon

@@ -8,6 +8,7 @@ from modops.algebra import (
     AlgebraElement,
     FiberIndex,
     ModuleVector,
+    complement_eigh,
     ideal_density_check,
     localize,
     multiplier_symbol_extract,
@@ -232,3 +233,21 @@ def test_symbol_extraction_rejects_non_multiplier():
     perm = np.roll(np.eye(3), 1, axis=0)  # cyclic shift is not a multiplier
     with pytest.raises(NotMultiplication):
         multiplier_symbol_extract(DomainedOperator.full(perm), idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 12), flip=st.booleans())
+def test_complement_eigh_matches_the_dense_compression(seed, m, flip):
+    rng = np.random.default_rng(seed)
+    d = np.sort(rng.uniform(1.0, 50.0, m))
+    b = rng.uniform(0.1, 1.0, m)
+    b *= (-1.0 if flip else 1.0) / np.linalg.norm(b)
+    mu, y = complement_eigh(d, b)
+    assert mu.shape == (m - 1,) and y.shape == (m, m - 1)
+    assert_allclose(y.T @ y, np.eye(m - 1), rtol=0, atol=1e-13)
+    assert_allclose(b @ y, 0.0, rtol=0, atol=1e-13)
+    p = np.eye(m) - np.outer(b, b)
+    assert_allclose(p @ (d[:, None] * y), y * mu, rtol=0, atol=1e-12)
+    # the compression's spectrum, less the zero of the b direction
+    dense = np.linalg.eigvalsh(p @ np.diag(d) @ p)
+    assert_allclose(mu, np.delete(dense, np.argmin(np.abs(dense))), rtol=1e-12, atol=0)

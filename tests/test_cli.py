@@ -90,20 +90,48 @@ def test_extend_refuses_a_grid_too_large_to_hold(capsys):
     assert main(["extend", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: n_x = 20000 needs at least ")
-    assert "GB for 13 dense 20001x20001 complex matrices" in err
+    assert "GB for 11 dense 20001x20001 complex matrices" in err
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=400)            # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    RunConfig("extend", n_x=400)            # 13 matrices of 401x401 take 33 MB
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.8 GB for 13 dense"):
+    RunConfig("extend", n_x=400)            # 11 matrices of 401x401 take 28 MB
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.7 GB for 11 dense"):
         RunConfig("extend", n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
         RunConfig("extend", n_x=2000, operator_kind="symbol")   # extend ignores it
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel-cert", "--n-x", "63"], "kernel-cert needs n_x >= 64, got 63"),
+    (["certify-nonregular", "--n-x", "32"], "certify-nonregular needs n_x >= 64, got 32"),
+    (["extend", "--n-x", "31"], "extend needs n_x >= 32, got 31"),
+    (["zfield", "--n-x", "16"], "zfield counterexample needs n_x >= 32, got 16")])
+def test_grids_a_pipeline_cannot_serve_exit_2(tmp_path, capsys, argv, message):
+    # refused when the config is built, before any work
+    with pytest.raises(MalformedSpec, match=re.escape(message)):
+        config_from_sections(argv[0], {}, n_x=int(argv[2]))
+    out = tmp_path / "never.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_smallest_grids_a_pipeline_serves(tmp_path):
+    for command, n_x, status in (("kernel-cert", 64, 0), ("certify-nonregular", 64, 1),
+                                 ("extend", 32, 0), ("zfield", 32, 0)):
+        cfg = RunConfig(command, n_x=n_x, n_pi=5, output_path=str(tmp_path / "r.txt"))
+        assert run(cfg)[0] == status
+    # a tags field has no such floor, nor a field that reads no grid
+    tags = RunConfig("zfield", n_x=8, operator_kind="tags",
+                     operator_tags=("minimal", "periodic"),
+                     output_path=str(tmp_path / "t.txt"))
+    assert run(tags)[0] == 0
+    RunConfig("zfield", n_x=8, operator_kind="symbol")
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -155,13 +183,17 @@ def test_bad_phase_samples_exit_2(tmp_path, capsys, entry, message):
 
 @pytest.mark.parametrize("command, extra", [
     ("kernel-cert", {}), ("certify-nonregular", {}), ("extend", {}),
-    ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic",)})])
+    ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic",)}),
+    ("zfield", {}),
+    ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic", "twisted:0.5")}),
+    ("zfield", {"operator_kind": "tags", "operator_tags": ("minimal",)}),
+    ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic", "maximal")})])
 def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     # the gate's estimate never exceeds the memory the pipeline really takes
     n_x, n_pi = 64, 5
     cfg = RunConfig(command, n_x=n_x, n_pi=n_pi, output_path=str(tmp_path / "r.txt"),
                     **extra)
-    per_point, fixed = cli._DENSE_MATRICES[command]
+    per_point, fixed = cli._DENSE_MATRICES[cfg._grid_pipeline()]
     tracemalloc.start()
     try:
         run(cfg)
@@ -169,6 +201,18 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     finally:
         tracemalloc.stop()
     assert peak >= 16 * (n_x + 1) ** 2 * (per_point * n_pi + fixed)
+
+
+def test_zfield_is_gated_by_its_fibers():
+    def pipeline(**extra):
+        return RunConfig("zfield", n_x=64, **extra)._grid_pipeline()
+    assert pipeline() == "zfield counterexample"
+    assert pipeline(operator_kind="tags", operator_tags=("periodic", "twisted:1")) \
+        == "zfield tags"
+    for tag in ("minimal", "maximal"):
+        assert pipeline(operator_kind="tags", operator_tags=("periodic", tag)) \
+            == "zfield one-sided tags"
+    assert pipeline(operator_kind="symbol") is None
 
 
 # ---------------------------------------------------------------- pipelines

@@ -18,6 +18,7 @@ from modops.diffops import (
     kernel_certificate,
     periodic_complement_floor,
     periodic_spectrum,
+    transform_jump,
     trapezoid_weights,
 )
 from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
@@ -417,8 +418,9 @@ def test_circulant_checks_refuse_other_matrices():
     assert circulant_eigenvalues(_matmul_reduced(GridOperator(64, MINIMAL))) is None
 
 
-@pytest.mark.parametrize("tag, style", [(MINIMAL, "wrap"), (MINIMAL, None),
-                                        (MAXIMAL, None), (PERIODIC, "onesided")])
+@pytest.mark.parametrize("tag, style", [(MINIMAL, None), (MAXIMAL, None),
+                                        (PERIODIC, "onesided")],
+                         ids=["tag1-None", "tag2-None", "tag3-onesided"])
 def test_non_circulant_fibers_take_the_dense_transform(linalg_calls, tag, style):
     op = GridOperator(64, tag, style)
     zt = grid_transform(op)
@@ -428,11 +430,11 @@ def test_non_circulant_fibers_take_the_dense_transform(linalg_calls, tag, style)
     assert zt.density_gap == dense.density_gap
 
 
-@pytest.mark.parametrize("tag", [PERIODIC, BoundaryTag.twisted(1.1)])
+@pytest.mark.parametrize("tag", [PERIODIC, BoundaryTag.twisted(1.1), MINIMAL])
 def test_failed_circulant_check_falls_back_to_the_dense_transform(
         monkeypatch, linalg_calls, tag):
     monkeypatch.setattr(diffops, "circulant_eigenvalues", lambda m: None)
-    op = GridOperator(64, tag)
+    op = GridOperator(64, tag, "wrap")
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
     assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
@@ -458,12 +460,83 @@ def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):
 
 
 def test_closed_form_keeps_the_condition_gate(monkeypatch):
-    # at n = 64, cond(1 + T*T) = 1 + max lam^2 is about 4e3
+    # at n = 64, cond(1 + T*T) = 1 + max lam^2 is about 4e3, and the minimal
+    # fiber's largest secular root sits between the two largest poles
     monkeypatch.setattr(diffops, "RESOLVENT_COND_MAX", 1e3)
     monkeypatch.setattr("modops.operators.RESOLVENT_COND_MAX", 1e3)
-    for tag in (PERIODIC, BoundaryTag.twisted(0.4)):
-        op = GridOperator(64, tag)
+    for tag, style in ((PERIODIC, None), (BoundaryTag.twisted(0.4), None), (MINIMAL, "wrap")):
+        op = GridOperator(64, tag, style)
         with pytest.raises(SingularResolvent, match="condition number"):
             grid_transform(op)
         with pytest.raises(SingularResolvent, match="condition number"):
             z_transform(op.as_domained())
+
+
+# ------------------------------------------------- deflated minimal closed form
+def _minimal_against_the_dense_oracle(n):
+    """The wrap-style minimal fiber's closed-form transform, gap and jump to
+    the periodic transform, each against ``z_transform`` of the dense fiber
+    and the dense 2-norm."""
+    op, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
+    closed, zp = grid_transform(op), grid_transform(per)
+    dense = z_transform(op.as_domained())
+    assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
+    assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
+    oracle = np.linalg.norm(dense.z - z_transform(per.as_domained()).z, 2)
+    assert transform_jump(op, closed, per, zp) == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert transform_jump(per, zp, op, closed) == transform_jump(op, closed, per, zp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(32, 160))
+def test_minimal_closed_form_matches_the_dense_oracle(n):
+    _minimal_against_the_dense_oracle(n)
+
+
+@pytest.mark.parametrize("n, m", [(8, 3), (9, 5), (400, 101), (401, 201)])
+def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_calls, n, m):
+    # the 1 + lam^2 of the periodic symbol fall into m distinct poles: at even
+    # n the modes k, -k, n/2 - k and n/2 + k share one, at odd n only k and -k
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    op, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
+    closed, zp = grid_transform(op), grid_transform(per)
+    transform_jump(op, closed, per, zp)
+    assert linalg_calls == ["eigh", "norm2"] and shapes == [(m - 1, m - 1)]
+    assert closed.jump_core.shape == (m, m)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    _minimal_against_the_dense_oracle(n)
+
+
+def test_minimal_fiber_with_another_matrix_takes_the_dense_transform(linalg_calls):
+    # opposite changes to the seam rows: no longer the periodic wrap matrix
+    op = GridOperator(64, MINIMAL, "wrap")
+    m = op.matrix.copy()
+    m[0, 5] += 1.0
+    m[64, 5] -= 1.0
+    op.matrix = m
+    assert diffops._deflated_transform(op) is None
+    zt = grid_transform(op)
+    assert linalg_calls == ["eigh"]
+    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
+
+
+def test_jump_takes_the_dense_norm_off_the_minimal_periodic_pair(linalg_calls):
+    n = 48
+    mw, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
+    zm, zp = grid_transform(mw), grid_transform(per)
+    tw = GridOperator(n, BoundaryTag.twisted(0.5))
+    zt = grid_transform(tw)
+    bumped = GridOperator(n, PERIODIC)
+    m = bumped.matrix.copy()
+    m[3, 4] += 1.0
+    bumped.matrix = m
+    linalg_calls.clear()
+    for a, za, b, zb in ((mw, zm, tw, zt), (per, zp, tw, zt), (mw, zm, bumped, zp)):
+        assert transform_jump(a, za, b, zb) == np.linalg.norm(zb.z - za.z, 2)
+    assert linalg_calls == ["norm2"] * 6

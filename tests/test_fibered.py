@@ -184,15 +184,58 @@ def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
 
 
 def test_zfield_on_the_counterexample_takes_one_eigh(linalg_calls):
-    # the periodic fibers, of t and of its adjoint, are transformed in
-    # closed form; only the minimal base fiber takes the dense eigh, and the
-    # jump at the base point its one 2-norm
+    # every fiber, of t and of its adjoint, is transformed in closed form:
+    # the minimal base fiber by one eigh of size about n/4, and the jump at
+    # the base point is the 2-norm of its m x m core
     t = build_counterexample_t(16, 400)
     zfield(t)
     assert linalg_calls == ["eigh", "norm2"]
     linalg_calls.clear()
     zfield(adjoint_field(t))
     assert linalg_calls == []
+
+
+@pytest.mark.parametrize("n_x, n_pi", [(32, 4), (33, 5), (96, 6)])
+def test_zfield_of_the_counterexample_matches_dense_reference(n_x, n_pi):
+    # the base jump comes from the minimal fiber's deflated core
+    t = build_counterexample_t(n_pi, n_x)
+    rep = zfield(t)
+    transforms, profile, flagged = reference_zfield(t.fibers)
+    assert_allclose(rep.profile, profile, rtol=1e-12, atol=0)
+    assert_allclose(rep.gaps, [t.density_gap for t in transforms], rtol=1e-14, atol=0)
+    assert rep.flagged == flagged == [0]
+    for got, ref in zip(rep.transforms, transforms):
+        assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
+
+
+def test_zfields_transform_equal_fibers_once_across_fields(monkeypatch):
+    calls = []
+    transform = fibered.grid_transform
+    monkeypatch.setattr(fibered, "grid_transform",
+                        lambda op: calls.append(op.tag.kind) or transform(op))
+    t = build_counterexample_t(6, 48)
+    adj = adjoint_field(t)
+    rep, arep = fibered.zfields(t, adj)
+    assert calls == ["minimal", "periodic"]
+    assert arep.transforms[0] is rep.transforms[1]
+    alone = zfield(adj)
+    assert_allclose(arep.profile, alone.profile, rtol=0, atol=0)
+    assert_allclose(arep.gaps, alone.gaps, rtol=0, atol=0)
+    # fibers that are not grid operators are shared by identity only
+    op = DomainedOperator.full(np.diag([1.0, 2.0]))
+    twin = DomainedOperator.full(np.diag([1.0, 2.0]))
+    a, b = fibered.zfields(FiberedOperator([0.0], [op]), FiberedOperator([0.0], [twin]))
+    assert a.transforms[0] is not b.transforms[0]
+
+
+def test_certify_nonregular_transforms_each_fiber_once(monkeypatch, tmp_path):
+    calls = []
+    transform = fibered.grid_transform
+    monkeypatch.setattr(fibered, "grid_transform",
+                        lambda op: calls.append(op.tag.kind) or transform(op))
+    run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
+                  output_path=str(tmp_path / "c.txt")))
+    assert calls == ["minimal", "periodic"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -248,15 +291,16 @@ def test_grid_fields_build_dense_fibers_only_where_read(as_domained_calls, tmp_p
     # one read of the fibers builds each distinct fiber once
     t.fibers
     assert as_domained_calls == ["minimal", "periodic"]
-    # certify-nonregular builds only the minimal fiber, for its dense transform
+    # certify-nonregular transforms both of its fibers in closed form
     as_domained_calls.clear()
     run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
                   output_path=str(tmp_path / "c.txt")))
-    assert as_domained_calls == ["minimal"]
-    # extend builds the distinct fibers of its two fields once each
+    assert as_domained_calls == []
+    # extend builds each distinct fiber value of its two fields once: the
+    # counterexample's periodic fiber equals the gauged field's base
     as_domained_calls.clear()
     run(RunConfig("extend", n_x=64, n_pi=8, output_path=str(tmp_path / "e.txt")))
-    assert sorted(as_domained_calls) == ["minimal", "periodic", "periodic"]
+    assert sorted(as_domained_calls) == ["minimal", "periodic"]
 
 
 def test_zfield_adjoint_of_counterexample_is_flat():
