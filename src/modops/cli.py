@@ -76,12 +76,11 @@ _DENSE_MATRICES = {
     # multiply
     "zfield one-sided tags": (0, 8),
     # no per-point matrix: the gauged fields are phase tables over their
-    # grid fibers; while a row inclusion runs: t0's matrix and transform,
-    # the counterexample's 2 grid matrices, its 2 distinct fibers built
-    # dense (action, frame; the gauged field's base equals its periodic
-    # fiber), and graph_inclusion's membership residual and both actions on
-    # the frame of S
-    "extend": (0, 11),
+    # grid fibers, and the rows are decided from the frames' endpoint rows
+    # with no dense fiber; while the counterexample's minimal fiber is
+    # built: t0's matrix and transform, and the counterexample's 2 grid
+    # matrices (besides the minimal one's real stencil)
+    "extend": (0, 4),
 }
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and

@@ -24,12 +24,20 @@ import numpy as np
 
 from .algebra import complement_eigh
 from .errors import GridTooCoarse, NotCirculant, SingularResolvent, UnexpectedKernelDim
-from .operators import DomainedOperator, ZTransform, z_transform
+from .operators import (
+    DomainedOperator,
+    InclusionResult,
+    ZTransform,
+    graph_inclusion,
+    z_transform,
+)
 from .tolerances import (
     CIRCULANT_MATCH,
     KERNEL_GAP,
+    MEMBERSHIP_SLACK,
     RESOLVENT_COND_MAX,
     SPECTRUM_GROUP_MATCH,
+    TOL_GRAPH,
 )
 
 __all__ = [
@@ -42,7 +50,9 @@ __all__ = [
     "KernelReport",
     "build_derivative",
     "circulant_eigenvalues",
+    "grid_inclusion",
     "grid_transform",
+    "grid_transforms",
     "kernel_certificate",
     "periodic_spectrum",
     "periodic_complement_floor",
@@ -255,9 +265,9 @@ class GridOperator:
         combinations below are exactly orthonormal.
         """
         n = self.n
-        F = np.zeros((n + 1, self._domain_dim()), dtype=complex)
         if self.tag.kind == "maximal":
             return np.eye(n + 1, dtype=complex)
+        F = np.zeros((n + 1, self._domain_dim()), dtype=complex)
         if self.tag.kind == "minimal":
             F[1:n, :] = np.eye(n - 1)
             return F
@@ -265,6 +275,18 @@ class GridOperator:
         F[0, 0], F[n, 0] = f[0], f[n]
         F[1:n, 1:] = np.eye(n - 1)
         return F
+
+    def _endpoint_block(self):
+        """Rows 0 and n of the frame columns of :meth:`domain_frame` that are
+        nonzero there: ``e_0`` and ``e_n`` for the maximal tag, the seam
+        column for the periodic and twisted tags, none for the minimal tag.
+        Every other frame column is an interior unit vector."""
+        if self.tag.kind == "maximal":
+            return np.eye(2, dtype=complex)
+        if self.tag.kind == "minimal":
+            return np.zeros((2, 0), dtype=complex)
+        f = self._row_weights()
+        return np.array([[f[0]], [f[-1]]])
 
     def _row_weights(self):
         """The one nonzero entry of each row of the seam frame: the frame of
@@ -413,10 +435,22 @@ def _resolvent_gap(eigenvalues):
     return 1.0 / top
 
 
-def _circulant_transform(op: GridOperator):
-    """Closed-form transform of a wrap-style periodic operator, or None when
-    :func:`_checked_symbol` refuses it."""
+def _shared_symbol(op: GridOperator, symbols):
+    """:func:`_checked_symbol` of an untwisted wrap-style operator, whose
+    seam frame is the periodic one, so the symbol is a function of its
+    matrix alone: read from ``symbols``, a list of ``(matrix, symbol)``
+    pairs, when an equal matrix is there, and added to it otherwise."""
+    for matrix, lam in symbols:
+        if np.array_equal(matrix, op.matrix):
+            return lam
     lam = _checked_symbol(op)
+    symbols.append((op.matrix, lam))
+    return lam
+
+
+def _circulant_transform(op: GridOperator, lam):
+    """Closed-form transform of a wrap-style periodic operator with the
+    symbol ``lam`` of :func:`_checked_symbol`, or None when that refused it."""
     if lam is None:
         return None
     resolvent = 1.0 + lam ** 2
@@ -445,9 +479,9 @@ class _DeflatedTransform(ZTransform):
     __slots__ = ("matrix", "jump_core")
 
 
-def _deflated_transform(op: GridOperator):
-    """Closed-form transform of a wrap-style minimal operator, or None when
-    :func:`_checked_symbol` refuses it.
+def _deflated_transform(op: GridOperator, lam):
+    """Closed-form transform of a wrap-style minimal operator with the symbol
+    ``lam`` of :func:`_checked_symbol`, or None when that refused it.
 
     With the periodic frame ``F_p``, the matrix folded onto it is a checked
     circulant ``T0 = V diag(lam) V*`` (``V`` the unitary DFT), and equal seam
@@ -473,7 +507,6 @@ def _deflated_transform(op: GridOperator):
     the distance to the periodic transform ``F_p V diag(lam / sqrt(d)) V*
     F_p*`` is ``||diag(sqrt(d_g - 1)) G||_2``.
     """
-    lam = _checked_symbol(op)
     if lam is None:
         return None
     labels = _pole_labels(1.0 + lam ** 2)
@@ -511,18 +544,59 @@ def grid_transform(op: GridOperator) -> ZTransform:
     ``n / 4`` (:func:`_deflated_transform`).  Every other operator, and one
     whose checks fail, takes the dense ``z_transform``.
     """
+    return grid_transforms([op])[0]
+
+
+def grid_transforms(ops) -> list:
+    """:func:`grid_transform` of each operator in ``ops``, with the circulant
+    symbol folded and checked once per distinct wrap matrix: the wrap-style
+    minimal and periodic operators of one grid share one matrix, and a
+    twisted operator reads the periodic one's symbol."""
+    symbols = []
+    return [_transform(op, symbols) for op in ops]
+
+
+def _transform(op: GridOperator, symbols) -> ZTransform:
+    """:func:`grid_transform` of ``op``, its symbol shared through ``symbols``
+    (see :func:`_shared_symbol`)."""
     if op.action_style == "wrap":
         if op.tag.kind == "twisted":
-            zt = _circulant_transform(GridOperator(op.n, PERIODIC))
+            periodic = GridOperator(op.n, PERIODIC)
+            zt = _circulant_transform(periodic, _shared_symbol(periodic, symbols))
             if zt is not None:
                 zt = zt._phase_rotated(_twist_phases(op.n, op.tag.theta))
         elif op.tag.kind == "minimal":
-            zt = _deflated_transform(op)
+            zt = _deflated_transform(op, _shared_symbol(op, symbols))
         else:
-            zt = _circulant_transform(op)
+            zt = _circulant_transform(op, _shared_symbol(op, symbols))
         if zt is not None:
             return zt
     return z_transform(op.as_domained())
+
+
+def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> InclusionResult:
+    """Whether ``a`` is a restriction of ``b``, as :func:`graph_inclusion` of
+    ``a.as_domained()`` in ``b.as_domained()`` decides it.
+
+    Realizations of ``i d/dx`` with one matrix differ only in their boundary
+    conditions.  When the two matrices agree, as for two untwisted
+    wrap-style, two one-sided or two equally twisted operators on one grid,
+    the action residual is exactly 0, and so is the membership residual of
+    every interior unit column of ``a``'s frame, which lies in every tag's
+    domain.  The verdict and the residual then come from the ``2 x k``
+    endpoint blocks ``E_a``, ``E_b`` of the frames (rows 0 and n) as the
+    column norms of ``E_a - E_b (E_b* E_a)``, gated by ``MEMBERSHIP_SLACK *
+    tol``: ``k`` is 2 for the maximal tag, 1 for the periodic and twisted
+    ones and 0 for the minimal one, whose residual is 0.  Any other pair
+    builds both dense fibers and takes :func:`graph_inclusion`.
+    """
+    if not np.array_equal(a.matrix, b.matrix):
+        return graph_inclusion(a.as_domained(), b.as_domained(), tol)
+    ea, eb = a._endpoint_block(), b._endpoint_block()
+    mem_res = np.linalg.norm(ea - eb @ (eb.conj().T @ ea), axis=0)
+    # the zero residuals pass their gates exactly when tol >= 0
+    ok = bool(0.0 <= tol and np.all(mem_res <= MEMBERSHIP_SLACK * tol))
+    return InclusionResult(ok, float(mem_res.max(initial=0.0)))
 
 
 def transform_jump(a, za: ZTransform, b, zb: ZTransform) -> float:

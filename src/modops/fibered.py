@@ -24,7 +24,9 @@ from .diffops import (
     PERIODIC,
     BoundaryTag,
     GridOperator,
+    grid_inclusion,
     grid_transform,
+    grid_transforms,
     transform_jump,
     trapezoid_weights,
 )
@@ -397,10 +399,12 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
 def zfields(*fields: FiberedOperator) -> list:
     """:func:`zfield` of each field, every distinct fiber among them
     transformed once: grid fibers compare by value, other fibers by
-    identity."""
+    identity.  The grid fibers share one circulant symbol per distinct
+    matrix (:func:`grid_transforms`)."""
     distinct = dict.fromkeys(f for F in fields for f in F.distinct_fibers)
-    built = {f: grid_transform(f) if isinstance(f, GridOperator) else z_transform(f)
-             for f in distinct}
+    grid = [f for f in distinct if isinstance(f, GridOperator)]
+    built = dict(zip(grid, grid_transforms(grid)))
+    built.update((f, z_transform(f)) for f in distinct if f not in built)
     return [_zfield_report(F, [built[f] for f in F.distinct_fibers]) for F in fields]
 
 
@@ -631,10 +635,17 @@ def _conjugation_deviation(phases, z, z_devs=None):
 def _conjugation_deviation_bound(phases, z):
     """Lower bound of :func:`_conjugation_deviation` with no factorization:
     the ``z`` probe enters by its largest column norm, as ``||X e_j||_2 <=
-    ||X||_2``, the other probes exactly."""
-    cols = max((float(np.max(np.linalg.norm(d, axis=0)))
-                for d in _z_probe_differences(phases, z)), default=0.0)
-    return max(cols, _exact_probe_deviation(phases))
+    ||X||_2``, the other probes exactly.
+
+    Conjugated by ``U_i*`` the difference is ``z o (q q* - 1)`` for the
+    increment ``q = p_{i+1} conj(p_i)``, and for unimodular ``q`` the entry
+    ``|q_i conj(q_j) - 1|`` is ``|q_i - q_j|``: column ``j`` has the squared
+    norm ``sum_i |z_ij|^2 |q_i - q_j|^2``, from one ``|z|^2``.
+    """
+    z2 = np.abs(z) ** 2
+    cols2 = max((float(np.max(np.sum(z2 * np.abs(q[:, None] - q[None, :]) ** 2, axis=0)))
+                 for q in phases[1:] * phases[:-1].conj()), default=0.0)
+    return max(float(np.sqrt(cols2)), _exact_probe_deviation(phases))
 
 
 def _gauge_continuity_check(U: GaugeField, z, z_devs):
@@ -683,14 +694,16 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
     are then expressed over one trivialization).  When the gauged ``S`` and
     ``T`` carry equal phase tables, row ``i`` is decided on their ungauged
     fibers, since a common unitary leaves graph inclusion unchanged, and
-    each distinct pair of fibers is decided once; otherwise every row is
-    decided on the gauged fibers.
+    each distinct pair of fibers is decided once, a pair of grid fibers by
+    :func:`grid_inclusion` from its boundary rows; otherwise every row is
+    decided on the gauged dense fibers.
 
     The gluing chain verifies S inside tilde(S), tilde(S) inside tilde(T),
     and tilde(T) = T fiberwise.  When the tilde fields keep their input
     fibers, as with ``modulus=None``, the outer links join a fiber to itself
     and hold by reflexivity, and the middle link is the row, so the chain
-    decides nothing afresh.
+    decides nothing afresh.  Dense fibers are built once per fiber value,
+    and only where a dense test reads them.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
@@ -702,17 +715,17 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
         S = S._on_same_index(S.distinct_fibers, phases)
 
-    # one dense build per fiber value: grid operators compare by value
-    distinct = dict.fromkeys(S.distinct_fibers + T.distinct_fibers)
-    dense = {f: _dense(f) for f in distinct}
-    s_dense = [dense[f] for f in S.distinct_fibers]
-    t_dense = [dense[f] for f in T.distinct_fibers]
+    # dense fibers by fiber value (grid operators compare by value)
+    built = {}
     if _same_phases(S.phases, T.phases):
         pairs = list(zip(S.index_map, T.index_map))
-        decided = {(a, b): graph_inclusion(s_dense[a], t_dense[b], tol)
+        decided = {(a, b): _fiber_inclusion(S.distinct_fibers[a], T.distinct_fibers[b],
+                                            tol, built)
                    for a, b in dict.fromkeys(pairs)}
         results = [decided[pair] for pair in pairs]
     else:
+        s_dense = _dense_once(S.distinct_fibers, built)
+        t_dense = _dense_once(T.distinct_fibers, built)
         results = [graph_inclusion(S._at(s_dense, i), T._at(t_dense, i), tol)
                    for i in range(S.n_fibers)]
     rows = [(float(pi), res.included, res.residual)
@@ -728,10 +741,29 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
                     and graph_inclusion(st, tt, tol).included
                     and tt.same_domain(tf, tol) and graph_inclusion(tf, tt, tol).included
                     for sf, st, tt, tf
-                    in zip(S.per_point(s_dense), s_tilde.fibers, t_tilde.fibers,
-                           T.per_point(t_dense)))
+                    in zip(S.per_point(_dense_once(S.distinct_fibers, built)),
+                           s_tilde.fibers, t_tilde.fibers,
+                           T.per_point(_dense_once(T.distinct_fibers, built))))
     return ExtensionReport(rows=rows, included=not failing,
                            tilde_chain_ok=chain, failing=failing)
+
+
+def _fiber_inclusion(s, t, tol, built):
+    """Whether the stored fiber ``s`` is a restriction of ``t``: by
+    :func:`grid_inclusion` for two grid fibers, else on their dense fibers,
+    each built once into ``built``."""
+    if isinstance(s, GridOperator) and isinstance(t, GridOperator):
+        return grid_inclusion(s, t, tol)
+    return graph_inclusion(*_dense_once((s, t), built), tol)
+
+
+def _dense_once(fibers, built):
+    """:func:`_dense` of each stored fiber, each fiber value built once into
+    the dict ``built``."""
+    for f in fibers:
+        if f not in built:
+            built[f] = _dense(f)
+    return [built[f] for f in fibers]
 
 
 def _same_phases(a, b):

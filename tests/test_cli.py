@@ -90,14 +90,14 @@ def test_extend_refuses_a_grid_too_large_to_hold(capsys):
     assert main(["extend", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: n_x = 20000 needs at least ")
-    assert "GB for 11 dense 20001x20001 complex matrices" in err
+    assert "GB for 4 dense 20001x20001 complex matrices" in err
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=400)            # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    RunConfig("extend", n_x=400)            # 11 matrices of 401x401 take 28 MB
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.7 GB for 11 dense"):
+    RunConfig("extend", n_x=400)            # 4 matrices of 401x401 take 10 MB
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
         RunConfig("extend", n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)

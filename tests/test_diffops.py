@@ -14,6 +14,7 @@ from modops.diffops import (
     GridOperator,
     build_derivative,
     circulant_eigenvalues,
+    grid_inclusion,
     grid_transform,
     kernel_certificate,
     periodic_complement_floor,
@@ -22,7 +23,7 @@ from modops.diffops import (
     trapezoid_weights,
 )
 from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
-from modops.operators import adjoint_via_graph, graph_inclusion, z_transform
+from modops.operators import InclusionResult, adjoint_via_graph, graph_inclusion, z_transform
 
 
 # ---------------------------------------------------------------------- tags
@@ -453,7 +454,7 @@ def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):
     m[64, 5] -= 1.0
     op.matrix = m
     assert circulant_eigenvalues(op.reduced()) is not None
-    assert diffops._circulant_transform(op) is None
+    assert diffops._checked_symbol(op) is None
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
     assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
@@ -520,7 +521,7 @@ def test_minimal_fiber_with_another_matrix_takes_the_dense_transform(linalg_call
     m[0, 5] += 1.0
     m[64, 5] -= 1.0
     op.matrix = m
-    assert diffops._deflated_transform(op) is None
+    assert diffops._checked_symbol(op) is None
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
     assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
@@ -540,3 +541,70 @@ def test_jump_takes_the_dense_norm_off_the_minimal_periodic_pair(linalg_calls):
     for a, za, b, zb in ((mw, zm, tw, zt), (per, zp, tw, zt), (mw, zm, bumped, zp)):
         assert transform_jump(a, za, b, zb) == np.linalg.norm(zb.z - za.z, 2)
     assert linalg_calls == ["norm2"] * 6
+
+
+# ------------------------------------------------------ grid inclusion
+def _inclusion_operators(n, theta1, theta2):
+    """The realizations the grid inclusion compares: maximal, minimal in both
+    action styles, periodic and twisted at two angles."""
+    return [GridOperator(n, MAXIMAL), GridOperator(n, MINIMAL),
+            GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC),
+            GridOperator(n, BoundaryTag.twisted(theta1)),
+            GridOperator(n, BoundaryTag.twisted(theta2))]
+
+
+def _inclusions_against_the_dense_oracle(n, theta1, theta2, tol):
+    """Every ordered pair's grid inclusion against ``graph_inclusion`` of the
+    dense fibers.  A pair of agreeing matrices must not take the dense path;
+    any other pair must take it on the dense fibers, so that its result is
+    the oracle's."""
+    ops = _inclusion_operators(n, theta1, theta2)
+    dense = [op.as_domained() for op in ops]
+    calls = []
+
+    def counted(S, T, tol):
+        calls.append((S, T, graph_inclusion(S, T, tol)))
+        return calls[-1][2]
+
+    def same(x, y):
+        return np.array_equal(x.action, y.action) and np.array_equal(x.frame, y.frame)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffops, "graph_inclusion", counted)
+        for a, da in zip(ops, dense):
+            for b, db in zip(ops, dense):
+                calls.clear()
+                got = grid_inclusion(a, b, tol)
+                if np.array_equal(a.matrix, b.matrix):
+                    assert calls == [], (a, b)
+                    oracle = graph_inclusion(da, db, tol)
+                else:
+                    [(S, T, oracle)] = calls
+                    assert same(S, da) and same(T, db), (a, b)
+                assert got.included == oracle.included, (a, b)
+                assert got.residual == pytest.approx(oracle.residual, rel=0, abs=1e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(32, 160), theta1=st.floats(0.0, 6.28), theta2=st.floats(0.0, 6.28),
+       tol=st.sampled_from([1e-9, 1e-12, 1e-15, 1e-17, 0.0, -1e-9]))
+def test_grid_inclusion_matches_the_dense_oracle(n, theta1, theta2, tol):
+    _inclusions_against_the_dense_oracle(n, theta1, theta2, tol)
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_grid_inclusion_at_size(n):
+    _inclusions_against_the_dense_oracle(n, 0.7, 2.9, 1e-9)
+
+
+def test_grid_inclusion_reads_the_endpoint_blocks(linalg_calls):
+    n = 400
+    per, mw = GridOperator(n, PERIODIC), GridOperator(n, MINIMAL, "wrap")
+    # minimal inside periodic holds with residual 0; periodic inside itself
+    # carries the roundoff of its seam column, 1 / sqrt(2) at each end
+    assert grid_inclusion(mw, per) == InclusionResult(True, 0.0)
+    assert grid_inclusion(per, per).included
+    assert 0.0 < grid_inclusion(per, per).residual < 1e-15
+    assert not grid_inclusion(per, mw)
+    assert grid_inclusion(per, mw).residual == pytest.approx(1.0, abs=1e-15)
+    assert linalg_calls == []

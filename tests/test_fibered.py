@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import modops.diffops as diffops
 import modops.fibered as fibered
 
 from modops.algebra import AlgebraElement, FiberIndex
@@ -161,18 +162,21 @@ def test_gauged_field_operations_match_their_dense_fibers():
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
-    # a grid-backed field goes through grid_transform, any other field
+    # a grid-backed field goes through grid_transforms, any other field
     # through z_transform; both paths are counted
     calls = []
 
-    def counting(transform):
-        def counted(T):
-            calls.append(T)
-            return transform(T)
-        return counted
+    def counted(T):
+        calls.append(T)
+        return z_transform(T)
 
-    monkeypatch.setattr(fibered, "z_transform", counting(z_transform))
-    monkeypatch.setattr(fibered, "grid_transform", counting(fibered.grid_transform))
+    def counted_grid(ops):
+        calls.extend(ops)
+        return transforms(ops)
+
+    transforms = fibered.grid_transforms
+    monkeypatch.setattr(fibered, "z_transform", counted)
+    monkeypatch.setattr(fibered, "grid_transforms", counted_grid)
     t = build_counterexample_t(8, 48)
     rep = zfield(t)
     assert len(calls) == 2 and len(rep.transforms) == 8
@@ -210,9 +214,9 @@ def test_zfield_of_the_counterexample_matches_dense_reference(n_x, n_pi):
 
 def test_zfields_transform_equal_fibers_once_across_fields(monkeypatch):
     calls = []
-    transform = fibered.grid_transform
-    monkeypatch.setattr(fibered, "grid_transform",
-                        lambda op: calls.append(op.tag.kind) or transform(op))
+    transforms = fibered.grid_transforms
+    monkeypatch.setattr(fibered, "grid_transforms", lambda ops: calls.extend(
+        op.tag.kind for op in ops) or transforms(ops))
     t = build_counterexample_t(6, 48)
     adj = adjoint_field(t)
     rep, arep = fibered.zfields(t, adj)
@@ -230,12 +234,19 @@ def test_zfields_transform_equal_fibers_once_across_fields(monkeypatch):
 
 def test_certify_nonregular_transforms_each_fiber_once(monkeypatch, tmp_path):
     calls = []
-    transform = fibered.grid_transform
-    monkeypatch.setattr(fibered, "grid_transform",
-                        lambda op: calls.append(op.tag.kind) or transform(op))
+    transforms = fibered.grid_transforms
+    monkeypatch.setattr(fibered, "grid_transforms", lambda ops: calls.extend(
+        op.tag.kind for op in ops) or transforms(ops))
+    checked = []
+    symbol = diffops.circulant_eigenvalues
+    monkeypatch.setattr(diffops, "circulant_eigenvalues",
+                        lambda m: checked.append(m.shape) or symbol(m))
     run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
                   output_path=str(tmp_path / "c.txt")))
     assert calls == ["minimal", "periodic"]
+    # the periodic symbol is folded and checked once in the kernel stage
+    # and once for both fibers, which share one matrix
+    assert checked == [(64, 64)] * 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -296,11 +307,10 @@ def test_grid_fields_build_dense_fibers_only_where_read(as_domained_calls, tmp_p
     run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
                   output_path=str(tmp_path / "c.txt")))
     assert as_domained_calls == []
-    # extend builds each distinct fiber value of its two fields once: the
-    # counterexample's periodic fiber equals the gauged field's base
+    # extend decides its rows from the fibers' boundary rows and builds none
     as_domained_calls.clear()
     run(RunConfig("extend", n_x=64, n_pi=8, output_path=str(tmp_path / "e.txt")))
-    assert sorted(as_domained_calls) == ["minimal", "periodic"]
+    assert as_domained_calls == []
 
 
 def test_zfield_adjoint_of_counterexample_is_flat():
@@ -716,6 +726,14 @@ def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
     assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
 
 
+def _dense_column_bound(phases, z):
+    """The coarse bound's ``z`` term formed densely: the largest column norm
+    of each adjacent difference ``U_{i+1} z U_{i+1}* - U_i z U_i*``."""
+    gauged = [z * np.outer(p, p.conj()) for p in phases]
+    return max((float(np.max(np.linalg.norm(b - a, axis=0)))
+                for a, b in zip(gauged, gauged[1:])), default=0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_x=st.sampled_from([8, 12, 16, 24]), n_pi=st.integers(2, 9),
        coeffs=st.tuples(*[st.floats(-2, 2)] * 3),
@@ -732,6 +750,10 @@ def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_a
         exact = fibered._conjugation_deviation(sub, z)
         # the SVD's 2-norm carries a few ulps of roundoff
         assert 0.0 <= bound <= exact * (1 + 1e-13)
+        # the dense differences cancel to an absolute roundoff of a few ulps
+        # of ||z|| <= 1, which the |q_i - q_j| form does not carry
+        oracle = max(_dense_column_bound(sub, z), fibered._exact_probe_deviation(sub))
+        assert bound == pytest.approx(oracle, rel=1e-13, abs=1e-15)
         if not np.any(g):
             assert bound == 0.0
 
@@ -952,7 +974,7 @@ def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
 def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     n_pi, n_x = 6, 48
     S, T, gauge = _extension_case(n_x, n_pi, "linear", (0, 0, 0), None)
-    calls = {"graph_inclusion": 0, "same_domain": 0}
+    calls = {"grid_inclusion": 0, "graph_inclusion": 0, "same_domain": 0}
 
     def counting_inclusion(*args):
         calls["graph_inclusion"] += 1
@@ -962,16 +984,24 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
         calls["same_domain"] += 1
         return same_domain(self, other, tol)
 
+    def counting_grid_inclusion(*args):
+        calls["grid_inclusion"] += 1
+        return grid_inclusion(*args)
+
     same_domain = DomainedOperator.same_domain
+    grid_inclusion = fibered.grid_inclusion
     monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
+    monkeypatch.setattr(fibered, "grid_inclusion", counting_grid_inclusion)
     monkeypatch.setattr(DomainedOperator, "same_domain", counting_same_domain)
     rep = extension_inclusion_check(S, T, gauge=gauge)
-    # rows: one per distinct pair (minimal, t0) and (periodic, t0)
-    assert rep and calls == {"graph_inclusion": 2, "same_domain": 0}
+    # rows: one per distinct pair (minimal, t0) and (periodic, t0), both
+    # pairs of grid fibers
+    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
     # with a modulus the tilde fibers are new objects and every link runs
-    calls.update(graph_inclusion=0, same_domain=0)
+    calls.update(grid_inclusion=0, graph_inclusion=0, same_domain=0)
     rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1.0)
-    assert rep and calls == {"graph_inclusion": 2 + 3 * n_pi, "same_domain": n_pi}
+    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 3 * n_pi,
+                             "same_domain": n_pi}
 
 
 @pytest.mark.parametrize("gauge_kind, perturb, rows", [
@@ -984,11 +1014,16 @@ def test_rows_are_decided_once_per_distinct_pair(monkeypatch, gauge_kind, pertur
     S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, (1.0, 0.3, -0.5), perturb)
     calls = []
 
-    def counting_inclusion(*args):
-        calls.append(args)
-        return graph_inclusion(*args)
+    def counting(inclusion):
+        def counted(*args):
+            calls.append(args)
+            return inclusion(*args)
+        return counted
 
-    monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
+    # a pair of grid fibers is decided by grid_inclusion, any other pair and
+    # every gauged row by graph_inclusion
+    monkeypatch.setattr(fibered, "graph_inclusion", counting(graph_inclusion))
+    monkeypatch.setattr(fibered, "grid_inclusion", counting(fibered.grid_inclusion))
     extension_inclusion_check(S, T, gauge=gauge)
     assert len(calls) == rows
 
