@@ -46,7 +46,6 @@ from .fibered import (
 )
 from .operators import (
     DomainedOperator,
-    GraphPair,
     ZTransform,
     adjoint_via_graph,
     extend_via_coisometry,

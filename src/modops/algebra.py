@@ -6,7 +6,8 @@ models both matrix-valued function algebras over a finite point set and plain
 direct sums.  The module provides the positivity calculus (PSD square roots),
 single-fiber localizers, the fiberwise density check for right ideals, and
 multiplier-symbol extraction for operators that act by multiplication, and
-owns the shared dense kernels: block-diagonal assembly and Hermitian roots.
+owns the shared dense kernels: block-diagonal assembly, Hermitian roots and
+the matrix-free top singular value.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotMultiplication, NotPSD, UnknownFiber
-from .tolerances import TOL_ALG, TOL_PSD_FACTOR
+from .tolerances import RITZ_RESIDUAL, TOL_ALG, TOL_PSD_FACTOR
 
 __all__ = [
     "FiberIndex",
@@ -80,6 +81,40 @@ def complement_eigh(d, b):
            + beta ** 2 * (v @ dv) * np.outer(v, v))
     mu, w = np.linalg.eigh(hdh[:-1, :-1])
     return mu, np.vstack([w, np.zeros(w.shape[1])]) - beta * np.outer(v, v[:-1] @ w)
+
+
+def top_singular_value(apply, apply_adjoint, n):
+    """``||X||_2`` of a linear map ``X`` on ``C^n`` given only by its action
+    ``apply`` and the action ``apply_adjoint`` of ``X*``.
+
+    Lanczos on ``X* X`` with full reorthogonalization (Golub & Van Loan,
+    *Matrix Computations*, section 10.1) from a seeded random start, which
+    reaches the top of the spectrum with probability one (Kuczynski &
+    Wozniakowski, 1992).  Step ``k`` projects ``X* X`` onto the Krylov space
+    of dimension ``k`` as the tridiagonal ``T_k``, whose top eigenpair
+    ``(theta, s)`` has the Ritz residual ``beta_k |s_k|`` and ``theta <=
+    ||X||^2``.  The iteration stops when that residual is at most
+    ``RITZ_RESIDUAL * theta``, or after step ``n``, when the Krylov space is
+    all of ``C^n`` and ``theta`` is exact.
+    """
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    while True:
+        u = apply(basis[-1])
+        alphas.append(np.vdot(u, u).real)
+        w = apply_adjoint(u)
+        vs = np.asarray(basis)
+        for _ in range(2):              # Gram-Schmidt twice is enough
+            w = w - (vs.conj() @ w) @ vs
+        beta = np.linalg.norm(w)
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        theta, s = np.linalg.eigh(t)
+        if beta * abs(s[-1, -1]) <= RITZ_RESIDUAL * theta[-1] or len(basis) == n:
+            return float(np.sqrt(max(theta[-1], 0.0)))
+        betas.append(beta)
+        basis.append(w / beta)
 
 
 @dataclass(frozen=True)

@@ -53,34 +53,32 @@ _SECTION_KEYS = {
 }
 
 
-# dense (n_x + 1)^2 complex matrices a grid pipeline keeps alive at once, as
-# (per base point, fixed), counted low from the code; a request whose count
-# cannot fit in physical memory is refused before anything is allocated
+# dense (n_x + 1)^2 complex matrices a grid pipeline keeps alive at once,
+# counted low from the code and checked by tracemalloc; none is per base
+# point, since gauged fields are phase tables over their grid fibers.  A
+# request whose count cannot fit in physical memory is refused before
+# anything is allocated.  Folding a wrap-style matrix onto its periodic
+# subspace holds the matrix and 3 more at once: the weighted action, its
+# scaled copy and the fold.
 _DENSE_MATRICES = {
     # GridOperator.reduced: grid matrix, weighted action, its row-scaled copy
-    "kernel-cert": (0, 3),
-    # both fibers in closed form, the minimal one first; while the periodic
-    # one's matrix is folded and checked: the counterexample's 2 grid
-    # matrices, the minimal fiber's transform, and 3 at once (weighted
-    # action, its scaled copy and the fold; or T0, its circulant and their
-    # difference)
-    "certify-nonregular": (0, 6),
-    "zfield counterexample": (0, 6),
+    "kernel-cert": 3,
+    # the kernel stage's periodic floor folds a periodic matrix; the
+    # counterexample's 2 fibers share 1 matrix, folded once for both
+    "certify-nonregular": 4,
+    "zfield counterexample": 4,
     # a tags field of periodic and twisted fibers, in closed form while its
     # reduced matrix is sliced: grid matrix, weighted action, its two
     # scaled copies
-    "zfield tags": (0, 4),
+    "zfield tags": 4,
     # a tags field with a one-sided minimal or maximal fiber, whose dense
     # transform is the peak: its grid matrix, the fiber's action and frame,
     # B, 1 + B*B, and its eigenvectors v, v / sqrt(lam) and v* while they
     # multiply
-    "zfield one-sided tags": (0, 8),
-    # no per-point matrix: the gauged fields are phase tables over their
-    # grid fibers, and the rows are decided from the frames' endpoint rows
-    # with no dense fiber; while the counterexample's minimal fiber is
-    # built: t0's matrix and transform, and the counterexample's 2 grid
-    # matrices (besides the minimal one's real stencil)
-    "extend": (0, 4),
+    "zfield one-sided tags": 8,
+    # the counterexample's 1 matrix, which t0 shares, folded; the rows are
+    # decided from the frames' endpoint rows with no dense fiber
+    "extend": 4,
 }
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
@@ -153,8 +151,7 @@ class RunConfig:
 
     def _check_memory(self, pipeline):
         """Refuse a grid whose dense matrices cannot fit in physical memory."""
-        per_point, fixed = _DENSE_MATRICES[pipeline]
-        k = per_point * self.n_pi + fixed
+        k = _DENSE_MATRICES[pipeline]
         need, have = 16 * (self.n_x + 1) ** 2 * k, _physical_memory()
         if need > have:
             raise MalformedSpec(
@@ -484,9 +481,11 @@ def run_zfield(cfg: RunConfig, report: Report):
 
 def run_extend(cfg: RunConfig, report: Report):
     gauge = _gauge_from_config(cfg)
-    t0 = GridOperator(cfg.n_x, PERIODIC)
-    result = gauge_extension(t0, gauge)
     t = build_counterexample_t(cfg.n_pi, cfg.n_x)
+    # t0 is the counterexample's periodic bulk fiber, whose matrix its
+    # minimal base fiber shares
+    t0 = t.distinct_fibers[t.index_map[-1]]
+    result = gauge_extension(t0, gauge)
     check = extension_inclusion_check(t, result.field, tol=cfg.tol_graph,
                                       gauge=gauge, modulus=cfg.modulus)
     report.kv("n_x", cfg.n_x)

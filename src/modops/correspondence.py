@@ -101,10 +101,6 @@ class RankOneOperator:
         return AlgebraElement(idx, {lab: self.ket.fibers[lab] @ self.bra.fibers[lab].conj().T
                                     for lab in self.ket.index.labels})
 
-    def compose(self, other: "RankOneOperator") -> "RankOneOperator":
-        """|x><y| |u><v| = |x.<y,u>><v|; closes within the rank ones."""
-        return RankOneOperator(self.ket.rmul(self.bra.inner(other.ket)), other.bra)
-
     def adjoint(self) -> "RankOneOperator":
         return RankOneOperator(self.bra, self.ket)
 

@@ -18,6 +18,7 @@ about n/4 secular roots.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,6 @@ class GridFunction:
             raise ValueError("need at least two samples")
         self.samples = samples
         self.h = 1.0 / (samples.size - 1)
-
-    @classmethod
-    def from_callable(cls, f, n):
-        x = np.linspace(0.0, 1.0, n + 1)
-        return cls(np.asarray([f(xi) for xi in x]))
 
     @property
     def n(self):
@@ -241,22 +237,16 @@ class GridOperator:
     def __hash__(self):
         return hash(self._key())
 
-    def constraint_matrix(self):
-        """Rows C with the domain equal to ker C (empty for the maximal tag)."""
-        n = self.n
-        if self.tag.kind == "maximal":
-            return np.zeros((0, n + 1), dtype=complex)
-        if self.tag.kind == "minimal":
-            C = np.zeros((2, n + 1), dtype=complex)
-            C[0, 0] = 1.0
-            C[1, n] = 1.0
-            return C
-        C = np.zeros((1, n + 1), dtype=complex)
-        if self.tag.kind == "periodic":
-            C[0, 0], C[0, n] = 1.0, -1.0
-        else:
-            C[0, n], C[0, 0] = 1.0, -np.exp(1j * self.tag.theta)
-        return C
+    def with_tag(self, tag: BoundaryTag) -> "GridOperator":
+        """The wrap-style operator of the periodic or minimal ``tag`` on this
+        one's matrix, shared and not copied: an untwisted wrap-style
+        operator's matrix does not depend on its tag."""
+        kinds = ("periodic", "minimal")
+        if self.action_style != "wrap" or self.tag.kind not in kinds or tag.kind not in kinds:
+            raise ValueError("only untwisted wrap-style operators share a matrix")
+        op = copy.copy(self)
+        op.tag = tag
+        return op
 
     def domain_frame(self):
         """Orthonormal frame (in weighted coordinates) of the tag's subspace.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiberIndex, block_diag
+from .algebra import AlgebraElement, FiberIndex, block_diag, top_singular_value
 from .diffops import (
     MINIMAL,
     PERIODIC,
@@ -279,9 +279,10 @@ def build_counterexample_t(n_pi, n_x) -> FiberedOperator:
     if n_x < 32:
         raise GridTooCoarse(f"need n_x >= 32 space steps, got {n_x}")
     periodic = GridOperator(n_x, PERIODIC)
-    # the base fiber shares the bulk's wrap action so the ladder
-    # "minimal inside periodic" is exact on the grid, not just in the limit
-    minimal = GridOperator(n_x, MINIMAL, action_style="wrap")
+    # the base fiber shares the bulk's wrap action, and so its matrix, so the
+    # ladder "minimal inside periodic" is exact on the grid, not just in the
+    # limit
+    minimal = periodic.with_tag(MINIMAL)
     ops = [minimal] + [periodic] * (n_pi - 1)
     return FiberedOperator.from_grid_operators(np.linspace(0.0, 1.0, n_pi), ops)
 
@@ -550,25 +551,65 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     return GaugeExtensionResult(field=field, base_transform=w, deviations=devs)
 
 
-def _increment_deviations(phases, z):
-    """Adjacent deviations ``||U_{i+1} z U_{i+1}* - U_i z U_i*||_2``.
+def _per_increment(phases, f):
+    """``f(q)`` for each adjacent increment ``q = p_{i+1} conj(p_i)``, taken
+    once per distinct increment.
 
-    Conjugated by ``U_i*`` the difference is ``z o (q q*) - z`` for the
-    increment ``q = p_{i+1} conj(p_i)``.  An increment within
-    ``GAUGE_INCREMENT_MATCH`` (max norm) of one whose 2-norm was taken
-    reuses that value: for unimodular ``q, r`` and ``||z|| <= 1`` the two
-    values differ by ``|Delta| <= ||z o (q q* - r r*)||_2 <= 2 ||q - r||_inf``.
-    On a uniform one-parameter gauge every increment matches the first.
+    Conjugated by ``U_i*``, every probe deviation between grid points ``i``
+    and ``i + 1`` depends on the increment alone, since the phases are
+    unimodular.  An increment within ``GAUGE_INCREMENT_MATCH`` (max norm) of
+    one already taken reuses its value: each ``f`` here moves by at most
+    ``2 ||q - r||_inf`` between unimodular ``q`` and ``r``.  On a uniform
+    one-parameter gauge every increment matches the first.
     """
-    taken, devs = [], []
+    taken, values = [], []
     for q in phases[1:] * phases[:-1].conj():
-        dev = next((d for r, d in taken
-                    if np.max(np.abs(q - r)) <= GAUGE_INCREMENT_MATCH), None)
-        if dev is None:
-            dev = float(np.linalg.norm(z * np.outer(q, q.conj()) - z, 2))
-            taken.append((q, dev))
-        devs.append(dev)
-    return np.asarray(devs, dtype=float)
+        value = next((v for r, v in taken
+                      if np.max(np.abs(q - r)) <= GAUGE_INCREMENT_MATCH), None)
+        if value is None:
+            value = f(q)
+            taken.append((q, value))
+        values.append(value)
+    return values
+
+
+def _increment_deviations(phases, z):
+    """Adjacent deviations ``||U_{i+1} z U_{i+1}* - U_i z U_i*||_2``:
+    conjugated by ``U_i*``, each is ``||z o (q q*) - z||_2`` for the
+    increment ``q`` (:func:`_increment_norm`), and for ``||z|| <= 1`` two
+    increments' values differ by ``|Delta| <= ||z o (q q* - r r*)||_2 <=
+    2 ||q - r||_inf``."""
+    return np.asarray(_per_increment(phases, lambda q: _increment_norm(z, q)),
+                      dtype=float)
+
+
+def _increment_norm(z, q):
+    """``||z o (q q*) - z||_2`` by :func:`top_singular_value`, the matrix
+    never formed.
+
+    With ``d = q - 1`` the matrix is ``diag(q) z diag(conj(d)) + diag(d) z``:
+    no two terms of size ``||z||`` cancel, so small deviations keep their
+    relative accuracy.  It is linear in ``d`` for fixed ``q``, so the
+    iteration runs on ``e = d / max|d|`` and scales back, which keeps its
+    squared norms clear of underflow.  Each map takes two products of ``z``
+    with a vector.
+    """
+    d = q - 1.0
+    # at least the smallest normal number, so that q = 1 gives 0 and the
+    # reciprocal taken in the complex division stays finite
+    scale = max(np.max(np.abs(d)), np.finfo(float).tiny)
+    e = d / scale
+    ec = e.conj()
+
+    def apply(x):
+        return q * (z @ (ec * x)) + e * (z @ x)
+
+    def apply_adjoint(y):
+        # z* v is conj(conj(v) z), so z is never conjugated or transposed
+        yc = y.conj()
+        return e * ((q * yc) @ z).conj() + ((e * yc) @ z).conj()
+
+    return scale * top_singular_value(apply, apply_adjoint, q.size)
 
 
 def _rank_one_probe(n):
@@ -595,40 +636,26 @@ def _rank_two_norm(x1, y1, x0, y0):
     return float(np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), abs(h[0, 1]))))
 
 
-def _z_probe_differences(phases, z):
-    """Adjacent differences of ``pi -> U_pi z U_pi*``, one at a time;
-    ``U z U*`` is ``z * outer(p, conj(p))``."""
-    prev = None
-    for p in phases:
-        cur = z * np.outer(p, p.conj())
-        if prev is not None:
-            yield cur - prev
-        prev = cur
-
-
 def _exact_probe_deviation(phases):
     """Largest adjacent deviation of the identity and rank-one probes, exact
-    without a dense 2-norm: the identity conjugates to ``diag(|p|^2)`` and
-    ``a b*`` to ``(p a)(p b)*``."""
-    mod2 = np.abs(phases) ** 2
+    without a dense 2-norm: the identity conjugates to ``diag(|p|^2)``, and
+    ``a b*`` conjugated by ``U_i*`` to ``(q a)(q b)*`` for the increment
+    ``q``, once per distinct increment."""
     a, b = _rank_one_probe(phases.shape[1])
-    worst = 0.0
-    for i in range(len(phases) - 1):
-        p0, p1 = phases[i], phases[i + 1]
-        worst = max(worst, np.max(np.abs(mod2[i + 1] - mod2[i])),
-                    _rank_two_norm(p1 * a, p1 * b, p0 * a, p0 * b))
-    return float(worst)
+    identity = np.max(np.abs(np.diff(np.abs(phases) ** 2, axis=0)), initial=0.0)
+    rank_one = _per_increment(phases, lambda q: _rank_two_norm(q * a, q * b, a, b))
+    return float(max(identity, max(rank_one, default=0.0)))
 
 
 def _conjugation_deviation(phases, z, z_devs=None):
     """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
     compacts ``S``: the transform ``z``, the identity and a rank-one ``a b*``.
 
-    Only the ``z`` probe needs a dense 2-norm, and none when its deviations
-    ``z_devs`` are given.
+    The ``z`` probe takes one :func:`_increment_norm` per distinct increment,
+    and none when its deviations ``z_devs`` are given.
     """
     if z_devs is None:
-        z_devs = [np.linalg.norm(d, 2) for d in _z_probe_differences(phases, z)]
+        z_devs = _increment_deviations(phases, z)
     return float(max(max(z_devs, default=0.0), _exact_probe_deviation(phases)))
 
 
@@ -640,12 +667,13 @@ def _conjugation_deviation_bound(phases, z):
     Conjugated by ``U_i*`` the difference is ``z o (q q* - 1)`` for the
     increment ``q = p_{i+1} conj(p_i)``, and for unimodular ``q`` the entry
     ``|q_i conj(q_j) - 1|`` is ``|q_i - q_j|``: column ``j`` has the squared
-    norm ``sum_i |z_ij|^2 |q_i - q_j|^2``, from one ``|z|^2``.
+    norm ``sum_i |z_ij|^2 |q_i - q_j|^2``, from one ``|z|^2``, once per
+    distinct increment.
     """
     z2 = np.abs(z) ** 2
-    cols2 = max((float(np.max(np.sum(z2 * np.abs(q[:, None] - q[None, :]) ** 2, axis=0)))
-                 for q in phases[1:] * phases[:-1].conj()), default=0.0)
-    return max(float(np.sqrt(cols2)), _exact_probe_deviation(phases))
+    cols = _per_increment(phases, lambda q: float(np.sqrt(np.max(
+        np.sum(z2 * np.abs(q[:, None] - q[None, :]) ** 2, axis=0)))))
+    return max(max(cols, default=0.0), _exact_probe_deviation(phases))
 
 
 def _gauge_continuity_check(U: GaugeField, z, z_devs):

@@ -38,7 +38,6 @@ from .tolerances import (
 __all__ = [
     "DomainedOperator",
     "ZTransform",
-    "GraphPair",
     "InclusionResult",
     "WitnessResult",
     "z_transform",
@@ -158,21 +157,6 @@ class DomainedOperator:
     def __repr__(self):
         return (f"DomainedOperator(ambient={self.ambient_dim}, "
                 f"domain={self.domain_dim})")
-
-
-@dataclass(frozen=True)
-class GraphPair:
-    """A candidate member (left, right) of an operator graph."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def in_graph(self, T: DomainedOperator, tol=TOL_GRAPH):
-        ok, _ = T.contains(self.left, tol)
-        if not ok:
-            return False
-        res = np.linalg.norm(T.apply(self.left) - self.right)
-        return res <= tol * (1.0 + np.linalg.norm(self.right))
 
 
 class ZTransform:

@@ -38,6 +38,10 @@ PROJECTOR_GATE = 10.0
 # the grid step does; a fine/coarse ratio above this flags a discontinuity
 GAUGE_HALVING_RATIO = 0.85
 
+# Lanczos on X*X stops once the top Ritz pair (theta, y) has the residual
+# ||X*X y - theta y|| <= RITZ_RESIDUAL * theta, a few ulps of theta
+RITZ_RESIDUAL = 4 * sys.float_info.epsilon
+
 # two gauge increments q_i = p_{i+1} conj(p_i) count as one when
 # max |q_i - q_j| <= GAUGE_INCREMENT_MATCH, a few ulps of roundoff
 GAUGE_INCREMENT_MATCH = 16 * sys.float_info.epsilon

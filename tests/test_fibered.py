@@ -1,3 +1,5 @@
+import math
+import random
 import re
 
 import numpy as np
@@ -11,7 +13,14 @@ import modops.fibered as fibered
 
 from modops.algebra import AlgebraElement, FiberIndex
 from modops.cli import RunConfig, run
-from modops.diffops import MAXIMAL, MINIMAL, PERIODIC, BoundaryTag, GridOperator
+from modops.diffops import (
+    MAXIMAL,
+    MINIMAL,
+    PERIODIC,
+    BoundaryTag,
+    GridOperator,
+    grid_transform,
+)
 from modops.errors import DomainViolation, GaugeNotContinuous, GridTooCoarse
 from modops.fibered import (
     FiberedOperator,
@@ -516,10 +525,20 @@ def test_gauge_extension_identity_gauge_constant_field():
         assert_allclose(f.action, base.action, atol=1e-12)
 
 
-def test_gauge_extension_transforms_its_periodic_base_in_closed_form(linalg_calls):
+def test_gauge_extension_transforms_its_periodic_base_in_closed_form(monkeypatch):
+    # the only eigh calls are the Lanczos projections of the deviation
+    # norm, one per step, of sizes 1, 2, ..., k
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     t0 = GridOperator(N_X, PERIODIC)
     res = gauge_extension(t0, GaugeField.linear_phase(np.linspace(0, 1, 5), N_X))
-    assert "eigh" not in linalg_calls
+    assert shapes == [(k, k) for k in range(1, len(shapes) + 1)]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     dense = z_transform(t0.as_domained())
     assert_allclose(res.base_transform.z, dense.z, rtol=0, atol=1e-12)
     assert res.base_transform.density_gap == pytest.approx(dense.density_gap, rel=1e-14)
@@ -570,9 +589,10 @@ def test_general_gauge_twist_phase_matches_endpoint_difference():
     res = gauge_extension(GridOperator(n, PERIODIC), gauge)
     for i, fiber in enumerate(res.field.fibers):
         theta = g[i, -1] - g[i, 0]
-        tw = GridOperator(n, BoundaryTag.twisted(theta))
-        # twist constraint annihilates the gauge-built domain
-        C = tw.constraint_matrix()
+        # twist constraint f(1) = e^{i theta} f(0) annihilates the gauge-built
+        # domain
+        C = np.zeros((1, n + 1), dtype=complex)
+        C[0, n], C[0, 0] = 1.0, -np.exp(1j * theta)
         assert np.linalg.norm(C @ fiber.frame, 2) <= 1e-10
 
 
@@ -650,6 +670,8 @@ RTOL, ATOL = 1e-12, 1e-14
          group=True)                                                   # pi * phi(x)
 @example(n_x=16, n_pi=6, coeffs=(1.3143247571037335, -1.3741434154272083, 0.0),
          jump=0.0, jump_at=1, group=False)              # reference gap 1e-12 low
+@example(n_x=8, n_pi=2, coeffs=(0.0, 0.0, 2.2e-309), jump=0.0, jump_at=1,
+         group=False)                                   # subnormal increments
 def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, group):
     if group:
         # g = pi * phi(x): every increment is exp(i phi / (n_pi - 1))
@@ -741,6 +763,8 @@ def _dense_column_bound(phases, z):
 @example(n_x=16, n_pi=9, coeffs=(1.0, 0.0, 0.0), jump=0.0, jump_at=1)   # linear
 @example(n_x=16, n_pi=9, coeffs=(0.0, 0.0, 0.0), jump=2.0, jump_at=4)   # step only
 @example(n_x=12, n_pi=6, coeffs=(0.0, 0.0, 0.0), jump=0.0, jump_at=1)   # identity
+@example(n_x=8, n_pi=2, coeffs=(0.0, 0.0, 3e-97), jump=0.0, jump_at=1)   # tiny
+@example(n_x=8, n_pi=2, coeffs=(0.0, 0.0, 2.2e-309), jump=0.0, jump_at=1)  # subnormal
 def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_at):
     g = _phase_table(n_pi, n_x, coeffs, jump, jump_at)
     phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
@@ -758,29 +782,41 @@ def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_a
             assert bound == 0.0
 
 
-def test_continuity_gate_takes_no_coarse_norm_for_a_smooth_gauge(linalg_calls):
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Sizes of the maps whose 2-norm the gauge code takes by Lanczos."""
+    calls = []
+    top = fibered.top_singular_value
+
+    def counted(apply, apply_adjoint, n):
+        calls.append(n)
+        return top(apply, apply_adjoint, n)
+    monkeypatch.setattr(fibered, "top_singular_value", counted)
+    return calls
+
+
+def test_continuity_gate_takes_no_coarse_norm_for_a_smooth_gauge(norm_calls, linalg_calls):
     n_x, n_pi = 64, 9
     grid = np.linspace(0, 1, n_pi)
     t0 = GridOperator(n_x, PERIODIC)
     smooth = GaugeField.from_phase_samples(
         grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1))
-    linalg_calls.clear()
     gauge_extension(t0, smooth)
     # the fine transform deviations only; the coarse side settles on its bound
-    assert linalg_calls.count("norm2") == n_pi - 1
+    assert len(norm_calls) == n_pi - 1 and "norm2" not in linalg_calls
     # a step still raises, with the exact coarse value in its message
     x = np.linspace(0, 1, n_x + 1)
     step = GaugeField.from_phase_samples(grid, np.outer((grid >= 0.5) * 1.0, 2.0 * x))
     z = z_transform(t0.as_domained()).z
     coarse = fibered._conjugation_deviation(step.phases[::2], z)
-    linalg_calls.clear()
+    norm_calls.clear()
     with pytest.raises(GaugeNotContinuous, match=re.escape(f"(coarse {coarse:.3e})")):
         gauge_extension(t0, step)
-    # 2 distinct increments (the identity and the step), 4 coarse norms
-    assert linalg_calls.count("norm2") == 2 + (n_pi - 1) // 2
+    # 2 distinct increments (the identity and the step) on either grid
+    assert len(norm_calls) == 2 + 2 and "norm2" not in linalg_calls
 
 
-def test_fine_deviations_take_one_norm_per_distinct_increment(linalg_calls):
+def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg_calls):
     n_x, n_pi = 64, 9
     grid = np.linspace(0, 1, n_pi)
     t0 = GridOperator(n_x, PERIODIC)
@@ -790,12 +826,78 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(linalg_calls):
              "table": (GaugeField.from_phase_samples(
                  grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)), n_pi - 1)}
     for name, (gauge, norms) in cases.items():
+        norm_calls.clear()
         linalg_calls.clear()
         res = gauge_extension(t0, gauge)
-        assert linalg_calls.count("norm2") == norms, name
+        assert norm_calls == [n_x + 1] * norms and "norm2" not in linalg_calls, name
         dense = [np.linalg.norm(b.z - a.z, 2)
                  for a, b in zip(res.transforms, res.transforms[1:])]
         assert_allclose(res.deviations, dense, rtol=RTOL, atol=ATOL)
+
+
+def test_probe_deviations_take_one_value_per_distinct_increment(monkeypatch, norm_calls):
+    # a uniform gauge has one increment on the grid and one on the coarse
+    # subgrid: one transform norm, one column-sum bound and two rank-two norms
+    n_x, n_pi = 64, 9
+    values, rank_two = [], []
+    per_increment, rank_two_norm = fibered._per_increment, fibered._rank_two_norm
+
+    def counted(phases, f):
+        return per_increment(phases, lambda q: values.append(q) or f(q))
+    monkeypatch.setattr(fibered, "_per_increment", counted)
+    monkeypatch.setattr(fibered, "_rank_two_norm",
+                        lambda *args: rank_two.append(args) or rank_two_norm(*args))
+    gauge_extension(GridOperator(n_x, PERIODIC),
+                    GaugeField.linear_phase(np.linspace(0, 1, n_pi), n_x))
+    assert len(norm_calls) == 1 and len(rank_two) == 2 and len(values) == 4
+
+
+def _dense_increment_norm(z, q):
+    """``||z o (q q* - 1)||_2`` from the dense matrix, with ``q q* - 1 = d +
+    d* + d d*`` for ``d = q - 1`` formed without cancellation."""
+    d = q - 1.0
+    return np.linalg.norm(z * (d[:, None] + d.conj()[None, :] + np.outer(d, d.conj())), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 160), log_amp=st.floats(-6, 1))
+@example(seed=0, n=2, log_amp=0.0)            # the iteration exhausts C^2
+@example(seed=1, n=3, log_amp=-6.0)
+@example(seed=2, n=160, log_amp=0.5)
+def test_increment_norm_matches_the_dense_norm(seed, n, log_amp):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z /= np.linalg.norm(z, 2)
+    q = np.exp(1j * 10.0 ** log_amp * rng.uniform(-np.pi, np.pi, n))
+    got = fibered._increment_norm(z, q)
+    assert got == pytest.approx(_dense_increment_norm(z, q), rel=1e-13)
+    # the plain difference cancels to an absolute roundoff of ||z|| = 1
+    plain = np.linalg.norm(z * np.outer(q, q.conj()) - z, 2)
+    assert got == pytest.approx(plain, rel=1e-13, abs=ATOL)
+
+
+def _benchmark_phase(variant, n_x):
+    """phi(x) of the seeded benchmark gauge ``variant`` (extend-gauge-400):
+    x plus three small sine modes, in the benchmark's own arithmetic."""
+    rng = random.Random(f"extend-gauge:{variant}")
+    amps = [rng.uniform(-0.04, 0.04) for _ in range(3)]
+    return [x + sum(a * math.sin((k + 1) * math.pi * x) for k, a in enumerate(amps))
+            for x in (j / n_x for j in range(n_x + 1))]
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_increment_norm_on_the_benchmark_gauges(variant):
+    # g(pi, x) = pi * phi(x) over 16 points: one increment, whose deviation
+    # has a doubled top singular value about 7% above the next
+    n_x, n_pi = 400, 16
+    phi = _benchmark_phase(variant, n_x)
+    g = [[i / (n_pi - 1) * f for f in phi] for i in range(n_pi)]
+    phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
+    z = grid_transform(GridOperator(n_x, PERIODIC)).z
+    q = phases[1] * phases[0].conj()
+    s = np.linalg.svd(z * np.outer(q, q.conj()) - z, compute_uv=False)
+    assert s[1] == pytest.approx(s[0], rel=1e-12) and s[2] < 0.95 * s[0]
+    assert fibered._increment_norm(z, q) == pytest.approx(s[0], rel=1e-13)
 
 
 def test_uniform_gauge_increments_match_within_the_tolerance():
@@ -865,29 +967,38 @@ def test_extension_check_reports_failing_fiber():
     assert rep.failing == [pytest.approx(0.5)]
 
 
-def reference_extension_check(S, T, tol, gauge, modulus):
+def reference_extension_check(S, T, tol, gauge, modulus, tilde=tilde_extension):
     """Dense reference: every row inclusion, and every link of the gluing
-    chain decided by its own graph inclusion and projector comparison.
-    Returns (rows, included, failing, tilde_chain_ok)."""
-    s_fibers = S.fibers
+    chain decided by its own graph inclusion and projector comparison, on
+    the dense fibers, each built once, and their glued fields by ``tilde``.
+    A link between two dense fibers already compared, as the same objects,
+    reuses that decision.  Returns (rows, included, failing, tilde_chain_ok)."""
+    s_fibers, t_fibers = S.fibers, T.fibers
     if gauge is not None:
-        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, S.fibers)]
+        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, s_fibers)]
+    decided = {}
+
+    def included(a, b):
+        if (id(a), id(b)) not in decided:
+            decided[id(a), id(b)] = graph_inclusion(a, b, tol)
+        return decided[id(a), id(b)]
+
     rows, failing = [], []
-    for pi, sf, tf in zip(S.pi_grid, s_fibers, T.fibers):
-        res = graph_inclusion(sf, tf, tol)
+    for pi, sf, tf in zip(S.pi_grid, s_fibers, t_fibers):
+        res = included(sf, tf)
         rows.append((float(pi), res.included, res.residual))
         if not res.included:
             failing.append(float(pi))
-    s_tilde = tilde_extension(FiberedOperator(S.pi_grid, s_fibers), modulus)
-    t_tilde = tilde_extension(T, modulus)
+    s_tilde = tilde(FiberedOperator(S.pi_grid, s_fibers), modulus)
+    t_tilde = tilde(FiberedOperator(T.pi_grid, t_fibers), modulus)
     chain = True
-    for sf, st_, tt, tf in zip(s_fibers, s_tilde.fibers, t_tilde.fibers, T.fibers):
-        if not graph_inclusion(sf, st_, tol).included:
+    for sf, st_, tt, tf in zip(s_fibers, s_tilde.fibers, t_tilde.fibers, t_fibers):
+        if not included(sf, st_).included:
             chain = False
-        if not graph_inclusion(st_, tt, tol).included:
+        if not included(st_, tt).included:
             chain = False
         same_dom = tt.same_domain(tf, tol)
-        same_act = graph_inclusion(tf, tt, tol).included
+        same_act = included(tf, tt).included
         if not (same_dom and same_act):
             chain = False
     return rows, not failing, failing, chain
@@ -961,8 +1072,24 @@ def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
         S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
     except GaugeNotContinuous:
         assume(False)
-    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
-    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
+    # tilde_extension is a function of the dense fibers and the modulus, so
+    # the check and the reference share one glued field per distinct input
+    glued, tilde = {}, fibered.tilde_extension
+
+    def shared_tilde(F, modulus=None):
+        if modulus is None:
+            return tilde(F, modulus)
+        key = (modulus, F.coupled_frame is None,
+               tuple((f.action.tobytes(), f.frame.tobytes()) for f in F.fibers))
+        if key not in glued:
+            glued[key] = tilde(F, modulus)
+        return glued[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibered, "tilde_extension", shared_tilde)
+        rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
+    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus,
+                                                               shared_tilde)
     # rows decided on the ungauged fibers move their residuals at roundoff
     assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
     assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows],
