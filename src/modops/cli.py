@@ -55,30 +55,30 @@ _SECTION_KEYS = {
 
 # dense (n_x + 1)^2 complex matrices a grid pipeline keeps alive at once,
 # counted low from the code and checked by tracemalloc; none is per base
-# point, since gauged fields are phase tables over their grid fibers.  A
-# request whose count cannot fit in physical memory is refused before
-# anything is allocated.  Folding a wrap-style matrix onto its periodic
-# subspace holds the matrix and 3 more at once: the weighted action, its
-# scaled copy and the fold.
+# point, since gauged fields are phase tables over their grid fibers, and
+# grid operators and closed-form transforms build their dense matrices only
+# where one is read.  A request whose count cannot fit in physical memory is
+# refused before anything is allocated.  A real matrix counts one half.
 _DENSE_MATRICES = {
-    # GridOperator.reduced: grid matrix, weighted action, its row-scaled copy
-    "kernel-cert": 3,
-    # the kernel stage's periodic floor folds a periodic matrix; the
-    # counterexample's 2 fibers share 1 matrix, folded once for both
-    "certify-nonregular": 4,
-    "zfield counterexample": 4,
-    # a tags field of periodic and twisted fibers, in closed form while its
-    # reduced matrix is sliced: grid matrix, weighted action, its two
-    # scaled copies
-    "zfield tags": 4,
+    # the kernel certificate's real E, K, its weighted copy and the SVD's two
+    # factors; the symbol checks and the closed forms take O(n) memory
+    "kernel-cert": 2,
+    "certify-nonregular": 2,
+    "zfield counterexample": 0,
+    # a tags field of periodic and twisted fibers, in closed form: a jump
+    # between two distinct fibers is the dense 2-norm of the difference of
+    # their transforms, each formed for it, so 3 matrices at once; a field of
+    # one fiber takes no jump and forms none
+    "zfield tags": 3,
+    "zfield one-fiber tags": 0,
     # a tags field with a one-sided minimal or maximal fiber, whose dense
-    # transform is the peak: its grid matrix, the fiber's action and frame,
-    # B, 1 + B*B, and its eigenvectors v, v / sqrt(lam) and v* while they
-    # multiply
-    "zfield one-sided tags": 8,
-    # the counterexample's 1 matrix, which t0 shares, folded; the rows are
-    # decided from the frames' endpoint rows with no dense fiber
-    "extend": 4,
+    # transform is the peak: the fiber's action and frame, B, 1 + B*B, and
+    # its eigenvectors v, v / sqrt(lam) and v* while they multiply
+    "zfield one-sided tags": 7,
+    # t0's dense transform z, which the gauge gates read, and beside it the
+    # coarse column bound's |z|^2 and squared increment differences; the
+    # rows are decided from the frames' endpoint rows
+    "extend": 3,
 }
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
@@ -145,9 +145,10 @@ class RunConfig:
             return None
         if self.operator_kind != "tags":
             return "zfield counterexample"
-        if any(t.kind in ("minimal", "maximal") for t in self.operator_tags or ()):
+        tags = self.operator_tags or ()
+        if any(t.kind in ("minimal", "maximal") for t in tags):
             return "zfield one-sided tags"
-        return "zfield tags"
+        return "zfield tags" if len(set(tags)) > 1 else "zfield one-fiber tags"
 
     def _check_memory(self, pipeline):
         """Refuse a grid whose dense matrices cannot fit in physical memory."""

@@ -8,17 +8,19 @@ which makes their reduced matrices exactly Hermitian.  Boundary conditions
 are eliminated (the domain is a constrained subspace), never penalized:
 penalties would distort spectra.
 
-The reduced periodic matrix is moreover circulant, so the DFT diagonalizes
-it: its bounded transform, complement floor and Fourier spectrum come from
-an FFT of its first column once that structure is checked, and a twisted
-operator is the periodic one conjugated by a diagonal phase.  The wrap-style
-minimal operator is the periodic matrix on the subspace without the seam
+An operator is a description of its stencil, and its dense matrix is
+assembled only when read.  The reduced periodic matrix is moreover
+circulant, so the DFT diagonalizes it: its bounded transform, complement
+floor and Fourier spectrum come from an FFT of its first column, read off
+the stencil in O(n) once that structure is checked, and a twisted operator
+is the periodic one conjugated by a diagonal phase.  The wrap-style minimal
+operator is the periodic matrix on the subspace without the seam
 coordinate, so its transform deflates to one symmetric eigenproblem of
-about n/4 secular roots.
+about n/4 secular roots.  These transforms keep what defines them, form
+their dense matrix only when read, and act on vectors by FFTs.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,6 @@ __all__ = [
     "GridOperator",
     "KernelReport",
     "build_derivative",
-    "circulant_eigenvalues",
     "grid_inclusion",
     "grid_transform",
     "grid_transforms",
@@ -147,34 +148,6 @@ class GridFunction:
         return GridFunction(self.samples / self.norm())
 
 
-def _centered_rows(n):
-    h = 1.0 / n
-    D = np.zeros((n + 1, n + 1))
-    for j in range(1, n):
-        D[j, j - 1] = -0.5 / h
-        D[j, j + 1] = 0.5 / h
-    return D
-
-
-def _d_onesided(n):
-    """d/dx with second-order one-sided boundary rows (maximal / minimal)."""
-    h = 1.0 / n
-    D = _centered_rows(n)
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[n, n], D[n, n - 1], D[n, n - 2] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D
-
-
-def _d_wrap(n):
-    """d/dx with wraparound boundary rows; rows 0 and n agree, so the image
-    of a periodic vector is again periodic."""
-    h = 1.0 / n
-    D = _centered_rows(n)
-    D[0, 1], D[0, n - 1] = 0.5 / h, -0.5 / h
-    D[n, 1], D[n, n - 1] = 0.5 / h, -0.5 / h
-    return D
-
-
 def _twist_phases(n, theta):
     """Samples of ``e^{i theta x}`` on the grid; conjugating the periodic
     derivative by them gives the twisted one."""
@@ -195,12 +168,13 @@ class GridOperator:
     ladder exact on the grid; a one-sided periodic operator carries correct
     seam derivatives for periodic functions whose derivative is not periodic.
 
-    The matrix and the domain frame are a pure function of ``(n, tag,
-    action_style)``, so operators compare and hash by that triple; fields
-    built from equal operators share one fiber.
+    The operator is a description: ``(n, tag, action_style)`` fixes its
+    stencil and its domain frame, operators compare and hash by that
+    triple, and fields built from equal operators share one fiber.  The
+    dense ``matrix`` is assembled from the stencil each time it is read.
     """
 
-    __slots__ = ("n", "h", "ambient_dim", "tag", "matrix", "action_style")
+    __slots__ = ("n", "h", "ambient_dim", "tag", "action_style")
 
     def __init__(self, n, tag: BoundaryTag, action_style=None):
         self.n = int(n)
@@ -216,15 +190,6 @@ class GridOperator:
         if tag.kind == "twisted" and action_style == "onesided":
             raise ValueError("the twisted operator is defined by conjugation")
         self.action_style = action_style
-        if tag.kind == "twisted":
-            u = _twist_phases(self.n, tag.theta)
-            D = (u[:, None] * _d_wrap(self.n)) * np.conj(u)[None, :]
-        elif action_style == "wrap":
-            D = _d_wrap(self.n)
-        else:
-            D = _d_onesided(self.n)
-        self.matrix = 1j * D
-        self.matrix.flags.writeable = False
 
     def _key(self):
         return self.n, self.tag, self.action_style
@@ -237,16 +202,90 @@ class GridOperator:
     def __hash__(self):
         return hash(self._key())
 
-    def with_tag(self, tag: BoundaryTag) -> "GridOperator":
-        """The wrap-style operator of the periodic or minimal ``tag`` on this
-        one's matrix, shared and not copied: an untwisted wrap-style
-        operator's matrix does not depend on its tag."""
-        kinds = ("periodic", "minimal")
-        if self.action_style != "wrap" or self.tag.kind not in kinds or tag.kind not in kinds:
-            raise ValueError("only untwisted wrap-style operators share a matrix")
-        op = copy.copy(self)
-        op.tag = tag
-        return op
+    def _matrix_key(self):
+        """What ``matrix`` depends on: the grid, the action style and the
+        twist angle, 0 for an untwisted tag, as the twist by angle 0
+        multiplies by 1.  Operators compare matrices by this key."""
+        theta = self.tag.theta if self.tag.kind == "twisted" else 0.0
+        return self.n, self.action_style, theta
+
+    def _stencil(self):
+        """Rows, columns and real values of the nonzeros of ``d/dx`` before
+        the twist: the centred rows 1..n-1, then rows 0 and n, second-order
+        one-sided or the wraparound rows, which agree, so that the image of
+        a periodic vector is again periodic."""
+        n, h = self.n, self.h
+        j = np.arange(1, n)
+        if self.action_style == "wrap":
+            edges = [(0, 1, 0.5 / h), (0, n - 1, -0.5 / h),
+                     (n, 1, 0.5 / h), (n, n - 1, -0.5 / h)]
+        else:
+            edges = [(0, 0, -1.5 / h), (0, 1, 2.0 / h), (0, 2, -0.5 / h),
+                     (n, n, 1.5 / h), (n, n - 1, -2.0 / h), (n, n - 2, 0.5 / h)]
+        er, ec, ev = zip(*edges)
+        return (np.concatenate([j, j, er]), np.concatenate([j - 1, j + 1, ec]),
+                np.concatenate([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h), ev]))
+
+    @property
+    def matrix(self):
+        """The dense ``(n + 1) x (n + 1)`` matrix, read-only, assembled from
+        the stencil on each read and not kept."""
+        rows, cols, vals = self._stencil()
+        D = np.zeros((self.n + 1, self.n + 1))
+        D[rows, cols] = vals
+        if self.tag.kind == "twisted":
+            u = _twist_phases(self.n, self.tag.theta)
+            D = (u[:, None] * D) * np.conj(u)[None, :]
+        m = 1j * D
+        m.flags.writeable = False
+        return m
+
+    def _entries(self, r, c):
+        """``matrix[r, c]`` for index arrays ``r`` and ``c``, by the same
+        elementwise operations that assemble ``matrix``, so bitwise equal."""
+        rows, cols, vals = self._stencil()
+        keys = rows * self.ambient_dim + cols
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        want = r * self.ambient_dim + c
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        D = np.where(keys[at] == want, vals[at], 0.0)
+        if self.tag.kind == "twisted":
+            u = _twist_phases(self.n, self.tag.theta)
+            D = (u[r] * D) * np.conj(u)[c]
+        return 1j * D
+
+    def _folded_at(self, j, k):
+        """Entries ``T0[j, k]`` of ``F* A F``, the weighted action ``A``
+        folded onto the seam frame ``F`` of :meth:`_row_weights`: the
+        reduced matrix of a periodic or twisted operator, and of a minimal
+        one on the periodic subspace.
+
+        With ``M = F~* A F~`` for the diagonal ``F~ = diag(f)``, ``T0`` is
+        ``M[:n, :n]`` plus row ``n`` of ``M`` in row 0, then column ``n`` in
+        column 0, then ``M[n, n]`` at ``(0, 0)``; each entry is taken by the
+        operations and in the order of that dense fold, so bitwise equal.
+        """
+        n, f = self.n, self._row_weights()
+        s = np.sqrt(trapezoid_weights(n))
+
+        def m(r, c):
+            return (f.conj()[r] * ((s[r] * self._entries(r, c)) / s[c])) * f[c]
+
+        t = m(j, k)
+        top, left = j == 0, k == 0
+        t[top] += m(n, k[top])
+        t[left] += m(j[left], n)
+        t[top & left] += m(n, n)
+        return t
+
+    def _fold_diagonals(self):
+        """The wrapped diagonals ``(j - k) mod n`` that the stencil's
+        nonzeros reach in the fold; every other entry of ``T0`` is 0."""
+        rows, cols, _ = self._stencil()
+        n = self.n
+        diagonals = (np.where(rows < n, rows, 0) - np.where(cols < n, cols, 0)) % n
+        return np.flatnonzero(np.bincount(diagonals, minlength=n))
 
     def domain_frame(self):
         """Orthonormal frame (in weighted coordinates) of the tag's subspace.
@@ -306,49 +345,23 @@ class GridOperator:
         construction, so no Gram check runs."""
         return DomainedOperator._trusted(self.weighted_action(), self.domain_frame())
 
-    def reduced(self):
-        """The matrix ``F* A F`` on the constrained subspace in weighted
-        coordinates, ``F`` the :meth:`domain_frame`, read off by slicing:
-        every frame column is a unit vector, except the seam column of the
-        periodic and twisted tags, whose two endpoint rows fold into index 0.
-        """
-        if self.tag.kind == "maximal":
-            return self.weighted_action()
-        if self.tag.kind == "minimal":
-            return self.weighted_action()[1:self.n, 1:self.n].copy()
-        return self._folded()
-
-    def _folded(self):
-        """``F* A F`` for the seam frame ``F`` of :meth:`_row_weights`: the
-        reduced matrix of a periodic or twisted operator, and of a minimal
-        one on the periodic subspace."""
-        A, n = self.weighted_action(), self.n
-        f = self._row_weights()
-        M = (f.conj()[:, None] * A) * f[None, :]
-        T0 = M[:n, :n].copy()
-        T0[0, :] += M[n, :n]
-        T0[:, 0] += M[:n, n]
-        T0[0, 0] += M[n, n]
-        return T0
-
-    def _embedded(self, X):
-        """``F X F*`` for the seam frame ``F`` of :meth:`_row_weights`, by
-        indexing: the inverse of :meth:`_folded`."""
-        rows = np.r_[0:self.n, 0]
-        f = self._row_weights()
-        out = X[np.ix_(rows, rows)]
-        out *= f[:, None]
-        out *= f.conj()[None, :]
-        return out
-
     def apply(self, f: GridFunction) -> GridFunction:
+        """``matrix @ f``, from the stencil."""
         if f.n != self.n:
             raise ValueError("grid sizes differ")
-        return GridFunction(self.matrix @ f.samples)
+        rows, cols, vals = self._stencil()
+        x = f.samples
+        if self.tag.kind == "twisted":
+            u = _twist_phases(self.n, self.tag.theta)
+            x = np.conj(u) * x
+        y = np.zeros(self.n + 1, dtype=complex)
+        np.add.at(y, rows, vals * x[cols])
+        y = 1j * y
+        return GridFunction(u * y if self.tag.kind == "twisted" else y)
 
     def adjoint(self) -> "GridOperator":
         """Tag-level adjoint (default action style for the adjoint tag); a
-        self-paired tag gives the operator itself, whose matrix is read-only."""
+        self-paired tag gives the operator itself."""
         if self.tag.adjoint_tag == self.tag:
             return self
         return GridOperator(self.n, self.tag.adjoint_tag)
@@ -372,46 +385,59 @@ def _circulant(c):
     return c[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
 
 
-def circulant_eigenvalues(m):
-    """Real eigenvalues of a Hermitian circulant ``m``, or None when ``m`` is
-    not one within ``CIRCULANT_MATCH``.
+def _seam_embedded(X, f):
+    """``F X F*`` for the seam frame ``F`` with the row weights ``f`` of
+    :meth:`GridOperator._row_weights`, by indexing."""
+    rows = np.r_[0:X.shape[0], 0]
+    out = X[np.ix_(rows, rows)]
+    out *= f[:, None]
+    out *= f.conj()[None, :]
+    return out
+
+
+def _checked_symbol(op: GridOperator):
+    """Real eigenvalues ``lam`` of ``T0``, the matrix of ``op`` folded onto
+    its seam frame (:meth:`GridOperator._folded_at`), when ``T0`` is a
+    Hermitian circulant and the seam rows 0 and n of the matrix are equal;
+    None otherwise.
 
     A circulant is fixed by its first column ``c``, and the DFT diagonalizes
     it: the vector ``exp(2 pi i j k / n)`` (over ``j``) has eigenvalue
-    ``fft(c)[k]``, which is the order returned.  Two checks run before the
-    eigenvalues are trusted: every entry of ``m`` matches the shifted ``c``
-    within ``CIRCULANT_MATCH * max|c|``, and every ``fft(c)`` has an
-    imaginary part within ``CIRCULANT_MATCH * sum|c|``, the scale of the
-    FFT's roundoff.  Both are written so that a NaN fails them.
+    ``fft(c)[k]``, which is the order returned.  Three checks run on the
+    stencil, in ``O(n)``, before the eigenvalues are trusted.  Every entry
+    of ``T0`` matches the shifted ``c`` within ``CIRCULANT_MATCH * max|c|``:
+    off the folded diagonals of the stencil both are 0, so the interior
+    rows and the seam row decide this on those diagonals alone.  Every
+    ``fft(c)`` has an imaginary part within ``CIRCULANT_MATCH * sum|c|``,
+    the scale of the FFT's roundoff.  Rows 0 and n of the matrix are equal,
+    so the action maps the domain into itself and ``B = F T0``.  The first
+    two are written so that a NaN fails them.
     """
-    c = m[:, 0]
-    deviation = np.max(np.abs(m - _circulant(c)))
+    n = op.n
+    j = np.arange(n)
+    c = op._folded_at(j, np.zeros(n, dtype=int))
+    diagonals = op._fold_diagonals()
+    rows = np.tile(j, diagonals.size)
+    shifts = np.repeat(diagonals, n)
+    deviation = np.max(np.abs(op._folded_at(rows, (rows - shifts) % n) - c[shifts]))
     if not deviation <= CIRCULANT_MATCH * np.max(np.abs(c)):
         return None
     lam = np.fft.fft(c)
     if not np.max(np.abs(lam.imag)) <= CIRCULANT_MATCH * np.sum(np.abs(c)):
         return None
+    cols = np.arange(n + 1)
+    if not np.array_equal(op._entries(0, cols), op._entries(n, cols)):
+        return None
     return lam.real
 
 
 def _periodic_eigenvalues(n):
-    """``circulant_eigenvalues`` of the reduced periodic derivative, which
-    must pass its checks."""
-    lam = circulant_eigenvalues(GridOperator(n, PERIODIC).reduced())
+    """:func:`_checked_symbol` of the periodic derivative, which must pass
+    its checks."""
+    lam = _checked_symbol(GridOperator(n, PERIODIC))
     if lam is None:
         raise NotCirculant(f"the reduced periodic derivative at n = {n} "
                            "fails the circulant check")
-    return lam
-
-
-def _checked_symbol(op: GridOperator):
-    """:func:`circulant_eigenvalues` of a wrap-style operator's matrix folded
-    onto the periodic or twisted subspace, or None when they fail their
-    checks or its seam rows differ."""
-    lam = circulant_eigenvalues(op._folded())
-    # equal rows 0 and n map the domain into itself, so B = F T0
-    if lam is None or not np.array_equal(op.matrix[0], op.matrix[op.n]):
-        return None
     return lam
 
 
@@ -428,25 +454,133 @@ def _resolvent_gap(eigenvalues):
 def _shared_symbol(op: GridOperator, symbols):
     """:func:`_checked_symbol` of an untwisted wrap-style operator, whose
     seam frame is the periodic one, so the symbol is a function of its
-    matrix alone: read from ``symbols``, a list of ``(matrix, symbol)``
-    pairs, when an equal matrix is there, and added to it otherwise."""
-    for matrix, lam in symbols:
-        if np.array_equal(matrix, op.matrix):
-            return lam
-    lam = _checked_symbol(op)
-    symbols.append((op.matrix, lam))
-    return lam
+    matrix alone: read from the dict ``symbols`` under the operator's
+    matrix key, and added to it when absent."""
+    key = op._matrix_key()
+    if key not in symbols:
+        symbols[key] = _checked_symbol(op)
+    return symbols[key]
 
 
-def _circulant_transform(op: GridOperator, lam):
+class _GridTransform(ZTransform):
+    """A grid fiber's transform in closed form, kept as what defines it: the
+    symbol ``lam`` of the periodic matrix, the seam weights ``weights`` of
+    the periodic frame ``F`` and the density gap.  ``z`` is formed each
+    time it is read and not kept; ``apply`` and ``apply_adjoint`` act on a
+    vector by FFTs without it."""
+
+    __slots__ = ("lam", "weights")
+
+    def _fold(self, x):
+        """``F* x``: the seam coordinate gathers both endpoints."""
+        n = self.lam.size
+        y = self.weights[:n].conj() * x[:n]
+        y[0] += self.weights[n].conj() * x[n]
+        return y
+
+    def _unfold(self, y):
+        """``F y``: both endpoints read the seam coordinate."""
+        return self.weights * np.append(y, y[0])
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n={self.weights.size}, "
+                f"gap={self.density_gap:.3e})")
+
+
+class _CirculantTransform(_GridTransform):
+    """Transform ``F z0 F*`` of a wrap-style periodic operator, ``z0`` the
+    circulant with eigenvalues ``g = lam / sqrt(1 + lam^2)``; with
+    ``phases`` ``u``, the twisted transform ``diag(u) F z0 F* diag(u)*``."""
+
+    __slots__ = ("phases",)
+
+    def __init__(self, lam, weights, density_gap, phases=None):
+        self.lam, self.weights = lam, weights
+        self.density_gap, self.phases = density_gap, phases
+
+    def _symbol(self):
+        return self.lam / np.sqrt(1.0 + self.lam ** 2)
+
+    @property
+    def z(self):
+        z = _seam_embedded(_circulant(np.fft.ifft(self._symbol())), self.weights)
+        if self.phases is None:
+            return z
+        return z * np.outer(self.phases, self.phases.conj())
+
+    def apply(self, x):
+        # z0 y = ifft(g fft(y)): V diag(g) V* for the unitary DFT V
+        u = self.phases
+        if u is not None:
+            x = u.conj() * x
+        y = self._unfold(np.fft.ifft(self._symbol() * np.fft.fft(self._fold(x))))
+        return y if u is None else u * y
+
+    # g is real, so z0 and z are Hermitian
+    apply_adjoint = apply
+
+
+class _DeflatedTransform(_GridTransform):
+    """Transform ``F T0 X F*`` of a wrap-style minimal operator (see
+    :func:`_deflated_transform`), kept as the symbol, the pole ``labels``,
+    the ``m x m`` core ``g`` (``G`` below) and ``jump_core =
+    diag(sqrt(d_g - 1)) G``,
+    whose 2-norm is the distance to the transform of the periodic operator
+    with the matrix key ``key``.  ``X = V R V*`` with ``X e_0 = 0``, and
+    ``R = diag(d^{-1/2}) + S G S^T`` applied through the group sums, so an
+    action costs two FFTs and one product with ``G``."""
+
+    __slots__ = ("labels", "g", "jump_core", "key")
+
+    def __init__(self, lam, weights, density_gap, labels, g, jump_core, key):
+        self.lam, self.weights, self.density_gap = lam, weights, density_gap
+        self.labels, self.g, self.jump_core, self.key = labels, g, jump_core, key
+
+    def _scales(self):
+        """Per index: ``1 / sqrt(|group|)`` and ``1 / sqrt(d)`` of its pole."""
+        sizes = np.bincount(self.labels)
+        d = 1.0 + np.bincount(self.labels, weights=self.lam ** 2) / sizes
+        return 1.0 / np.sqrt(sizes)[self.labels], 1.0 / np.sqrt(d)[self.labels]
+
+    @property
+    def z(self):
+        n, labels = self.lam.size, self.labels
+        s, d_inv = self._scales()
+        r = s[:, None] * self.g[np.ix_(labels, labels)] * s[None, :]
+        r[np.diag_indices(n)] += d_inv
+        # V M V* for any M: an FFT along the rows, an inverse FFT down the columns
+        z0 = np.fft.ifft(np.fft.fft(self.lam[:, None] * r, axis=1), axis=0)
+        z0[:, 0] = 0.0              # X e_0 = 0 up to roundoff, exactly here
+        return _seam_embedded(z0, self.weights)
+
+    def _r(self, w, g):
+        """``R w`` with ``g`` in the place of ``G``."""
+        s, d_inv = self._scales()
+        sw, m = s * w, g.shape[0]
+        sums = (np.bincount(self.labels, sw.real, m)
+                + 1j * np.bincount(self.labels, sw.imag, m))
+        return d_inv * w + s * (g @ sums)[self.labels]
+
+    def apply(self, x):
+        # z0 = V diag(lam) R V* without column 0: z0 v = ifft(lam R fft(v))
+        v = self._fold(x)
+        v[0] = 0.0
+        return self._unfold(np.fft.ifft(self.lam * self._r(np.fft.fft(v), self.g)))
+
+    def apply_adjoint(self, y):
+        v = np.fft.ifft(self._r(self.lam * np.fft.fft(self._fold(y)), self.g.T))
+        v[0] = 0.0
+        return self._unfold(v)
+
+
+def _circulant_transform(op: GridOperator, lam, phases=None):
     """Closed-form transform of a wrap-style periodic operator with the
-    symbol ``lam`` of :func:`_checked_symbol`, or None when that refused it."""
+    symbol ``lam`` of :func:`_checked_symbol`, conjugated by ``phases`` when
+    given, or None when that refused it."""
     if lam is None:
         return None
-    resolvent = 1.0 + lam ** 2
-    gap = _resolvent_gap(resolvent)
-    z0 = _circulant(np.fft.ifft(lam / np.sqrt(resolvent)))
-    return ZTransform._exact(op._embedded(z0), gap)
+    gap = _resolvent_gap(1.0 + lam ** 2)
+    return _CirculantTransform(lam, op._row_weights(), gap, phases)
 
 
 def _pole_labels(d):
@@ -458,15 +592,6 @@ def _pole_labels(d):
     labels = np.empty(d.size, dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(split)])
     return labels
-
-
-class _DeflatedTransform(ZTransform):
-    """The transform of a wrap-style minimal operator assembled from its
-    deflated core.  It keeps the operator's ``matrix`` and ``jump_core =
-    diag(sqrt(d_g - 1)) G``, whose 2-norm is the distance to the transform
-    of the periodic operator with that matrix."""
-
-    __slots__ = ("matrix", "jump_core")
 
 
 def _deflated_transform(op: GridOperator, lam):
@@ -490,7 +615,7 @@ def _deflated_transform(op: GridOperator, lam):
         G = Y diag(mu^{-1/2}) Y^T - diag(d_g^{-1/2}),
 
     on the complement of ``e_0``; extended by 0 on ``e_0`` it is an ``X``
-    with ``X e_0 = 0``, and the transform is ``F_p T0 X F_p*``, built by
+    with ``X e_0 = 0``, and the transform is ``F_p T0 X F_p*``, applied by
     FFTs.  The eigenvalues of
     ``1 + B*B`` are the ``mu`` and the deflated ``d_g``, which fix the gap
     and the condition gate.  Since ``S^T diag(lam^2) S = diag(d_g - 1)``,
@@ -506,15 +631,8 @@ def _deflated_transform(op: GridOperator, lam):
     mu, y = complement_eigh(d, np.sqrt(sizes / op.n))
     gap = _resolvent_gap(np.concatenate([mu, d[sizes > 1]]))
     g = (y / np.sqrt(mu)) @ y.T - np.diag(1.0 / np.sqrt(d))
-    s = 1.0 / np.sqrt(sizes)[labels]
-    r = s[:, None] * g[np.ix_(labels, labels)] * s[None, :]
-    r[np.diag_indices(op.n)] += 1.0 / np.sqrt(d)[labels]
-    # V M V* for any M: an FFT along the rows, an inverse FFT down the columns
-    z0 = np.fft.ifft(np.fft.fft(lam[:, None] * r, axis=1), axis=0)
-    z0[:, 0] = 0.0              # X e_0 = 0 up to roundoff, exactly here
-    zt = _DeflatedTransform._exact(op._embedded(z0), gap)
-    zt.matrix, zt.jump_core = op.matrix, np.sqrt(lam2)[:, None] * g
-    return zt
+    return _DeflatedTransform(lam, op._row_weights(), gap, labels, g,
+                              np.sqrt(lam2)[:, None] * g, op._matrix_key())
 
 
 def grid_transform(op: GridOperator) -> ZTransform:
@@ -531,18 +649,19 @@ def grid_transform(op: GridOperator) -> ZTransform:
     periodic one conjugated by ``u = e^{i theta x}``, and so is its
     transform.  A wrap-style minimal operator is the periodic matrix on a
     smaller domain, and its transform comes from one ``eigh`` of size about
-    ``n / 4`` (:func:`_deflated_transform`).  Every other operator, and one
-    whose checks fail, takes the dense ``z_transform``.
+    ``n / 4`` (:func:`_deflated_transform`).  These closed forms keep their
+    symbol and form ``z`` only when it is read.  Every other operator, and
+    one whose checks fail, takes the dense ``z_transform``.
     """
     return grid_transforms([op])[0]
 
 
 def grid_transforms(ops) -> list:
     """:func:`grid_transform` of each operator in ``ops``, with the circulant
-    symbol folded and checked once per distinct wrap matrix: the wrap-style
-    minimal and periodic operators of one grid share one matrix, and a
-    twisted operator reads the periodic one's symbol."""
-    symbols = []
+    symbol checked once per distinct wrap matrix: the wrap-style minimal
+    and periodic operators of one grid share one matrix, and a twisted
+    operator reads the periodic one's symbol."""
+    symbols = {}
     return [_transform(op, symbols) for op in ops]
 
 
@@ -552,9 +671,8 @@ def _transform(op: GridOperator, symbols) -> ZTransform:
     if op.action_style == "wrap":
         if op.tag.kind == "twisted":
             periodic = GridOperator(op.n, PERIODIC)
-            zt = _circulant_transform(periodic, _shared_symbol(periodic, symbols))
-            if zt is not None:
-                zt = zt._phase_rotated(_twist_phases(op.n, op.tag.theta))
+            zt = _circulant_transform(periodic, _shared_symbol(periodic, symbols),
+                                      _twist_phases(op.n, op.tag.theta))
         elif op.tag.kind == "minimal":
             zt = _deflated_transform(op, _shared_symbol(op, symbols))
         else:
@@ -569,7 +687,7 @@ def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> Inclusion
     ``a.as_domained()`` in ``b.as_domained()`` decides it.
 
     Realizations of ``i d/dx`` with one matrix differ only in their boundary
-    conditions.  When the two matrices agree, as for two untwisted
+    conditions.  When the two matrix keys agree, as for two untwisted
     wrap-style, two one-sided or two equally twisted operators on one grid,
     the action residual is exactly 0, and so is the membership residual of
     every interior unit column of ``a``'s frame, which lies in every tag's
@@ -580,7 +698,7 @@ def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> Inclusion
     ones and 0 for the minimal one, whose residual is 0.  Any other pair
     builds both dense fibers and takes :func:`graph_inclusion`.
     """
-    if not np.array_equal(a.matrix, b.matrix):
+    if a._matrix_key() != b._matrix_key():
         return graph_inclusion(a.as_domained(), b.as_domained(), tol)
     ea, eb = a._endpoint_block(), b._endpoint_block()
     mem_res = np.linalg.norm(ea - eb @ (eb.conj().T @ ea), axis=0)
@@ -602,7 +720,7 @@ def transform_jump(a, za: ZTransform, b, zb: ZTransform) -> float:
     for zm, p in ((za, b), (zb, a)):
         if (isinstance(zm, _DeflatedTransform) and isinstance(p, GridOperator)
                 and p.tag == PERIODIC and p.action_style == "wrap"
-                and np.array_equal(p.matrix, zm.matrix)):
+                and p._matrix_key() == zm.key):
             return float(np.linalg.norm(zm.jump_core, 2))
     return float(np.linalg.norm(zb.z - za.z, 2))
 
@@ -619,16 +737,42 @@ class KernelReport:
     gap_ratio: float
 
 
+def _onesided_square(n):
+    """Nonzeros ``(rows, cols, vals)`` of ``Do Do`` for the one-sided ``Do``
+    of :meth:`GridOperator._stencil`, one per pair of a nonzero ``(i, j)``
+    and a nonzero ``(j, k)``; entries at one position are to be summed."""
+    rows, cols, vals = GridOperator(n, MAXIMAL)._stencil()
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    start = np.searchsorted(rows, np.arange(n + 2))
+    count = (start[1:] - start[:-1])[cols]     # nonzeros of row j, per (i, j)
+    first = np.repeat(np.arange(rows.size), count)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    second = np.repeat(start[cols], count) + offset
+    return rows[first], cols[second], vals[first] * vals[second]
+
+
 def _composite_certificate_matrix(n):
     """1 - (d/dx)(d/dx) with the inner factor on the periodic subspace and the
     outer factor unconstrained, mapping reduced periodic coordinates into the
     full grid.  The inner derivative keeps one-sided seam rows because
-    periodic functions need not have periodic derivatives."""
+    periodic functions need not have periodic derivatives.
+
+    ``Do Do E`` is summed from the stencil's pairs, ``E`` folding column n
+    onto column 0.  Where the stencil values ``0.5 / h``, ``1.5 / h`` and
+    ``2 / h`` are exactly ``n / 2``, ``3 n / 2`` and ``2 n``, as at ``n`` =
+    400, 1600 and 3200, every product and sum is exact, and the result is
+    bitwise that of the dense products ``Do @ (Do @ E)``.  Elsewhere (first
+    at ``n = 77``) ``1 / h`` carries roundoff, and a few seam entries can
+    differ from a dense product that fuses a multiply-add by 1 ulp.
+    """
     E = np.zeros((n + 1, n))
     E[:n, :] = np.eye(n)
     E[n, 0] = 1.0
-    Do = _d_onesided(n)
-    return E - Do @ (Do @ E), E
+    rows, cols, vals = _onesided_square(n)
+    DDE = np.zeros((n + 1, n))
+    np.add.at(DDE, (rows, np.where(cols < n, cols, 0)), vals)
+    return E - DDE, E
 
 
 def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
@@ -685,7 +829,8 @@ def periodic_spectrum(n, m):
 
     The reduced coordinates of the sampled mode ``e^{2 pi i k x}`` are a
     multiple of the DFT vector of index ``k mod n``, so its eigenvalue is
-    that entry of :func:`circulant_eigenvalues`.  Reading it by index, not
+    that entry of the checked symbol (:func:`_checked_symbol`).  Reading it
+    by index, not
     by magnitude, matters: the centered stencil aliases mode k with mode
     n/2 - k (and the alternating vector sits in the kernel at even n).
     Returned in mode order -m, ..., 0, ..., m; the values approximate

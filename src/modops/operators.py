@@ -160,9 +160,13 @@ class DomainedOperator:
 
 
 class ZTransform:
-    """A contraction together with the density certificate for (1 - z*z)."""
+    """A contraction together with the density certificate for (1 - z*z).
 
-    __slots__ = ("z", "density_gap")
+    ``z`` is the dense matrix; a closed form that keeps less than ``z``
+    builds it when it is read.
+    """
+
+    __slots__ = ("_z", "density_gap")
 
     def __init__(self, z, tol=TOL_ALG):
         z = np.asarray(z, dtype=complex)
@@ -170,15 +174,19 @@ class ZTransform:
         if nz > 1.0 + tol:
             raise ValueError(f"not a contraction: ||z|| = {nz:.6f}")
         gap = float(np.linalg.eigvalsh(np.eye(z.shape[1]) - z.conj().T @ z)[0])
-        self.z = z
+        self._z = z
         self.density_gap = max(gap, 0.0)
 
     @classmethod
     def _exact(cls, z, density_gap) -> "ZTransform":
         """A transform whose construction proves both checks; neither runs."""
         out = cls.__new__(cls)
-        out.z, out.density_gap = z, density_gap
+        out._z, out.density_gap = z, density_gap
         return out
+
+    @property
+    def z(self):
+        return self._z
 
     def _phase_rotated(self, p) -> "ZTransform":
         """Transform ``diag(p) z diag(p)*`` for unimodular ``p``; the

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -90,16 +94,16 @@ def test_extend_refuses_a_grid_too_large_to_hold(capsys):
     assert main(["extend", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: n_x = 20000 needs at least ")
-    assert "GB for 4 dense 20001x20001 complex matrices" in err
+    assert "GB for 3 dense 20001x20001 complex matrices" in err
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=400)            # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    RunConfig("extend", n_x=400)            # 4 matrices of 401x401 take 10 MB
+    RunConfig("extend", n_x=400)            # 3 matrices of 401x401 take 8 MB
     RunConfig("extend", n_x=400, n_pi=4096)  # none of them per base point
-    for command in ("extend", "certify-nonregular"):
-        with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
+    for command, need in (("extend", r"0\.2 GB for 3"), ("certify-nonregular", r"0\.1 GB for 2")):
+        with pytest.raises(MalformedSpec, match=rf"needs at least {need} dense"):
             RunConfig(command, n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)
@@ -206,12 +210,49 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     assert peak >= 16 * (n_x + 1) ** 2 * k
 
 
+def test_counterexample_profile_holds_no_dense_matrix():
+    # the counterexample's transforms, its adjoint field and the jump are
+    # closed forms: the peak stays below one dense complex matrix
+    n_x = 1600
+    cfg = RunConfig("certify-nonregular", n_x=n_x, n_pi=16)
+    tracemalloc.start()
+    try:
+        _, zrep, _ = cli._counterexample_profile(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n_x + 1) ** 2
+    assert zrep.flagged == [0]
+
+
+def test_pipelines_do_not_import_numpy_ma(tmp_path):
+    # np.median and other lazy imports of numpy.ma cost a fresh process
+    # about 20 ms; a pipeline run in a fresh interpreter must not pay it
+    spec = write(tmp_path, "[grid]\nn_x = 64\nn_pi = 4\n\n"
+                           "[operator]\nkind = tags\ntags = periodic twisted:0.5 periodic\n")
+    certify = ["certify-nonregular", "--n-x", "64", "--out", str(tmp_path / "c.txt")]
+    zfield = ["zfield", "--config", spec, "--out", str(tmp_path / "z.txt")]
+    code = ("import sys\n"
+            "from modops.cli import main\n"
+            f"assert main({certify!r}) == 1 and main({zfield!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
+    assert "PROFILE-EMITTED" in (tmp_path / "z.txt").read_text()
+
+
 def test_zfield_is_gated_by_its_fibers():
     def pipeline(**extra):
         return RunConfig("zfield", n_x=64, **extra)._grid_pipeline()
     assert pipeline() == "zfield counterexample"
     assert pipeline(operator_kind="tags", operator_tags=("periodic", "twisted:1")) \
         == "zfield tags"
+    assert pipeline(operator_kind="tags", operator_tags=("periodic", "periodic")) \
+        == "zfield one-fiber tags"
     for tag in ("minimal", "maximal"):
         assert pipeline(operator_kind="tags", operator_tags=("periodic", tag)) \
             == "zfield one-sided tags"

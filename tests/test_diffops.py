@@ -13,7 +13,6 @@ from modops.diffops import (
     GridFunction,
     GridOperator,
     build_derivative,
-    circulant_eigenvalues,
     grid_inclusion,
     grid_transform,
     kernel_certificate,
@@ -24,6 +23,7 @@ from modops.diffops import (
 )
 from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
 from modops.operators import InclusionResult, adjoint_via_graph, graph_inclusion, z_transform
+from modops.tolerances import CIRCULANT_MATCH
 
 
 def sampled(f, n):
@@ -42,6 +42,245 @@ def constraint_matrix(op):
     C[0, n] = 1.0
     C[0, 0] = -1.0 if kind == "periodic" else -np.exp(1j * op.tag.theta)
     return C
+
+
+# ---------------------------------------------------- dense assembly oracles
+# The dense matrices, folds and checks that the descriptions in
+# modops.diffops replace; each description is tested against them.
+def _centered_rows(n):
+    h = 1.0 / n
+    D = np.zeros((n + 1, n + 1))
+    for j in range(1, n):
+        D[j, j - 1] = -0.5 / h
+        D[j, j + 1] = 0.5 / h
+    return D
+
+
+def _d_onesided(n):
+    """d/dx with second-order one-sided boundary rows (maximal / minimal)."""
+    h = 1.0 / n
+    D = _centered_rows(n)
+    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    D[n, n], D[n, n - 1], D[n, n - 2] = 1.5 / h, -2.0 / h, 0.5 / h
+    return D
+
+
+def _d_wrap(n):
+    """d/dx with wraparound boundary rows; rows 0 and n agree."""
+    h = 1.0 / n
+    D = _centered_rows(n)
+    D[0, 1], D[0, n - 1] = 0.5 / h, -0.5 / h
+    D[n, 1], D[n, n - 1] = 0.5 / h, -0.5 / h
+    return D
+
+
+def dense_matrix(op):
+    """The grid matrix as it was assembled densely."""
+    if op.tag.kind == "twisted":
+        u = diffops._twist_phases(op.n, op.tag.theta)
+        D = (u[:, None] * _d_wrap(op.n)) * np.conj(u)[None, :]
+    elif op.action_style == "wrap":
+        D = _d_wrap(op.n)
+    else:
+        D = _d_onesided(op.n)
+    return 1j * D
+
+
+def dense_fold(op):
+    """``F* A F`` for the seam frame ``F`` of ``_row_weights``, densely."""
+    A, n = op.weighted_action(), op.n
+    f = op._row_weights()
+    M = (f.conj()[:, None] * A) * f[None, :]
+    T0 = M[:n, :n].copy()
+    T0[0, :] += M[n, :n]
+    T0[:, 0] += M[:n, n]
+    T0[0, 0] += M[n, n]
+    return T0
+
+
+def dense_reduced(op):
+    """The matrix ``F* A F`` on the tag's domain frame, by slicing."""
+    if op.tag.kind == "maximal":
+        return op.weighted_action()
+    if op.tag.kind == "minimal":
+        return op.weighted_action()[1:op.n, 1:op.n].copy()
+    return dense_fold(op)
+
+
+def circulant_eigenvalues(m):
+    """Real eigenvalues ``fft(c)`` of a Hermitian circulant ``m`` with first
+    column ``c``, or None when an entry of ``m`` is off the shifted ``c`` by
+    more than ``CIRCULANT_MATCH * max|c|`` or an ``fft(c)`` has an imaginary
+    part above ``CIRCULANT_MATCH * sum|c|``."""
+    c = m[:, 0]
+    deviation = np.max(np.abs(m - diffops._circulant(c)))
+    if not deviation <= CIRCULANT_MATCH * np.max(np.abs(c)):
+        return None
+    lam = np.fft.fft(c)
+    if not np.max(np.abs(lam.imag)) <= CIRCULANT_MATCH * np.sum(np.abs(c)):
+        return None
+    return lam.real
+
+
+def dense_symbol(op):
+    """The checked symbol from the dense fold and the dense seam rows."""
+    lam = circulant_eigenvalues(dense_fold(op))
+    m = op.matrix
+    if lam is None or not np.array_equal(m[0], m[op.n]):
+        return None
+    return lam
+
+
+class Bumped(GridOperator):
+    """A grid operator whose stencil carries the extra values ``bumps``,
+    ``{(row, col): value}``, as a broken assembly would; its matrix key
+    records them."""
+
+    __slots__ = ("bumps",)
+
+    def __init__(self, n, tag, action_style=None, bumps=()):
+        super().__init__(n, tag, action_style)
+        self.bumps = dict(bumps)
+
+    def _stencil(self):
+        rows, cols, vals = super()._stencil()
+        vals = vals.copy()
+        extra = []
+        for (r, c), v in self.bumps.items():
+            hit = (rows == r) & (cols == c)
+            if hit.any():
+                vals[hit] += v
+            else:
+                extra.append((r, c, v))
+        if extra:
+            er, ec, ev = zip(*extra)
+            rows, cols, vals = (np.concatenate([rows, er]), np.concatenate([cols, ec]),
+                                np.concatenate([vals, ev]))
+        return rows, cols, vals
+
+    def _matrix_key(self):
+        return super()._matrix_key() + (tuple(sorted(self.bumps.items())),)
+
+
+def every_operator(n):
+    """One grid operator of every tag and action style, twisted included,
+    the twist by angle 0 among them."""
+    return [GridOperator(n, MAXIMAL), GridOperator(n, MINIMAL),
+            GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC),
+            GridOperator(n, PERIODIC, "onesided"), GridOperator(n, BoundaryTag.twisted(0.0)),
+            GridOperator(n, BoundaryTag.twisted(0.7)), GridOperator(n, BoundaryTag.twisted(3.0))]
+
+
+ORACLE_SIZES = [8, 9, 64, 401]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_matrix_is_the_dense_assembly(n):
+    rows, cols = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    for op in every_operator(n):
+        m = op.matrix
+        assert m.tobytes() == dense_matrix(op).tobytes(), op
+        assert not m.flags.writeable
+        assert op._entries(rows, cols).tobytes() == m.ravel().tobytes(), op
+        assert op.matrix is not m            # built on each read, not kept
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_matrix_keys_agree_with_matrix_equality(n):
+    ops = every_operator(n) + [GridOperator(n + 1, PERIODIC)]
+    matrices = [op.matrix for op in ops]
+    for a, ma in zip(ops, matrices):
+        for b, mb in zip(ops, matrices):
+            same = ma.shape == mb.shape and np.array_equal(ma, mb)
+            assert (a._matrix_key() == b._matrix_key()) == same, (a, b)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_symbol_is_that_of_the_dense_fold(n):
+    for op in every_operator(n):
+        got, want = diffops._checked_symbol(op), dense_symbol(op)
+        assert (got is None) == (want is None), op
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), op
+    # one-sided rows are not circulant, and the seam rows of a twist other
+    # than 0 differ by its phase; a twisted operator reads the periodic symbol
+    assert [diffops._checked_symbol(op) is None for op in every_operator(n)] == \
+        [True, True, False, False, True, False, True, True]
+    lam = dense_symbol(GridOperator(n, PERIODIC))
+    assert diffops._periodic_eigenvalues(n).tobytes() == lam.tobytes()
+    if n >= 32:
+        assert periodic_complement_floor(n) == float(1.0 + np.min(lam ** 2))
+        assert periodic_spectrum(n, n // 4).tobytes() == \
+            lam[np.arange(-(n // 4), n // 4 + 1) % n].tobytes()
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_closed_forms_match_the_dense_transform(n):
+    rng = np.random.default_rng(n)
+    for op in every_operator(n):
+        zt = grid_transform(op)
+        if op.action_style != "wrap":
+            assert not isinstance(zt, diffops._GridTransform)
+            continue
+        assert isinstance(zt, diffops._GridTransform), op
+        dense = z_transform(op.as_domained()).z
+        assert_allclose(zt.z, dense, rtol=0, atol=1e-13)
+        for _ in range(2):
+            x = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            x /= np.linalg.norm(x)
+            assert_allclose(zt.apply(x), dense @ x, rtol=0, atol=1e-13)
+            assert_allclose(zt.apply_adjoint(x), dense.conj().T @ x, rtol=0, atol=1e-13)
+
+
+def test_closed_forms_form_z_only_when_read(linalg_calls):
+    n = 400
+    per, mw = GridOperator(n, PERIODIC), GridOperator(n, MINIMAL, "wrap")
+    zp, zm = diffops.grid_transforms([per, mw])
+    tw = grid_transform(GridOperator(n, BoundaryTag.twisted(0.3)))
+    # each keeps O(n) values, the minimal fiber its m x m core, and no z
+    for zt in (zp, zm, tw):
+        assert zt.lam.shape == (n,) and zt.weights.shape == (n + 1,)
+        assert not hasattr(zt, "_z")
+    assert tw.phases.shape == (n + 1,) and zm.labels.shape == (n,)
+    assert zm.g.shape == zm.jump_core.shape == (101, 101)
+    linalg_calls.clear()
+    assert zp.z is not zp.z and np.array_equal(zp.z, zp.z)
+    assert linalg_calls == []
+
+
+def dense_composite_certificate_matrix(n):
+    """``E - Do @ (Do @ E)`` by dense products: the oracle of the stencil sum."""
+    E = np.zeros((n + 1, n))
+    E[:n, :] = np.eye(n)
+    E[n, 0] = 1.0
+    Do = _d_onesided(n)
+    return E - Do @ (Do @ E), E
+
+
+@pytest.mark.parametrize("n", [8, 32, 33, 200, 333, 400, 77, 105])
+def test_composite_certificate_matrix_is_the_dense_product(n):
+    K, E = diffops._composite_certificate_matrix(n)
+    K_dense, E_dense = dense_composite_certificate_matrix(n)
+    assert E.tobytes() == E_dense.tobytes()
+    h = 1.0 / n
+    if (0.5 / h, 1.5 / h, 2.0 / h) == (n / 2, 1.5 * n, 2.0 * n):
+        # every product and sum is exact, whatever the order
+        assert K.tobytes() == K_dense.tobytes()
+    else:
+        # 1 / h carries roundoff: summation orders differ in the last bit
+        np.testing.assert_array_max_ulp(K, K_dense, maxulp=1)
+
+
+def test_checked_symbol_refuses_broken_stencils():
+    n = 64
+    for bumps in ({(7, 8): 1e-9}, {(7, 30): 1.0}, {(5, 6): np.nan}, {(0, 1): 1e-6}):
+        op = Bumped(n, PERIODIC, bumps=bumps)
+        assert diffops._checked_symbol(op) is None, bumps
+        assert dense_symbol(op) is None, bumps
+    # a bump on every interior row along one diagonal keeps the fold circulant
+    # but for the seam row, which the check reads too
+    op = Bumped(n, PERIODIC, bumps={(j, j + 1): 1.0 for j in range(1, n)})
+    assert diffops._checked_symbol(op) is None and dense_symbol(op) is None
 
 
 # ---------------------------------------------------------------------- tags
@@ -149,7 +388,7 @@ def _matmul_reduced(op):
 def test_sliced_reduced_matrix_matches_the_frame_product(tag, n):
     for style in (None, "wrap") if tag.kind == "minimal" else (None,):
         op = GridOperator(n, tag, style)
-        assert_allclose(op.reduced(), _matmul_reduced(op), rtol=0, atol=1e-13 * n)
+        assert_allclose(dense_reduced(op), _matmul_reduced(op), rtol=0, atol=1e-13 * n)
 
 
 def test_domain_frames_are_orthonormal_and_satisfy_constraints():
@@ -167,18 +406,10 @@ def test_wrap_style_minimal_is_periodic_matrix_restricted():
     n = 48
     mw = GridOperator(n, MINIMAL, action_style="wrap")
     per = GridOperator(n, PERIODIC)
-    assert_allclose(mw.matrix, per.matrix)
+    assert np.array_equal(mw.matrix, per.matrix)
+    assert mw._matrix_key() == per._matrix_key() and mw != per
     assert mw.domain_frame().shape[1] == n - 1
-    # so the periodic operator retagged as minimal is that operator, on the
-    # periodic matrix itself
-    shared = per.with_tag(MINIMAL)
-    assert shared == mw and shared.matrix is per.matrix and per.tag == PERIODIC
-    assert_allclose(shared.domain_frame(), mw.domain_frame(), rtol=0, atol=0)
-    assert shared.with_tag(PERIODIC) == per
-    for op, tag in ((per, MAXIMAL), (per, BoundaryTag.twisted(0.2)),
-                    (GridOperator(n, MINIMAL), PERIODIC)):
-        with pytest.raises(ValueError):
-            op.with_tag(tag)
+    assert mw._matrix_key() != GridOperator(n, MINIMAL)._matrix_key()
 
 
 def test_invalid_action_styles_rejected():
@@ -240,7 +471,7 @@ def test_grid_operator_matrix_is_frozen():
 
 # ------------------------------------------------------------------ symmetry
 def test_periodic_reduced_matrix_exactly_hermitian():
-    T0 = GridOperator(96, PERIODIC).reduced()
+    T0 = dense_reduced(GridOperator(96, PERIODIC))
     assert np.linalg.norm(T0 - T0.conj().T, 2) <= 1e-12
 
 
@@ -462,7 +693,7 @@ def test_non_circulant_fibers_take_the_dense_transform(linalg_calls, tag, style)
 @pytest.mark.parametrize("tag", [PERIODIC, BoundaryTag.twisted(1.1), MINIMAL])
 def test_failed_circulant_check_falls_back_to_the_dense_transform(
         monkeypatch, linalg_calls, tag):
-    monkeypatch.setattr(diffops, "circulant_eigenvalues", lambda m: None)
+    monkeypatch.setattr(diffops, "_checked_symbol", lambda op: None)
     op = GridOperator(64, tag, "wrap")
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
@@ -476,12 +707,8 @@ def test_failed_circulant_check_falls_back_to_the_dense_transform(
 def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):
     # opposite changes to rows 0 and n leave the folded T0 circulant, but
     # the action then leaves the periodic domain, so B = F T0 fails
-    op = GridOperator(64, PERIODIC)
-    m = op.matrix.copy()
-    m[0, 5] += 1.0
-    m[64, 5] -= 1.0
-    op.matrix = m
-    assert circulant_eigenvalues(op.reduced()) is not None
+    op = Bumped(64, PERIODIC, bumps={(0, 5): 1.0, (64, 5): -1.0})
+    assert circulant_eigenvalues(dense_fold(op)) is not None
     assert diffops._checked_symbol(op) is None
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
@@ -544,11 +771,7 @@ def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_ca
 
 def test_minimal_fiber_with_another_matrix_takes_the_dense_transform(linalg_calls):
     # opposite changes to the seam rows: no longer the periodic wrap matrix
-    op = GridOperator(64, MINIMAL, "wrap")
-    m = op.matrix.copy()
-    m[0, 5] += 1.0
-    m[64, 5] -= 1.0
-    op.matrix = m
+    op = Bumped(64, MINIMAL, "wrap", bumps={(0, 5): 1.0, (64, 5): -1.0})
     assert diffops._checked_symbol(op) is None
     zt = grid_transform(op)
     assert linalg_calls == ["eigh"]
@@ -561,10 +784,7 @@ def test_jump_takes_the_dense_norm_off_the_minimal_periodic_pair(linalg_calls):
     zm, zp = grid_transform(mw), grid_transform(per)
     tw = GridOperator(n, BoundaryTag.twisted(0.5))
     zt = grid_transform(tw)
-    bumped = GridOperator(n, PERIODIC)
-    m = bumped.matrix.copy()
-    m[3, 4] += 1.0
-    bumped.matrix = m
+    bumped = Bumped(n, PERIODIC, bumps={(3, 4): 1.0})
     linalg_calls.clear()
     for a, za, b, zb in ((mw, zm, tw, zt), (per, zp, tw, zt), (mw, zm, bumped, zp)):
         assert transform_jump(a, za, b, zb) == np.linalg.norm(zb.z - za.z, 2)

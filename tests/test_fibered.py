@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ def test_zfield_of_the_counterexample_matches_dense_reference(n_x, n_pi):
         assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("profile", [[], [0.5], [3.0, 1.0, 2.0], [0.25, 1e-17, 7.0, 0.1],
+                                     [1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 2.0], [0.1, 0.3],
+                                     [1.481327763638, 1e-16, 0.0, 3e-16, 1e-16],
+                                     [np.nextafter(1.0, 2.0), 1.0], [0.0, np.nan, 1.0]])
+def test_median_is_numpys(profile):
+    profile = np.asarray(profile, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # the empty mean
+        want = np.median(profile)
+    got = fibered._median(profile)
+    assert type(got) is float
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
 def test_zfields_transform_equal_fibers_once_across_fields(monkeypatch):
     calls = []
     transforms = fibered.grid_transforms
@@ -247,15 +265,15 @@ def test_certify_nonregular_transforms_each_fiber_once(monkeypatch, tmp_path):
     monkeypatch.setattr(fibered, "grid_transforms", lambda ops: calls.extend(
         op.tag.kind for op in ops) or transforms(ops))
     checked = []
-    symbol = diffops.circulant_eigenvalues
-    monkeypatch.setattr(diffops, "circulant_eigenvalues",
-                        lambda m: checked.append(m.shape) or symbol(m))
+    symbol = diffops._checked_symbol
+    monkeypatch.setattr(diffops, "_checked_symbol",
+                        lambda op: checked.append(op._matrix_key()) or symbol(op))
     run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
                   output_path=str(tmp_path / "c.txt")))
     assert calls == ["minimal", "periodic"]
-    # the periodic symbol is folded and checked once in the kernel stage
-    # and once for both fibers, which share one matrix
-    assert checked == [(64, 64)] * 2
+    # the periodic symbol is checked once in the kernel stage and once for
+    # both fibers, which share one matrix
+    assert checked == [(64, "wrap", 0.0)] * 2
 
 
 @settings(max_examples=15, deadline=None)
