@@ -77,7 +77,8 @@ _DENSE_MATRICES = {
     "zfield one-sided tags": 7,
     # t0's dense transform z, which the gauge gates read, and beside it the
     # coarse column bound's |z|^2 and squared increment differences; the
-    # rows are decided from the frames' endpoint rows
+    # rows are decided from the frames' endpoint rows, and with a gluing
+    # modulus as without one the glued fields keep their fibers
     "extend": 3,
 }
 

@@ -490,10 +490,22 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     result extends ``F`` fiberwise.  ``modulus=None`` means no gluing
     constraint, the right reading on a finite discrete base where every
     field is an element.
+
+    A field without an explicit ``coupled_frame`` grants the whole product
+    of its closure domains, the span of ``pool``, the block-diagonal product
+    of the closure frames.  The directions the modulus admits are
+    ``pool @ keep`` for an isometry ``keep``, inside that span, and
+    ``[pool, pool @ keep] = pool [I, keep]`` has every singular value at
+    least 1, since ``[I, keep][I, keep]* = I + keep keep* >= I``; so no rank
+    cutoff drops a direction, the admitted span is the whole product
+    whatever the modulus is, and its block ``i`` spans ``F``'s domain at
+    fiber ``i``.  Such a field is therefore returned with its own fibers,
+    as for ``modulus=None``, and the product stays implicit
+    (``coupled_frame`` None) to keep large grids cheap.  Only a field with
+    an explicit ``coupled_frame`` is glued by the SVD of its stacked image
+    deviations.
     """
-    if modulus is None:
-        # no gluing constraint: the admitted set is the whole product, left
-        # implicit (coupled_frame None) to keep large grids cheap
+    if modulus is None or F.coupled_frame is None:
         return F._on_same_index(F.distinct_fibers, F.phases, symbol=F.symbol,
                                 algebra_index=F.algebra_index)
 
@@ -503,13 +515,10 @@ def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
     # row block i: image of fiber i + 1 minus image of fiber i
     images = block_diag(c.restricted() for c in closures)
     dev_rows = images[amb:] - images[:-amb]
-    u, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
+    _, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
     keep = vh.conj().T[:, np.concatenate([s <= modulus,
                                           np.ones(pool.shape[1] - s.size, bool)])]
-    filtered = pool @ keep
-
-    granted = pool if F.coupled_frame is None else F.coupled_frame
-    coupled = orthonormal_frame(np.hstack([granted, filtered]))
+    coupled = orthonormal_frame(np.hstack([F.coupled_frame, pool @ keep]))
 
     fibers = []
     for i, c in enumerate(closures):
@@ -743,10 +752,12 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
 
     The gluing chain verifies S inside tilde(S), tilde(S) inside tilde(T),
     and tilde(T) = T fiberwise.  When the tilde fields keep their input
-    fibers, as with ``modulus=None``, the outer links join a fiber to itself
-    and hold by reflexivity, and the middle link is the row, so the chain
-    decides nothing afresh.  Dense fibers are built once per fiber value,
-    and only where a dense test reads them.
+    fibers, as they do with ``modulus=None`` or for a field without an
+    explicit ``coupled_frame``, the outer links join a fiber to itself and
+    hold by reflexivity, and the middle link is the row, so the chain
+    decides nothing afresh.  A gauge carries ``S``'s coupled frame along,
+    each fiber's rows rotated by that fiber's phases.  Dense fibers are
+    built once per fiber value, and only where a dense test reads them.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
@@ -756,7 +767,11 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         if len(gauge) != S.n_fibers:
             raise ValueError("gauge must match the grid")
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
-        S = S._on_same_index(S.distinct_fibers, phases)
+        coupled = S.coupled_frame
+        if coupled is not None:
+            # row block i holds fiber i's coordinates
+            coupled = gauge.phases.reshape(-1)[:, None] * coupled
+        S = S._on_same_index(S.distinct_fibers, phases, coupled_frame=coupled)
 
     # dense fibers by fiber value (grid operators compare by value)
     built = {}

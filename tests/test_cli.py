@@ -210,6 +210,23 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     assert peak >= 16 * (n_x + 1) ** 2 * k
 
 
+def test_extend_with_a_modulus_keeps_the_dense_matrix_count(tmp_path):
+    # a gluing modulus leaves the extend peak where it is without one, so the
+    # gate's count for extend holds with a modulus too
+    def peak(**extra):
+        cfg = RunConfig("extend", n_x=200, n_pi=5, output_path=str(tmp_path / "r.txt"),
+                        **extra)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()      # the first run in a process also traces one-time imports
+    assert peak(modulus=0.5) <= 1.1 * peak()
+
+
 def test_counterexample_profile_holds_no_dense_matrix():
     # the counterexample's transforms, its adjoint field and the jump are
     # closed forms: the peak stays below one dense complex matrix

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import modops.diffops as diffops
 import modops.fibered as fibered
 
-from modops.algebra import AlgebraElement, FiberIndex
+from modops.algebra import AlgebraElement, FiberIndex, block_diag
 from modops.cli import RunConfig, run
 from modops.diffops import (
     MAXIMAL,
@@ -34,7 +34,7 @@ from modops.fibered import (
     tilde_extension,
     zfield,
 )
-from modops.tolerances import GAUGE_INCREMENT_MATCH
+from modops.tolerances import GAUGE_INCREMENT_MATCH, TOL_GRAPH
 from modops.operators import (
     DomainedOperator,
     ZTransform,
@@ -497,6 +497,82 @@ def test_tilde_of_gauge_built_field_is_itself():
     S = tilde_extension(res.field)
     for a, b in zip(res.field.fibers, S.fibers):
         assert graph_inclusion(a, b).included and graph_inclusion(b, a).included
+
+
+def reference_tilde(F, modulus=None):
+    """Dense oracle of :func:`tilde_extension`: with a modulus, the admitted
+    directions are glued from the SVD of the stacked image deviations and
+    joined to the granted span (the explicit coupled frame, else the block
+    product of the closure frames) by one more SVD, whether or not a coupled
+    frame is given; ``modulus=None`` keeps ``F``'s dense fibers."""
+    closures = F.fibers
+    if modulus is None:
+        return FiberedOperator(F.pi_grid, closures)
+    amb = F.ambient_dim
+    pool = block_diag([c.frame for c in closures])
+    images = block_diag([c.restricted() for c in closures])
+    dev_rows = images[amb:] - images[:-amb]
+    _, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
+    keep = vh.conj().T[:, np.concatenate([s <= modulus,
+                                          np.ones(pool.shape[1] - s.size, bool)])]
+    granted = pool if F.coupled_frame is None else F.coupled_frame
+    coupled = orthonormal_frame(np.hstack([granted, pool @ keep]))
+    fibers = [DomainedOperator(c.action, orthonormal_frame(coupled[i * amb:(i + 1) * amb]))
+              for i, c in enumerate(closures)]
+    return FiberedOperator(F.pi_grid, fibers, coupled_frame=coupled)
+
+
+# the oracle's SVDs move the frame of a fiber they leave unchanged by
+# roundoff; a glued fiber is its input fiber when the two agree to this in
+# the 2-norm, in domain projector and in action on the domain
+ORACLE_MATCH = 1e-12
+
+
+def _same_fiber(a, b):
+    pa, pb = a.domain_projector(), b.domain_projector()
+    return bool(np.linalg.norm(pa - pb, 2) <= ORACLE_MATCH
+                and np.linalg.norm((a.action - b.action) @ pb, 2) <= ORACLE_MATCH)
+
+
+def _snapped(glued, fibers):
+    """The fibers of the glued field ``glued``, each replaced by its input
+    fiber where the two are one fiber to the oracle's accuracy, so that a
+    graph tolerance below that accuracy does not read roundoff as a change."""
+    return [f if _same_fiber(g, f) else g for g, f in zip(glued.fibers, fibers)]
+
+
+def _oracle_fields(n_pi=6, n_x=48):
+    grid = np.linspace(0, 1, n_pi)
+    gauged = gauge_extension(GridOperator(n_x, PERIODIC),
+                             GaugeField.linear_phase(grid, n_x)).field
+    return {"counterexample": build_counterexample_t(n_pi, n_x), "linear-phase": gauged}
+
+
+@pytest.mark.parametrize("modulus", [0.0, 0.25, 0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("kind", ["counterexample", "linear-phase"])
+def test_tilde_with_a_modulus_keeps_the_fibers_of_the_dense_oracle(monkeypatch, kind,
+                                                                    modulus):
+    # without an explicit coupled frame the admitted span is the whole
+    # product whatever the modulus: the fast path returns F's own fibers,
+    # takes no SVD and forms no frame
+    F = _oracle_fields()[kind]
+    calls = []
+    svd, frame = np.linalg.svd, fibered.orthonormal_frame
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counting("svd", svd))
+        mp.setattr(fibered, "orthonormal_frame", counting("orthonormal_frame", frame))
+        fast = tilde_extension(F, modulus)
+    assert calls == []
+    assert fibered._keeps_fibers(fast, F) and fast.coupled_frame is None
+    assert all(_same_fiber(a, b)
+               for a, b in zip(fast.fibers, reference_tilde(F, modulus).fibers))
 
 
 # -------------------------------------------------------------------- gauge
@@ -985,15 +1061,20 @@ def test_extension_check_reports_failing_fiber():
     assert rep.failing == [pytest.approx(0.5)]
 
 
-def reference_extension_check(S, T, tol, gauge, modulus, tilde=tilde_extension):
+def reference_extension_check(S, T, tol, gauge, modulus):
     """Dense reference: every row inclusion, and every link of the gluing
     chain decided by its own graph inclusion and projector comparison, on
-    the dense fibers, each built once, and their glued fields by ``tilde``.
-    A link between two dense fibers already compared, as the same objects,
-    reuses that decision.  Returns (rows, included, failing, tilde_chain_ok)."""
+    the dense fibers, each built once, and their glued fields by the dense
+    oracle :func:`reference_tilde`, each with its field's coupled frame
+    (``S``'s rotated by the gauge).  A link between two dense fibers already
+    compared, as the same objects, reuses that decision.  Returns (rows,
+    included, failing, tilde_chain_ok)."""
     s_fibers, t_fibers = S.fibers, T.fibers
+    s_coupled = S.coupled_frame
     if gauge is not None:
         s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, s_fibers)]
+        if s_coupled is not None:
+            s_coupled = block_diag([np.diag(p) for p in gauge.phases]) @ s_coupled
     decided = {}
 
     def included(a, b):
@@ -1007,10 +1088,13 @@ def reference_extension_check(S, T, tol, gauge, modulus, tilde=tilde_extension):
         rows.append((float(pi), res.included, res.residual))
         if not res.included:
             failing.append(float(pi))
-    s_tilde = tilde(FiberedOperator(S.pi_grid, s_fibers), modulus)
-    t_tilde = tilde(FiberedOperator(T.pi_grid, t_fibers), modulus)
+    s_tilde = reference_tilde(FiberedOperator(S.pi_grid, s_fibers, coupled_frame=s_coupled),
+                              modulus)
+    t_tilde = reference_tilde(FiberedOperator(T.pi_grid, t_fibers,
+                                              coupled_frame=T.coupled_frame), modulus)
     chain = True
-    for sf, st_, tt, tf in zip(s_fibers, s_tilde.fibers, t_tilde.fibers, t_fibers):
+    for sf, st_, tt, tf in zip(s_fibers, _snapped(s_tilde, s_fibers),
+                               _snapped(t_tilde, t_fibers), t_fibers):
         if not included(sf, st_).included:
             chain = False
         if not included(st_, tt).included:
@@ -1090,24 +1174,8 @@ def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
         S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
     except GaugeNotContinuous:
         assume(False)
-    # tilde_extension is a function of the dense fibers and the modulus, so
-    # the check and the reference share one glued field per distinct input
-    glued, tilde = {}, fibered.tilde_extension
-
-    def shared_tilde(F, modulus=None):
-        if modulus is None:
-            return tilde(F, modulus)
-        key = (modulus, F.coupled_frame is None,
-               tuple((f.action.tobytes(), f.frame.tobytes()) for f in F.fibers))
-        if key not in glued:
-            glued[key] = tilde(F, modulus)
-        return glued[key]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fibered, "tilde_extension", shared_tilde)
-        rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
-    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus,
-                                                               shared_tilde)
+    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
+    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
     # rows decided on the ungauged fibers move their residuals at roundoff
     assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
     assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows],
@@ -1142,11 +1210,87 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     # rows: one per distinct pair (minimal, t0) and (periodic, t0), both
     # pairs of grid fibers
     assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
-    # with a modulus the tilde fibers are new objects and every link runs
+    # a modulus leaves fields without a coupled frame their own fibers, so
+    # the chain reuses the row verdicts as well
     calls.update(grid_inclusion=0, graph_inclusion=0, same_domain=0)
     rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1.0)
-    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 3 * n_pi,
-                             "same_domain": n_pi}
+    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
+
+
+def _clashing_fibers():
+    # two fibers whose images glue only along (e2, .) and (., e1)
+    return [DomainedOperator.full(np.diag([1.0, 0.0])),
+            DomainedOperator.full(np.diag([0.0, 1.0]))]
+
+
+def _coupled_case(case):
+    """(S, T, gauge, modulus, tilde_chain_ok) where ``T`` carries an explicit
+    coupled frame: the block product of its own frames, or nothing at all."""
+    if case == "block-product":
+        S, T, gauge = _extension_case(24, 5, "linear", (0, 0, 0), None)
+        frame = block_diag([f.frame for f in T.fibers])
+        return (S, T._on_same_index(T.distinct_fibers, T.phases, coupled_frame=frame),
+                gauge, 1.0, True)
+    fibers = _clashing_fibers()
+    T = FiberedOperator([0.0, 1.0], fibers, coupled_frame=np.zeros((4, 0), dtype=complex))
+    # a tight modulus glues T's domains down to one direction per fiber
+    modulus, chain = {"nothing-tight": (1e-6, False), "nothing-loose": (10.0, True)}[case]
+    return FiberedOperator([0.0, 1.0], fibers), T, None, modulus, chain
+
+
+@pytest.mark.parametrize("case", ["block-product", "nothing-tight", "nothing-loose"])
+def test_coupled_frame_chain_runs_every_link(monkeypatch, case):
+    S, T, gauge, modulus, expected = _coupled_case(case)
+    calls = {"graph_inclusion": 0, "same_domain": 0}
+
+    def counting_inclusion(*args):
+        calls["graph_inclusion"] += 1
+        return graph_inclusion(*args)
+
+    def counting_same_domain(self, other, tol):
+        calls["same_domain"] += 1
+        return same_domain(self, other, tol)
+
+    same_domain = DomainedOperator.same_domain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibered, "graph_inclusion", counting_inclusion)
+        mp.setattr(DomainedOperator, "same_domain", counting_same_domain)
+        rep = extension_inclusion_check(S, T, gauge=gauge, modulus=modulus)
+    rows, included, failing, chain = reference_extension_check(S, T, TOL_GRAPH, gauge,
+                                                               modulus)
+    assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
+    assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows], rtol=RTOL, atol=ATOL)
+    assert rep.included == included and rep.tilde_chain_ok == chain == expected
+    if case == "block-product":
+        # the rows are two grid pairs; all three links and the domain
+        # comparison run at each of the 5 fibers
+        assert calls == {"graph_inclusion": 15, "same_domain": 5}
+
+
+def test_gauge_carries_the_coupled_frame(monkeypatch):
+    # S's coupled frame grants the one direction (e1, e1) beside the glued
+    # ones; the gauge must keep that frame, row block i rotated by phases[i]
+    fibers = _clashing_fibers()
+    coupled = np.array([[1.0], [0.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2)
+    S = FiberedOperator([0.0, 1.0], fibers, coupled_frame=coupled)
+    T = FiberedOperator([0.0, 1.0], fibers)
+    gauge = GaugeField([0.0, 1.0], [[1.0, 1.0], [1j, 1.0]])
+    glued, tilde = [], fibered.tilde_extension
+
+    def recording(F, modulus=None):
+        glued.append(F.coupled_frame)
+        return tilde(F, modulus)
+
+    monkeypatch.setattr(fibered, "tilde_extension", recording)
+    rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1e-6)
+    rotated = block_diag([np.diag(p) for p in gauge.phases]) @ coupled
+    assert np.array_equal(glued[0], rotated) and glued[1] is None
+    # the glued S holds only e1 at the second fiber, so S is not inside it;
+    # with the frame dropped, S would be its own glued field
+    rows, included, failing, chain = reference_extension_check(S, T, TOL_GRAPH, gauge, 1e-6)
+    assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
+    assert rep.included is included is True
+    assert rep.tilde_chain_ok is chain is False
 
 
 @pytest.mark.parametrize("gauge_kind, perturb, rows", [
