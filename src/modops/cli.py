@@ -66,20 +66,17 @@ _DENSE_MATRICES = {
     "certify-nonregular": 2,
     "zfield counterexample": 0,
     # a tags field of periodic and twisted fibers, in closed form: a jump
-    # between two distinct fibers is the dense 2-norm of the difference of
-    # their transforms, each formed for it, so 3 matrices at once; a field of
-    # one fiber takes no jump and forms none
-    "zfield tags": 3,
-    "zfield one-fiber tags": 0,
+    # between two distinct fibers is a Lanczos 2-norm over their FFT actions
+    "zfield tags": 0,
     # a tags field with a one-sided minimal or maximal fiber, whose dense
     # transform is the peak: the fiber's action and frame, B, 1 + B*B, and
     # its eigenvectors v, v / sqrt(lam) and v* while they multiply
     "zfield one-sided tags": 7,
-    # t0's dense transform z, which the gauge gates read, and beside it the
-    # coarse column bound's |z|^2 and squared increment differences; the
-    # rows are decided from the frames' endpoint rows, and with a gluing
-    # modulus as without one the glued fields keep their fibers
-    "extend": 3,
+    # the gauge gates act by t0's closed-form transform, one Lanczos 2-norm
+    # per distinct increment; the rows are decided from the frames' endpoint
+    # rows, and with a gluing modulus as without one the glued fields keep
+    # their fibers
+    "extend": 0,
 }
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
@@ -149,7 +146,7 @@ class RunConfig:
         tags = self.operator_tags or ()
         if any(t.kind in ("minimal", "maximal") for t in tags):
             return "zfield one-sided tags"
-        return "zfield tags" if len(set(tags)) > 1 else "zfield one-fiber tags"
+        return "zfield tags"
 
     def _check_memory(self, pipeline):
         """Refuse a grid whose dense matrices cannot fit in physical memory."""

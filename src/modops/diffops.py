@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import complement_eigh
+from .algebra import complement_eigh, top_singular_value
 from .errors import GridTooCoarse, NotCirculant, SingularResolvent, UnexpectedKernelDim
 from .operators import (
     DomainedOperator,
@@ -714,14 +714,20 @@ def transform_jump(a, za: ZTransform, b, zb: ZTransform) -> float:
     When one transform is a wrap-style minimal operator's closed form and
     the other fiber the periodic operator of the same matrix, whose
     transform is then the circulant closed form, the norm is read off the
-    deflated core, an ``m x m`` matrix; any other pair takes the dense
-    2-norm.
+    deflated core, an ``m x m`` matrix.  Any other pair of closed forms
+    takes :func:`top_singular_value` over the difference of their FFT
+    actions, so neither ``z`` is formed; a pair with a dense transform
+    takes the dense 2-norm.
     """
     for zm, p in ((za, b), (zb, a)):
         if (isinstance(zm, _DeflatedTransform) and isinstance(p, GridOperator)
                 and p.tag == PERIODIC and p.action_style == "wrap"
                 and p._matrix_key() == zm.key):
             return float(np.linalg.norm(zm.jump_core, 2))
+    if isinstance(za, _GridTransform) and isinstance(zb, _GridTransform):
+        return top_singular_value(lambda x: zb.apply(x) - za.apply(x),
+                                  lambda y: zb.apply_adjoint(y) - za.apply_adjoint(y),
+                                  za.weights.size)
     return float(np.linalg.norm(zb.z - za.z, 2))
 
 

@@ -163,7 +163,8 @@ class ZTransform:
     """A contraction together with the density certificate for (1 - z*z).
 
     ``z`` is the dense matrix; a closed form that keeps less than ``z``
-    builds it when it is read.
+    builds it when it is read.  ``apply`` and ``apply_adjoint`` act by
+    ``z`` and ``z*`` on a vector, and a closed form overrides them.
     """
 
     __slots__ = ("_z", "density_gap")
@@ -187,6 +188,14 @@ class ZTransform:
     @property
     def z(self):
         return self._z
+
+    def apply(self, x):
+        """``z x``; a closed form acts without forming ``z``."""
+        return self.z @ x
+
+    def apply_adjoint(self, y):
+        """``z* y``, as ``conj(conj(y) z)``, so ``z`` is never transposed."""
+        return (y.conj() @ self.z).conj()
 
     def _phase_rotated(self, p) -> "ZTransform":
         """Transform ``diag(p) z diag(p)*`` for unimodular ``p``; the

@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# tier-1 decides alike on a cold machine and a warm one: each test draws its
+# examples from a seed fixed by the test itself, and no local example
+# database replays what an earlier run found
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

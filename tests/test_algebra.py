@@ -13,6 +13,7 @@ from modops.algebra import (
     localize,
     multiplier_symbol_extract,
     psd_sqrt,
+    seeded_unit_vectors,
     top_singular_value,
 )
 from modops.errors import NotMultiplication, NotPSD, UnknownFiber
@@ -277,6 +278,23 @@ def test_top_singular_value_of_a_doubled_top(n):
     assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
     # the Krylov space is all of C^n after n steps at the latest
     assert len(steps) <= n
+
+
+@pytest.mark.parametrize("n", [1, 2, 401])
+def test_seeded_unit_vectors_are_fixed_generic_unit_vectors(n):
+    a, b = seeded_unit_vectors(n, 2, seed=7)
+    # the same seed gives the same vectors, bit for bit, and a stream of two
+    # starts with the vector a stream of one gives
+    again = seeded_unit_vectors(n, 2, seed=7)
+    assert np.array_equal(a, again[0]) and np.array_equal(b, again[1])
+    assert np.array_equal(seeded_unit_vectors(n, 1, seed=7)[0], a)
+    assert not np.array_equal(seeded_unit_vectors(n, 1, seed=8)[0], a)
+    for v in (a, b):
+        assert v.shape == (n,) and v.dtype == complex
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+        assert np.all(v.real != 0) and np.all(v.imag != 0)
+    # two independent draws are not parallel (in C^1 every pair is)
+    assert n == 1 or abs(np.vdot(a, b)) < 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

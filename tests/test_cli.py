@@ -90,26 +90,32 @@ def test_config_range_guards():
         RunConfig("frobnicate")
 
 
-def test_extend_refuses_a_grid_too_large_to_hold(capsys):
-    assert main(["extend", "--n-x", "20000"]) == 2
+def test_certify_nonregular_refuses_a_grid_too_large_to_hold(capsys, monkeypatch):
+    # 2 matrices of 20001x20001 take 12.8 GB, more than 8 GB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
+    assert main(["certify-nonregular", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: n_x = 20000 needs at least ")
-    assert "GB for 3 dense 20001x20001 complex matrices" in err
+    assert err.startswith("input error: n_x = 20000 needs at least 12.8 GB")
+    assert "GB for 2 dense 20001x20001 complex matrices" in err
+    # extend holds no dense matrix, so the largest grid is admitted
+    assert RunConfig("extend", n_x=20000)._grid_pipeline() == "extend"
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
-    RunConfig("extend", n_x=400)            # the defaults fit this machine
+    RunConfig("certify-nonregular", n_x=400)    # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    RunConfig("extend", n_x=400)            # 3 matrices of 401x401 take 8 MB
-    RunConfig("extend", n_x=400, n_pi=4096)  # none of them per base point
-    for command, need in (("extend", r"0\.2 GB for 3"), ("certify-nonregular", r"0\.1 GB for 2")):
-        with pytest.raises(MalformedSpec, match=rf"needs at least {need} dense"):
-            RunConfig(command, n_x=2000)
+    RunConfig("certify-nonregular", n_x=400)    # 2 matrices of 401x401 take 5 MB
+    RunConfig("certify-nonregular", n_x=400, n_pi=4096)  # none of them per base point
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 2 dense"):
+        RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
-        RunConfig("extend", n_x=2000, operator_kind="symbol")   # extend ignores it
+        RunConfig("kernel-cert", n_x=2000, operator_kind="symbol")   # it ignores it
+    # extend counts no dense matrix, so no memory refuses it
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
+    RunConfig("extend", n_x=20000, n_pi=4096)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -242,17 +248,36 @@ def test_counterexample_profile_holds_no_dense_matrix():
     assert zrep.flagged == [0]
 
 
+def test_extend_holds_no_dense_matrix(tmp_path):
+    # the gauge gates act by t0's closed-form transform and the rows are
+    # decided from endpoint blocks: the peak stays below one dense matrix
+    n_x = 3200
+    cfg = RunConfig("extend", n_x=n_x, n_pi=16, output_path=str(tmp_path / "e.txt"))
+    tracemalloc.start()
+    try:
+        status, _ = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n_x + 1) ** 2
+    assert status == 0
+
+
 def test_pipelines_do_not_import_numpy_ma(tmp_path):
     # np.median and other lazy imports of numpy.ma cost a fresh process
-    # about 20 ms; a pipeline run in a fresh interpreter must not pay it
+    # about 20 ms, and numpy.random about 18 ms; a pipeline run in a fresh
+    # interpreter must pay neither
     spec = write(tmp_path, "[grid]\nn_x = 64\nn_pi = 4\n\n"
                            "[operator]\nkind = tags\ntags = periodic twisted:0.5 periodic\n")
     certify = ["certify-nonregular", "--n-x", "64", "--out", str(tmp_path / "c.txt")]
     zfield = ["zfield", "--config", spec, "--out", str(tmp_path / "z.txt")]
+    extend = ["extend", "--n-x", "64", "--n-pi", "9", "--out", str(tmp_path / "e.txt")]
     code = ("import sys\n"
             "from modops.cli import main\n"
             f"assert main({certify!r}) == 1 and main({zfield!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+            f"assert main({extend!r}) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -260,6 +285,7 @@ def test_pipelines_do_not_import_numpy_ma(tmp_path):
                          text=True, check=True)
     assert out.stdout == "[]\n"
     assert "PROFILE-EMITTED" in (tmp_path / "z.txt").read_text()
+    assert "REGULAR-EXTENSION-VERIFIED" in (tmp_path / "e.txt").read_text()
 
 
 def test_zfield_is_gated_by_its_fibers():
@@ -269,7 +295,7 @@ def test_zfield_is_gated_by_its_fibers():
     assert pipeline(operator_kind="tags", operator_tags=("periodic", "twisted:1")) \
         == "zfield tags"
     assert pipeline(operator_kind="tags", operator_tags=("periodic", "periodic")) \
-        == "zfield one-fiber tags"
+        == "zfield tags"
     for tag in ("minimal", "maximal"):
         assert pipeline(operator_kind="tags", operator_tags=("periodic", tag)) \
             == "zfield one-sided tags"

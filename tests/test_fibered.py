@@ -621,7 +621,8 @@ def test_gauge_extension_identity_gauge_constant_field():
 
 def test_gauge_extension_transforms_its_periodic_base_in_closed_form(monkeypatch):
     # the only eigh calls are the Lanczos projections of the deviation
-    # norm, one per step, of sizes 1, 2, ..., k
+    # norm, one per step, of sizes 1, 2, ..., k, in one run for the fine
+    # increment and one for the coarse increment
     shapes = []
     eigh = np.linalg.eigh
 
@@ -631,7 +632,10 @@ def test_gauge_extension_transforms_its_periodic_base_in_closed_form(monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     t0 = GridOperator(N_X, PERIODIC)
     res = gauge_extension(t0, GaugeField.linear_phase(np.linspace(0, 1, 5), N_X))
-    assert shapes == [(k, k) for k in range(1, len(shapes) + 1)]
+    starts = [i for i, shape in enumerate(shapes) if shape == (1, 1)]
+    assert starts[0] == 0 and len(starts) == 2
+    for run in (shapes[:starts[1]], shapes[starts[1]:]):
+        assert run == [(k, k) for k in range(1, len(run) + 1)]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     dense = z_transform(t0.as_domained())
     assert_allclose(res.base_transform.z, dense.z, rtol=0, atol=1e-12)
@@ -716,11 +720,8 @@ def dense_gauge_reference(t0, g):
     devs = np.asarray([np.linalg.norm(b.z - a.z, 2)
                        for a, b in zip(transforms, transforms[1:])])
     n = base.ambient_dim
-    rng = np.random.default_rng(7)
-    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    probes = [w.z, np.eye(n, dtype=complex),
-              np.outer(v1 / np.linalg.norm(v1), (v2 / np.linalg.norm(v2)).conj())]
+    a, b = fibered._rank_one_probe(n)
+    probes = [w.z, np.eye(n, dtype=complex), np.outer(a, b.conj())]
 
     def max_dev(unitaries):
         worst = 0.0
@@ -735,9 +736,12 @@ def dense_gauge_reference(t0, g):
     return fibers, transforms, devs, fine, coarse, raises
 
 
-def _phase_table(n_pi, n_x, coeffs, jump, jump_at):
-    """Smooth phases g(pi, x) vanishing at pi = 0, plus an optional step in pi."""
-    pi = np.linspace(0, 1, n_pi)[:, None]
+def _phase_table(n_pi, n_x, coeffs, jump, jump_at, pi_grid=None):
+    """Smooth phases g(pi, x) vanishing at pi = 0, plus an optional step in
+    pi, on ``pi_grid`` (by default ``n_pi`` uniform points)."""
+    if pi_grid is None:
+        pi_grid = np.linspace(0, 1, n_pi)
+    pi = np.asarray(pi_grid)[:, None]
     x = np.linspace(0, 1, n_x + 1)[None, :]
     c0, c1, c2 = coeffs
     g = pi * (c0 * x + c1 * np.sin(np.pi * x)) + pi ** 2 * c2 * np.cos(2 * np.pi * x)
@@ -793,10 +797,12 @@ def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, g
         assert_allclose([t.density_gap for t in res.transforms], w.density_gap,
                         rtol=RTOL)
         assert_allclose(res.deviations, devs, rtol=RTOL, atol=ATOL)
-    assert_allclose(fibered._conjugation_deviation(gauge.phases, w.z),
-                    fine, rtol=RTOL, atol=ATOL)
-    assert_allclose(fibered._conjugation_deviation(gauge.phases[::2], w.z),
-                    coarse, rtol=RTOL, atol=ATOL)
+    # through the dense transform's products and the closed form's FFTs
+    for zt in (w, grid_transform(t0)):
+        assert_allclose(fibered._conjugation_deviation(gauge.phases, zt),
+                        fine, rtol=RTOL, atol=ATOL)
+        assert_allclose(fibered._conjugation_deviation(gauge.phases[::2], zt),
+                        coarse, rtol=RTOL, atol=ATOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -842,6 +848,23 @@ def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
     assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
 
 
+def _column_bound(phases, z):
+    """The continuity gate's former coarse bound, kept as the reference of
+    its old decision: a lower bound of ``fibered._conjugation_deviation``
+    with no factorization, the ``z`` probe entering by its largest column
+    norm, as ``||X e_j||_2 <= ||X||_2``, the other probes exactly.
+
+    Conjugated by ``U_i*`` the difference is ``z o (q q* - 1)`` for the
+    increment ``q = p_{i+1} conj(p_i)``, and for unimodular ``q`` the entry
+    ``|q_i conj(q_j) - 1|`` is ``|q_i - q_j|``: column ``j`` has the squared
+    norm ``sum_i |z_ij|^2 |q_i - q_j|^2``, once per distinct increment.
+    """
+    z2 = np.abs(z) ** 2
+    cols = fibered._per_increment(phases, lambda q: float(np.sqrt(np.max(
+        np.sum(z2 * np.abs(q[:, None] - q[None, :]) ** 2, axis=0)))))
+    return max(max(cols, default=0.0), fibered._exact_probe_deviation(phases))
+
+
 def _dense_column_bound(phases, z):
     """The coarse bound's ``z`` term formed densely: the largest column norm
     of each adjacent difference ``U_{i+1} z U_{i+1}* - U_i z U_i*``."""
@@ -862,10 +885,11 @@ def _dense_column_bound(phases, z):
 def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_at):
     g = _phase_table(n_pi, n_x, coeffs, jump, jump_at)
     phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
-    z = z_transform(GridOperator(n_x, PERIODIC).as_domained()).z
+    w = z_transform(GridOperator(n_x, PERIODIC).as_domained())
+    z = w.z
     for sub in (phases, phases[::2]):
-        bound = fibered._conjugation_deviation_bound(sub, z)
-        exact = fibered._conjugation_deviation(sub, z)
+        bound = _column_bound(sub, z)
+        exact = fibered._conjugation_deviation(sub, w)
         # the SVD's 2-norm carries a few ulps of roundoff
         assert 0.0 <= bound <= exact * (1 + 1e-13)
         # the dense differences cancel to an absolute roundoff of a few ulps
@@ -874,6 +898,57 @@ def test_coarse_deviation_bound_is_a_lower_bound(n_x, n_pi, coeffs, jump, jump_a
         assert bound == pytest.approx(oracle, rel=1e-13, abs=1e-15)
         if not np.any(g):
             assert bound == 0.0
+
+
+def _bound_then_exact_passes(U, w):
+    """Whether the continuity gate passed as it was decided with the
+    column bound: a coarse bound that clears the halving ratio passed, and
+    only otherwise was the exact coarse deviation taken."""
+    if len(U) < 5:
+        return True
+    fine = fibered._conjugation_deviation(U.phases, w)
+    if fine <= fibered.JUMP_FLOOR:
+        return True
+    coarse = U.phases[::2]
+    if fine <= fibered.GAUGE_HALVING_RATIO * _column_bound(coarse, w.z):
+        return True
+    return not fine > fibered.GAUGE_HALVING_RATIO * fibered._conjugation_deviation(coarse, w)
+
+
+@st.composite
+def _pi_grids(draw):
+    """Base grids from 0 to 1: uniform, or with drawn positive spacings."""
+    n_pi = draw(st.integers(2, 11))
+    if draw(st.booleans()):
+        return np.linspace(0, 1, n_pi)
+    steps = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n_pi - 1,
+                                     max_size=n_pi - 1)))
+    return np.concatenate([[0.0], np.cumsum(steps) / np.sum(steps)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_x=st.sampled_from([8, 12, 16, 24, 33]), pi_grid=_pi_grids(),
+       coeffs=st.tuples(*[st.floats(-2, 2)] * 3),
+       jump=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), jump_at=st.integers(1, 10))
+@example(n_x=16, pi_grid=np.linspace(0, 1, 9), coeffs=(1.0, 0.3, -0.5), jump=0.0,
+         jump_at=1)                                     # smooth: the bound settled it
+@example(n_x=16, pi_grid=np.linspace(0, 1, 9), coeffs=(0.0, 0.0, 0.0), jump=2.0,
+         jump_at=4)                                     # step only: raises
+@example(n_x=24, pi_grid=np.array([0.0, 0.05, 0.1, 0.5, 0.55, 0.9, 1.0]),
+         coeffs=(1.0, 0.0, 0.0), jump=1.0, jump_at=3)   # non-uniform with a step
+def test_continuity_gate_decides_as_the_bound_then_exact_gate(n_x, pi_grid, coeffs,
+                                                               jump, jump_at):
+    # the bound is at most the exact coarse deviation, so a pass on the bound
+    # was a pass on the exact value: the exact gate decides every gauge alike
+    g = _phase_table(pi_grid.size, n_x, coeffs, jump, jump_at, pi_grid)
+    gauge = GaugeField.from_phase_samples(pi_grid, g)
+    t0 = GridOperator(n_x, PERIODIC)
+    w = grid_transform(t0)
+    if _bound_then_exact_passes(gauge, w):
+        gauge_extension(t0, gauge)
+    else:
+        with pytest.raises(GaugeNotContinuous):
+            gauge_extension(t0, gauge)
 
 
 @pytest.fixture
@@ -889,20 +964,22 @@ def norm_calls(monkeypatch):
     return calls
 
 
-def test_continuity_gate_takes_no_coarse_norm_for_a_smooth_gauge(norm_calls, linalg_calls):
+def test_continuity_gate_takes_one_coarse_norm_per_distinct_increment(norm_calls,
+                                                                      linalg_calls):
     n_x, n_pi = 64, 9
     grid = np.linspace(0, 1, n_pi)
     t0 = GridOperator(n_x, PERIODIC)
     smooth = GaugeField.from_phase_samples(
         grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1))
     gauge_extension(t0, smooth)
-    # the fine transform deviations only; the coarse side settles on its bound
-    assert len(norm_calls) == n_pi - 1 and "norm2" not in linalg_calls
-    # a step still raises, with the exact coarse value in its message
+    # the fine transform deviations, then the exact coarse ones: every
+    # increment is distinct on both grids
+    assert norm_calls == [n_x + 1] * ((n_pi - 1) + (n_pi - 1) // 2)
+    assert "norm2" not in linalg_calls
+    # a step raises, with the exact coarse value in its message
     x = np.linspace(0, 1, n_x + 1)
     step = GaugeField.from_phase_samples(grid, np.outer((grid >= 0.5) * 1.0, 2.0 * x))
-    z = z_transform(t0.as_domained()).z
-    coarse = fibered._conjugation_deviation(step.phases[::2], z)
+    coarse = fibered._conjugation_deviation(step.phases[::2], z_transform(t0.as_domained()))
     norm_calls.clear()
     with pytest.raises(GaugeNotContinuous, match=re.escape(f"(coarse {coarse:.3e})")):
         gauge_extension(t0, step)
@@ -914,16 +991,20 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg
     n_x, n_pi = 64, 9
     grid = np.linspace(0, 1, n_pi)
     t0 = GridOperator(n_x, PERIODIC)
-    cases = {"linear": (GaugeField.linear_phase(grid, n_x), 1),
+    # (fine, coarse) distinct increments; the continuity gate takes the
+    # coarse ones after the fine ones
+    cases = {"linear": (GaugeField.linear_phase(grid, n_x), 1, 1),
              "group": (GaugeField.from_phase_samples(
-                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, 0.0), 0.0, 1)), 1),
+                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, 0.0), 0.0, 1)), 1, 1),
              "table": (GaugeField.from_phase_samples(
-                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)), n_pi - 1)}
-    for name, (gauge, norms) in cases.items():
+                 grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)),
+                       n_pi - 1, (n_pi - 1) // 2)}
+    for name, (gauge, fine, coarse) in cases.items():
         norm_calls.clear()
         linalg_calls.clear()
         res = gauge_extension(t0, gauge)
-        assert norm_calls == [n_x + 1] * norms and "norm2" not in linalg_calls, name
+        assert norm_calls == [n_x + 1] * (fine + coarse), name
+        assert "norm2" not in linalg_calls, name
         dense = [np.linalg.norm(b.z - a.z, 2)
                  for a, b in zip(res.transforms, res.transforms[1:])]
         assert_allclose(res.deviations, dense, rtol=RTOL, atol=ATOL)
@@ -931,7 +1012,7 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg
 
 def test_probe_deviations_take_one_value_per_distinct_increment(monkeypatch, norm_calls):
     # a uniform gauge has one increment on the grid and one on the coarse
-    # subgrid: one transform norm, one column-sum bound and two rank-two norms
+    # subgrid: two transform norms and two rank-two norms
     n_x, n_pi = 64, 9
     values, rank_two = [], []
     per_increment, rank_two_norm = fibered._per_increment, fibered._rank_two_norm
@@ -943,7 +1024,7 @@ def test_probe_deviations_take_one_value_per_distinct_increment(monkeypatch, nor
                         lambda *args: rank_two.append(args) or rank_two_norm(*args))
     gauge_extension(GridOperator(n_x, PERIODIC),
                     GaugeField.linear_phase(np.linspace(0, 1, n_pi), n_x))
-    assert len(norm_calls) == 1 and len(rank_two) == 2 and len(values) == 4
+    assert len(norm_calls) == 2 and len(rank_two) == 2 and len(values) == 4
 
 
 def _dense_increment_norm(z, q):
@@ -963,11 +1044,30 @@ def test_increment_norm_matches_the_dense_norm(seed, n, log_amp):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     z /= np.linalg.norm(z, 2)
     q = np.exp(1j * 10.0 ** log_amp * rng.uniform(-np.pi, np.pi, n))
-    got = fibered._increment_norm(z, q)
+    got = fibered._increment_norm(ZTransform(z), q)
     assert got == pytest.approx(_dense_increment_norm(z, q), rel=1e-13)
     # the plain difference cancels to an absolute roundoff of ||z|| = 1
     plain = np.linalg.norm(z * np.outer(q, q.conj()) - z, 2)
     assert got == pytest.approx(plain, rel=1e-13, abs=ATOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_x=st.integers(8, 160), log_amp=st.floats(-6, 1),
+       fiber=st.sampled_from(["periodic", "twisted", "minimal"]))
+@example(seed=0, n_x=8, log_amp=0.0, fiber="periodic")
+@example(seed=1, n_x=9, log_amp=-6.0, fiber="minimal")
+@example(seed=2, n_x=160, log_amp=0.5, fiber="twisted")
+def test_increment_norm_through_the_closed_form_matches_the_dense_norm(seed, n_x,
+                                                                       log_amp, fiber):
+    # the closed form acts by FFTs, its dense ZTransform by products with z
+    tag, style = {"periodic": (PERIODIC, None), "twisted": (BoundaryTag.twisted(0.7), None),
+                  "minimal": (MINIMAL, "wrap")}[fiber]
+    w = grid_transform(GridOperator(n_x, tag, style))
+    rng = np.random.default_rng(seed)
+    q = np.exp(1j * 10.0 ** log_amp * rng.uniform(-np.pi, np.pi, n_x + 1))
+    oracle = _dense_increment_norm(w.z, q)
+    assert fibered._increment_norm(w, q) == pytest.approx(oracle, rel=1e-13)
+    assert fibered._increment_norm(ZTransform(w.z), q) == pytest.approx(oracle, rel=1e-13)
 
 
 def _benchmark_phase(variant, n_x):
@@ -987,11 +1087,15 @@ def test_increment_norm_on_the_benchmark_gauges(variant):
     phi = _benchmark_phase(variant, n_x)
     g = [[i / (n_pi - 1) * f for f in phi] for i in range(n_pi)]
     phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
-    z = grid_transform(GridOperator(n_x, PERIODIC)).z
+    w = grid_transform(GridOperator(n_x, PERIODIC))
+    z = w.z
     q = phases[1] * phases[0].conj()
     s = np.linalg.svd(z * np.outer(q, q.conj()) - z, compute_uv=False)
     assert s[1] == pytest.approx(s[0], rel=1e-12) and s[2] < 0.95 * s[0]
-    assert fibered._increment_norm(z, q) == pytest.approx(s[0], rel=1e-13)
+    # through the closed form's FFTs and through the dense transform
+    assert fibered._increment_norm(w, q) == pytest.approx(s[0], rel=1e-13)
+    assert fibered._increment_norm(ZTransform(z), q) == pytest.approx(s[0], rel=1e-13)
+    assert _dense_increment_norm(z, q) == pytest.approx(s[0], rel=1e-13)
 
 
 def test_uniform_gauge_increments_match_within_the_tolerance():
