@@ -85,16 +85,19 @@ def complement_eigh(d, b):
 
 
 def seeded_unit_vectors(n, count, seed):
-    """``count`` unit vectors of ``C^n`` with independent standard complex
-    Gaussian entries, drawn from ``random.Random(seed)``: each vector's real
-    parts, then its imaginary parts.  The standard library's generator
-    keeps ``numpy.random`` (about 18 ms and 5 MB of a fresh process) out of
-    the pipelines that only need fixed generic vectors."""
+    """``count`` unit vectors of ``C^n`` with independent complex Gaussian
+    entries, drawn from ``random.Random(seed)``: ``16 n`` random bytes per
+    vector give ``2 n`` uniforms ``u`` of 53 bits, and the Box-Muller
+    transform ``sqrt(-2 log(1 - u1)) exp(2 pi i u2)`` of each pair is one
+    entry.  The standard library's generator keeps ``numpy.random`` (about
+    18 ms and 5 MB of a fresh process) out of the pipelines that only need
+    fixed generic vectors."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        v = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)])
-        v = v[:n] + 1j * v[n:]
+        bits = np.frombuffer(rng.randbytes(16 * n), dtype="<u8")
+        u = (bits >> np.uint64(11)) * 2.0 ** -53
+        v = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])
         out.append(v / np.linalg.norm(v))
     return out
 

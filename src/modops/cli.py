@@ -65,12 +65,13 @@ _DENSE_MATRICES = {
     "kernel-cert": 2,
     "certify-nonregular": 2,
     "zfield counterexample": 0,
-    # a tags field of periodic and twisted fibers, in closed form: a jump
-    # between two distinct fibers is a Lanczos 2-norm over their FFT actions
+    # a tags field of periodic and twisted fibers, in closed form: every
+    # jump is a Lanczos 2-norm over the two transforms' actions, by FFTs
     "zfield tags": 0,
     # a tags field with a one-sided minimal or maximal fiber, whose dense
     # transform is the peak: the fiber's action and frame, B, 1 + B*B, and
-    # its eigenvectors v, v / sqrt(lam) and v* while they multiply
+    # its eigenvectors v, v / sqrt(lam) and v* while they multiply; a jump
+    # acts by that transform's matrix on vectors and forms no difference
     "zfield one-sided tags": 7,
     # the gauge gates act by t0's closed-form transform, one Lanczos 2-norm
     # per distinct increment; the rows are decided from the frames' endpoint

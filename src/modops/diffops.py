@@ -16,8 +16,10 @@ the stencil in O(n) once that structure is checked, and a twisted operator
 is the periodic one conjugated by a diagonal phase.  The wrap-style minimal
 operator is the periodic matrix on the subspace without the seam
 coordinate, so its transform deflates to one symmetric eigenproblem of
-about n/4 secular roots.  These transforms keep what defines them, form
-their dense matrix only when read, and act on vectors by FFTs.
+about n/4 secular roots.  These transforms keep what defines them and act
+on vectors by FFTs; that action is their one definition, so their dense
+matrix is the action on the identity, and the jump between two transforms
+is a Lanczos 2-norm of the difference of their actions.
 """
 from __future__ import annotations
 
@@ -378,23 +380,6 @@ def build_derivative(n, tag: BoundaryTag) -> GridOperator:
     return GridOperator(n, tag)
 
 
-def _circulant(c):
-    """The circulant matrix with first column ``c``: entry ``(j, k)`` is
-    ``c[(j - k) mod n]``."""
-    n = c.size
-    return c[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
-
-
-def _seam_embedded(X, f):
-    """``F X F*`` for the seam frame ``F`` with the row weights ``f`` of
-    :meth:`GridOperator._row_weights`, by indexing."""
-    rows = np.r_[0:X.shape[0], 0]
-    out = X[np.ix_(rows, rows)]
-    out *= f[:, None]
-    out *= f.conj()[None, :]
-    return out
-
-
 def _checked_symbol(op: GridOperator):
     """Real eigenvalues ``lam`` of ``T0``, the matrix of ``op`` folded onto
     its seam frame (:meth:`GridOperator._folded_at`), when ``T0`` is a
@@ -465,22 +450,28 @@ def _shared_symbol(op: GridOperator, symbols):
 class _GridTransform(ZTransform):
     """A grid fiber's transform in closed form, kept as what defines it: the
     symbol ``lam`` of the periodic matrix, the seam weights ``weights`` of
-    the periodic frame ``F`` and the density gap.  ``z`` is formed each
-    time it is read and not kept; ``apply`` and ``apply_adjoint`` act on a
-    vector by FFTs without it."""
+    the periodic frame ``F`` and the density gap.  ``apply`` and
+    ``apply_adjoint`` act by FFTs along the last axis, on a vector or on a
+    stack of vectors, and are the only definition of the map: ``z`` is
+    ``apply`` of the identity, formed each time it is read and not kept."""
 
     __slots__ = ("lam", "weights")
+
+    @property
+    def z(self):
+        # row k of apply(I) is z e_k
+        return self.apply(np.eye(self.weights.size, dtype=complex)).T
 
     def _fold(self, x):
         """``F* x``: the seam coordinate gathers both endpoints."""
         n = self.lam.size
-        y = self.weights[:n].conj() * x[:n]
-        y[0] += self.weights[n].conj() * x[n]
+        y = self.weights[:n].conj() * x[..., :n]
+        y[..., 0] += self.weights[n].conj() * x[..., n]
         return y
 
     def _unfold(self, y):
         """``F y``: both endpoints read the seam coordinate."""
-        return self.weights * np.append(y, y[0])
+        return self.weights * np.concatenate([y, y[..., :1]], axis=-1)
 
     def __repr__(self):
         return (f"{type(self).__name__}(n={self.weights.size}, "
@@ -501,13 +492,6 @@ class _CirculantTransform(_GridTransform):
     def _symbol(self):
         return self.lam / np.sqrt(1.0 + self.lam ** 2)
 
-    @property
-    def z(self):
-        z = _seam_embedded(_circulant(np.fft.ifft(self._symbol())), self.weights)
-        if self.phases is None:
-            return z
-        return z * np.outer(self.phases, self.phases.conj())
-
     def apply(self, x):
         # z0 y = ifft(g fft(y)): V diag(g) V* for the unitary DFT V
         u = self.phases
@@ -522,19 +506,16 @@ class _CirculantTransform(_GridTransform):
 
 class _DeflatedTransform(_GridTransform):
     """Transform ``F T0 X F*`` of a wrap-style minimal operator (see
-    :func:`_deflated_transform`), kept as the symbol, the pole ``labels``,
-    the ``m x m`` core ``g`` (``G`` below) and ``jump_core =
-    diag(sqrt(d_g - 1)) G``,
-    whose 2-norm is the distance to the transform of the periodic operator
-    with the matrix key ``key``.  ``X = V R V*`` with ``X e_0 = 0``, and
-    ``R = diag(d^{-1/2}) + S G S^T`` applied through the group sums, so an
-    action costs two FFTs and one product with ``G``."""
+    :func:`_deflated_transform`), kept as the symbol, the pole ``labels``
+    and the ``m x m`` core ``g`` (``G`` below).  ``X = V R V*`` with
+    ``X e_0 = 0``, and ``R = diag(d^{-1/2}) + S G S^T`` applied through the
+    group sums, so an action costs two FFTs and one product with ``G``."""
 
-    __slots__ = ("labels", "g", "jump_core", "key")
+    __slots__ = ("labels", "g")
 
-    def __init__(self, lam, weights, density_gap, labels, g, jump_core, key):
+    def __init__(self, lam, weights, density_gap, labels, g):
         self.lam, self.weights, self.density_gap = lam, weights, density_gap
-        self.labels, self.g, self.jump_core, self.key = labels, g, jump_core, key
+        self.labels, self.g = labels, g
 
     def _scales(self):
         """Per index: ``1 / sqrt(|group|)`` and ``1 / sqrt(d)`` of its pole."""
@@ -542,34 +523,23 @@ class _DeflatedTransform(_GridTransform):
         d = 1.0 + np.bincount(self.labels, weights=self.lam ** 2) / sizes
         return 1.0 / np.sqrt(sizes)[self.labels], 1.0 / np.sqrt(d)[self.labels]
 
-    @property
-    def z(self):
-        n, labels = self.lam.size, self.labels
-        s, d_inv = self._scales()
-        r = s[:, None] * self.g[np.ix_(labels, labels)] * s[None, :]
-        r[np.diag_indices(n)] += d_inv
-        # V M V* for any M: an FFT along the rows, an inverse FFT down the columns
-        z0 = np.fft.ifft(np.fft.fft(self.lam[:, None] * r, axis=1), axis=0)
-        z0[:, 0] = 0.0              # X e_0 = 0 up to roundoff, exactly here
-        return _seam_embedded(z0, self.weights)
-
     def _r(self, w, g):
-        """``R w`` with ``g`` in the place of ``G``."""
+        """``R w`` with ``g`` in the place of ``G``, along the last axis."""
         s, d_inv = self._scales()
-        sw, m = s * w, g.shape[0]
-        sums = (np.bincount(self.labels, sw.real, m)
-                + 1j * np.bincount(self.labels, sw.imag, m))
-        return d_inv * w + s * (g @ sums)[self.labels]
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[order], np.arange(g.shape[0]))
+        sums = np.add.reduceat((s * w)[..., order], starts, axis=-1)
+        return d_inv * w + s * (sums @ g.T)[..., self.labels]
 
     def apply(self, x):
         # z0 = V diag(lam) R V* without column 0: z0 v = ifft(lam R fft(v))
         v = self._fold(x)
-        v[0] = 0.0
+        v[..., 0] = 0.0
         return self._unfold(np.fft.ifft(self.lam * self._r(np.fft.fft(v), self.g)))
 
     def apply_adjoint(self, y):
         v = np.fft.ifft(self._r(self.lam * np.fft.fft(self._fold(y)), self.g.T))
-        v[0] = 0.0
+        v[..., 0] = 0.0
         return self._unfold(v)
 
 
@@ -616,23 +586,18 @@ def _deflated_transform(op: GridOperator, lam):
 
     on the complement of ``e_0``; extended by 0 on ``e_0`` it is an ``X``
     with ``X e_0 = 0``, and the transform is ``F_p T0 X F_p*``, applied by
-    FFTs.  The eigenvalues of
-    ``1 + B*B`` are the ``mu`` and the deflated ``d_g``, which fix the gap
-    and the condition gate.  Since ``S^T diag(lam^2) S = diag(d_g - 1)``,
-    the distance to the periodic transform ``F_p V diag(lam / sqrt(d)) V*
-    F_p*`` is ``||diag(sqrt(d_g - 1)) G||_2``.
+    FFTs.  The eigenvalues of ``1 + B*B`` are the ``mu`` and the deflated
+    ``d_g``, which fix the gap and the condition gate.
     """
     if lam is None:
         return None
     labels = _pole_labels(1.0 + lam ** 2)
     sizes = np.bincount(labels)
-    lam2 = np.bincount(labels, weights=lam ** 2) / sizes
-    d = 1.0 + lam2
+    d = 1.0 + np.bincount(labels, weights=lam ** 2) / sizes
     mu, y = complement_eigh(d, np.sqrt(sizes / op.n))
     gap = _resolvent_gap(np.concatenate([mu, d[sizes > 1]]))
     g = (y / np.sqrt(mu)) @ y.T - np.diag(1.0 / np.sqrt(d))
-    return _DeflatedTransform(lam, op._row_weights(), gap, labels, g,
-                              np.sqrt(lam2)[:, None] * g, op._matrix_key())
+    return _DeflatedTransform(lam, op._row_weights(), gap, labels, g)
 
 
 def grid_transform(op: GridOperator) -> ZTransform:
@@ -650,8 +615,9 @@ def grid_transform(op: GridOperator) -> ZTransform:
     transform.  A wrap-style minimal operator is the periodic matrix on a
     smaller domain, and its transform comes from one ``eigh`` of size about
     ``n / 4`` (:func:`_deflated_transform`).  These closed forms keep their
-    symbol and form ``z`` only when it is read.  Every other operator, and
-    one whose checks fail, takes the dense ``z_transform``.
+    symbol and read ``z`` off their ``apply`` only when it is read.  Every
+    other operator, and one whose checks fail, takes the dense
+    ``z_transform``.
     """
     return grid_transforms([op])[0]
 
@@ -707,28 +673,14 @@ def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> Inclusion
     return InclusionResult(ok, float(mem_res.max(initial=0.0)))
 
 
-def transform_jump(a, za: ZTransform, b, zb: ZTransform) -> float:
-    """``||zb.z - za.z||_2`` for the transforms ``za``, ``zb`` of the fibers
-    ``a``, ``b``, as :func:`grid_transform` or ``z_transform`` gives them.
-
-    When one transform is a wrap-style minimal operator's closed form and
-    the other fiber the periodic operator of the same matrix, whose
-    transform is then the circulant closed form, the norm is read off the
-    deflated core, an ``m x m`` matrix.  Any other pair of closed forms
-    takes :func:`top_singular_value` over the difference of their FFT
-    actions, so neither ``z`` is formed; a pair with a dense transform
-    takes the dense 2-norm.
-    """
-    for zm, p in ((za, b), (zb, a)):
-        if (isinstance(zm, _DeflatedTransform) and isinstance(p, GridOperator)
-                and p.tag == PERIODIC and p.action_style == "wrap"
-                and p._matrix_key() == zm.key):
-            return float(np.linalg.norm(zm.jump_core, 2))
-    if isinstance(za, _GridTransform) and isinstance(zb, _GridTransform):
-        return top_singular_value(lambda x: zb.apply(x) - za.apply(x),
-                                  lambda y: zb.apply_adjoint(y) - za.apply_adjoint(y),
-                                  za.weights.size)
-    return float(np.linalg.norm(zb.z - za.z, 2))
+def transform_jump(za: ZTransform, zb: ZTransform, n) -> float:
+    """``||zb.z - za.z||_2`` for two transforms on ``C^n``, as
+    :func:`grid_transform` or ``z_transform`` gives them:
+    :func:`top_singular_value` over the difference of their actions, which
+    a closed form takes by FFTs and a dense transform by its matrix.  No
+    closed form's ``z`` is formed, and no dense 2-norm is taken."""
+    return top_singular_value(lambda x: zb.apply(x) - za.apply(x),
+                              lambda y: zb.apply_adjoint(y) - za.apply_adjoint(y), n)
 
 
 @dataclass

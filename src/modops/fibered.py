@@ -398,9 +398,9 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     transformed once, and adjacent points sharing a fiber deviate by 0; a
     gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
     A grid fiber is transformed by :func:`grid_transform`, in closed form
-    where it is periodic, twisted or wrap-style minimal, and the jump from a
-    wrap-style minimal fiber to the periodic one comes from the same closed
-    form (:func:`transform_jump`).
+    where it is periodic, twisted or wrap-style minimal, and every jump is
+    a Lanczos 2-norm over the two transforms' actions
+    (:func:`transform_jump`), so no closed form's ``z`` is formed.
     """
     return zfields(F)[0]
 
@@ -432,10 +432,8 @@ def _median(values):
 def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
     """The report of ``F`` from the transforms of its distinct fibers."""
     transforms = F.per_point(per_fiber)
-    fibers = [F.distinct_fibers[k] for k in F.index_map]
-    profile = np.asarray([0.0 if za is zb else transform_jump(a, za, b, zb)
-                          for a, za, b, zb in zip(fibers, transforms,
-                                                  fibers[1:], transforms[1:])])
+    profile = np.asarray([0.0 if za is zb else transform_jump(za, zb, F.ambient_dim)
+                          for za, zb in zip(transforms, transforms[1:])])
     med = _median(profile) if profile.size else 0.0
     flagged = [i for i, d in enumerate(profile)
                if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
@@ -665,19 +663,20 @@ def _rank_two_norm(x1, y1, x0, y0):
 
 
 def _exact_probe_deviation(phases):
-    """Largest adjacent deviation of the identity and rank-one probes, exact
-    without a dense 2-norm: the identity conjugates to ``diag(|p|^2)``, and
-    ``a b*`` conjugated by ``U_i*`` to ``(q a)(q b)*`` for the increment
-    ``q``, once per distinct increment."""
+    """Largest adjacent deviation of the rank-one probe, exact without a
+    dense 2-norm: ``a b*`` conjugated by ``U_i*`` is ``(q a)(q b)*`` for the
+    increment ``q``, once per distinct increment."""
     a, b = _rank_one_probe(phases.shape[1])
-    identity = np.max(np.abs(np.diff(np.abs(phases) ** 2, axis=0)), initial=0.0)
     rank_one = _per_increment(phases, lambda q: _rank_two_norm(q * a, q * b, a, b))
-    return float(max(identity, max(rank_one, default=0.0)))
+    return float(max(rank_one, default=0.0))
 
 
 def _conjugation_deviation(phases, w: ZTransform, z_devs=None):
     """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
-    compacts ``S``: the transform ``w``, the identity and a rank-one ``a b*``.
+    compacts ``S``: the transform ``w`` and a rank-one ``a b*``.  The
+    identity is no probe: the phases are unimodular, so it conjugates to
+    itself up to roundoff, which cannot decide a gate that looks only at
+    deviations above ``JUMP_FLOOR``.
 
     The ``w`` probe takes one :func:`_increment_norm` per distinct
     increment, and none when its deviations ``z_devs`` are given.

@@ -21,10 +21,11 @@ from modops.diffops import (
     transform_jump,
     trapezoid_weights,
 )
+from modops.algebra import AlgebraElement, FiberIndex
 from modops.errors import GridTooCoarse, NotCirculant, SingularResolvent
+from modops.fibered import FiberedOperator
 from modops.operators import (
     InclusionResult,
-    ZTransform,
     adjoint_via_graph,
     graph_inclusion,
     z_transform,
@@ -113,13 +114,20 @@ def dense_reduced(op):
     return dense_fold(op)
 
 
+def circulant(c):
+    """The circulant matrix with first column ``c``: entry ``(j, k)`` is
+    ``c[(j - k) mod n]``."""
+    n = c.size
+    return c[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
 def circulant_eigenvalues(m):
     """Real eigenvalues ``fft(c)`` of a Hermitian circulant ``m`` with first
     column ``c``, or None when an entry of ``m`` is off the shifted ``c`` by
     more than ``CIRCULANT_MATCH * max|c|`` or an ``fft(c)`` has an imaginary
     part above ``CIRCULANT_MATCH * sum|c|``."""
     c = m[:, 0]
-    deviation = np.max(np.abs(m - diffops._circulant(c)))
+    deviation = np.max(np.abs(m - circulant(c)))
     if not deviation <= CIRCULANT_MATCH * np.max(np.abs(c)):
         return None
     lam = np.fft.fft(c)
@@ -248,10 +256,30 @@ def test_closed_forms_form_z_only_when_read(linalg_calls):
         assert zt.lam.shape == (n,) and zt.weights.shape == (n + 1,)
         assert not hasattr(zt, "_z")
     assert tw.phases.shape == (n + 1,) and zm.labels.shape == (n,)
-    assert zm.g.shape == zm.jump_core.shape == (101, 101)
+    assert zm.g.shape == (101, 101)
     linalg_calls.clear()
-    assert zp.z is not zp.z and np.array_equal(zp.z, zp.z)
+    for zt in (zp, zm, tw):
+        assert zt.z is not zt.z and np.array_equal(zt.z, zt.z)
     assert linalg_calls == []
+
+
+@pytest.mark.parametrize("n", [8, 9, 400, 401])
+def test_closed_forms_act_on_a_stack_as_on_each_vector(n):
+    # apply and apply_adjoint act along the last axis, so z is apply of the
+    # identity in one call; each row of a stack comes out as it would alone
+    rng = np.random.default_rng(n)
+    ops = [GridOperator(n, PERIODIC), GridOperator(n, BoundaryTag.twisted(0.7)),
+           GridOperator(n, MINIMAL, "wrap")]
+    x = rng.standard_normal((5, n + 1)) + 1j * rng.standard_normal((5, n + 1))
+    for zt, kind in zip(diffops.grid_transforms(ops),
+                        (diffops._CirculantTransform, diffops._CirculantTransform,
+                         diffops._DeflatedTransform)):
+        assert type(zt) is kind
+        for act in (zt.apply, zt.apply_adjoint):
+            stacked = act(x)
+            assert stacked.shape == x.shape
+            for row, xi in zip(stacked, x):
+                assert_allclose(row, act(xi), rtol=0, atol=1e-14)
 
 
 def dense_composite_certificate_matrix(n):
@@ -659,7 +687,7 @@ def test_circulant_eigenvalues_are_the_dft_symbol():
     n = 12
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c += np.conj(c[(-np.arange(n)) % n])          # Hermitian: c[-k] = conj(c[k])
-    C = diffops._circulant(c)
+    C = circulant(c)
     assert_allclose(C, C.conj().T, rtol=0, atol=0)
     lam = circulant_eigenvalues(C)
     j = np.arange(n)
@@ -673,11 +701,11 @@ def test_circulant_checks_refuse_other_matrices():
     n = 10
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c += np.conj(c[(-np.arange(n)) % n])
-    C = diffops._circulant(c)
+    C = circulant(c)
     bumped = C.copy()
     bumped[3, 7] += 1e-9
     assert circulant_eigenvalues(bumped) is None
-    assert circulant_eigenvalues(diffops._circulant(1j * c + 1.0)) is None  # not Hermitian
+    assert circulant_eigenvalues(circulant(1j * c + 1.0)) is None  # not Hermitian
     nan = C.copy()
     nan[2, 2] = np.nan
     assert circulant_eigenvalues(nan) is None
@@ -745,8 +773,8 @@ def _minimal_against_the_dense_oracle(n):
     assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
     assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
     oracle = np.linalg.norm(dense.z - z_transform(per.as_domained()).z, 2)
-    assert transform_jump(op, closed, per, zp) == pytest.approx(oracle, rel=1e-12, abs=0)
-    assert transform_jump(per, zp, op, closed) == transform_jump(op, closed, per, zp)
+    assert transform_jump(closed, zp, n + 1) == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert transform_jump(zp, closed, n + 1) == transform_jump(closed, zp, n + 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -768,9 +796,14 @@ def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_ca
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     op, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
     closed, zp = grid_transform(op), grid_transform(per)
-    transform_jump(op, closed, per, zp)
-    assert linalg_calls == ["eigh", "norm2"] and shapes == [(m - 1, m - 1)]
-    assert closed.jump_core.shape == (m, m)
+    assert linalg_calls == ["eigh"] and shapes == [(m - 1, m - 1)]
+    # the jump's only factorizations are the Lanczos projections, the
+    # tridiagonal matrices of sizes 1, 2, ..., k
+    transform_jump(closed, zp, n + 1)
+    k = len(shapes) - 1
+    assert linalg_calls == ["eigh"] * (k + 1) and 1 <= k <= n + 1
+    assert shapes[1:] == [(j, j) for j in range(1, k + 1)]
+    assert closed.g.shape == (m, m)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     _minimal_against_the_dense_oracle(n)
 
@@ -784,35 +817,64 @@ def test_minimal_fiber_with_another_matrix_takes_the_dense_transform(linalg_call
     assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
 
 
-def test_jump_takes_the_dense_norm_off_the_minimal_periodic_pair(linalg_calls):
-    # a pair with a dense transform on either side takes the dense 2-norm
-    n = 48
+def _symbol_fibers(k, seed):
+    """The two fibers of a symbol field of ``k x k`` matrices, the second on
+    the right ideal of a column frame."""
+    rng = np.random.default_rng(seed)
+    idx = FiberIndex.points(2, dim=k)
+    sym = AlgebraElement(idx, {lab: rng.standard_normal((k, k))
+                               + 1j * rng.standard_normal((k, k)) for lab in idx.labels})
+    frame = np.linalg.qr(rng.standard_normal((k, 1)))[0]
+    return FiberedOperator.from_algebra_symbol(idx, sym, {"x1": frame}).fibers
+
+
+@pytest.mark.parametrize("n", [9, 64, 400])
+def test_jump_is_one_lanczos_norm_for_every_pair(linalg_calls, n):
+    # closed forms and dense transforms alike, in either order: a Lanczos
+    # 2-norm over their actions, whose only factorizations are its small
+    # tridiagonal eigh, against the dense 2-norm of the difference
     mw, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
-    zm, zp = grid_transform(mw), grid_transform(per)
+    tw, tw2 = (GridOperator(n, BoundaryTag.twisted(t)) for t in (0.5, 2.9))
+    mn, mx = GridOperator(n, MINIMAL), GridOperator(n, MAXIMAL)
     bumped = Bumped(n, PERIODIC, bumps={(3, 4): 1.0})
-    zb = grid_transform(bumped)
-    assert type(zb) is ZTransform
+    # a bumped operator compares equal to the periodic one: index a list
+    zts = diffops.grid_transforms([mw, per, tw, tw2, mn, mx, bumped])
+    assert [isinstance(zt, diffops._GridTransform) for zt in zts] == [True] * 4 + [False] * 3
+    MW, PER, TW, TW2, MN, MX, BUMPED = range(7)
+    pairs = [(MW, PER),                          # the deflated pair
+             (PER, TW), (TW, TW2), (MW, TW),     # closed forms
+             (MW, BUMPED), (PER, MN), (TW, MX),  # a closed form and a dense one
+             (MN, MX)]                           # dense, one-sided
+    cases = [(zts[a], zts[b], n + 1) for a, b in pairs]
+    s0, s1 = _symbol_fibers(3, n)
+    cases.append((z_transform(s0), z_transform(s1), 9))
+    zs = [zt.z for zt in zts]                    # each closed form's z read once
+    oracles = [np.linalg.norm(zs[b] - zs[a], 2) for a, b in pairs]
+    oracles.append(np.linalg.norm(cases[-1][1].z - cases[-1][0].z, 2))
     linalg_calls.clear()
-    for a, za, b, zb in ((mw, zm, bumped, zb), (per, zp, bumped, zb), (bumped, zb, mw, zm)):
-        assert transform_jump(a, za, b, zb) == np.linalg.norm(zb.z - za.z, 2)
-    assert linalg_calls == ["norm2"] * 6
+    for (za, zb, dim), oracle in zip(cases, oracles):
+        jump = transform_jump(za, zb, dim)
+        assert jump == pytest.approx(oracle, rel=1e-13, abs=0)
+        assert transform_jump(zb, za, dim) == jump
+    assert set(linalg_calls) == {"eigh"}
 
 
 @pytest.mark.parametrize("n", [9, 64, 400])
 def test_jump_between_closed_forms_takes_no_dense_norm(linalg_calls, n):
-    # any other pair of closed forms: a Lanczos 2-norm over their FFT
-    # actions, whose only factorizations are its small tridiagonal eigh
+    # a Lanczos 2-norm over their FFT actions, whose only factorizations
+    # are its small tridiagonal eigh; no z is formed
     mw, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
     tw, tw2 = (GridOperator(n, BoundaryTag.twisted(t)) for t in (0.5, 2.9))
-    bumped = Bumped(n, PERIODIC, bumps={(3, 4): 1.0})
     ops = {op: grid_transform(op) for op in (mw, per, tw, tw2)}
-    pairs = [(mw, tw), (tw, mw), (per, tw), (tw, tw2), (tw2, per)]
-    # the deflated core only serves the periodic fiber of its own matrix
-    cases = [(a, ops[a], b, ops[b]) for a, b in pairs] + [(mw, ops[mw], bumped, ops[per])]
-    oracles = [np.linalg.norm(zb.z - za.z, 2) for _, za, _, zb in cases]
+    zs = {op: zt.z for op, zt in ops.items()}
+    pairs = [(mw, tw), (tw, mw), (per, tw), (tw, tw2), (tw2, per), (mw, per)]
+    oracles = [np.linalg.norm(zs[b] - zs[a], 2) for a, b in pairs]
     linalg_calls.clear()
-    for (a, za, b, zb), oracle in zip(cases, oracles):
-        assert transform_jump(a, za, b, zb) == pytest.approx(oracle, rel=1e-13, abs=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffops._GridTransform, "z", property(lambda self: pytest.fail("z read")))
+        for (a, b), oracle in zip(pairs, oracles):
+            assert transform_jump(ops[a], ops[b], n + 1) == \
+                pytest.approx(oracle, rel=1e-13, abs=0)
     assert set(linalg_calls) == {"eigh"}
 
 
