@@ -84,22 +84,27 @@ def complement_eigh(d, b):
     return mu, np.vstack([w, np.zeros(w.shape[1])]) - beta * np.outer(v, v[:-1] @ w)
 
 
-def seeded_unit_vectors(n, count, seed):
-    """``count`` unit vectors of ``C^n`` with independent complex Gaussian
-    entries, drawn from ``random.Random(seed)``: ``16 n`` random bytes per
-    vector give ``2 n`` uniforms ``u`` of 53 bits, and the Box-Muller
-    transform ``sqrt(-2 log(1 - u1)) exp(2 pi i u2)`` of each pair is one
-    entry.  The standard library's generator keeps ``numpy.random`` (about
-    18 ms and 5 MB of a fresh process) out of the pipelines that only need
-    fixed generic vectors."""
+def seeded_gaussians(n, count, seed):
+    """``count`` vectors of ``C^n`` with independent standard complex
+    Gaussian entries (``E|z|^2 = 2``), drawn from ``random.Random(seed)``:
+    ``16 n`` random bytes per vector give ``2 n`` uniforms ``u`` of 53 bits,
+    and the Box-Muller transform ``sqrt(-2 log(1 - u1)) exp(2 pi i u2)`` of
+    each pair is one entry.  This is the package's one random source; the
+    standard library's generator keeps ``numpy.random`` (about 13 ms and
+    6.5 MB of a fresh process) out of every pipeline."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         bits = np.frombuffer(rng.randbytes(16 * n), dtype="<u8")
         u = (bits >> np.uint64(11)) * 2.0 ** -53
-        v = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])
-        out.append(v / np.linalg.norm(v))
+        out.append(np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:]))
     return out
+
+
+def seeded_unit_vectors(n, count, seed):
+    """The ``count`` vectors of :func:`seeded_gaussians`, normalized: fixed
+    generic unit vectors of ``C^n``."""
+    return [v / np.linalg.norm(v) for v in seeded_gaussians(n, count, seed)]
 
 
 def top_singular_value(apply, apply_adjoint, n):

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiberIndex, ideal_density_check
+from .algebra import AlgebraElement, FiberIndex, ideal_density_check, seeded_gaussians
 from .correspondence import ModuleModel, left_module_operator, roundtrip_check
 from .diffops import (
     MAXIMAL,
@@ -60,10 +60,11 @@ _SECTION_KEYS = {
 # where one is read.  A request whose count cannot fit in physical memory is
 # refused before anything is allocated.  A real matrix counts one half.
 _DENSE_MATRICES = {
-    # the kernel certificate's real E, K, its weighted copy and the SVD's two
-    # factors; the symbol checks and the closed forms take O(n) memory
-    "kernel-cert": 2,
-    "certify-nonregular": 2,
+    # the kernel certificate's real K, weighted in place, and the SVD's two
+    # real factors: three halves, counted low as one; the symbol checks and
+    # the closed forms take O(n) memory
+    "kernel-cert": 1,
+    "certify-nonregular": 1,
     "zfield counterexample": 0,
     # a tags field of periodic and twisted fibers, in closed form: every
     # jump is a Lanczos 2-norm over the two transforms' actions, by FFTs
@@ -194,9 +195,21 @@ def _parse_complex(token, lineno):
                             line=lineno) from None
 
 
+def _parse_row(row, lineno):
+    """Entries of one matrix row.  A row with no ``re,im`` entry is read by
+    one ``float`` map; a bad entry falls back to the per-token parse, which
+    names it."""
+    if "," not in row:
+        try:
+            return list(map(float, row.split()))
+        except ValueError:
+            pass
+    return [_parse_complex(t, lineno) for t in row.split()]
+
+
 def _parse_matrix(value, lineno):
     rows = [r.strip() for r in value.split(";") if r.strip()]
-    data = [[_parse_complex(t, lineno) for t in r.split()] for r in rows]
+    data = [_parse_row(r, lineno) for r in rows]
     if len({len(r) for r in data}) != 1:
         raise MalformedSpec(f"line {lineno}: ragged matrix rows", line=lineno)
     return np.asarray(data, dtype=complex)
@@ -505,10 +518,12 @@ def run_phi_roundtrip(cfg: RunConfig, report: Report):
     index = cfg.algebra or FiberIndex(("p0", "p1"), (2, 2))
     rows = cfg.rows or tuple(min(3, d + 1) for d in index.dims)
     model = _from_spec(ModuleModel, index, rows)
-    rng = np.random.default_rng(cfg.seed)
-    blocks = {}
-    for lab, m in zip(index.labels, model.row_dims):
-        blocks[lab] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    # one complex Gaussian draw, split in label order into the (m, m) blocks
+    sizes = [m * m for m in model.row_dims]
+    draw = seeded_gaussians(sum(sizes), 1, cfg.seed)[0]
+    parts = np.split(draw, np.cumsum(sizes)[:-1])
+    blocks = {lab: part.reshape(m, m)
+              for lab, m, part in zip(index.labels, model.row_dims, parts)}
     T = left_module_operator(model, blocks)
     verdict = roundtrip_check(T, model, side="module")
     report.kv("labels", " ".join(index.labels))

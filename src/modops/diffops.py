@@ -723,14 +723,18 @@ def _composite_certificate_matrix(n):
     bitwise that of the dense products ``Do @ (Do @ E)``.  Elsewhere (first
     at ``n = 77``) ``1 / h`` carries roundoff, and a few seam entries can
     differ from a dense product that fuses a multiply-add by 1 ulp.
+
+    ``K`` is built in place: ``-Do Do E`` first, by subtracting the pairs
+    from zero, then ``+1`` where ``E`` has its ones.  Negation is exact and
+    ``0 - d`` keeps the sign of zero, so this is bitwise ``E - Do Do E``
+    without ``E`` or the product ever held beside it.
     """
-    E = np.zeros((n + 1, n))
-    E[:n, :] = np.eye(n)
-    E[n, 0] = 1.0
     rows, cols, vals = _onesided_square(n)
-    DDE = np.zeros((n + 1, n))
-    np.add.at(DDE, (rows, np.where(cols < n, cols, 0)), vals)
-    return E - DDE, E
+    K = np.zeros((n + 1, n))
+    np.subtract.at(K, (rows, np.where(cols < n, cols, 0)), vals)
+    K[np.arange(n), np.arange(n)] += 1.0
+    K[n, 0] += 1.0
+    return K
 
 
 def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
@@ -744,9 +748,8 @@ def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
     """
     if n < 32:
         raise GridTooCoarse(f"need n >= 32 for the kernel certificate, got {n}")
-    K, E = _composite_certificate_matrix(n)
-    w = trapezoid_weights(n)
-    Kw = np.sqrt(w)[:, None] * K
+    Kw = _composite_certificate_matrix(n)
+    Kw *= np.sqrt(trapezoid_weights(n))[:, None]
     _, s, vh = np.linalg.svd(Kw)
     # deepest relative gap nearest the tail decides the kernel dimension
     dim = 0
@@ -757,7 +760,8 @@ def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
     if dim != 1:
         raise UnexpectedKernelDim(
             f"kernel dimension {dim} (singular values {s[-3:]})", dimension=dim)
-    f = GridFunction(E @ vh[-1].conj()).normalized()
+    v = vh[-1].conj()
+    f = GridFunction(np.append(v, v[0])).normalized()     # E v: fold the seam
     x = f.grid()
     ref = GridFunction(np.exp(x) + np.exp(1.0 - x)).normalized()
     if np.real(f.inner(ref)) < 0:

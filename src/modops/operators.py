@@ -164,7 +164,8 @@ class ZTransform:
 
     ``z`` is the dense matrix; a closed form that keeps less than ``z``
     builds it when it is read.  ``apply`` and ``apply_adjoint`` act by
-    ``z`` and ``z*`` on a vector, and a closed form overrides them.
+    ``z`` and ``z*`` along the last axis, on a vector or a stack of row
+    vectors, and a closed form overrides them.
     """
 
     __slots__ = ("_z", "density_gap")
@@ -190,11 +191,13 @@ class ZTransform:
         return self._z
 
     def apply(self, x):
-        """``z x``; a closed form acts without forming ``z``."""
-        return self.z @ x
+        """``z x`` along the last axis of ``x``, as ``x z^T``, so a stack of
+        vectors is mapped row by row; a closed form acts without forming
+        ``z``."""
+        return x @ self.z.T
 
     def apply_adjoint(self, y):
-        """``z* y``, as ``conj(conj(y) z)``, so ``z`` is never transposed."""
+        """``z* y`` along the last axis of ``y``, as ``conj(conj(y) z)``."""
         return (y.conj() @ self.z).conj()
 
     def _phase_rotated(self, p) -> "ZTransform":

@@ -1,3 +1,7 @@
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from modops.algebra import (
     localize,
     multiplier_symbol_extract,
     psd_sqrt,
+    seeded_gaussians,
     seeded_unit_vectors,
     top_singular_value,
 )
@@ -278,6 +283,35 @@ def test_top_singular_value_of_a_doubled_top(n):
     assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
     # the Krylov space is all of C^n after n steps at the latest
     assert len(steps) <= n
+
+
+@pytest.mark.parametrize("n", [1, 2, 401])
+def test_seeded_gaussians_are_fixed_and_normalize_to_the_unit_vectors(n):
+    a, b = seeded_gaussians(n, 2, seed=7)
+    again = seeded_gaussians(n, 2, seed=7)
+    assert a.tobytes() == again[0].tobytes() and b.tobytes() == again[1].tobytes()
+    assert not np.array_equal(seeded_gaussians(n, 1, seed=8)[0], a)
+    assert a.shape == (n,) and a.dtype == complex
+    # the unit vectors are these draws normalized, bit for bit
+    for g, u in zip((a, b), seeded_unit_vectors(n, 2, seed=7)):
+        assert u.tobytes() == (g / np.linalg.norm(g)).tobytes()
+    # Box-Muller over the standard library's bytes, one entry at a time
+    raw = random.Random(7).randbytes(16 * n)
+    us = [(int.from_bytes(raw[8 * k:8 * k + 8], "little") >> 11) * 2.0 ** -53
+          for k in range(2 * n)]
+    ref = [math.sqrt(-2.0 * math.log1p(-us[j])) * cmath.exp(2j * math.pi * us[n + j])
+           for j in range(n)]
+    assert_allclose(a, ref, rtol=1e-14, atol=0)
+
+
+def test_seeded_gaussians_have_standard_complex_entries():
+    # E|z|^2 = 2 with unit variance in the real and the imaginary part, as
+    # for standard_normal + 1j * standard_normal; 2 / sqrt(n) is the
+    # standard error of the mean of |z|^2
+    z = seeded_gaussians(20000, 1, seed=3)[0]
+    assert abs(np.mean(np.abs(z) ** 2) - 2.0) < 0.1
+    assert abs(np.var(z.real) - 1.0) < 0.1 and abs(np.var(z.imag) - 1.0) < 0.1
+    assert abs(np.mean(z)) < 0.05
 
 
 @pytest.mark.parametrize("n", [1, 2, 401])

@@ -91,22 +91,22 @@ def test_config_range_guards():
 
 
 def test_certify_nonregular_refuses_a_grid_too_large_to_hold(capsys, monkeypatch):
-    # 2 matrices of 20001x20001 take 12.8 GB, more than 8 GB
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
+    # 1 matrix of 20001x20001 takes 6.4 GB, more than 4 GB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 10 ** 9)
     assert main(["certify-nonregular", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: n_x = 20000 needs at least 12.8 GB")
-    assert "GB for 2 dense 20001x20001 complex matrices" in err
+    assert err.startswith("input error: n_x = 20000 needs at least 6.4 GB")
+    assert "GB for 1 dense 20001x20001 complex matrices" in err
     # extend holds no dense matrix, so the largest grid is admitted
     assert RunConfig("extend", n_x=20000)._grid_pipeline() == "extend"
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("certify-nonregular", n_x=400)    # the defaults fit this machine
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 8)
-    RunConfig("certify-nonregular", n_x=400)    # 2 matrices of 401x401 take 5 MB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 10 ** 7)
+    RunConfig("certify-nonregular", n_x=400)    # 1 matrix of 401x401 takes 2.6 MB
     RunConfig("certify-nonregular", n_x=400, n_pi=4096)  # none of them per base point
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 2 dense"):
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 1 dense"):
         RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated
     RunConfig("phi-roundtrip", n_x=2000)
@@ -265,17 +265,22 @@ def test_extend_holds_no_dense_matrix(tmp_path):
 
 def test_pipelines_do_not_import_numpy_ma(tmp_path):
     # np.median and other lazy imports of numpy.ma cost a fresh process
-    # about 20 ms, and numpy.random about 18 ms; a pipeline run in a fresh
-    # interpreter must pay neither
+    # about 20 ms, and numpy.random about 13 ms and 6.5 MB; every command run
+    # in a fresh interpreter must pay neither
     spec = write(tmp_path, "[grid]\nn_x = 64\nn_pi = 4\n\n"
                            "[operator]\nkind = tags\ntags = periodic twisted:0.5 periodic\n")
+    density = write(tmp_path, DENSITY_SPEC, "density.ini")
     certify = ["certify-nonregular", "--n-x", "64", "--out", str(tmp_path / "c.txt")]
+    kernel = ["kernel-cert", "--n-x", "64", "--out", str(tmp_path / "k.txt")]
     zfield = ["zfield", "--config", spec, "--out", str(tmp_path / "z.txt")]
     extend = ["extend", "--n-x", "64", "--n-pi", "9", "--out", str(tmp_path / "e.txt")]
+    phi = ["phi-roundtrip", "--out", str(tmp_path / "p.txt")]
+    dense = ["density-check", "--config", density, "--out", str(tmp_path / "d.txt")]
     code = ("import sys\n"
             "from modops.cli import main\n"
-            f"assert main({certify!r}) == 1 and main({zfield!r}) == 0\n"
-            f"assert main({extend!r}) == 0\n"
+            f"assert main({certify!r}) == 1 and main({kernel!r}) == 0\n"
+            f"assert main({zfield!r}) == 0 and main({extend!r}) == 0\n"
+            f"assert main({phi!r}) == 0 and main({dense!r}) == 0\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
@@ -286,6 +291,8 @@ def test_pipelines_do_not_import_numpy_ma(tmp_path):
     assert out.stdout == "[]\n"
     assert "PROFILE-EMITTED" in (tmp_path / "z.txt").read_text()
     assert "REGULAR-EXTENSION-VERIFIED" in (tmp_path / "e.txt").read_text()
+    assert "ROUNDTRIP-VERIFIED" in (tmp_path / "p.txt").read_text()
+    assert "verdict = DENSE" in (tmp_path / "d.txt").read_text()
 
 
 def test_zfield_is_gated_by_its_fibers():
@@ -361,6 +368,28 @@ def test_phi_roundtrip_pipeline(tmp_path):
     code = main(["phi-roundtrip", "--out", str(out)])
     assert code == 0
     assert "verdict = ROUNDTRIP-VERIFIED" in out.read_text()
+
+
+@pytest.mark.parametrize("dims, rows", [
+    ((1, 2), (2, 1)), ((2, 1, 2), (1, 2, 2)), ((2, 2, 1), (2, 3, 1)),
+    ((3, 2, 2, 1), (3, 2, 3, 2))])
+@pytest.mark.parametrize("seed", [0, 1, 4711])
+def test_phi_roundtrip_verifies_on_label_shapes_and_seeds(tmp_path, dims, rows, seed):
+    # one seeded Gaussian draw, split into one (m, m) block per label, gives
+    # a generic model on every shape
+    labels = [f"q{j}" for j in range(len(dims))]
+    spec = write(tmp_path, f"[algebra]\nlabels = {' '.join(labels)}\n"
+                           f"dims = {' '.join(map(str, dims))}\n"
+                           f"rows = {' '.join(map(str, rows))}\nseed = {seed}\n")
+    out = tmp_path / "p.txt"
+    assert main(["phi-roundtrip", "--config", spec, "--out", str(out)]) == 0
+    report = dict(line.split(" = ", 1) for line in out.read_text().splitlines()
+                  if " = " in line and not line.startswith("#"))
+    assert report["rows"] == " ".join(map(str, rows))
+    assert report["seed"] == str(seed)
+    assert (report["inclusion_ok"], report["closure_equal"]) == ("True", "True")
+    assert float(report["inclusion_residual"].split()[0]) <= 1e-10
+    assert report["verdict"] == "ROUNDTRIP-VERIFIED"
 
 
 @pytest.mark.parametrize("argv", [
