@@ -161,9 +161,10 @@ class FiberIndex:
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def points(cls, n_points, dim=1, prefix="x"):
-        """Index for a function algebra over ``n_points`` sites, all of one dim."""
-        return cls(tuple(f"{prefix}{i}" for i in range(n_points)), (dim,) * n_points)
+    def points(cls, n_points, dim=1):
+        """Index for a function algebra over ``n_points`` sites ``x0, x1, ...``,
+        all of one dim."""
+        return cls(tuple(f"x{i}" for i in range(n_points)), (dim,) * n_points)
 
     def dim(self, label):
         try:
@@ -258,9 +259,9 @@ class AlgebraElement:
     def norm(self):
         return max(np.linalg.norm(m, 2) for m in self.fibers.values())
 
-    def is_hermitian(self, tol=TOL_ALG):
+    def is_hermitian(self):
         scale = 1.0 + self.norm()
-        return all(np.linalg.norm(m - m.conj().T, 2) <= tol * scale
+        return all(np.linalg.norm(m - m.conj().T, 2) <= TOL_ALG * scale
                    for m in self.fibers.values())
 
     def to_vector(self):
@@ -276,9 +277,9 @@ class AlgebraElement:
         """Block-diagonal matrix of the element acting on the sum of fiber columns."""
         return block_diag(self.fibers[lab] for lab in self.index.labels)
 
-    def allclose(self, other, tol=TOL_ALG):
+    def allclose(self, other):
         scale = 1.0 + max(self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
+        return (self - other).norm() <= TOL_ALG * scale
 
     def __repr__(self):
         return f"AlgebraElement(labels={self.index.labels}, norm={self.norm():.3e})"
@@ -308,10 +309,15 @@ class ModuleVector:
         self.fibers = checked
         self.row_dims = tuple(rows)
 
+    def _check_operand(self, other):
+        """Raise ``ValueError`` unless ``other`` lies in this vector's module."""
+        if (not isinstance(other, ModuleVector) or other.index != self.index
+                or other.row_dims != self.row_dims):
+            raise ValueError("vectors must share index and row dimensions")
+
     def inner(self, other: "ModuleVector") -> AlgebraElement:
         """Algebra-valued inner product ``x* y``."""
-        if other.index != self.index or other.row_dims != self.row_dims:
-            raise ValueError("vectors must share index and row dimensions")
+        self._check_operand(other)
         return AlgebraElement(self.index, {lab: self.fibers[lab].conj().T @ other.fibers[lab]
                                            for lab in self.index.labels})
 
@@ -323,10 +329,12 @@ class ModuleVector:
                                          for lab in self.index.labels})
 
     def __add__(self, other):
+        self._check_operand(other)
         return ModuleVector(self.index, {lab: self.fibers[lab] + other.fibers[lab]
                                          for lab in self.index.labels})
 
     def __sub__(self, other):
+        self._check_operand(other)
         return ModuleVector(self.index, {lab: self.fibers[lab] - other.fibers[lab]
                                          for lab in self.index.labels})
 
@@ -358,23 +366,21 @@ class ModuleVector:
 # --------------------------------------------------------------------------
 # operations
 # --------------------------------------------------------------------------
-def psd_sqrt(a: AlgebraElement, tol_psd=None) -> AlgebraElement:
+def psd_sqrt(a: AlgebraElement) -> AlgebraElement:
     """Unique PSD square root of a PSD element, fiber by fiber.
 
-    Eigenvalues in ``[-tol_psd, 0)`` are clipped to zero; anything below
-    ``-tol_psd`` raises :class:`NotPSD`.  The default tolerance scales with
-    the element's norm.
+    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything below
+    ``-tol`` raises :class:`NotPSD`.  The tolerance scales with the
+    element's norm: ``tol = TOL_PSD_FACTOR * max(||a||, 1)``.
     """
-    scale = a.norm()
-    if tol_psd is None:
-        tol_psd = TOL_PSD_FACTOR * max(scale, 1.0)
+    tol = TOL_PSD_FACTOR * max(a.norm(), 1.0)
     if not a.is_hermitian():
         raise NotPSD("element is not Hermitian within tolerance")
     roots = {}
     for lab, m in a.fibers.items():
         roots[lab], lam = eigh_sqrt(m)
-        if lam[0] < -tol_psd:
-            raise NotPSD(f"fiber {lab!r} has eigenvalue {lam[0]:.3e} < -{tol_psd:.3e}",
+        if lam[0] < -tol:
+            raise NotPSD(f"fiber {lab!r} has eigenvalue {lam[0]:.3e} < -{tol:.3e}",
                          min_eigenvalue=float(lam[0]))
     return AlgebraElement(a.index, roots)
 
@@ -423,15 +429,15 @@ def ideal_density_check(generators) -> DensityReport:
     return DensityReport(per_fiber=per_fiber, ranks=ranks)
 
 
-def multiplier_symbol_extract(T, index: FiberIndex, tol=TOL_ALG) -> AlgebraElement:
+def multiplier_symbol_extract(T, index: FiberIndex) -> AlgebraElement:
     """Recover the symbol of a multiplication operator on a finite function algebra.
 
     ``T`` is a :class:`~modops.operators.DomainedOperator` acting on the
     flattened algebra over ``index``.  On a finite point set the symbol at a
     point is read off by applying ``T`` to that point's indicator element and
-    evaluating there; the result is then certified against every elementary
-    basis element, and :class:`NotMultiplication` carries the worst residual
-    when certification fails.
+    evaluating there; the result is then certified within ``TOL_ALG`` against
+    every elementary basis element, and :class:`NotMultiplication` carries
+    the worst residual when certification fails.
     """
     if T.ambient_dim != index.flat_dim:
         raise ValueError("operator ambient does not match the flattened algebra")
@@ -439,7 +445,7 @@ def multiplier_symbol_extract(T, index: FiberIndex, tol=TOL_ALG) -> AlgebraEleme
     sym_fibers = {}
     for lab in index.labels:
         ind = localize(one, lab).to_vector()
-        if not T.contains(ind, tol)[0]:
+        if not T.contains(ind, TOL_ALG)[0]:
             raise ValueError(f"indicator of fiber {lab!r} is outside the domain")
         image = AlgebraElement.from_vector(index, T.action @ ind)
         sym_fibers[lab] = image.fibers[lab]
@@ -450,7 +456,7 @@ def multiplier_symbol_extract(T, index: FiberIndex, tol=TOL_ALG) -> AlgebraEleme
     lmul = symbol.left_mult_matrix()
     residuals = np.linalg.norm((T.action - lmul) @ T.frame, axis=0)
     worst = float(residuals.max()) if residuals.size else 0.0
-    if worst > tol * (1.0 + symbol.norm()):
+    if worst > TOL_ALG * (1.0 + symbol.norm()):
         raise NotMultiplication("operator is not multiplication by its symbol",
                                 residual=worst)
     return symbol

@@ -81,6 +81,13 @@ _DENSE_MATRICES = {
     "extend": 0,
 }
 
+# complex pair matrices phi-roundtrip keeps alive at once, counted low and
+# checked by tracemalloc: phi1 stacks one input and one image column per
+# (domain frame vector, module basis vector) pair, each a vector of the
+# compacts, so a full domain gives two (sum m^2) x (sum m k)^2 matrices;
+# phi2's on the full domain phi1 returns are as large
+_PAIR_MATRICES = 2
+
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
 # at n_x // 2, and a kernel certificate needs 32 steps, as does the
 # counterexample field; every other grid pipeline serves the range's 8
@@ -93,10 +100,19 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse_beyond_memory(subject, need, what):
+    """Refuse a request whose ``need`` bytes, held as ``what``, cannot fit in
+    physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise MalformedSpec(
+            f"{subject} needs at least {need / 1e9:.1f} GB for {what}, more than "
+            f"the {have / 1e9:.1f} GB of physical memory")
+
+
 @dataclass
 class RunConfig:
     command: str
-    input_path: str | None = None
     output_path: str | None = None
     n_x: int = 400
     n_pi: int = 16
@@ -128,6 +144,8 @@ class RunConfig:
             raise MalformedSpec(f"modulus = {self.modulus} must be finite and >= 0")
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
+        if self.command == "phi-roundtrip":
+            self._check_pair_memory()
         pipeline = self._grid_pipeline()
         if pipeline is None:
             return                      # no grid: n_x is never read
@@ -152,13 +170,25 @@ class RunConfig:
 
     def _check_memory(self, pipeline):
         """Refuse a grid whose dense matrices cannot fit in physical memory."""
-        k = _DENSE_MATRICES[pipeline]
-        need, have = 16 * (self.n_x + 1) ** 2 * k, _physical_memory()
-        if need > have:
-            raise MalformedSpec(
-                f"n_x = {self.n_x} needs at least {need / 1e9:.1f} GB for {k} dense "
-                f"{self.n_x + 1}x{self.n_x + 1} complex matrices, more than the "
-                f"{have / 1e9:.1f} GB of physical memory")
+        k, n = _DENSE_MATRICES[pipeline], self.n_x + 1
+        _refuse_beyond_memory(f"n_x = {self.n_x}", 16 * n ** 2 * k,
+                              f"{k} dense {n}x{n} complex matrices")
+
+    def _check_pair_memory(self):
+        """Refuse a phi-roundtrip module whose pair matrices cannot fit in
+        physical memory."""
+        model = self._roundtrip_model()
+        rows, cols = sum(m * m for m in model.row_dims), model.flat_dim ** 2
+        _refuse_beyond_memory(f"a module of dimension {model.flat_dim}",
+                              16 * rows * cols * _PAIR_MATRICES,
+                              f"{_PAIR_MATRICES} complex {rows}x{cols} pair matrices")
+
+    def _roundtrip_model(self) -> ModuleModel:
+        """The module of a phi-roundtrip run: the [algebra] index and rows,
+        by default two fibers of dimension 2 with rows ``min(3, d + 1)``."""
+        index = self.algebra or FiberIndex(("p0", "p1"), (2, 2))
+        rows = self.rows or tuple(min(3, d + 1) for d in index.dims)
+        return _from_spec(ModuleModel, index, rows)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +480,8 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
             domains = {}
             for lab, cols in cfg.elements[cfg.operator_domain].items():
                 domains[lab] = orthonormal_frame(cols)
-        return FiberedOperator.from_algebra_symbol(cfg.algebra, symbol, domains)
+        return _from_spec(FiberedOperator.from_algebra_symbol, cfg.algebra, symbol,
+                          domains)
     raise MalformedSpec(f"unknown operator kind {cfg.operator_kind!r}")
 
 
@@ -515,9 +546,8 @@ def run_extend(cfg: RunConfig, report: Report):
 
 
 def run_phi_roundtrip(cfg: RunConfig, report: Report):
-    index = cfg.algebra or FiberIndex(("p0", "p1"), (2, 2))
-    rows = cfg.rows or tuple(min(3, d + 1) for d in index.dims)
-    model = _from_spec(ModuleModel, index, rows)
+    model = cfg._roundtrip_model()
+    index = model.index
     # one complex Gaussian draw, split in label order into the (m, m) blocks
     sizes = [m * m for m in model.row_dims]
     draw = seeded_gaussians(sum(sizes), 1, cfg.seed)[0]
@@ -595,7 +625,7 @@ def main(argv=None):
     try:
         sections = parse_spec_file(args.config) if args.config else {}
         cfg = config_from_sections(
-            args.command, sections, input_path=args.config, output_path=args.out,
+            args.command, sections, output_path=args.out,
             n_x=args.n_x, n_pi=args.n_pi, tol_graph=args.tol_graph,
             modulus=args.modulus)
     except (MalformedSpec, ValueError) as exc:

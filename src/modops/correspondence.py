@@ -127,11 +127,12 @@ def left_module_operator(model: ModuleModel, blocks: dict,
     return DomainedOperator(block_diag(acts), block_diag(frames))
 
 
-def _operator_from_pairs(pairs_in, pairs_out, ambient, tol):
+def _operator_from_pairs(pairs_in, pairs_out, ambient):
     """Operator part of the relation spanned by (input, image) pairs.
 
-    A nonzero image over the input nullspace means one vector received two
-    images: the defining formula was inconsistent.
+    A nonzero image over the input nullspace, beyond ``TOL_ALG`` relative,
+    means one vector received two images: the defining formula was
+    inconsistent.
     """
     if not pairs_in:
         return DomainedOperator(np.zeros((ambient, ambient), dtype=complex),
@@ -143,7 +144,7 @@ def _operator_from_pairs(pairs_in, pairs_out, ambient, tol):
     vr = vvh.conj().T[:, :rank]
     # image of the input kernel, via the complement of the rank projector
     leak = np.linalg.norm(W - (W @ vr) @ vr.conj().T, 2)
-    if leak > tol * (1.0 + np.linalg.norm(W, 2)):
+    if leak > TOL_ALG * (1.0 + np.linalg.norm(W, 2)):
         raise IllDefined("two representations of one vector map to "
                          "different images", residual=float(leak))
     dom = uu[:, :rank]
@@ -151,7 +152,7 @@ def _operator_from_pairs(pairs_in, pairs_out, ambient, tol):
     return DomainedOperator(act, dom)
 
 
-def phi1(T: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperator:
+def phi1(T: DomainedOperator, model: ModuleModel) -> DomainedOperator:
     """Operator on K(E) induced by ``T`` through |x><y| -> |Tx><y|.
 
     Built from the defining pairs with x running over a basis of the domain
@@ -169,10 +170,10 @@ def phi1(T: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperat
         for y in basis:
             ins.append(RankOneOperator(x, y).matrix().to_vector())
             outs.append(RankOneOperator(tx, y).matrix().to_vector())
-    return _operator_from_pairs(ins, outs, kmodel.flat_dim, tol)
+    return _operator_from_pairs(ins, outs, kmodel.flat_dim)
 
 
-def phi2(S: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperator:
+def phi2(S: DomainedOperator, model: ModuleModel) -> DomainedOperator:
     """Operator on E induced by ``S`` on K(E) through a x -> (S a) x.
 
     The domain is the span of products a x with a in the domain of ``S``;
@@ -190,7 +191,7 @@ def phi2(S: DomainedOperator, model: ModuleModel, tol=TOL_ALG) -> DomainedOperat
         for x in basis:
             ins.append(model.left_product(a, x).to_vector())
             outs.append(model.left_product(sa, x).to_vector())
-    return _operator_from_pairs(ins, outs, model.flat_dim, tol)
+    return _operator_from_pairs(ins, outs, model.flat_dim)
 
 
 @dataclass
@@ -206,22 +207,24 @@ class RoundtripVerdict:
         return self.inclusion_ok and self.closure_equal
 
 
-def _equivalent(A: DomainedOperator, B: DomainedOperator, tol):
-    """Equal closures at finite scale: same domain span, same action on it."""
-    same_dom = A.same_domain(B, tol)
+def _equivalent(A: DomainedOperator, B: DomainedOperator):
+    """Equal closures at finite scale: same domain span, same action on it,
+    both within ``TOL_ALG``."""
+    same_dom = A.same_domain(B, TOL_ALG)
     act = np.linalg.norm((A.action - B.action) @ A.domain_projector(), 2)
     return same_dom, bool(
-        same_dom and act <= tol * (1.0 + np.linalg.norm(A.action, 2)))
+        same_dom and act <= TOL_ALG * (1.0 + np.linalg.norm(A.action, 2)))
 
 
-def roundtrip_check(op: DomainedOperator, model: ModuleModel, side="module",
-                    tol=TOL_ALG) -> RoundtripVerdict:
+def roundtrip_check(op: DomainedOperator, model: ModuleModel,
+                    side="module") -> RoundtripVerdict:
     """Verify the round-trip laws for one operator.
 
     For ``side="module"``: phi2(phi1(T)) is included in T and the two have
     equal closures.  For ``side="compacts"``: phi1(phi2(S)) is included in S
     with equal closures.  At finite scale a closure is the operator on its
-    domain span, so equality is projector equality plus action agreement.
+    domain span, so equality is projector equality plus action agreement;
+    every comparison is within ``TOL_ALG``.
     """
     if side == "module":
         back = phi2(phi1(op, model), model)
@@ -229,8 +232,8 @@ def roundtrip_check(op: DomainedOperator, model: ModuleModel, side="module",
         back = phi1(phi2(op, model), model)
     else:
         raise ValueError("side must be 'module' or 'compacts'")
-    inc = graph_inclusion(back, op, tol)
-    same_dom, equal = _equivalent(back, op, tol)
+    inc = graph_inclusion(back, op, TOL_ALG)
+    same_dom, equal = _equivalent(back, op)
     return RoundtripVerdict(inclusion_ok=inc.included,
                             inclusion_residual=inc.residual,
                             domains_match=same_dom, closure_equal=equal)

@@ -737,14 +737,14 @@ def _composite_certificate_matrix(n):
     return K
 
 
-def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
+def kernel_certificate(n) -> KernelReport:
     """Certify the one-dimensional kernel of the mixed-domain certificate
     operator and compare it with the normalized samples of e^x + e^{1-x}.
 
     The operator is ``1 + (i d/dx)(i d/dx)`` where the inner derivative sees
     only periodic functions and the outer derivative is unconstrained; its
-    kernel is detected through a relative singular-value gap, which is
-    scale-free.
+    kernel is detected through a relative singular-value gap of at most
+    ``KERNEL_GAP``, which is scale-free.
     """
     if n < 32:
         raise GridTooCoarse(f"need n >= 32 for the kernel certificate, got {n}")
@@ -754,7 +754,7 @@ def kernel_certificate(n, gap_tol=KERNEL_GAP) -> KernelReport:
     # deepest relative gap nearest the tail decides the kernel dimension
     dim = 0
     for j in range(s.size - 1, 0, -1):
-        if s[j] <= gap_tol * s[j - 1]:
+        if s[j] <= KERNEL_GAP * s[j - 1]:
             dim = s.size - j
             break
     if dim != 1:

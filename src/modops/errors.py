@@ -9,6 +9,14 @@ class ModopsError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ResidualError(ModopsError):
+    """A failed numerical check; the offending residual is ``residual``."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
 class NotPSD(ModopsError):
     """Input is not positive semidefinite (or not Hermitian) within tolerance."""
 
@@ -21,12 +29,8 @@ class UnknownFiber(ModopsError):
     """A fiber label is not part of the algebra's index."""
 
 
-class NotMultiplication(ModopsError):
+class NotMultiplication(ResidualError):
     """Operator is not multiplication by a symbol within tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class SingularResolvent(ModopsError):
@@ -45,32 +49,20 @@ class NotCoisometry(ModopsError):
     """u u* differs from the identity beyond tolerance."""
 
 
-class RestrictionIdentityViolated(ModopsError):
+class RestrictionIdentityViolated(ResidualError):
     """The square-root intertwining identity for restrictions fails.
 
     The hypothesis (u*(1-z*z)u)^{1/2} = (1-z*z)^{1/2} u does not hold within
     tolerance; the offending residual is attached.
     """
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class ExtensionIdentityViolated(ModopsError):
+class ExtensionIdentityViolated(ResidualError):
     """The square-root intertwining identity for extensions fails."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class NotRestriction(ModopsError):
+class NotRestriction(ResidualError):
     """Witness identities fail: z_S is not the transform of a restriction."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class GridTooCoarse(ModopsError):
@@ -89,24 +81,16 @@ class UnexpectedKernelDim(ModopsError):
         self.dimension = dimension
 
 
-class DomainViolation(ModopsError):
+class DomainViolation(ResidualError):
     """An element lies outside the operator's domain beyond tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class GaugeNotContinuous(ModopsError):
     """Gauge field fails the linear-in-step continuity bound."""
 
 
-class IllDefined(ModopsError):
+class IllDefined(ResidualError):
     """Two representations of the same vector map to different images."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class MalformedSpec(ModopsError):

@@ -221,7 +221,7 @@ class GaugeField:
     normalized to modulus one, read-only.
     """
 
-    def __init__(self, pi_grid, phases, base_point_identity=True, tol=TOL_ALG):
+    def __init__(self, pi_grid, phases):
         pi_grid = np.asarray(pi_grid, dtype=float)
         phases = np.asarray(phases, dtype=complex)
         if phases.ndim != 2:
@@ -230,15 +230,14 @@ class GaugeField:
             raise ValueError("need one phase vector per grid point")
         # for diagonal u these are ||u*u - 1||_2 and ||u_0 - 1||_2 exactly;
         # both gates are written so that a NaN entry fails them
-        slack = UNITARY_SLACK * tol
+        slack = UNITARY_SLACK * TOL_ALG
         if not np.max(np.abs(np.abs(phases) ** 2 - 1.0)) <= slack:
             raise ValueError("gauge entries must be unitary within tolerance")
-        if base_point_identity and not np.max(np.abs(phases[0] - 1.0)) <= slack:
-            raise ValueError("gauge is flagged base_point_identity but U_0 != 1")
+        if not np.max(np.abs(phases[0] - 1.0)) <= slack:
+            raise ValueError("gauge is not the identity at the base point: U_0 != 1")
         self.pi_grid = pi_grid
         self.phases = phases / np.abs(phases)
         self.phases.flags.writeable = False
-        self.base_point_identity = base_point_identity
 
     @classmethod
     def identity(cls, pi_grid, dim):
@@ -444,14 +443,13 @@ def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
 # --------------------------------------------------------------------------
 # fiber identity on finite models
 # --------------------------------------------------------------------------
-def fiber_identity_check(T: FiberedOperator, a: AlgebraElement,
-                         tol=TOL_GRAPH) -> float:
+def fiber_identity_check(T: FiberedOperator, a: AlgebraElement) -> float:
     """Residual of the fiberwise identity (1 + T_x* T_x) a_x = ((1 + T*T) a)_x.
 
     The left side goes through the per-fiber matrices and graph adjoints; the
     right side goes through plain algebra arithmetic with the field's symbol.
     The element must sit in the fibered domain (and its image in the adjoint
-    domain), otherwise :class:`DomainViolation` is raised.
+    domain) within ``TOL_GRAPH``, otherwise :class:`DomainViolation` is raised.
     """
     if T.algebra_index is None or T.symbol is None:
         raise ValueError("fiber identity check needs an algebra-backed field")
@@ -463,12 +461,12 @@ def fiber_identity_check(T: FiberedOperator, a: AlgebraElement,
     for i, lab in enumerate(index.labels):
         d = index.dim(lab)
         vec = a.fibers[lab].ravel()
-        ok, res = T.fiber(i).contains(vec, tol)
+        ok, res = T.fiber(i).contains(vec, TOL_GRAPH)
         if not ok:
             raise DomainViolation(f"element is outside the domain at fiber {lab!r}",
                                   residual=res)
         image = T.fiber(i).apply(vec)
-        ok, res = adjoints[i].contains(image, tol)
+        ok, res = adjoints[i].contains(image, TOL_GRAPH)
         if not ok:
             raise DomainViolation(
                 f"image leaves the adjoint domain at fiber {lab!r}", residual=res)
@@ -551,14 +549,14 @@ class GaugeExtensionResult:
         return float(self.deviations.max()) if self.deviations.size else 0.0
 
 
-def gauge_extension(t0: GridOperator, U: GaugeField,
-                    tol_gap=TOL_GAP) -> GaugeExtensionResult:
+def gauge_extension(t0: GridOperator, U: GaugeField) -> GaugeExtensionResult:
     """Conjugate one regular grid operator into a fibered field, ``T_pi =
     U_pi t0 U_pi*`` with domain ``U_pi D(t0)``, plus its transform field
     ``z_pi = U_pi w U_pi*`` where ``w`` transforms ``t0`` (by
     :func:`grid_transform`, so in closed form for a periodic ``t0``).
 
-    The gauge must be the identity at the base point and its conjugation
+    Every :class:`GaugeField` is the identity at the base point; ``t0``'s
+    density gap must exceed ``TOL_GAP``, and the gauge's conjugation
     field must look linear in the grid step: the maximal adjacent deviation
     of ``pi -> U_pi S U_pi*`` over probe compacts has to drop by roughly half
     when the grid step does, else :class:`GaugeNotContinuous` is raised.
@@ -568,10 +566,8 @@ def gauge_extension(t0: GridOperator, U: GaugeField,
     ``apply``, in ``O(n log n)`` for a closed form: no ``(n + 1)^2``
     matrix is formed.
     """
-    if not U.base_point_identity:
-        raise ValueError("gauge extension needs the base-point identity gauge")
     w = grid_transform(t0)
-    if w.density_gap <= tol_gap:
+    if w.density_gap <= TOL_GAP:
         raise NotDense("base operator is not regular at this resolution")
 
     devs = _increment_deviations(U.phases, w)

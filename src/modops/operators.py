@@ -58,13 +58,14 @@ def _as_matrix(u):
     return np.asarray(u, dtype=complex)
 
 
-def orthonormal_frame(columns, tol=RANK_RTOL):
-    """Orthonormal basis of the column span, rank-truncated at ``tol`` (relative)."""
+def orthonormal_frame(columns):
+    """Orthonormal basis of the column span, rank-truncated at ``RANK_RTOL``
+    (relative)."""
     cols = np.atleast_2d(np.asarray(columns, dtype=complex))
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :rank]
 
 
@@ -170,10 +171,10 @@ class ZTransform:
 
     __slots__ = ("_z", "density_gap")
 
-    def __init__(self, z, tol=TOL_ALG):
+    def __init__(self, z):
         z = np.asarray(z, dtype=complex)
         nz = np.linalg.norm(z, 2)
-        if nz > 1.0 + tol:
+        if nz > 1.0 + TOL_ALG:
             raise ValueError(f"not a contraction: ||z|| = {nz:.6f}")
         gap = float(np.linalg.eigvalsh(np.eye(z.shape[1]) - z.conj().T @ z)[0])
         self._z = z
@@ -231,18 +232,18 @@ def z_transform(T: DomainedOperator) -> ZTransform:
     return ZTransform._exact(B @ inv_sqrt @ T.frame.conj().T, gap)
 
 
-def from_z(zt: ZTransform, tol_gap=TOL_GAP) -> DomainedOperator:
+def from_z(zt: ZTransform) -> DomainedOperator:
     """Inverse of the bounded transform: ``T = z (1 - z*z)^{-1/2}``.
 
-    Requires a positive density gap; the returned operator carries the frame
-    spanning the range of ``(1 - z*z)^{1/2}``, which is everything once the
-    gap clears tolerance.
+    Requires a density gap above ``TOL_GAP``; the returned operator carries
+    the frame spanning the range of ``(1 - z*z)^{1/2}``, which is everything
+    once the gap clears it.
     """
-    if zt.density_gap <= tol_gap:
-        raise NotDense(f"density gap {zt.density_gap:.3e} <= {tol_gap:.1e}")
+    if zt.density_gap <= TOL_GAP:
+        raise NotDense(f"density gap {zt.density_gap:.3e} <= {TOL_GAP:.1e}")
     z = zt.z
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
-    return DomainedOperator.full(z @ hermitian_sqrt(R2, inverse=True, floor=tol_gap))
+    return DomainedOperator.full(z @ hermitian_sqrt(R2, inverse=True, floor=TOL_GAP))
 
 
 def adjoint_via_graph(T: DomainedOperator) -> DomainedOperator:
@@ -288,43 +289,43 @@ def graph_inclusion(S: DomainedOperator, T: DomainedOperator,
     return InclusionResult(ok, worst)
 
 
-def _check_sqrt_identity(left_inner, right, tol, exc, label):
+def _check_sqrt_identity(left_inner, right, exc, label):
     lhs = hermitian_sqrt(left_inner)
     residual = np.linalg.norm(lhs - right, 2)
     scale = 1.0 + np.linalg.norm(right, 2)
-    if residual > tol * scale:
-        raise exc(f"{label} residual {residual:.3e} exceeds {tol:.1e} (relative)",
+    if residual > TOL_ALG * scale:
+        raise exc(f"{label} residual {residual:.3e} exceeds {TOL_ALG:.1e} (relative)",
                   residual=float(residual))
     return float(residual)
 
 
-def restrict_via_isometry(zt: ZTransform, u, tol=TOL_ALG) -> ZTransform:
+def restrict_via_isometry(zt: ZTransform, u) -> ZTransform:
     """Transform of the restriction cut out by an isometry ``u``.
 
     Requires ``u*u = 1`` and the square-root intertwining hypothesis
-    ``(u*(1-z*z)u)^{1/2} = (1-z*z)^{1/2} u``, both within tolerance; returns
+    ``(u*(1-z*z)u)^{1/2} = (1-z*z)^{1/2} u``, both within ``TOL_ALG``; returns
     the transform ``z u``.
     """
     u = _as_matrix(u)
     z = zt.z
-    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > UNITARY_SLACK * tol:
+    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > UNITARY_SLACK * TOL_ALG:
         raise NotIsometry("u*u differs from the identity")
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
     _check_sqrt_identity(u.conj().T @ R2 @ u, hermitian_sqrt(R2) @ u,
-                         tol, RestrictionIdentityViolated, "restriction identity")
+                         RestrictionIdentityViolated, "restriction identity")
     return ZTransform(z @ u)
 
 
-def extend_via_coisometry(zt: ZTransform, u, tol=TOL_ALG) -> ZTransform:
+def extend_via_coisometry(zt: ZTransform, u) -> ZTransform:
     """Transform of the extension induced by a coisometry ``u`` (``u u* = 1``),
     under the mirrored square-root identity ``(u(1-zz*)u*)^{1/2} = u (1-zz*)^{1/2}``."""
     u = _as_matrix(u)
     z = zt.z
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > UNITARY_SLACK * tol:
+    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > UNITARY_SLACK * TOL_ALG:
         raise NotCoisometry("u u* differs from the identity")
     R2 = np.eye(z.shape[0]) - z @ z.conj().T
     _check_sqrt_identity(u @ R2 @ u.conj().T, u @ hermitian_sqrt(R2),
-                         tol, ExtensionIdentityViolated, "extension identity")
+                         ExtensionIdentityViolated, "extension identity")
     return ZTransform(u @ z)
 
 
@@ -338,28 +339,27 @@ class WitnessResult:
     gram_residual: float
 
 
-def restriction_witness(z_t: ZTransform, z_s: ZTransform,
-                        tol=TOL_ALG, tol_gap=TOL_GAP) -> WitnessResult:
+def restriction_witness(z_t: ZTransform, z_s: ZTransform) -> WitnessResult:
     """Witness ``w = (1-z_T*z_T)^{-1/2} (1-z_S*z_S)^{1/2}`` certifying that
     ``z_S`` transforms a restriction of ``z_T``'s operator.
 
     Certifies ``z_S = z_T w`` and ``w*(1-z_T*z_T)w = 1-z_S*z_S`` within
-    tolerance and reports whether ``w`` is an isometry; raises
+    ``TOL_ALG`` and reports whether ``w`` is an isometry; raises
     :class:`NotRestriction` with the worst residual otherwise.
     """
-    if z_t.density_gap <= tol_gap or z_s.density_gap <= tol_gap:
+    if z_t.density_gap <= TOL_GAP or z_s.density_gap <= TOL_GAP:
         raise NotDense("both transforms need a positive density gap")
     zt, zs = z_t.z, z_s.z
     Rt2 = np.eye(zt.shape[1]) - zt.conj().T @ zt
     Rs2 = np.eye(zs.shape[1]) - zs.conj().T @ zs
-    w = hermitian_sqrt(Rt2, inverse=True, floor=tol_gap) @ hermitian_sqrt(Rs2)
+    w = hermitian_sqrt(Rt2, inverse=True, floor=TOL_GAP) @ hermitian_sqrt(Rs2)
     r1 = np.linalg.norm(zt @ w - zs, 2)
     r2 = np.linalg.norm(w.conj().T @ Rt2 @ w - Rs2, 2)
     scale = 1.0 + np.linalg.norm(w, 2)
-    if r1 > tol * scale or r2 > tol * scale:
+    if r1 > TOL_ALG * scale or r2 > TOL_ALG * scale:
         raise NotRestriction(
             f"witness identities fail: factor {r1:.3e}, gram {r2:.3e}",
             residual=float(max(r1, r2)))
-    iso = np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]), 2) <= tol * scale
+    iso = np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]), 2) <= TOL_ALG * scale
     return WitnessResult(w=w, is_isometry=bool(iso),
                          factor_residual=float(r1), gram_residual=float(r2))

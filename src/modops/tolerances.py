@@ -1,10 +1,15 @@
-"""Default numerical tolerances, shared across the toolkit.
+"""Numerical tolerances, shared across the toolkit.
 
 TOL_ALG guards algebraic identities (relative, double-precision
 eigendecomposition accuracy).  TOL_PSD_FACTOR scales with the operator norm
 and floors eigenvalues before square roots.  TOL_GRAPH separates genuine
 graph violations from roundoff; TOL_GAP decides when (1 - z*z) counts as
-invertible.  All are overridable per call.
+invertible.  Every check reads its constant from here.  Only the graph
+comparisons take a tolerance, ``tol`` of ``graph_inclusion``,
+``grid_inclusion``, ``extension_inclusion_check``,
+``DomainedOperator.contains`` and ``DomainedOperator.same_domain``, since
+the CLI's ``--tol-graph`` sets it per run; TOL_GRAPH is its default, and
+inside the package each caller passes a constant of this module.
 """
 import sys
 

@@ -74,6 +74,19 @@ def test_module_vector_inner_product_is_psd():
         assert np.linalg.eigvalsh(g.fibers[lab])[0] >= -1e-12
 
 
+@pytest.mark.parametrize("op", [lambda x, y: x + y, lambda x, y: x - y,
+                                lambda x, y: x.inner(y)])
+def test_module_vector_operands_must_share_index_and_row_dims(op):
+    one = FiberIndex(("p",), (2,))
+    x = ModuleVector(one, {"p": np.ones((1, 2))})
+    taller = ModuleVector(one, {"p": np.ones((3, 2))})
+    elsewhere = ModuleVector(FiberIndex(("r",), (2,)), {"r": np.ones((1, 2))})
+    for other in (taller, elsewhere):
+        with pytest.raises(ValueError, match="share index and row dimensions"):
+            op(x, other)
+    assert op(x, x) is not None
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), d1=st.integers(1, 4), d2=st.integers(1, 4))
 def test_cstar_norm_identity(seed, d1, d2):

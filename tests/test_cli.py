@@ -108,7 +108,8 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("certify-nonregular", n_x=400, n_pi=4096)  # none of them per base point
     with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 1 dense"):
         RunConfig("certify-nonregular", n_x=2000)
-    # commands without a grid are not gated
+    # commands without a grid are not gated by n_x; the default phi-roundtrip
+    # module's two pair matrices take 41 KB
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
@@ -116,6 +117,36 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     # extend counts no dense matrix, so no memory refuses it
     monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
     RunConfig("extend", n_x=20000, n_pi=4096)
+
+
+def test_phi_roundtrip_refuses_pair_matrices_too_large_to_hold(tmp_path, capsys,
+                                                               monkeypatch):
+    # a 900-dimensional module over 900 compacts: 2 pair matrices of
+    # 900 x 810000 complex entries take 23.3 GB, more than 8 GB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
+    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 30\nrows = 30\n")
+    out = tmp_path / "never.txt"
+    assert main(["phi-roundtrip", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: a module of dimension 900 needs at least 23.3 GB for 2 complex "
+        "900x810000 pair matrices, more than the 8.0 GB of physical memory\n")
+    assert not out.exists()
+
+
+def test_pair_matrix_count_is_a_lower_count(tmp_path):
+    # the gate's estimate never exceeds the memory phi-roundtrip really takes;
+    # on this module the pair matrices outweigh the rest of the peak
+    path = write(tmp_path, "[algebra]\nlabels = a b\ndims = 3 3\nrows = 4 4\n")
+    cfg = config_from_sections("phi-roundtrip", parse_spec_file(path),
+                               output_path=str(tmp_path / "p.txt"))
+    tracemalloc.start()
+    try:
+        status, _ = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak >= 16 * (4 * 4 * 2) * (4 * 3 * 2) ** 2 * cli._PAIR_MATRICES
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -592,7 +623,14 @@ def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
      "fiber 'p1' must be 2x2, got (2, 3)"),
     ("zfield", "[algebra]\nlabels = a b\ndims = 2 2\n\n[operator]\nkind = symbol\n"
                "element = s\n\n[element s]\na = 1 0 ; 0 1\n",
-     "fibers must provide every label exactly once")])
+     "fibers must provide every label exactly once"),
+    ("zfield", "[algebra]\nlabels = a b\ndims = 2 2\n\n[operator]\nkind = symbol\n"
+               "element = s\ndomain = d\n\n[element s]\na = 1 0 ; 0 1\nb = 1 0 ; 0 1\n"
+               "\n[element d]\na = 1 ; 0 ; 0\n",
+     "frame rows must match the ambient dimension"),
+    ("zfield", "[algebra]\nlabels = a b\ndims = 1 2\n\n[operator]\nkind = symbol\n"
+               "element = s\n\n[element s]\na = 1\nb = 1 0 ; 0 1\n",
+     "fibered models need one common fiber dimension")])
 def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, message):
     # exit 1 is a certified negative result, so a spec whose module or
     # element cannot be built must not reach it
