@@ -15,7 +15,6 @@ from .algebra import (
 )
 from .correspondence import (
     ModuleModel,
-    RankOneOperator,
     left_module_operator,
     phi1,
     phi2,

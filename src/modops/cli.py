@@ -81,12 +81,13 @@ _DENSE_MATRICES = {
     "extend": 0,
 }
 
-# complex pair matrices phi-roundtrip keeps alive at once, counted low and
-# checked by tracemalloc: phi1 stacks one input and one image column per
-# (domain frame vector, module basis vector) pair, each a vector of the
-# compacts, so a full domain gives two (sum m^2) x (sum m k)^2 matrices;
-# phi2's on the full domain phi1 returns are as large
-_PAIR_MATRICES = 2
+# dense complex matrices of side max(sum m^2, sum m k) phi-roundtrip keeps
+# alive at once, counted low and checked by tracemalloc: the full-domain
+# operator that left_module_operator returns on the larger of the module and
+# its compacts holds its action and frame blocks, their copies in the
+# DomainedOperator, and the frame's conjugate and Gram matrix while the
+# frame is checked
+_ROUNDTRIP_MATRICES = 6
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
 # at n_x // 2, and a kernel certificate needs 32 steps, as does the
@@ -100,14 +101,14 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_beyond_memory(subject, need, what):
-    """Refuse a request whose ``need`` bytes, held as ``what``, cannot fit in
-    physical memory."""
-    have = _physical_memory()
+def _refuse_beyond_memory(subject, k, n):
+    """Refuse a request whose ``k`` dense complex ``n x n`` matrices cannot
+    fit in physical memory."""
+    need, have = 16 * n ** 2 * k, _physical_memory()
     if need > have:
         raise MalformedSpec(
-            f"{subject} needs at least {need / 1e9:.1f} GB for {what}, more than "
-            f"the {have / 1e9:.1f} GB of physical memory")
+            f"{subject} needs at least {need / 1e9:.1f} GB for {k} dense {n}x{n} "
+            f"complex matrices, more than the {have / 1e9:.1f} GB of physical memory")
 
 
 @dataclass
@@ -145,14 +146,17 @@ class RunConfig:
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         if self.command == "phi-roundtrip":
-            self._check_pair_memory()
+            model = self._roundtrip_model()
+            _refuse_beyond_memory(f"a module of dimension {model.flat_dim}",
+                                  _ROUNDTRIP_MATRICES,
+                                  max(model.flat_dim, model.compact_model.flat_dim))
         pipeline = self._grid_pipeline()
         if pipeline is None:
             return                      # no grid: n_x is never read
         low = _MIN_N_X.get(pipeline, 0)
         if self.n_x < low:
             raise MalformedSpec(f"{pipeline} needs n_x >= {low}, got {self.n_x}")
-        self._check_memory(pipeline)
+        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], self.n_x + 1)
 
     def _grid_pipeline(self):
         """The key of this run in ``_DENSE_MATRICES``, or None when it reads
@@ -167,21 +171,6 @@ class RunConfig:
         if any(t.kind in ("minimal", "maximal") for t in tags):
             return "zfield one-sided tags"
         return "zfield tags"
-
-    def _check_memory(self, pipeline):
-        """Refuse a grid whose dense matrices cannot fit in physical memory."""
-        k, n = _DENSE_MATRICES[pipeline], self.n_x + 1
-        _refuse_beyond_memory(f"n_x = {self.n_x}", 16 * n ** 2 * k,
-                              f"{k} dense {n}x{n} complex matrices")
-
-    def _check_pair_memory(self):
-        """Refuse a phi-roundtrip module whose pair matrices cannot fit in
-        physical memory."""
-        model = self._roundtrip_model()
-        rows, cols = sum(m * m for m in model.row_dims), model.flat_dim ** 2
-        _refuse_beyond_memory(f"a module of dimension {model.flat_dim}",
-                              16 * rows * cols * _PAIR_MATRICES,
-                              f"{_PAIR_MATRICES} complex {rows}x{cols} pair matrices")
 
     def _roundtrip_model(self) -> ModuleModel:
         """The module of a phi-roundtrip run: the [algebra] index and rows,
@@ -239,6 +228,8 @@ def _parse_row(row, lineno):
 
 def _parse_matrix(value, lineno):
     rows = [r.strip() for r in value.split(";") if r.strip()]
+    if not rows:
+        raise MalformedSpec(f"line {lineno}: empty matrix", line=lineno)
     data = [_parse_row(r, lineno) for r in rows]
     if len({len(r) for r in data}) != 1:
         raise MalformedSpec(f"line {lineno}: ragged matrix rows", line=lineno)
@@ -350,7 +341,7 @@ def config_from_sections(command, sections, **overrides):
 _GATES = {"comparison_error": "<=5e-3", "gap_ratio": "<=1e-6",
           "convergence_ratio": "in [3,5]", "complement_floor": ">=0.999",
           "z_jump_at_base": ">=1e-2", "max_positive_base_deviation": "<=1e-8",
-          "adjoint_field_max_deviation": "<=1e-8"}
+          "adjoint_field_max_deviation": "<=1e-8", "inclusion_residual": "<=1e-10"}
 
 
 class Report:
@@ -561,9 +552,9 @@ def run_phi_roundtrip(cfg: RunConfig, report: Report):
     report.kv("rows", " ".join(str(m) for m in model.row_dims))
     report.kv("seed", cfg.seed)
     report.kv("inclusion_ok", str(verdict.inclusion_ok))
-    report.kv("inclusion_residual", verdict.inclusion_residual, tol="<=1e-10")
+    residual_ok = report.gate("inclusion_residual", verdict.inclusion_residual)
     report.kv("closure_equal", str(verdict.closure_equal))
-    ok = bool(verdict)
+    ok = bool(verdict) and residual_ok
     report.kv("verdict", "ROUNDTRIP-VERIFIED" if ok else "TOLERANCE-VIOLATION")
     return 0 if ok else 3
 

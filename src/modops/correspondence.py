@@ -3,15 +3,19 @@
 On a finite-dimensional module E over a matrix-fiber algebra, the compacts
 K(E) form the full matrix algebra per fiber, and an operator on E with a
 submodule domain corresponds to an operator on K(E) with a right-ideal
-domain.  Both directions are built here from their defining formulas on
-spanning families:
+domain.  Both directions follow from their defining formulas on spanning
+families:
 
     phi1(T) |x><y| = |Tx><y|        (module -> compacts)
     phi2(S) (a x)  = (S a) x        (compacts -> module)
 
-phi2 must check well-definedness: two representations ``a x = a' x'`` of one
-vector have to receive one image, else the input was not right-linear and
-:class:`IllDefined` is raised.
+Each defining pair touches one fiber, so either map is one SVD per fiber of
+the ``m x (k d)`` block of the domain frame (rows ``m``, fiber dimension
+``k`` of the source, domain dimension ``d``), whose pseudo-inverse gives the
+left multiplier handed to :func:`left_module_operator`.  Well-definedness is
+checked: two representations ``a x = a' x'`` of one vector have to receive
+one image, else the input was not right-linear and :class:`IllDefined` is
+raised.
 """
 from __future__ import annotations
 
@@ -19,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiberIndex, ModuleVector, block_diag
+from .algebra import FiberIndex, block_diag
 from .errors import IllDefined
 from .operators import DomainedOperator, graph_inclusion
 from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
     "ModuleModel",
-    "RankOneOperator",
     "RoundtripVerdict",
     "left_module_operator",
     "phi1",
@@ -67,43 +70,6 @@ class ModuleModel:
         """K(E) viewed as a module over itself."""
         return ModuleModel(self.compact_index, self.row_dims)
 
-    def rows(self, label):
-        return self.row_dims[self.index.labels.index(label)]
-
-    def basis_vectors(self):
-        """Elementary module basis, flattened order."""
-        return [ModuleVector.from_vector(self.index, self.row_dims, e)
-                for e in np.eye(self.flat_dim, dtype=complex)]
-
-    def left_product(self, a: AlgebraElement, x: ModuleVector) -> ModuleVector:
-        """Module product a . x for a in K(E) (per-fiber m x m times m x k)."""
-        return ModuleVector(self.index, {lab: a.fibers[lab] @ x.fibers[lab]
-                                         for lab in self.index.labels})
-
-
-class RankOneOperator:
-    """|x><y| on a module: z -> x . <y, z>; generates the compacts."""
-
-    __slots__ = ("ket", "bra")
-
-    def __init__(self, ket: ModuleVector, bra: ModuleVector):
-        if ket.index != bra.index or ket.row_dims != bra.row_dims:
-            raise ValueError("ket and bra must live in one module")
-        self.ket = ket
-        self.bra = bra
-
-    def apply(self, z: ModuleVector) -> ModuleVector:
-        return self.ket.rmul(self.bra.inner(z))
-
-    def matrix(self) -> AlgebraElement:
-        """The element x y* of K(E), fiberwise m x m."""
-        idx = FiberIndex(self.ket.index.labels, self.ket.row_dims)
-        return AlgebraElement(idx, {lab: self.ket.fibers[lab] @ self.bra.fibers[lab].conj().T
-                                    for lab in self.ket.index.labels})
-
-    def adjoint(self) -> "RankOneOperator":
-        return RankOneOperator(self.bra, self.ket)
-
 
 def left_module_operator(model: ModuleModel, blocks: dict,
                          domain_columns: dict | None = None) -> DomainedOperator:
@@ -127,50 +93,57 @@ def left_module_operator(model: ModuleModel, blocks: dict,
     return DomainedOperator(block_diag(acts), block_diag(frames))
 
 
-def _operator_from_pairs(pairs_in, pairs_out, ambient):
-    """Operator part of the relation spanned by (input, image) pairs.
+def _fiber_blocks(columns, model: ModuleModel):
+    """Per fiber, the ``(m, k c)`` matrix whose columns are the fiber
+    columns of the ``c`` flattened module vectors in ``columns``."""
+    out, pos = [], 0
+    for k, m in zip(model.index.dims, model.row_dims):
+        out.append(columns[pos:pos + m * k].reshape(m, k * columns.shape[1]))
+        pos += m * k
+    return out
 
-    A nonzero image over the input nullspace, beyond ``TOL_ALG`` relative,
-    means one vector received two images: the defining formula was
-    inconsistent.
+
+def _left_multiplier(op: DomainedOperator, source: ModuleModel,
+                     target: ModuleModel) -> DomainedOperator:
+    """Left multiplier on ``target`` that ``op`` induces on ``source``.
+
+    Each defining pair of the correspondence touches one fiber only, and in
+    fiber ``lab`` the pairs are the columns of ``X (x) 1`` and ``Y (x) 1``,
+    with ``X`` the fiber columns of the domain frame and ``Y`` those of its
+    images.  So the induced operator multiplies by ``B = Y X^+`` on the right
+    ideal of matrices with range in ``range(X)``.  The rank is cut at
+    ``RANK_RTOL`` of the largest singular value over all fibers.  An image of
+    the kernel of ``X`` beyond ``TOL_ALG`` relative means one vector received
+    two images: the defining formula was inconsistent.
     """
-    if not pairs_in:
-        return DomainedOperator(np.zeros((ambient, ambient), dtype=complex),
-                                np.zeros((ambient, 0), dtype=complex))
-    U = np.column_stack(pairs_in)
-    W = np.column_stack(pairs_out)
-    uu, ss, vvh = np.linalg.svd(U, full_matrices=False)
-    rank = int(np.sum(ss > RANK_RTOL * ss[0]))
-    vr = vvh.conj().T[:, :rank]
-    # image of the input kernel, via the complement of the rank projector
-    leak = np.linalg.norm(W - (W @ vr) @ vr.conj().T, 2)
-    if leak > TOL_ALG * (1.0 + np.linalg.norm(W, 2)):
+    xs = _fiber_blocks(op.frame, source)
+    ys = _fiber_blocks(op.restricted(), source)
+    svds = [np.linalg.svd(x, full_matrices=False) for x in xs]
+    cut = RANK_RTOL * max(np.max(s, initial=0.0) for _, s, _ in svds)
+    blocks, columns, leak, scale = {}, {}, 0.0, 0.0
+    for lab, y, (u, s, vh) in zip(target.index.labels, ys, svds):
+        r = int(np.sum(s > cut))
+        v = vh[:r].conj().T
+        leak = max(leak, np.linalg.norm(y - (y @ v) @ v.conj().T, 2))
+        scale = max(scale, np.linalg.norm(y, 2))
+        blocks[lab] = (y @ (v / s[:r])) @ u[:, :r].conj().T
+        columns[lab] = u[:, :r]
+    if leak > TOL_ALG * (1.0 + scale):
         raise IllDefined("two representations of one vector map to "
                          "different images", residual=float(leak))
-    dom = uu[:, :rank]
-    act = W @ (vr / ss[:rank]) @ dom.conj().T
-    return DomainedOperator(act, dom)
+    return left_module_operator(target, blocks, columns)
 
 
 def phi1(T: DomainedOperator, model: ModuleModel) -> DomainedOperator:
     """Operator on K(E) induced by ``T`` through |x><y| -> |Tx><y|.
 
-    Built from the defining pairs with x running over a basis of the domain
-    and y over the module basis; the domain of the result is the right ideal
-    those rank ones span.
+    With x running over the domain and y over the module, the rank ones
+    span the right ideal of matrices whose fiber ranges lie in the span of
+    the domain's fiber columns; the result multiplies it on the left.
     """
     if T.ambient_dim != model.flat_dim:
         raise ValueError("operator does not act on this module")
-    kmodel = model.compact_model
-    ins, outs = [], []
-    basis = model.basis_vectors()
-    for f in T.frame.T:
-        x = ModuleVector.from_vector(model.index, model.row_dims, f)
-        tx = ModuleVector.from_vector(model.index, model.row_dims, T.apply(f))
-        for y in basis:
-            ins.append(RankOneOperator(x, y).matrix().to_vector())
-            outs.append(RankOneOperator(tx, y).matrix().to_vector())
-    return _operator_from_pairs(ins, outs, kmodel.flat_dim)
+    return _left_multiplier(T, model, model.compact_model)
 
 
 def phi2(S: DomainedOperator, model: ModuleModel) -> DomainedOperator:
@@ -183,15 +156,7 @@ def phi2(S: DomainedOperator, model: ModuleModel) -> DomainedOperator:
     kmodel = model.compact_model
     if S.ambient_dim != kmodel.flat_dim:
         raise ValueError("operator does not act on the compacts of this module")
-    ins, outs = [], []
-    basis = model.basis_vectors()
-    for j in range(S.domain_dim):
-        a = AlgebraElement.from_vector(model.compact_index, S.frame[:, j])
-        sa = AlgebraElement.from_vector(model.compact_index, S.apply(S.frame[:, j]))
-        for x in basis:
-            ins.append(model.left_product(a, x).to_vector())
-            outs.append(model.left_product(sa, x).to_vector())
-    return _operator_from_pairs(ins, outs, model.flat_dim)
+    return _left_multiplier(S, kmodel, model)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import modops.cli as cli
+from modops.algebra import FiberIndex
 from modops.cli import (
     Report,
     RunConfig,
@@ -17,6 +18,7 @@ from modops.cli import (
     parse_spec_file,
     run,
 )
+from modops.correspondence import RoundtripVerdict
 from modops.diffops import PERIODIC, BoundaryTag
 from modops.errors import MalformedSpec
 
@@ -109,7 +111,7 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 1 dense"):
         RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated by n_x; the default phi-roundtrip
-    # module's two pair matrices take 41 KB
+    # module's 6 matrices of 18x18 take 31 KB
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
@@ -119,26 +121,30 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("extend", n_x=20000, n_pi=4096)
 
 
-def test_phi_roundtrip_refuses_pair_matrices_too_large_to_hold(tmp_path, capsys,
-                                                               monkeypatch):
-    # a 900-dimensional module over 900 compacts: 2 pair matrices of
-    # 900 x 810000 complex entries take 23.3 GB, more than 8 GB
+def test_phi_roundtrip_refuses_a_module_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # 100 rows over a one-dimensional fiber: the compacts are 10000-dimensional,
+    # and 6 matrices of 10000x10000 complex entries take 9.6 GB, more than 8 GB
     monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
-    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 30\nrows = 30\n")
+    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 1\nrows = 100\n")
     out = tmp_path / "never.txt"
     assert main(["phi-roundtrip", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "input error: a module of dimension 900 needs at least 23.3 GB for 2 complex "
-        "900x810000 pair matrices, more than the 8.0 GB of physical memory\n")
+        "input error: a module of dimension 100 needs at least 9.6 GB for 6 dense "
+        "10000x10000 complex matrices, more than the 8.0 GB of physical memory\n")
     assert not out.exists()
+    # a 900-dimensional module over 900 compacts takes 78 MB by this count
+    RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (30,)), rows=(30,))
 
 
-def test_pair_matrix_count_is_a_lower_count(tmp_path):
-    # the gate's estimate never exceeds the memory phi-roundtrip really takes;
-    # on this module the pair matrices outweigh the rest of the peak
-    path = write(tmp_path, "[algebra]\nlabels = a b\ndims = 3 3\nrows = 4 4\n")
-    cfg = config_from_sections("phi-roundtrip", parse_spec_file(path),
-                               output_path=str(tmp_path / "p.txt"))
+@pytest.mark.parametrize("dims, rows", [
+    ((3, 3), (4, 4)), ((1, 1, 1, 1), (4, 4, 4, 4)), ((30,), (1,))])
+def test_roundtrip_matrix_count_is_a_lower_count(tmp_path, dims, rows):
+    # the gate's estimate never exceeds the memory phi-roundtrip really takes,
+    # whether the compacts or the module are the larger
+    cfg = RunConfig("phi-roundtrip", algebra=FiberIndex(tuple("abcd"[:len(dims)]), dims),
+                    rows=rows, output_path=str(tmp_path / "p.txt"))
+    model = cfg._roundtrip_model()
+    n = max(model.flat_dim, model.compact_model.flat_dim)
     tracemalloc.start()
     try:
         status, _ = run(cfg)
@@ -146,7 +152,7 @@ def test_pair_matrix_count_is_a_lower_count(tmp_path):
     finally:
         tracemalloc.stop()
     assert status == 0
-    assert peak >= 16 * (4 * 4 * 2) * (4 * 3 * 2) ** 2 * cli._PAIR_MATRICES
+    assert peak >= 16 * n ** 2 * cli._ROUNDTRIP_MATRICES
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -401,6 +407,19 @@ def test_phi_roundtrip_pipeline(tmp_path):
     assert "verdict = ROUNDTRIP-VERIFIED" in out.read_text()
 
 
+def test_phi_roundtrip_verdict_applies_the_printed_residual_bound(tmp_path, monkeypatch):
+    # graph inclusion admits membership residuals up to 2e-10, so an included
+    # round trip can still miss the 1e-10 the report prints as its bound
+    monkeypatch.setattr(cli, "roundtrip_check",
+                        lambda *args, **kwargs: RoundtripVerdict(True, 1.5e-10, True, True))
+    out = tmp_path / "p.txt"
+    assert main(["phi-roundtrip", "--out", str(out)]) == 3
+    text = out.read_text()
+    assert "inclusion_residual = 1.500000000000e-10  [tol=<=1e-10]\n" in text
+    assert "inclusion_ok = True\n" in text and "closure_equal = True\n" in text
+    assert text.endswith("verdict = TOLERANCE-VIOLATION\n")
+
+
 @pytest.mark.parametrize("dims, rows", [
     ((1, 2), (2, 1)), ((2, 1, 2), (1, 2, 2)), ((2, 2, 1), (2, 3, 1)),
     ((3, 2, 2, 1), (3, 2, 3, 2))])
@@ -618,6 +637,8 @@ def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
 @pytest.mark.parametrize("command, spec, message", [
     ("phi-roundtrip", "[algebra]\nlabels = a b\ndims = 2 2\nrows = 3\n",
      "need one row dimension per label"),
+    ("density-check", "[algebra]\nlabels = a\ndims = 2\n\n[element e]\na =\n",
+     "line 6: empty matrix"),
     ("density-check", "[algebra]\nlabels = p0 p1\ndims = 2 2\n\n[element e]\n"
                       "p0 = 1 0 ; 0 1\np1 = 1 0 0 ; 0 1 0\n",
      "fiber 'p1' must be 2x2, got (2, 3)"),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modops.algebra import AlgebraElement, FiberIndex, ModuleVector
 from modops.correspondence import (
     ModuleModel,
-    RankOneOperator,
     left_module_operator,
     phi1,
     phi2,
@@ -18,6 +19,7 @@ from modops.operators import (
     orthonormal_frame,
     z_transform,
 )
+from modops.tolerances import RANK_RTOL, TOL_ALG
 
 MODEL = ModuleModel(FiberIndex(("p", "q"), (2, 2)), (2, 3))
 
@@ -33,13 +35,101 @@ def random_blocks(rng, model):
             for lab, m in zip(model.index.labels, model.row_dims)}
 
 
+# ------------------------------------------------------- reference oracle
+# phi1 and phi2 straight from their defining formulas: one (input, image)
+# pair per (domain frame vector, module basis vector), column-stacked into
+# one pair matrix and read by one SVD.  The package builds the same maps
+# fiber by fiber; these are what it is compared against.
+class RankOneOperator:
+    """|x><y| on a module: z -> x . <y, z>; generates the compacts."""
+
+    __slots__ = ("ket", "bra")
+
+    def __init__(self, ket: ModuleVector, bra: ModuleVector):
+        if ket.index != bra.index or ket.row_dims != bra.row_dims:
+            raise ValueError("ket and bra must live in one module")
+        self.ket = ket
+        self.bra = bra
+
+    def apply(self, z: ModuleVector) -> ModuleVector:
+        return self.ket.rmul(self.bra.inner(z))
+
+    def matrix(self) -> AlgebraElement:
+        """The element x y* of K(E), fiberwise m x m."""
+        idx = FiberIndex(self.ket.index.labels, self.ket.row_dims)
+        return AlgebraElement(idx, {lab: self.ket.fibers[lab] @ self.bra.fibers[lab].conj().T
+                                    for lab in self.ket.index.labels})
+
+    def adjoint(self) -> "RankOneOperator":
+        return RankOneOperator(self.bra, self.ket)
+
+
+def basis_vectors(model):
+    """Elementary module basis, flattened order."""
+    return [ModuleVector.from_vector(model.index, model.row_dims, e)
+            for e in np.eye(model.flat_dim, dtype=complex)]
+
+
+def left_product(model, a: AlgebraElement, x: ModuleVector) -> ModuleVector:
+    """Module product a . x for a in K(E) (per-fiber m x m times m x k)."""
+    return ModuleVector(model.index, {lab: a.fibers[lab] @ x.fibers[lab]
+                                      for lab in model.index.labels})
+
+
+def operator_from_pairs(pairs_in, pairs_out, ambient):
+    """Operator part of the relation spanned by (input, image) pairs; a
+    nonzero image over the input nullspace beyond ``TOL_ALG`` relative is
+    :class:`IllDefined`."""
+    if not pairs_in:
+        return DomainedOperator(np.zeros((ambient, ambient), dtype=complex),
+                                np.zeros((ambient, 0), dtype=complex))
+    U = np.column_stack(pairs_in)
+    W = np.column_stack(pairs_out)
+    uu, ss, vvh = np.linalg.svd(U, full_matrices=False)
+    rank = int(np.sum(ss > RANK_RTOL * ss[0]))
+    vr = vvh.conj().T[:, :rank]
+    leak = np.linalg.norm(W - (W @ vr) @ vr.conj().T, 2)
+    if leak > TOL_ALG * (1.0 + np.linalg.norm(W, 2)):
+        raise IllDefined("two representations of one vector map to "
+                         "different images", residual=float(leak))
+    dom = uu[:, :rank]
+    act = W @ (vr / ss[:rank]) @ dom.conj().T
+    return DomainedOperator(act, dom)
+
+
+def reference_phi1(T, model):
+    """phi1 from the pairs |x><y| -> |Tx><y|."""
+    ins, outs = [], []
+    basis = basis_vectors(model)
+    for f in T.frame.T:
+        x = ModuleVector.from_vector(model.index, model.row_dims, f)
+        tx = ModuleVector.from_vector(model.index, model.row_dims, T.apply(f))
+        for y in basis:
+            ins.append(RankOneOperator(x, y).matrix().to_vector())
+            outs.append(RankOneOperator(tx, y).matrix().to_vector())
+    return operator_from_pairs(ins, outs, model.compact_model.flat_dim)
+
+
+def reference_phi2(S, model):
+    """phi2 from the pairs a x -> (S a) x."""
+    ins, outs = [], []
+    basis = basis_vectors(model)
+    for j in range(S.domain_dim):
+        a = AlgebraElement.from_vector(model.compact_index, S.frame[:, j])
+        sa = AlgebraElement.from_vector(model.compact_index, S.apply(S.frame[:, j]))
+        for x in basis:
+            ins.append(left_product(model, a, x).to_vector())
+            outs.append(left_product(model, sa, x).to_vector())
+    return operator_from_pairs(ins, outs, model.flat_dim)
+
+
 # ----------------------------------------------------------------- rank ones
 def test_rank_one_action_matches_matrix():
     rng = np.random.default_rng(0)
     x, y, v = (random_vector(rng, MODEL) for _ in range(3))
     r = RankOneOperator(x, y)
     direct = r.apply(v)
-    via_matrix = MODEL.left_product(r.matrix(), v)
+    via_matrix = left_product(MODEL, r.matrix(), v)
     for lab in MODEL.index.labels:
         assert_allclose(direct.fibers[lab], via_matrix.fibers[lab], atol=1e-12)
 
@@ -137,8 +227,87 @@ def test_phi2_rejects_non_right_linear_input():
                 block[i * m + j, j * m + i] = 1.0
         P[sl[lab], sl[lab]] = block
     S = DomainedOperator.full(P)
-    with pytest.raises(IllDefined):
+    with pytest.raises(IllDefined) as got:
         phi2(S, MODEL)
+    with pytest.raises(IllDefined) as want:
+        reference_phi2(S, MODEL)
+    assert got.value.residual == pytest.approx(want.value.residual, rel=1e-12)
+
+
+# ------------------------------------------------ fiberwise maps vs oracle
+@st.composite
+def models(draw):
+    """Modules of 1-4 labels, fiber dimensions and rows up to 3."""
+    n = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return ModuleModel(FiberIndex(tuple(f"q{j}" for j in range(n)), tuple(dims)),
+                       tuple(rows))
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def domained(rng, model, domain):
+    """A left multiplication on ``model`` whose domain is ``full``; one random
+    column frame per fiber (``fibers``); a frame whose vectors mix fibers
+    (``mixed``); or such a frame whose first fiber block lies far below
+    ``RANK_RTOL`` of the largest (``faint``)."""
+    blocks = random_blocks(rng, model)
+    if domain == "full":
+        return left_module_operator(model, blocks)
+    if domain == "fibers":
+        return left_module_operator(model, blocks, {
+            lab: orthonormal_frame(gaussian(rng, (m, rng.integers(0, m + 1))))
+            for lab, m in zip(model.index.labels, model.row_dims)})
+    n = model.flat_dim
+    cols = gaussian(rng, (n, rng.integers(1, n + 1)))
+    if domain == "faint":
+        first = model.row_dims[0] * model.index.dims[0]
+        cols[:first] = 0.0
+        cols = orthonormal_frame(cols)
+        cols[:first] = 1e-14 * gaussian(rng, (first, cols.shape[1]))
+    return DomainedOperator(left_module_operator(model, blocks).action,
+                            orthonormal_frame(cols))
+
+
+def maps(model, side):
+    """(map, its pair oracle, the module it reads) for one side."""
+    if side == "module":
+        return phi1, reference_phi1, model
+    return phi2, reference_phi2, model.compact_model
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=models(), domain=st.sampled_from(("full", "fibers", "mixed", "faint")),
+       side=st.sampled_from(("module", "compacts")), seed=st.integers(0, 10_000))
+def test_fiberwise_maps_match_the_pair_oracle(model, domain, side, seed):
+    assume(domain != "faint" or len(model.row_dims) > 1)
+    new, ref, source = maps(model, side)
+    op = domained(np.random.default_rng(seed), source, domain)
+    want, got = ref(op, model), new(op, model)
+    assert got.domain_dim == want.domain_dim
+    assert got.same_domain(want)
+    gap = np.linalg.norm((got.action - want.action) @ want.frame, 2)
+    assert gap <= 1e-12 * max(1.0, np.linalg.norm(want.restricted(), 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=models(), side=st.sampled_from(("module", "compacts")),
+       seed=st.integers(0, 10_000))
+def test_fiberwise_maps_refuse_what_the_pair_oracle_refuses(model, side, seed):
+    # a dense operator is right-linear only over the scalars, one fiber of
+    # dimension 1
+    new, ref, source = maps(model, side)
+    assume(source.index.dims != (1,))
+    n = source.flat_dim
+    op = DomainedOperator.full(gaussian(np.random.default_rng(seed), (n, n)))
+    with pytest.raises(IllDefined) as want:
+        ref(op, model)
+    with pytest.raises(IllDefined) as got:
+        new(op, model)
+    assert got.value.residual == pytest.approx(want.value.residual, rel=1e-12)
 
 
 # ----------------------------------------------------------------- roundtrips
