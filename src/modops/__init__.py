@@ -4,15 +4,7 @@ compact-algebra correspondence, restriction and extension constructions, and
 numerical certification of the nonregular derivative field and its regular
 gauge companions."""
 
-from .algebra import (
-    AlgebraElement,
-    FiberIndex,
-    ModuleVector,
-    ideal_density_check,
-    localize,
-    multiplier_symbol_extract,
-    psd_sqrt,
-)
+from .algebra import AlgebraElement, FiberIndex, ideal_density_check
 from .correspondence import (
     ModuleModel,
     left_module_operator,
@@ -27,10 +19,8 @@ from .diffops import (
     BoundaryTag,
     GridFunction,
     GridOperator,
-    build_derivative,
     kernel_certificate,
     periodic_complement_floor,
-    periodic_spectrum,
 )
 from .fibered import (
     FiberedOperator,

@@ -3,11 +3,11 @@
 An algebra here is a finite direct sum of full matrix algebras, indexed by a
 :class:`FiberIndex`: elements are matrix fields over the fiber labels.  This
 models both matrix-valued function algebras over a finite point set and plain
-direct sums.  The module provides the positivity calculus (PSD square roots),
-single-fiber localizers, the fiberwise density check for right ideals, and
-multiplier-symbol extraction for operators that act by multiplication, and
-owns the shared dense kernels: block-diagonal assembly, Hermitian roots,
-seeded probe vectors and the matrix-free top singular value.
+direct sums.  Elements carry the arithmetic the pipelines use (sum, product
+and adjoint); the module provides the fiberwise density check for right
+ideals, and owns the shared dense kernels: block-diagonal assembly,
+Hermitian roots, seeded probe vectors and the matrix-free top singular
+value.
 """
 from __future__ import annotations
 
@@ -16,18 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotMultiplication, NotPSD, UnknownFiber
-from .tolerances import RITZ_RESIDUAL, TOL_ALG, TOL_PSD_FACTOR
+from .errors import UnknownFiber
+from .tolerances import RITZ_RESIDUAL, TOL_ALG
 
 __all__ = [
     "FiberIndex",
     "AlgebraElement",
-    "ModuleVector",
     "DensityReport",
-    "psd_sqrt",
-    "localize",
     "ideal_density_check",
-    "multiplier_symbol_extract",
 ]
 
 
@@ -172,26 +168,9 @@ class FiberIndex:
         except ValueError:
             raise UnknownFiber(f"label {label!r} not in {self.labels}") from None
 
-    @property
-    def flat_dim(self):
-        """Dimension of the algebra as a vector space (sum of squared dims)."""
-        return sum(d * d for d in self.dims)
-
-    def flat_slices(self):
-        """Per-label slices into the row-major flattened algebra vector."""
-        out, pos = {}, 0
-        for lab, d in zip(self.labels, self.dims):
-            out[lab] = slice(pos, pos + d * d)
-            pos += d * d
-        return out
-
 
 class AlgebraElement:
-    """Matrix field over a :class:`FiberIndex`; immutable after construction.
-
-    The norm is the maximum fiber operator norm, which is the C*-norm of the
-    direct-sum algebra.
-    """
+    """Matrix field over a :class:`FiberIndex`; immutable after construction."""
 
     __slots__ = ("index", "fibers")
 
@@ -207,24 +186,6 @@ class AlgebraElement:
         self.index = index
         self.fibers = checked
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, index):
-        return cls(index, {lab: np.zeros((d, d)) for lab, d in zip(index.labels, index.dims)})
-
-    @classmethod
-    def identity(cls, index):
-        return cls(index, {lab: np.eye(d) for lab, d in zip(index.labels, index.dims)})
-
-    @classmethod
-    def from_vector(cls, index, vec):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        if vec.size != index.flat_dim:
-            raise ValueError("vector length does not match the algebra dimension")
-        sl = index.flat_slices()
-        return cls(index, {lab: vec[sl[lab]].reshape(index.dim(lab), index.dim(lab))
-                           for lab in index.labels})
-
     # -- arithmetic ---------------------------------------------------------
     def _binary(self, other, op):
         if not isinstance(other, AlgebraElement) or other.index != self.index:
@@ -235,162 +196,16 @@ class AlgebraElement:
     def __add__(self, other):
         return self._binary(other, np.add)
 
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
     def __matmul__(self, other):
         return self._binary(other, np.matmul)
-
-    def __mul__(self, scalar):
-        s = complex(scalar)
-        return AlgebraElement(self.index, {lab: s * m for lab, m in self.fibers.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
     @property
     def H(self):
         """Adjoint (fiberwise conjugate transpose)."""
         return AlgebraElement(self.index, {lab: m.conj().T for lab, m in self.fibers.items()})
 
-    # -- metrics and views ---------------------------------------------------
-    def norm(self):
-        return max(np.linalg.norm(m, 2) for m in self.fibers.values())
-
-    def is_hermitian(self):
-        scale = 1.0 + self.norm()
-        return all(np.linalg.norm(m - m.conj().T, 2) <= TOL_ALG * scale
-                   for m in self.fibers.values())
-
-    def to_vector(self):
-        """Row-major flattening, labels in index order."""
-        return np.concatenate([self.fibers[lab].ravel() for lab in self.index.labels])
-
-    def left_mult_matrix(self):
-        """Matrix of b -> a @ b on the flattened algebra (block kron form)."""
-        return block_diag(np.kron(self.fibers[lab], np.eye(d))
-                          for lab, d in zip(self.index.labels, self.index.dims))
-
-    def direct_sum_matrix(self):
-        """Block-diagonal matrix of the element acting on the sum of fiber columns."""
-        return block_diag(self.fibers[lab] for lab in self.index.labels)
-
-    def allclose(self, other):
-        scale = 1.0 + max(self.norm(), other.norm())
-        return (self - other).norm() <= TOL_ALG * scale
-
     def __repr__(self):
-        return f"AlgebraElement(labels={self.index.labels}, norm={self.norm():.3e})"
-
-
-class ModuleVector:
-    """Element of a module of rectangular matrix fields over the algebra.
-
-    Fiber ``lab`` holds an ``(m_lab, d_lab)`` matrix where ``d_lab`` is the
-    algebra's fiber dimension; the algebra acts on the right and the inner
-    product ``<x, y> = x* y`` is fiberwise, conjugate-linear in the first slot.
-    """
-
-    __slots__ = ("index", "fibers", "row_dims")
-
-    def __init__(self, index: FiberIndex, fibers: dict):
-        if set(fibers) != set(index.labels):
-            raise ValueError("fibers must provide every label exactly once")
-        checked, rows = {}, []
-        for lab, d in zip(index.labels, index.dims):
-            m = np.asarray(fibers[lab], dtype=complex)
-            if m.ndim != 2 or m.shape[1] != d:
-                raise ValueError(f"fiber {lab!r} needs column dimension {d}, got {m.shape}")
-            checked[lab] = _freeze(m)
-            rows.append(m.shape[0])
-        self.index = index
-        self.fibers = checked
-        self.row_dims = tuple(rows)
-
-    def _check_operand(self, other):
-        """Raise ``ValueError`` unless ``other`` lies in this vector's module."""
-        if (not isinstance(other, ModuleVector) or other.index != self.index
-                or other.row_dims != self.row_dims):
-            raise ValueError("vectors must share index and row dimensions")
-
-    def inner(self, other: "ModuleVector") -> AlgebraElement:
-        """Algebra-valued inner product ``x* y``."""
-        self._check_operand(other)
-        return AlgebraElement(self.index, {lab: self.fibers[lab].conj().T @ other.fibers[lab]
-                                           for lab in self.index.labels})
-
-    def rmul(self, a: AlgebraElement) -> "ModuleVector":
-        """Right action ``x . a``."""
-        if a.index != self.index:
-            raise ValueError("algebra element must share the index")
-        return ModuleVector(self.index, {lab: self.fibers[lab] @ a.fibers[lab]
-                                         for lab in self.index.labels})
-
-    def __add__(self, other):
-        self._check_operand(other)
-        return ModuleVector(self.index, {lab: self.fibers[lab] + other.fibers[lab]
-                                         for lab in self.index.labels})
-
-    def __sub__(self, other):
-        self._check_operand(other)
-        return ModuleVector(self.index, {lab: self.fibers[lab] - other.fibers[lab]
-                                         for lab in self.index.labels})
-
-    def __mul__(self, scalar):
-        s = complex(scalar)
-        return ModuleVector(self.index, {lab: s * m for lab, m in self.fibers.items()})
-
-    __rmul__ = __mul__
-
-    def norm(self):
-        """Module norm: sqrt of the norm of <x, x>."""
-        return float(np.sqrt(self.inner(self).norm()))
-
-    def to_vector(self):
-        return np.concatenate([self.fibers[lab].ravel() for lab in self.index.labels])
-
-    @classmethod
-    def from_vector(cls, index, row_dims, vec):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        fibers, pos = {}, 0
-        for lab, d, m in zip(index.labels, index.dims, row_dims):
-            fibers[lab] = vec[pos:pos + m * d].reshape(m, d)
-            pos += m * d
-        if pos != vec.size:
-            raise ValueError("vector length does not match the module dimensions")
-        return cls(index, fibers)
-
-
-# --------------------------------------------------------------------------
-# operations
-# --------------------------------------------------------------------------
-def psd_sqrt(a: AlgebraElement) -> AlgebraElement:
-    """Unique PSD square root of a PSD element, fiber by fiber.
-
-    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything below
-    ``-tol`` raises :class:`NotPSD`.  The tolerance scales with the
-    element's norm: ``tol = TOL_PSD_FACTOR * max(||a||, 1)``.
-    """
-    tol = TOL_PSD_FACTOR * max(a.norm(), 1.0)
-    if not a.is_hermitian():
-        raise NotPSD("element is not Hermitian within tolerance")
-    roots = {}
-    for lab, m in a.fibers.items():
-        roots[lab], lam = eigh_sqrt(m)
-        if lam[0] < -tol:
-            raise NotPSD(f"fiber {lab!r} has eigenvalue {lam[0]:.3e} < -{tol:.3e}",
-                         min_eigenvalue=float(lam[0]))
-    return AlgebraElement(a.index, roots)
-
-
-def localize(a: AlgebraElement, label) -> AlgebraElement:
-    """Element supported on a single fiber: equal to ``a`` there, zero elsewhere."""
-    if label not in a.index.labels:
-        raise UnknownFiber(f"label {label!r} not in {a.index.labels}")
-    return AlgebraElement(a.index, {lab: (m if lab == label else np.zeros_like(m))
-                                    for lab, m in a.fibers.items()})
+        return f"AlgebraElement(labels={self.index.labels}, dims={self.index.dims})"
 
 
 @dataclass
@@ -427,36 +242,3 @@ def ideal_density_check(generators) -> DensityReport:
         ranks[lab] = rank
         per_fiber[lab] = rank == d
     return DensityReport(per_fiber=per_fiber, ranks=ranks)
-
-
-def multiplier_symbol_extract(T, index: FiberIndex) -> AlgebraElement:
-    """Recover the symbol of a multiplication operator on a finite function algebra.
-
-    ``T`` is a :class:`~modops.operators.DomainedOperator` acting on the
-    flattened algebra over ``index``.  On a finite point set the symbol at a
-    point is read off by applying ``T`` to that point's indicator element and
-    evaluating there; the result is then certified within ``TOL_ALG`` against
-    every elementary basis element, and :class:`NotMultiplication` carries
-    the worst residual when certification fails.
-    """
-    if T.ambient_dim != index.flat_dim:
-        raise ValueError("operator ambient does not match the flattened algebra")
-    one = AlgebraElement.identity(index)
-    sym_fibers = {}
-    for lab in index.labels:
-        ind = localize(one, lab).to_vector()
-        if not T.contains(ind, TOL_ALG)[0]:
-            raise ValueError(f"indicator of fiber {lab!r} is outside the domain")
-        image = AlgebraElement.from_vector(index, T.action @ ind)
-        sym_fibers[lab] = image.fibers[lab]
-    symbol = AlgebraElement(index, sym_fibers)
-
-    # certify against a basis of the domain (the full elementary basis when
-    # the domain is everything)
-    lmul = symbol.left_mult_matrix()
-    residuals = np.linalg.norm((T.action - lmul) @ T.frame, axis=0)
-    worst = float(residuals.max()) if residuals.size else 0.0
-    if worst > TOL_ALG * (1.0 + symbol.norm()):
-        raise NotMultiplication("operator is not multiplication by its symbol",
-                                residual=worst)
-    return symbol

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import FiberIndex, block_diag
 from .errors import IllDefined
 from .operators import DomainedOperator, graph_inclusion
-from .tolerances import RANK_RTOL, TOL_ALG
+from .tolerances import FRAME_ORTHO_ATOL, RANK_RTOL, TOL_ALG
 
 __all__ = [
     "ModuleModel",
@@ -76,8 +76,10 @@ def left_module_operator(model: ModuleModel, blocks: dict,
     """Flattened operator acting by per-fiber left multiplication.
 
     ``blocks[lab]`` is the ``(m, m)`` action; ``domain_columns[lab]``, when
-    given, is a column frame V making the domain the submodule of vectors
-    with fiber range inside V.
+    given, is an orthonormal ``m x d`` column frame V making the domain the
+    submodule of vectors with fiber range inside V.  The frame of that
+    domain is ``V (x) 1``, whose Gram matrix is ``(V*V) (x) 1``, so each V is
+    checked as it is given and the assembled frame is not checked again.
     """
     acts, frames = [], []
     for lab, k, m in zip(model.index.labels, model.index.dims, model.row_dims):
@@ -85,12 +87,17 @@ def left_module_operator(model: ModuleModel, blocks: dict,
         if b.shape != (m, m):
             raise ValueError(f"block {lab!r} must be {m}x{m}")
         acts.append(np.kron(b, np.eye(k)))
-        if domain_columns is not None and domain_columns.get(lab) is not None:
-            frames.append(np.kron(np.asarray(domain_columns[lab], dtype=complex),
-                                  np.eye(k)))
-        else:
+        v = None if domain_columns is None else domain_columns.get(lab)
+        if v is None:
             frames.append(np.eye(m * k, dtype=complex))
-    return DomainedOperator(block_diag(acts), block_diag(frames))
+            continue
+        v = np.asarray(v, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != m:
+            raise ValueError("frame rows must match the ambient dimension")
+        if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=FRAME_ORTHO_ATOL):
+            raise ValueError("frame columns must be orthonormal")
+        frames.append(np.kron(v, np.eye(k)))
+    return DomainedOperator._trusted(block_diag(acts), block_diag(frames))
 
 
 def _fiber_blocks(columns, model: ModuleModel):

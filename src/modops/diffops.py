@@ -10,8 +10,8 @@ penalties would distort spectra.
 
 An operator is a description of its stencil, and its dense matrix is
 assembled only when read.  The reduced periodic matrix is moreover
-circulant, so the DFT diagonalizes it: its bounded transform, complement
-floor and Fourier spectrum come from an FFT of its first column, read off
+circulant, so the DFT diagonalizes it: its bounded transform and complement
+floor come from an FFT of its first column (its symbol), read off
 the stencil in O(n) once that structure is checked, and a twisted operator
 is the periodic one conjugated by a diagonal phase.  The wrap-style minimal
 operator is the periodic matrix on the subspace without the seam
@@ -53,12 +53,10 @@ __all__ = [
     "GridFunction",
     "GridOperator",
     "KernelReport",
-    "build_derivative",
     "grid_inclusion",
     "grid_transform",
     "grid_transforms",
     "kernel_certificate",
-    "periodic_spectrum",
     "periodic_complement_floor",
     "transform_jump",
     "trapezoid_weights",
@@ -157,7 +155,8 @@ def _twist_phases(n, theta):
 
 
 class GridOperator:
-    """Discretized ``i d/dx`` with a boundary tag fixing its domain.
+    """Discretized ``i d/dx`` on ``n >= 8`` steps with a boundary tag fixing
+    its domain; a coarser grid raises :class:`GridTooCoarse`.
 
     ``action_style`` picks the seam-row convention: ``"onesided"`` evaluates
     genuine one-sided derivatives at the endpoints, ``"wrap"`` uses the
@@ -179,6 +178,8 @@ class GridOperator:
     __slots__ = ("n", "h", "ambient_dim", "tag", "action_style")
 
     def __init__(self, n, tag: BoundaryTag, action_style=None):
+        if n < 8:
+            raise GridTooCoarse(f"need n >= 8 grid steps, got {n}")
         self.n = int(n)
         self.h = 1.0 / self.n
         self.ambient_dim = self.n + 1
@@ -371,13 +372,6 @@ class GridOperator:
     def __repr__(self):
         return (f"GridOperator(n={self.n}, tag={self.tag!r}, "
                 f"style={self.action_style})")
-
-
-def build_derivative(n, tag: BoundaryTag) -> GridOperator:
-    """Discretized ``i d/dx`` on ``n`` steps with the given boundary tag."""
-    if n < 8:
-        raise GridTooCoarse(f"need n >= 8 grid steps, got {n}")
-    return GridOperator(n, tag)
 
 
 def _checked_symbol(op: GridOperator):
@@ -784,20 +778,3 @@ def periodic_complement_floor(n) -> float:
     if n < 32:
         raise GridTooCoarse(f"need n >= 32, got {n}")
     return float(1.0 + np.min(_periodic_eigenvalues(n) ** 2))
-
-
-def periodic_spectrum(n, m):
-    """Eigenvalues of the periodic derivative for Fourier modes -m..m.
-
-    The reduced coordinates of the sampled mode ``e^{2 pi i k x}`` are a
-    multiple of the DFT vector of index ``k mod n``, so its eigenvalue is
-    that entry of the checked symbol (:func:`_checked_symbol`).  Reading it
-    by index, not
-    by magnitude, matters: the centered stencil aliases mode k with mode
-    n/2 - k (and the alternating vector sits in the kernel at even n).
-    Returned in mode order -m, ..., 0, ..., m; the values approximate
-    -2 pi k with relative error O((k h)^2).
-    """
-    if m > n // 4:
-        raise GridTooCoarse(f"need m <= n/4 (got m={m}, n={n})")
-    return _periodic_eigenvalues(n)[np.arange(-m, m + 1) % n]

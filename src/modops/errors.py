@@ -17,20 +17,8 @@ class ResidualError(ModopsError):
         self.residual = residual
 
 
-class NotPSD(ModopsError):
-    """Input is not positive semidefinite (or not Hermitian) within tolerance."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-
 class UnknownFiber(ModopsError):
     """A fiber label is not part of the algebra's index."""
-
-
-class NotMultiplication(ResidualError):
-    """Operator is not multiplication by a symbol within tolerance."""
 
 
 class SingularResolvent(ModopsError):

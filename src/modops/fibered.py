@@ -9,8 +9,10 @@ elsewhere), bounded-transform fields and their jump detector, the glued
 fields, and gauge-conjugated regular fields.
 
 Continuity of a field over a finite grid has no literal meaning, so it is
-surrogated everywhere by an adjacent-fiber deviation modulus; the modulus is
-a caller-visible parameter, never a hidden constant.
+surrogated by adjacent-fiber deviations: the jump detector of a transform
+field and the step-halving gate of a gauge.  The glued extension needs no
+such surrogate: on a finite grid no gluing modulus can shrink it, so it
+keeps the fibers of its field (:func:`tilde_extension`).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     FiberIndex,
-    block_diag,
     seeded_unit_vectors,
     top_singular_value,
 )
@@ -48,7 +49,6 @@ from .operators import (
     ZTransform,
     adjoint_via_graph,
     graph_inclusion,
-    orthonormal_frame,
     z_transform,
 )
 from .tolerances import (
@@ -105,7 +105,7 @@ class FiberedOperator:
     """
 
     def __init__(self, pi_grid, fibers, symbol=None, algebra_index=None,
-                 coupled_frame=None, phases=None):
+                 phases=None):
         pi_grid = np.asarray(pi_grid, dtype=float)
         if pi_grid.ndim != 1 or pi_grid.size < 1:
             raise ValueError("pi_grid must be a nonempty 1-d array")
@@ -133,7 +133,6 @@ class FiberedOperator:
         self.index_map = tuple(index_map)
         self.symbol = symbol
         self.algebra_index = algebra_index
-        self.coupled_frame = coupled_frame
         self.phases = phases
 
     @property
@@ -479,55 +478,31 @@ def fiber_identity_check(T: FiberedOperator, a: AlgebraElement) -> float:
 # --------------------------------------------------------------------------
 # glued (tilde) extension
 # --------------------------------------------------------------------------
-def tilde_extension(F: FiberedOperator, modulus=None) -> FiberedOperator:
-    """Largest fibered extension whose image fields glue within a modulus.
+def tilde_extension(F: FiberedOperator) -> FiberedOperator:
+    """Largest fibered extension whose image fields glue: on a finite grid,
+    ``F`` itself.
 
     The fibers of the result are the closures of ``F``'s fibers, which are
     ``F``'s fibers themselves: a matrix restricted to an explicit subspace
     is already closed.  Admitted elements are fields in the product of the
-    closure domains whose image fields have adjacent-fiber deviation at most
-    ``modulus`` — the finite surrogate for the image field being one global
-    algebra element.  The elements of ``F``'s own domain are always admitted
-    (their image fields are bona fide elements by construction), so the
-    result extends ``F`` fiberwise.  ``modulus=None`` means no gluing
-    constraint, the right reading on a finite discrete base where every
-    field is an element.
+    closure domains whose image fields glue into one global algebra
+    element, and on a finite discrete base every field is an element, so
+    the whole product is admitted and the result extends ``F`` fiberwise.
 
-    A field without an explicit ``coupled_frame`` grants the whole product
-    of its closure domains, the span of ``pool``, the block-diagonal product
-    of the closure frames.  The directions the modulus admits are
-    ``pool @ keep`` for an isometry ``keep``, inside that span, and
-    ``[pool, pool @ keep] = pool [I, keep]`` has every singular value at
-    least 1, since ``[I, keep][I, keep]* = I + keep keep* >= I``; so no rank
-    cutoff drops a direction, the admitted span is the whole product
+    No gluing modulus could shrink it.  The product is the span of
+    ``pool``, the block-diagonal product of the closure frames.  The
+    directions a modulus admits, those whose adjacent image deviation it
+    bounds, are ``pool @ keep`` for an isometry ``keep``, inside that span,
+    and ``[pool, pool @ keep] = pool [I, keep]`` has every singular value
+    at least 1, since ``[I, keep][I, keep]* = I + keep keep* >= I``; so no
+    rank cutoff drops a direction, the admitted span is the whole product
     whatever the modulus is, and its block ``i`` spans ``F``'s domain at
-    fiber ``i``.  Such a field is therefore returned with its own fibers,
-    as for ``modulus=None``, and the product stays implicit
-    (``coupled_frame`` None) to keep large grids cheap.  Only a field with
-    an explicit ``coupled_frame`` is glued by the SVD of its stacked image
-    deviations.
+    fiber ``i``.  The result therefore holds ``F``'s own fibers under its
+    phase table, and the product stays implicit, with no dense block
+    matrix, no SVD and no new frame.
     """
-    if modulus is None or F.coupled_frame is None:
-        return F._on_same_index(F.distinct_fibers, F.phases, symbol=F.symbol,
-                                algebra_index=F.algebra_index)
-
-    closures = F.fibers
-    amb = F.ambient_dim
-    pool = block_diag(c.frame for c in closures)
-    # row block i: image of fiber i + 1 minus image of fiber i
-    images = block_diag(c.restricted() for c in closures)
-    dev_rows = images[amb:] - images[:-amb]
-    _, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
-    keep = vh.conj().T[:, np.concatenate([s <= modulus,
-                                          np.ones(pool.shape[1] - s.size, bool)])]
-    coupled = orthonormal_frame(np.hstack([F.coupled_frame, pool @ keep]))
-
-    fibers = []
-    for i, c in enumerate(closures):
-        block = coupled[i * amb:(i + 1) * amb, :]
-        fibers.append(DomainedOperator._trusted(c.action, orthonormal_frame(block)))
-    return FiberedOperator(F.pi_grid, fibers, symbol=F.symbol,
-                           algebra_index=F.algebra_index, coupled_frame=coupled)
+    return F._on_same_index(F.distinct_fibers, F.phases, symbol=F.symbol,
+                            algebra_index=F.algebra_index)
 
 
 # --------------------------------------------------------------------------
@@ -706,16 +681,20 @@ def _gauge_continuity_check(U: GaugeField, w: ZTransform, z_devs):
 class ExtensionReport:
     rows: list                    # (pi, included: bool, residual: float)
     included: bool
-    tilde_chain_ok: bool
     failing: list
 
+    @property
+    def tilde_chain_ok(self):
+        """The gluing chain's verdict, which is the rows' verdict
+        (:func:`extension_inclusion_check`)."""
+        return self.included
+
     def __bool__(self):
-        return self.included and self.tilde_chain_ok
+        return self.included
 
 
-def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
-                              tol=TOL_GRAPH, gauge: GaugeField | None = None,
-                              modulus=None) -> ExtensionReport:
+def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator, tol=TOL_GRAPH,
+                              gauge: GaugeField | None = None) -> ExtensionReport:
     """Fiberwise graph inclusion of ``S`` in ``T`` plus the gluing chain.
 
     With a gauge, the comparison runs in the gauge frame: fiber ``i`` of
@@ -727,14 +706,13 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
     :func:`grid_inclusion` from its boundary rows; otherwise every row is
     decided on the gauged dense fibers.
 
-    The gluing chain verifies S inside tilde(S), tilde(S) inside tilde(T),
-    and tilde(T) = T fiberwise.  When the tilde fields keep their input
-    fibers, as they do with ``modulus=None`` or for a field without an
-    explicit ``coupled_frame``, the outer links join a fiber to itself and
-    hold by reflexivity, and the middle link is the row, so the chain
-    decides nothing afresh.  A gauge carries ``S``'s coupled frame along,
-    each fiber's rows rotated by that fiber's phases.  Dense fibers are
-    built once per fiber value, and only where a dense test reads them.
+    The gluing chain is S inside tilde(S), tilde(S) inside tilde(T), and
+    tilde(T) = T fiberwise.  Every glued field keeps its fibers
+    (:func:`tilde_extension`), so the outer links join a fiber to itself
+    and hold by reflexivity, and the middle link is the row: the chain
+    holds exactly when every row does, and ``tilde_chain_ok`` is the row
+    verdict.  Dense fibers are built once per fiber value, and only where
+    a dense test reads them.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
@@ -744,11 +722,7 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
         if len(gauge) != S.n_fibers:
             raise ValueError("gauge must match the grid")
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
-        coupled = S.coupled_frame
-        if coupled is not None:
-            # row block i holds fiber i's coordinates
-            coupled = gauge.phases.reshape(-1)[:, None] * coupled
-        S = S._on_same_index(S.distinct_fibers, phases, coupled_frame=coupled)
+        S = S._on_same_index(S.distinct_fibers, phases)
 
     # dense fibers by fiber value (grid operators compare by value)
     built = {}
@@ -766,21 +740,7 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
     rows = [(float(pi), res.included, res.residual)
             for pi, res in zip(S.pi_grid, results)]
     failing = [pi for pi, ok, _ in rows if not ok]
-
-    s_tilde = tilde_extension(S, modulus)
-    t_tilde = tilde_extension(T, modulus)
-    if _keeps_fibers(s_tilde, S) and _keeps_fibers(t_tilde, T):
-        chain = not failing
-    else:
-        chain = all(graph_inclusion(sf, st, tol).included
-                    and graph_inclusion(st, tt, tol).included
-                    and tt.same_domain(tf, tol) and graph_inclusion(tf, tt, tol).included
-                    for sf, st, tt, tf
-                    in zip(S.per_point(_dense_once(S.distinct_fibers, built)),
-                           s_tilde.fibers, t_tilde.fibers,
-                           T.per_point(_dense_once(T.distinct_fibers, built))))
-    return ExtensionReport(rows=rows, included=not failing,
-                           tilde_chain_ok=chain, failing=failing)
+    return ExtensionReport(rows=rows, included=not failing, failing=failing)
 
 
 def _fiber_inclusion(s, t, tol, built):
@@ -804,9 +764,3 @@ def _dense_once(fibers, built):
 def _same_phases(a, b):
     """Whether two phase tables (or ``None``, no gauge) are equal by value."""
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
-def _keeps_fibers(tilde, F):
-    """Whether ``tilde`` holds ``F``'s fibers themselves at every grid point."""
-    return (tilde.index_map == F.index_map and tilde.phases is F.phases
-            and all(a is b for a, b in zip(tilde.distinct_fibers, F.distinct_fibers)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, eigh_sqrt, hermitian_sqrt
+from .algebra import eigh_sqrt, hermitian_sqrt
 from .errors import (
     ExtensionIdentityViolated,
     NotCoisometry,
@@ -50,12 +50,6 @@ __all__ = [
     "hermitian_sqrt",
     "orthonormal_frame",
 ]
-
-
-def _as_matrix(u):
-    if isinstance(u, AlgebraElement):
-        return u.direct_sum_matrix()
-    return np.asarray(u, dtype=complex)
 
 
 def orthonormal_frame(columns):
@@ -306,7 +300,7 @@ def restrict_via_isometry(zt: ZTransform, u) -> ZTransform:
     ``(u*(1-z*z)u)^{1/2} = (1-z*z)^{1/2} u``, both within ``TOL_ALG``; returns
     the transform ``z u``.
     """
-    u = _as_matrix(u)
+    u = np.asarray(u, dtype=complex)
     z = zt.z
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > UNITARY_SLACK * TOL_ALG:
         raise NotIsometry("u*u differs from the identity")
@@ -319,7 +313,7 @@ def restrict_via_isometry(zt: ZTransform, u) -> ZTransform:
 def extend_via_coisometry(zt: ZTransform, u) -> ZTransform:
     """Transform of the extension induced by a coisometry ``u`` (``u u* = 1``),
     under the mirrored square-root identity ``(u(1-zz*)u*)^{1/2} = u (1-zz*)^{1/2}``."""
-    u = _as_matrix(u)
+    u = np.asarray(u, dtype=complex)
     z = zt.z
     if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > UNITARY_SLACK * TOL_ALG:
         raise NotCoisometry("u u* differs from the identity")

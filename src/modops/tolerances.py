@@ -1,8 +1,7 @@
 """Numerical tolerances, shared across the toolkit.
 
 TOL_ALG guards algebraic identities (relative, double-precision
-eigendecomposition accuracy).  TOL_PSD_FACTOR scales with the operator norm
-and floors eigenvalues before square roots.  TOL_GRAPH separates genuine
+eigendecomposition accuracy).  TOL_GRAPH separates genuine
 graph violations from roundoff; TOL_GAP decides when (1 - z*z) counts as
 invertible.  Every check reads its constant from here.  Only the graph
 comparisons take a tolerance, ``tol`` of ``graph_inclusion``,
@@ -14,7 +13,6 @@ inside the package each caller passes a constant of this module.
 import sys
 
 TOL_ALG = 1e-10
-TOL_PSD_FACTOR = 1e-12
 TOL_GRAPH = 1e-9
 TOL_GAP = 1e-12
 

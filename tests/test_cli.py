@@ -111,7 +111,7 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 1 dense"):
         RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated by n_x; the default phi-roundtrip
-    # module's 6 matrices of 18x18 take 31 KB
+    # module's 5 matrices of 18x18 take 26 KB
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
@@ -122,17 +122,19 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
 
 
 def test_phi_roundtrip_refuses_a_module_too_large_to_hold(tmp_path, capsys, monkeypatch):
-    # 100 rows over a one-dimensional fiber: the compacts are 10000-dimensional,
-    # and 6 matrices of 10000x10000 complex entries take 9.6 GB, more than 8 GB
+    # 101 rows over a one-dimensional fiber: the compacts are 10201-dimensional,
+    # and 5 matrices of 10201x10201 complex entries take 8.3 GB, more than 8 GB
     monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
-    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 1\nrows = 100\n")
+    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 1\nrows = 101\n")
     out = tmp_path / "never.txt"
     assert main(["phi-roundtrip", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "input error: a module of dimension 100 needs at least 9.6 GB for 6 dense "
-        "10000x10000 complex matrices, more than the 8.0 GB of physical memory\n")
+        "input error: a module of dimension 101 needs at least 8.3 GB for 5 dense "
+        "10201x10201 complex matrices, more than the 8.0 GB of physical memory\n")
     assert not out.exists()
-    # a 900-dimensional module over 900 compacts takes 78 MB by this count
+    # 100 rows need exactly the 8.0 GB there are, which is admitted
+    RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (1,)), rows=(100,))
+    # a 900-dimensional module over 900 compacts takes 65 MB by this count
     RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (30,)), rows=(30,))
 
 
@@ -398,6 +400,41 @@ def test_extend_pipeline_verifies(tmp_path):
     code = main(["extend", "--n-x", "64", "--n-pi", "5", "--out", str(out)])
     assert code == 0
     assert "verdict = REGULAR-EXTENSION-VERIFIED" in out.read_text()
+
+
+def _jumping_gauge_spec(n_x=64, n_pi=9):
+    """Phase samples 0 on rows 0-4 and 2 sin(pi x) on the rest: a gauge
+    that jumps between the base points 4 and 5."""
+    x = np.linspace(0.0, 1.0, n_x + 1)
+    rows = [0.0 * x] * 5 + [2.0 * np.sin(np.pi * x)] * (n_pi - 5)
+    samples = " ; ".join(" ".join(repr(float(v)) for v in row) for row in rows)
+    return (f"[grid]\nn_x = {n_x}\nn_pi = {n_pi}\n\n"
+            f"[gauge]\nkind = phase-samples\nsamples = {samples}\n")
+
+
+@pytest.mark.parametrize("argv, spec, code, stream, pattern", [
+    (["extend", "--n-x", "64", "--n-pi", "5"], "[gauge]\nkind = identity\n", 0,
+     "report", r"\nverdict = REGULAR-EXTENSION-VERIFIED\n"),
+    (["extend"], _jumping_gauge_spec(), 3, "stderr",
+     r"^tolerance violation: adjacent deviation \S+ does not halve under step halving"),
+    (["kernel-cert", "--n-x", "64"], None, 0, "stdout",
+     r"^# modops kernel-cert report\n(.|\n)*\nverdict = KERNEL-CERTIFIED\n$"),
+], ids=["identity-gauge", "jumping-gauge", "report-to-stdout"])
+def test_spec_paths_exit_as_documented(tmp_path, capsys, argv, spec, code, stream,
+                                       pattern):
+    # an identity gauge, a gauge that fails the continuity gate, and a
+    # report without --out, which goes to stdout
+    if spec is not None:
+        argv = argv + ["--config", write(tmp_path, spec)]
+    out = tmp_path / "r.txt"
+    if stream == "report":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = {"report": out.read_text() if out.exists() else "",
+            "stdout": captured.out, "stderr": captured.err}[stream]
+    assert re.search(pattern, text)
+    assert stream == "report" or not out.exists()
 
 
 def test_phi_roundtrip_pipeline(tmp_path):

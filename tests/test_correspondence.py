@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from modops.algebra import AlgebraElement, FiberIndex, ModuleVector
+from modops.algebra import AlgebraElement, FiberIndex
 from modops.correspondence import (
     ModuleModel,
     left_module_operator,
@@ -40,6 +40,61 @@ def random_blocks(rng, model):
 # pair per (domain frame vector, module basis vector), column-stacked into
 # one pair matrix and read by one SVD.  The package builds the same maps
 # fiber by fiber; these are what it is compared against.
+class ModuleVector:
+    """Element of a module of rectangular matrix fields over the algebra.
+
+    Fiber ``lab`` holds an ``(m_lab, d_lab)`` matrix where ``d_lab`` is the
+    algebra's fiber dimension; the algebra acts on the right and the inner
+    product ``<x, y> = x* y`` is fiberwise, conjugate-linear in the first slot.
+    """
+
+    __slots__ = ("index", "fibers", "row_dims")
+
+    def __init__(self, index: FiberIndex, fibers: dict):
+        self.index = index
+        self.fibers = {lab: np.asarray(fibers[lab], dtype=complex) for lab in index.labels}
+        self.row_dims = tuple(self.fibers[lab].shape[0] for lab in index.labels)
+
+    def inner(self, other: "ModuleVector") -> AlgebraElement:
+        """Algebra-valued inner product ``x* y``."""
+        return AlgebraElement(self.index, {lab: self.fibers[lab].conj().T @ other.fibers[lab]
+                                           for lab in self.index.labels})
+
+    def rmul(self, a: AlgebraElement) -> "ModuleVector":
+        """Right action ``x . a``."""
+        return ModuleVector(self.index, {lab: self.fibers[lab] @ a.fibers[lab]
+                                         for lab in self.index.labels})
+
+    @classmethod
+    def from_vector(cls, model: ModuleModel, vec):
+        """The module vector whose row-major fibers, in label order, are ``vec``."""
+        fibers, pos = {}, 0
+        for lab, d, m in zip(model.index.labels, model.index.dims, model.row_dims):
+            fibers[lab] = vec[pos:pos + m * d].reshape(m, d)
+            pos += m * d
+        return cls(model.index, fibers)
+
+
+def flat(x):
+    """Row-major flattening of an algebra element or a module vector,
+    labels in index order."""
+    return np.concatenate([x.fibers[lab].ravel() for lab in x.index.labels])
+
+
+def element_from_vector(index: FiberIndex, vec) -> AlgebraElement:
+    """The algebra element whose row-major fibers, in label order, are ``vec``."""
+    fibers, pos = {}, 0
+    for lab, d in zip(index.labels, index.dims):
+        fibers[lab] = vec[pos:pos + d * d].reshape(d, d)
+        pos += d * d
+    return AlgebraElement(index, fibers)
+
+
+def assert_same_element(a: AlgebraElement, b: AlgebraElement):
+    for lab in a.index.labels:
+        assert_allclose(a.fibers[lab], b.fibers[lab], rtol=0, atol=1e-10)
+
+
 class RankOneOperator:
     """|x><y| on a module: z -> x . <y, z>; generates the compacts."""
 
@@ -66,8 +121,7 @@ class RankOneOperator:
 
 def basis_vectors(model):
     """Elementary module basis, flattened order."""
-    return [ModuleVector.from_vector(model.index, model.row_dims, e)
-            for e in np.eye(model.flat_dim, dtype=complex)]
+    return [ModuleVector.from_vector(model, e) for e in np.eye(model.flat_dim, dtype=complex)]
 
 
 def left_product(model, a: AlgebraElement, x: ModuleVector) -> ModuleVector:
@@ -102,11 +156,11 @@ def reference_phi1(T, model):
     ins, outs = [], []
     basis = basis_vectors(model)
     for f in T.frame.T:
-        x = ModuleVector.from_vector(model.index, model.row_dims, f)
-        tx = ModuleVector.from_vector(model.index, model.row_dims, T.apply(f))
+        x = ModuleVector.from_vector(model, f)
+        tx = ModuleVector.from_vector(model, T.apply(f))
         for y in basis:
-            ins.append(RankOneOperator(x, y).matrix().to_vector())
-            outs.append(RankOneOperator(tx, y).matrix().to_vector())
+            ins.append(flat(RankOneOperator(x, y).matrix()))
+            outs.append(flat(RankOneOperator(tx, y).matrix()))
     return operator_from_pairs(ins, outs, model.compact_model.flat_dim)
 
 
@@ -115,11 +169,11 @@ def reference_phi2(S, model):
     ins, outs = [], []
     basis = basis_vectors(model)
     for j in range(S.domain_dim):
-        a = AlgebraElement.from_vector(model.compact_index, S.frame[:, j])
-        sa = AlgebraElement.from_vector(model.compact_index, S.apply(S.frame[:, j]))
+        a = element_from_vector(model.compact_index, S.frame[:, j])
+        sa = element_from_vector(model.compact_index, S.apply(S.frame[:, j]))
         for x in basis:
-            ins.append(left_product(model, a, x).to_vector())
-            outs.append(left_product(model, sa, x).to_vector())
+            ins.append(flat(left_product(model, a, x)))
+            outs.append(flat(left_product(model, sa, x)))
     return operator_from_pairs(ins, outs, model.flat_dim)
 
 
@@ -140,9 +194,9 @@ def test_rank_one_composition_and_adjoint_close():
     x, y, u, v = (random_vector(rng, MODEL) for _ in range(4))
     comp = RankOneOperator(x.rmul(y.inner(u)), v)
     expect = RankOneOperator(x, y).matrix() @ RankOneOperator(u, v).matrix()
-    assert comp.matrix().allclose(expect)
+    assert_same_element(comp.matrix(), expect)
     adj = RankOneOperator(x, y).adjoint()
-    assert adj.matrix().allclose(RankOneOperator(x, y).matrix().H)
+    assert_same_element(adj.matrix(), RankOneOperator(x, y).matrix().H)
 
 
 def test_rank_ones_reconstruct_the_identity_of_the_compacts():
@@ -159,8 +213,24 @@ def test_rank_ones_reconstruct_the_identity_of_the_compacts():
             ket = ModuleVector(MODEL.index, ket_f)
             mat = RankOneOperator(ket, ket).matrix()
             total = mat if total is None else total + mat
-    one = AlgebraElement.identity(MODEL.compact_index)
-    assert total.allclose(one)
+    idx = MODEL.compact_index
+    assert_same_element(total, AlgebraElement(idx, {lab: np.eye(m) for lab, m
+                                                    in zip(idx.labels, idx.dims)}))
+
+
+# ------------------------------------------------------- left multiplication
+def test_left_module_operator_checks_each_fibers_domain_columns():
+    blocks = {"p": np.eye(2), "q": np.eye(3)}
+    with pytest.raises(ValueError, match="frame columns must be orthonormal"):
+        left_module_operator(MODEL, blocks, {"p": np.array([[1.0], [1.0]])})
+    with pytest.raises(ValueError, match="frame rows must match"):
+        left_module_operator(MODEL, blocks, {"q": np.eye(2)[:, :1]})
+    # the assembled frame is V (x) 1 per fiber, orthonormal without a check
+    v = orthonormal_frame(np.array([[1.0], [1.0j], [2.0]]))
+    op = left_module_operator(MODEL, blocks, {"q": v})
+    assert_allclose(op.frame, np.block([[np.eye(4), np.zeros((4, 2))],
+                                        [np.zeros((6, 4)), np.kron(v, np.eye(2))]]))
+    assert_allclose(op.frame.conj().T @ op.frame, np.eye(6), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------- phi1
@@ -193,7 +263,7 @@ def test_phi1_domain_is_range_restricted_right_ideal():
     img = phi1(T, MODEL)
     # matrices in the domain have fiber-p range inside span(e0)
     for j in range(img.domain_dim):
-        a = AlgebraElement.from_vector(MODEL.compact_index, img.frame[:, j])
+        a = element_from_vector(MODEL.compact_index, img.frame[:, j])
         assert np.linalg.norm(a.fibers["p"][1, :]) <= 1e-12
 
 
@@ -218,14 +288,13 @@ def test_phi2_rejects_non_right_linear_input():
     # transposition of each fiber is linear but not right-module linear:
     # products a x = a' x' receive inconsistent images
     n = MODEL.compact_model.flat_dim
-    sl = MODEL.compact_index.flat_slices()
     P = np.zeros((n, n))
-    for lab, m in zip(MODEL.compact_index.labels, MODEL.compact_index.dims):
-        block = np.zeros((m * m, m * m))
+    pos = 0
+    for m in MODEL.compact_index.dims:
         for i in range(m):
             for j in range(m):
-                block[i * m + j, j * m + i] = 1.0
-        P[sl[lab], sl[lab]] = block
+                P[pos + i * m + j, pos + j * m + i] = 1.0
+        pos += m * m
     S = DomainedOperator.full(P)
     with pytest.raises(IllDefined) as got:
         phi2(S, MODEL)

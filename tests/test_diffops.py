@@ -12,12 +12,10 @@ from modops.diffops import (
     BoundaryTag,
     GridFunction,
     GridOperator,
-    build_derivative,
     grid_inclusion,
     grid_transform,
     kernel_certificate,
     periodic_complement_floor,
-    periodic_spectrum,
     transform_jump,
     trapezoid_weights,
 )
@@ -364,12 +362,14 @@ def test_grid_function_norm_is_trapezoid():
 
 # ----------------------------------------------------------------- operators
 def test_build_derivative_rejects_coarse_grid():
-    with pytest.raises(GridTooCoarse):
-        build_derivative(4, PERIODIC)
+    for n in (1, 4, 7):
+        with pytest.raises(GridTooCoarse, match=f"need n >= 8 grid steps, got {n}"):
+            GridOperator(n, PERIODIC)
+    assert GridOperator(8, PERIODIC).matrix.shape == (9, 9)
 
 
 def test_maximal_on_constant_is_zero():
-    op = build_derivative(64, MAXIMAL)
+    op = GridOperator(64, MAXIMAL)
     out = op.apply(GridFunction(np.ones(65)))
     assert np.max(np.abs(out.samples)) <= 1e-12
 
@@ -377,7 +377,7 @@ def test_maximal_on_constant_is_zero():
 def test_periodic_eigenrelation_second_order():
     errs = []
     for n in (100, 200):
-        op = build_derivative(n, PERIODIC)
+        op = GridOperator(n, PERIODIC)
         f = sampled(lambda x: np.exp(2j * np.pi * x), n)
         out = op.apply(f)
         errs.append(GridFunction(out.samples + 2 * np.pi * f.samples).norm())
@@ -387,7 +387,7 @@ def test_periodic_eigenrelation_second_order():
 
 def test_maximal_derivative_second_order_on_nonperiodic_function():
     n = 200
-    op = build_derivative(n, MAXIMAL)
+    op = GridOperator(n, MAXIMAL)
     f = sampled(np.exp, n)
     err = GridFunction(op.apply(f).samples - 1j * f.samples).norm()
     assert err <= 10 * (1 / n) ** 2
@@ -395,7 +395,7 @@ def test_maximal_derivative_second_order_on_nonperiodic_function():
 
 def test_twisted_constraint_row():
     theta = np.pi
-    op = build_derivative(32, BoundaryTag.twisted(theta))
+    op = GridOperator(32, BoundaryTag.twisted(theta))
     C = constraint_matrix(op)
     assert C.shape == (1, 33)
     f = np.exp(1j * theta * np.linspace(0, 1, 33)) * np.cos(
@@ -618,6 +618,20 @@ def test_kernel_dimension_is_one_with_wide_gap_from_n64():
 
 
 # ------------------------------------------------------------------ spectrum
+def periodic_spectrum(n, m):
+    """Eigenvalues of the periodic derivative for the Fourier modes -m..m,
+    in mode order, read off its checked symbol.
+
+    The reduced coordinates of the sampled mode ``e^{2 pi i k x}`` are a
+    multiple of the DFT vector of index ``k mod n``, so its eigenvalue is
+    that entry of the symbol.  Reading it by index, not by magnitude,
+    matters: the centred stencil aliases mode k with mode n/2 - k (and the
+    alternating vector sits in the kernel at even n).  For ``m <= n / 4``
+    the values approximate -2 pi k with relative error O((k h)^2).
+    """
+    return diffops._periodic_eigenvalues(n)[np.arange(-m, m + 1) % n]
+
+
 def test_periodic_spectrum_fourier_oracle():
     lam = periodic_spectrum(400, 3)
     targets = -2 * np.pi * np.arange(-3, 4)
@@ -627,11 +641,6 @@ def test_periodic_spectrum_fourier_oracle():
     # scalar spectral mapping of an eigenvalue
     z = lam[4] / np.sqrt(1 + lam[4] ** 2)
     assert abs(z) < 1.0
-
-
-def test_periodic_spectrum_mode_count_guard():
-    with pytest.raises(GridTooCoarse):
-        periodic_spectrum(64, 32)
 
 
 def overlap_spectrum(n, m):
@@ -752,8 +761,6 @@ def test_failed_circulant_check_falls_back_to_the_dense_transform(
     assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
     with pytest.raises(NotCirculant):
         periodic_complement_floor(64)
-    with pytest.raises(NotCirculant):
-        periodic_spectrum(64, 3)
 
 
 def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):

@@ -53,6 +53,15 @@ def random_symbol(rng, index):
         for lab, d in zip(index.labels, index.dims)})
 
 
+def identity_element(index):
+    return AlgebraElement(index, {lab: np.eye(d) for lab, d in zip(index.labels, index.dims)})
+
+
+def assert_same_element(a, b):
+    for lab in a.index.labels:
+        assert_allclose(a.fibers[lab], b.fibers[lab], rtol=0, atol=1e-10)
+
+
 # ------------------------------------------------------------- construction
 def test_counterexample_tags_and_identical_bulk():
     t = build_counterexample_t(6, N_X)
@@ -366,7 +375,7 @@ def test_adjoint_field_algebra_backed_is_fiberwise_graph_adjoint():
     adj = adjoint_field(F)
     for f, a in zip(F.fibers, adj.fibers):
         assert_allclose(a.action, adjoint_via_graph(f).action, atol=1e-10)
-    assert adj.symbol.allclose(sym.H)
+    assert_same_element(adj.symbol, sym.H)
 
 
 def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
@@ -386,7 +395,8 @@ def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
     monkeypatch.setattr(fibered, "adjoint_via_graph", counting)
     adj = adjoint_field(F)
     assert len(calls) == 1 and len(adj.distinct_fibers) == 1
-    assert adj.n_fibers == 5 and adj.symbol.allclose(sym.H)
+    assert adj.n_fibers == 5
+    assert_same_element(adj.symbol, sym.H)
     a = random_symbol(rng, idx)
     assert fiber_identity_check(F, a) <= 1e-9
     assert len(calls) == 2
@@ -397,7 +407,7 @@ def test_fiber_identity_constant_diagonal_field():
     idx = FiberIndex.points(4, dim=2)
     sym = AlgebraElement(idx, {lab: np.diag([1.0, 2.0]) for lab in idx.labels})
     F = FiberedOperator.from_algebra_symbol(idx, sym)
-    a = AlgebraElement.identity(idx)
+    a = identity_element(idx)
     assert fiber_identity_check(F, a) <= 1e-10
 
 
@@ -416,7 +426,7 @@ def test_fiber_identity_domain_violation():
     sym = random_symbol(rng, idx)
     cols = {lab: np.array([[1.0], [0.0]]) for lab in idx.labels}
     F = FiberedOperator.from_algebra_symbol(idx, sym, domain_columns=cols)
-    outside = AlgebraElement.identity(idx)
+    outside = identity_element(idx)
     with pytest.raises(DomainViolation):
         fiber_identity_check(F, outside)
 
@@ -453,45 +463,6 @@ def test_tilde_adjoint_exchange_on_finite_models():
         assert np.linalg.norm((a.action - b.action) @ a.domain_projector(), 2) <= 1e-10
 
 
-def test_tilde_modulus_filters_incoherent_directions():
-    # two fibers with clashing actions: an explicitly coupled domain grows
-    # under a loose modulus only along directions with glued images
-    A = np.diag([1.0, 0.0])
-    B = np.diag([0.0, 1.0])
-    f1 = DomainedOperator.full(A)
-    f2 = DomainedOperator.full(B)
-    F = FiberedOperator([0.0, 1.0], [f1, f2],
-                        coupled_frame=np.zeros((4, 0), dtype=complex))  # start from nothing
-    S = tilde_extension(F, modulus=1e-6)
-    # glued directions: (e2, v) and (v, e1) pairs with zero image deviation
-    cf = S.coupled_frame
-    dev = np.linalg.norm(np.hstack([-A, B]) @ cf, 2) if cf.shape[1] else 0.0
-    assert dev <= 1e-6 + 1e-12
-    loose = tilde_extension(F, modulus=10.0)
-    assert loose.coupled_frame.shape[1] == 4
-
-
-@pytest.mark.parametrize("modulus", [0.25, 1.0, 10.0])
-def test_tilde_frames_are_orthonormal_without_a_gram_check(monkeypatch, modulus):
-    grid = np.linspace(0, 1, 5)
-    gauge = GaugeField.linear_phase(grid, 48)
-    gauged = gauge_extension(GridOperator(48, PERIODIC), gauge).field
-    fields = [build_counterexample_t(5, 48), gauged]
-    init = DomainedOperator.__init__
-    checked = []
-
-    def counting_init(self, *args, **kwargs):
-        checked.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DomainedOperator, "__init__", counting_init)
-    for F in fields:
-        for f in tilde_extension(F, modulus).fibers:
-            gram = f.frame.conj().T @ f.frame
-            assert np.linalg.norm(gram - np.eye(f.domain_dim), 2) <= 1e-12
-    assert checked == []
-
-
 def test_tilde_of_gauge_built_field_is_itself():
     grid = np.linspace(0, 1, 6)
     g = GaugeField.linear_phase(grid, N_X)
@@ -502,11 +473,10 @@ def test_tilde_of_gauge_built_field_is_itself():
 
 
 def reference_tilde(F, modulus=None):
-    """Dense oracle of :func:`tilde_extension`: with a modulus, the admitted
-    directions are glued from the SVD of the stacked image deviations and
-    joined to the granted span (the explicit coupled frame, else the block
-    product of the closure frames) by one more SVD, whether or not a coupled
-    frame is given; ``modulus=None`` keeps ``F``'s dense fibers."""
+    """Dense oracle of :func:`tilde_extension` under a gluing modulus: the
+    admitted directions are glued from the SVD of the stacked image
+    deviations and joined to the block product of the closure frames by one
+    more SVD; ``modulus=None`` keeps ``F``'s dense fibers."""
     closures = F.fibers
     if modulus is None:
         return FiberedOperator(F.pi_grid, closures)
@@ -517,11 +487,10 @@ def reference_tilde(F, modulus=None):
     _, s, vh = np.linalg.svd(dev_rows, full_matrices=True)
     keep = vh.conj().T[:, np.concatenate([s <= modulus,
                                           np.ones(pool.shape[1] - s.size, bool)])]
-    granted = pool if F.coupled_frame is None else F.coupled_frame
-    coupled = orthonormal_frame(np.hstack([granted, pool @ keep]))
-    fibers = [DomainedOperator(c.action, orthonormal_frame(coupled[i * amb:(i + 1) * amb]))
+    glued = orthonormal_frame(np.hstack([pool, pool @ keep]))
+    fibers = [DomainedOperator(c.action, orthonormal_frame(glued[i * amb:(i + 1) * amb]))
               for i, c in enumerate(closures)]
-    return FiberedOperator(F.pi_grid, fibers, coupled_frame=coupled)
+    return FiberedOperator(F.pi_grid, fibers)
 
 
 # the oracle's SVDs move the frame of a fiber they leave unchanged by
@@ -552,27 +521,16 @@ def _oracle_fields(n_pi=6, n_x=48):
 
 @pytest.mark.parametrize("modulus", [0.0, 0.25, 0.5, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("kind", ["counterexample", "linear-phase"])
-def test_tilde_with_a_modulus_keeps_the_fibers_of_the_dense_oracle(monkeypatch, kind,
+def test_tilde_with_a_modulus_keeps_the_fibers_of_the_dense_oracle(linalg_calls, kind,
                                                                     modulus):
-    # without an explicit coupled frame the admitted span is the whole
-    # product whatever the modulus: the fast path returns F's own fibers,
-    # takes no SVD and forms no frame
+    # the admitted span is the whole product whatever the modulus: the glued
+    # field holds F's own fibers and takes no factorization
     F = _oracle_fields()[kind]
-    calls = []
-    svd, frame = np.linalg.svd, fibered.orthonormal_frame
-
-    def counting(name, f):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return f(*args, **kwargs)
-        return counted
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "svd", counting("svd", svd))
-        mp.setattr(fibered, "orthonormal_frame", counting("orthonormal_frame", frame))
-        fast = tilde_extension(F, modulus)
-    assert calls == []
-    assert fibered._keeps_fibers(fast, F) and fast.coupled_frame is None
+    linalg_calls.clear()
+    fast = tilde_extension(F)
+    assert linalg_calls == []
+    assert fast.index_map == F.index_map and fast.phases is F.phases
+    assert all(a is b for a, b in zip(fast.distinct_fibers, F.distinct_fibers))
     assert all(_same_fiber(a, b)
                for a, b in zip(fast.fibers, reference_tilde(F, modulus).fibers))
 
@@ -1184,16 +1142,12 @@ def reference_extension_check(S, T, tol, gauge, modulus):
     """Dense reference: every row inclusion, and every link of the gluing
     chain decided by its own graph inclusion and projector comparison, on
     the dense fibers, each built once, and their glued fields by the dense
-    oracle :func:`reference_tilde`, each with its field's coupled frame
-    (``S``'s rotated by the gauge).  A link between two dense fibers already
-    compared, as the same objects, reuses that decision.  Returns (rows,
-    included, failing, tilde_chain_ok)."""
+    oracle :func:`reference_tilde` under ``modulus``.  A link between two
+    dense fibers already compared, as the same objects, reuses that
+    decision.  Returns (rows, included, failing, tilde_chain_ok)."""
     s_fibers, t_fibers = S.fibers, T.fibers
-    s_coupled = S.coupled_frame
     if gauge is not None:
         s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, s_fibers)]
-        if s_coupled is not None:
-            s_coupled = block_diag([np.diag(p) for p in gauge.phases]) @ s_coupled
     decided = {}
 
     def included(a, b):
@@ -1207,10 +1161,8 @@ def reference_extension_check(S, T, tol, gauge, modulus):
         rows.append((float(pi), res.included, res.residual))
         if not res.included:
             failing.append(float(pi))
-    s_tilde = reference_tilde(FiberedOperator(S.pi_grid, s_fibers, coupled_frame=s_coupled),
-                              modulus)
-    t_tilde = reference_tilde(FiberedOperator(T.pi_grid, t_fibers,
-                                              coupled_frame=T.coupled_frame), modulus)
+    s_tilde = reference_tilde(FiberedOperator(S.pi_grid, s_fibers), modulus)
+    t_tilde = reference_tilde(FiberedOperator(T.pi_grid, t_fibers), modulus)
     chain = True
     for sf, st_, tt, tf in zip(s_fibers, _snapped(s_tilde, s_fibers),
                                _snapped(t_tilde, t_fibers), t_fibers):
@@ -1287,13 +1239,15 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
          modulus=None, perturb=None, tol=1e-9)
 def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
                                                  modulus, perturb, tol):
+    # the reference glues under a modulus; the check has none, since no
+    # modulus can change a glued field
     if perturb is not None:
         perturb %= n_pi
     try:
         S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
     except GaugeNotContinuous:
         assume(False)
-    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge, modulus=modulus)
+    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge)
     rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
     # rows decided on the ungauged fibers move their residuals at roundoff
     assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
@@ -1329,87 +1283,6 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     # rows: one per distinct pair (minimal, t0) and (periodic, t0), both
     # pairs of grid fibers
     assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
-    # a modulus leaves fields without a coupled frame their own fibers, so
-    # the chain reuses the row verdicts as well
-    calls.update(grid_inclusion=0, graph_inclusion=0, same_domain=0)
-    rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1.0)
-    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
-
-
-def _clashing_fibers():
-    # two fibers whose images glue only along (e2, .) and (., e1)
-    return [DomainedOperator.full(np.diag([1.0, 0.0])),
-            DomainedOperator.full(np.diag([0.0, 1.0]))]
-
-
-def _coupled_case(case):
-    """(S, T, gauge, modulus, tilde_chain_ok) where ``T`` carries an explicit
-    coupled frame: the block product of its own frames, or nothing at all."""
-    if case == "block-product":
-        S, T, gauge = _extension_case(24, 5, "linear", (0, 0, 0), None)
-        frame = block_diag([f.frame for f in T.fibers])
-        return (S, T._on_same_index(T.distinct_fibers, T.phases, coupled_frame=frame),
-                gauge, 1.0, True)
-    fibers = _clashing_fibers()
-    T = FiberedOperator([0.0, 1.0], fibers, coupled_frame=np.zeros((4, 0), dtype=complex))
-    # a tight modulus glues T's domains down to one direction per fiber
-    modulus, chain = {"nothing-tight": (1e-6, False), "nothing-loose": (10.0, True)}[case]
-    return FiberedOperator([0.0, 1.0], fibers), T, None, modulus, chain
-
-
-@pytest.mark.parametrize("case", ["block-product", "nothing-tight", "nothing-loose"])
-def test_coupled_frame_chain_runs_every_link(monkeypatch, case):
-    S, T, gauge, modulus, expected = _coupled_case(case)
-    calls = {"graph_inclusion": 0, "same_domain": 0}
-
-    def counting_inclusion(*args):
-        calls["graph_inclusion"] += 1
-        return graph_inclusion(*args)
-
-    def counting_same_domain(self, other, tol):
-        calls["same_domain"] += 1
-        return same_domain(self, other, tol)
-
-    same_domain = DomainedOperator.same_domain
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fibered, "graph_inclusion", counting_inclusion)
-        mp.setattr(DomainedOperator, "same_domain", counting_same_domain)
-        rep = extension_inclusion_check(S, T, gauge=gauge, modulus=modulus)
-    rows, included, failing, chain = reference_extension_check(S, T, TOL_GRAPH, gauge,
-                                                               modulus)
-    assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
-    assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows], rtol=RTOL, atol=ATOL)
-    assert rep.included == included and rep.tilde_chain_ok == chain == expected
-    if case == "block-product":
-        # the rows are two grid pairs; all three links and the domain
-        # comparison run at each of the 5 fibers
-        assert calls == {"graph_inclusion": 15, "same_domain": 5}
-
-
-def test_gauge_carries_the_coupled_frame(monkeypatch):
-    # S's coupled frame grants the one direction (e1, e1) beside the glued
-    # ones; the gauge must keep that frame, row block i rotated by phases[i]
-    fibers = _clashing_fibers()
-    coupled = np.array([[1.0], [0.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2)
-    S = FiberedOperator([0.0, 1.0], fibers, coupled_frame=coupled)
-    T = FiberedOperator([0.0, 1.0], fibers)
-    gauge = GaugeField([0.0, 1.0], [[1.0, 1.0], [1j, 1.0]])
-    glued, tilde = [], fibered.tilde_extension
-
-    def recording(F, modulus=None):
-        glued.append(F.coupled_frame)
-        return tilde(F, modulus)
-
-    monkeypatch.setattr(fibered, "tilde_extension", recording)
-    rep = extension_inclusion_check(S, T, gauge=gauge, modulus=1e-6)
-    rotated = block_diag([np.diag(p) for p in gauge.phases]) @ coupled
-    assert np.array_equal(glued[0], rotated) and glued[1] is None
-    # the glued S holds only e1 at the second fiber, so S is not inside it;
-    # with the frame dropped, S would be its own glued field
-    rows, included, failing, chain = reference_extension_check(S, T, TOL_GRAPH, gauge, 1e-6)
-    assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
-    assert rep.included is included is True
-    assert rep.tilde_chain_ok is chain is False
 
 
 @pytest.mark.parametrize("gauge_kind, perturb, rows", [
