@@ -17,7 +17,6 @@ from .diffops import (
     MINIMAL,
     PERIODIC,
     BoundaryTag,
-    GridFunction,
     GridOperator,
     kernel_certificate,
     periodic_complement_floor,

@@ -19,7 +19,9 @@ coordinate, so its transform deflates to one symmetric eigenproblem of
 about n/4 secular roots.  These transforms keep what defines them and act
 on vectors by FFTs; that action is their one definition, so their dense
 matrix is the action on the identity, and the jump between two transforms
-is a Lanczos 2-norm of the difference of their actions.
+is a Lanczos 2-norm of the difference of their actions.  A one-sided
+operator takes the dense transform; a wrap-style one whose check fails
+raises :class:`NotCirculant`, which names the check, its quantity and bound.
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ __all__ = [
     "MAXIMAL",
     "PERIODIC",
     "MINIMAL",
-    "GridFunction",
     "GridOperator",
     "KernelReport",
     "grid_inclusion",
@@ -113,39 +114,6 @@ def trapezoid_weights(n):
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-class GridFunction:
-    """Samples on the uniform grid of [0, 1] with the trapezoid L2 norm."""
-
-    __slots__ = ("samples", "h")
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=complex).ravel()
-        if samples.size < 2:
-            raise ValueError("need at least two samples")
-        self.samples = samples
-        self.h = 1.0 / (samples.size - 1)
-
-    @property
-    def n(self):
-        return self.samples.size - 1
-
-    def grid(self):
-        return np.linspace(0.0, 1.0, self.samples.size)
-
-    def norm(self):
-        w = trapezoid_weights(self.n)
-        return float(np.sqrt(np.sum(w * np.abs(self.samples) ** 2)))
-
-    def inner(self, other: "GridFunction") -> complex:
-        if other.n != self.n:
-            raise ValueError("grids differ")
-        w = trapezoid_weights(self.n)
-        return complex(np.sum(w * np.conj(self.samples) * other.samples))
-
-    def normalized(self):
-        return GridFunction(self.samples / self.norm())
 
 
 def _twist_phases(n, theta):
@@ -348,19 +316,18 @@ class GridOperator:
         construction, so no Gram check runs."""
         return DomainedOperator._trusted(self.weighted_action(), self.domain_frame())
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        """``matrix @ f``, from the stencil."""
-        if f.n != self.n:
-            raise ValueError("grid sizes differ")
+    def apply(self, x):
+        """``matrix @ x`` for the array ``x`` of ``n + 1`` grid samples."""
+        if x.shape != (self.n + 1,):
+            raise ValueError(f"need {self.n + 1} grid samples, got shape {x.shape}")
         rows, cols, vals = self._stencil()
-        x = f.samples
         if self.tag.kind == "twisted":
             u = _twist_phases(self.n, self.tag.theta)
             x = np.conj(u) * x
         y = np.zeros(self.n + 1, dtype=complex)
         np.add.at(y, rows, vals * x[cols])
         y = 1j * y
-        return GridFunction(u * y if self.tag.kind == "twisted" else y)
+        return u * y if self.tag.kind == "twisted" else y
 
     def adjoint(self) -> "GridOperator":
         """Tag-level adjoint (default action style for the adjoint tag); a
@@ -378,7 +345,8 @@ def _checked_symbol(op: GridOperator):
     """Real eigenvalues ``lam`` of ``T0``, the matrix of ``op`` folded onto
     its seam frame (:meth:`GridOperator._folded_at`), when ``T0`` is a
     Hermitian circulant and the seam rows 0 and n of the matrix are equal;
-    None otherwise.
+    otherwise :class:`NotCirculant`, naming the check that failed with its
+    quantity and its bound.
 
     A circulant is fixed by its first column ``c``, and the DFT diagonalizes
     it: the vector ``exp(2 pi i j k / n)`` (over ``j``) has eigenvalue
@@ -399,33 +367,29 @@ def _checked_symbol(op: GridOperator):
     rows = np.tile(j, diagonals.size)
     shifts = np.repeat(diagonals, n)
     deviation = np.max(np.abs(op._folded_at(rows, (rows - shifts) % n) - c[shifts]))
-    if not deviation <= CIRCULANT_MATCH * np.max(np.abs(c)):
-        return None
+    bound = CIRCULANT_MATCH * np.max(np.abs(c))
+    if not deviation <= bound:
+        raise NotCirculant(f"{op!r}: circulant deviation {deviation:.3e} "
+                           f"exceeds {bound:.3e}")
     lam = np.fft.fft(c)
-    if not np.max(np.abs(lam.imag)) <= CIRCULANT_MATCH * np.sum(np.abs(c)):
-        return None
+    imag, bound = np.max(np.abs(lam.imag)), CIRCULANT_MATCH * np.sum(np.abs(c))
+    if not imag <= bound:
+        raise NotCirculant(f"{op!r}: symbol imaginary part {imag:.3e} "
+                           f"exceeds {bound:.3e}")
     cols = np.arange(n + 1)
-    if not np.array_equal(op._entries(0, cols), op._entries(n, cols)):
-        return None
+    top, bottom = op._entries(0, cols), op._entries(n, cols)
+    if not np.array_equal(top, bottom):
+        raise NotCirculant(f"{op!r}: seam rows 0 and {n} differ by "
+                           f"{np.max(np.abs(top - bottom)):.3e}, not 0")
     return lam.real
-
-
-def _periodic_eigenvalues(n):
-    """:func:`_checked_symbol` of the periodic derivative, which must pass
-    its checks."""
-    lam = _checked_symbol(GridOperator(n, PERIODIC))
-    if lam is None:
-        raise NotCirculant(f"the reduced periodic derivative at n = {n} "
-                           "fails the circulant check")
-    return lam
 
 
 def _resolvent_gap(eigenvalues):
     """Density gap ``1 / max`` of the eigenvalues of ``1 + B*B``, behind the
-    condition gate of :func:`z_transform`."""
+    condition gate of :func:`z_transform`, which a NaN fails."""
     top = float(eigenvalues.max())
     cond = top / eigenvalues.min()
-    if cond > RESOLVENT_COND_MAX:
+    if not cond <= RESOLVENT_COND_MAX:
         raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
     return 1.0 / top
 
@@ -540,9 +504,7 @@ class _DeflatedTransform(_GridTransform):
 def _circulant_transform(op: GridOperator, lam, phases=None):
     """Closed-form transform of a wrap-style periodic operator with the
     symbol ``lam`` of :func:`_checked_symbol`, conjugated by ``phases`` when
-    given, or None when that refused it."""
-    if lam is None:
-        return None
+    given."""
     gap = _resolvent_gap(1.0 + lam ** 2)
     return _CirculantTransform(lam, op._row_weights(), gap, phases)
 
@@ -560,7 +522,7 @@ def _pole_labels(d):
 
 def _deflated_transform(op: GridOperator, lam):
     """Closed-form transform of a wrap-style minimal operator with the symbol
-    ``lam`` of :func:`_checked_symbol`, or None when that refused it.
+    ``lam`` of :func:`_checked_symbol`.
 
     With the periodic frame ``F_p``, the matrix folded onto it is a checked
     circulant ``T0 = V diag(lam) V*`` (``V`` the unitary DFT), and equal seam
@@ -583,8 +545,6 @@ def _deflated_transform(op: GridOperator, lam):
     FFTs.  The eigenvalues of ``1 + B*B`` are the ``mu`` and the deflated
     ``d_g``, which fix the gap and the condition gate.
     """
-    if lam is None:
-        return None
     labels = _pole_labels(1.0 + lam ** 2)
     sizes = np.bincount(labels)
     d = 1.0 + np.bincount(labels, weights=lam ** 2) / sizes
@@ -609,9 +569,10 @@ def grid_transform(op: GridOperator) -> ZTransform:
     transform.  A wrap-style minimal operator is the periodic matrix on a
     smaller domain, and its transform comes from one ``eigh`` of size about
     ``n / 4`` (:func:`_deflated_transform`).  These closed forms keep their
-    symbol and read ``z`` off their ``apply`` only when it is read.  Every
-    other operator, and one whose checks fail, takes the dense
-    ``z_transform``.
+    symbol and read ``z`` off their ``apply`` only when it is read.  A
+    one-sided operator takes the dense ``z_transform``, its only path, and
+    a wrap-style operator whose circulant check fails raises
+    :class:`NotCirculant`: no operator falls back to another path.
     """
     return grid_transforms([op])[0]
 
@@ -627,19 +588,16 @@ def grid_transforms(ops) -> list:
 
 def _transform(op: GridOperator, symbols) -> ZTransform:
     """:func:`grid_transform` of ``op``, its symbol shared through ``symbols``
-    (see :func:`_shared_symbol`)."""
-    if op.action_style == "wrap":
-        if op.tag.kind == "twisted":
-            periodic = GridOperator(op.n, PERIODIC)
-            zt = _circulant_transform(periodic, _shared_symbol(periodic, symbols),
-                                      _twist_phases(op.n, op.tag.theta))
-        elif op.tag.kind == "minimal":
-            zt = _deflated_transform(op, _shared_symbol(op, symbols))
-        else:
-            zt = _circulant_transform(op, _shared_symbol(op, symbols))
-        if zt is not None:
-            return zt
-    return z_transform(op.as_domained())
+    (see :func:`_shared_symbol`): the path is the description's."""
+    if op.action_style == "onesided":
+        return z_transform(op.as_domained())
+    if op.tag.kind == "minimal":
+        return _deflated_transform(op, _shared_symbol(op, symbols))
+    if op.tag.kind == "twisted":
+        periodic = GridOperator(op.n, PERIODIC)
+        return _circulant_transform(periodic, _shared_symbol(periodic, symbols),
+                                    _twist_phases(op.n, op.tag.theta))
+    return _circulant_transform(op, _shared_symbol(op, symbols))
 
 
 def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> InclusionResult:
@@ -681,7 +639,7 @@ def transform_jump(za: ZTransform, zb: ZTransform, n) -> float:
 class KernelReport:
     """Numerical kernel of the composite second-order certificate operator."""
 
-    vector: GridFunction
+    vector: np.ndarray              # unit samples, trapezoid norm 1
     kernel_dim: int
     sigma_small: float
     sigma_next: float
@@ -742,8 +700,9 @@ def kernel_certificate(n) -> KernelReport:
     """
     if n < 32:
         raise GridTooCoarse(f"need n >= 32 for the kernel certificate, got {n}")
+    w = trapezoid_weights(n)
     Kw = _composite_certificate_matrix(n)
-    Kw *= np.sqrt(trapezoid_weights(n))[:, None]
+    Kw *= np.sqrt(w)[:, None]
     _, s, vh = np.linalg.svd(Kw)
     # deepest relative gap nearest the tail decides the kernel dimension
     dim = 0
@@ -755,12 +714,14 @@ def kernel_certificate(n) -> KernelReport:
         raise UnexpectedKernelDim(
             f"kernel dimension {dim} (singular values {s[-3:]})", dimension=dim)
     v = vh[-1].conj()
-    f = GridFunction(np.append(v, v[0])).normalized()     # E v: fold the seam
-    x = f.grid()
-    ref = GridFunction(np.exp(x) + np.exp(1.0 - x)).normalized()
-    if np.real(f.inner(ref)) < 0:
-        f = GridFunction(-f.samples)
-    err = GridFunction(f.samples - ref.samples).norm()
+    f = np.append(v, v[0]).astype(complex)      # E v: fold the seam
+    x = np.linspace(0.0, 1.0, n + 1)
+    # complex as f: a real reference moves comparison_error in its 11th digit
+    ref = (np.exp(x) + np.exp(1.0 - x)).astype(complex)
+    f, ref = (g / np.sqrt(np.sum(w * np.abs(g) ** 2)) for g in (f, ref))
+    if np.sum(w * np.conj(f) * ref).real < 0:
+        f = -f
+    err = np.sqrt(np.sum(w * np.abs(f - ref) ** 2))
     return KernelReport(vector=f, kernel_dim=1, sigma_small=float(s[-1]),
                         sigma_next=float(s[-2]), comparison_error=float(err),
                         gap_ratio=float(s[-1] / s[-2]))
@@ -777,4 +738,4 @@ def periodic_complement_floor(n) -> float:
     """
     if n < 32:
         raise GridTooCoarse(f"need n >= 32, got {n}")
-    return float(1.0 + np.min(_periodic_eigenvalues(n) ** 2))
+    return float(1.0 + np.min(_checked_symbol(GridOperator(n, PERIODIC)) ** 2))

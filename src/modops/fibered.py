@@ -30,7 +30,6 @@ from .diffops import (
     MINIMAL,
     PERIODIC,
     BoundaryTag,
-    GridFunction,
     GridOperator,
     grid_inclusion,
     grid_transform,
@@ -317,10 +316,10 @@ def _pairing_defect(local: GridOperator, candidate: GridOperator):
     w = trapezoid_weights(n)
     worst = 0.0
     for f in _smooth_probes(local.tag, n):
-        af = local.apply(GridFunction(f)).samples
+        af = local.apply(f)
         for g in _smooth_probes(candidate.tag, n):
             lhs = np.sum(w * np.conj(af) * g)
-            rhs = np.sum(w * np.conj(f) * candidate.apply(GridFunction(g)).samples)
+            rhs = np.sum(w * np.conj(f) * candidate.apply(g))
             nf = np.sqrt(np.sum(w * np.abs(f) ** 2))
             ng = np.sqrt(np.sum(w * np.abs(g) ** 2))
             worst = max(worst, abs(lhs - rhs) / (nf * ng))

@@ -219,9 +219,9 @@ def z_transform(T: DomainedOperator) -> ZTransform:
     if d == 0:
         return ZTransform._exact(np.zeros((T.ambient_dim,) * 2, dtype=complex), 1.0)
     inv_sqrt, lam = eigh_sqrt(np.eye(d) + B.conj().T @ B, inverse=True)
-    if lam[-1] / lam[0] > RESOLVENT_COND_MAX:
-        raise SingularResolvent(
-            f"condition number of (1 + T*T) is {lam[-1] / lam[0]:.3e}")
+    cond = lam[-1] / lam[0]
+    if not cond <= RESOLVENT_COND_MAX:          # a NaN fails the gate
+        raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
     gap = min(1.0, 1.0 / float(lam[-1]))
     return ZTransform._exact(B @ inv_sqrt @ T.frame.conj().T, gap)
 

@@ -19,7 +19,7 @@ from modops.cli import (
     run,
 )
 from modops.correspondence import RoundtripVerdict
-from modops.diffops import PERIODIC, BoundaryTag
+from modops.diffops import PERIODIC, BoundaryTag, GridOperator
 from modops.errors import MalformedSpec
 
 DENSITY_SPEC = """\
@@ -93,22 +93,29 @@ def test_config_range_guards():
 
 
 def test_certify_nonregular_refuses_a_grid_too_large_to_hold(capsys, monkeypatch):
-    # 1 matrix of 20001x20001 takes 6.4 GB, more than 4 GB
+    # 4 matrices of 20001x20001 take 25.6 GB, more than 4 GB
     monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 10 ** 9)
     assert main(["certify-nonregular", "--n-x", "20000"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: n_x = 20000 needs at least 6.4 GB")
-    assert "GB for 1 dense 20001x20001 complex matrices" in err
+    assert err.startswith("input error: n_x = 20000 needs at least 25.6 GB")
+    assert "GB for 4 dense 20001x20001 complex matrices" in err
     # extend holds no dense matrix, so the largest grid is admitted
     assert RunConfig("extend", n_x=20000)._grid_pipeline() == "extend"
+    # with 8.4 GB, n_x = 12800 is refused before any work, as its kernel
+    # SVD would take about 11 GB; 3200 (0.7 GB by the count) is admitted
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8.4 * 10 ** 9)
+    with pytest.raises(MalformedSpec, match=re.escape(
+            "n_x = 12800 needs at least 10.5 GB for 4 dense 12801x12801")):
+        RunConfig("certify-nonregular", n_x=12800)
+    RunConfig("certify-nonregular", n_x=3200)
 
 
 def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("certify-nonregular", n_x=400)    # the defaults fit this machine
     monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 10 ** 7)
-    RunConfig("certify-nonregular", n_x=400)    # 1 matrix of 401x401 takes 2.6 MB
+    RunConfig("certify-nonregular", n_x=400)    # 4 matrices of 401x401 take 10 MB
     RunConfig("certify-nonregular", n_x=400, n_pi=4096)  # none of them per base point
-    with pytest.raises(MalformedSpec, match=r"needs at least 0\.1 GB for 1 dense"):
+    with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
         RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated by n_x; the default phi-roundtrip
     # module's 5 matrices of 18x18 take 26 KB
@@ -245,7 +252,7 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     n_x, n_pi = 200, 5
     cfg = RunConfig(command, n_x=n_x, n_pi=n_pi, output_path=str(tmp_path / "r.txt"),
                     **extra)
-    k = cli._DENSE_MATRICES[cfg._grid_pipeline()]
+    k = cli._DENSE_MATRICES[cfg._grid_pipeline()] - _LAPACK_MATRICES.get(command, 0)
     tracemalloc.start()
     try:
         run(cfg)
@@ -253,6 +260,36 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     finally:
         tracemalloc.stop()
     assert peak >= 16 * (n_x + 1) ** 2 * k
+
+
+# the part of a pipeline's count that LAPACK allocates, out of tracemalloc's
+# sight: the kernel SVD's copy of K and its workspace, which
+# test_kernel_matrix_count_is_a_lower_count counts from the peak RSS
+_LAPACK_MATRICES = {"kernel-cert": 3, "certify-nonregular": 3}
+
+
+@pytest.mark.parametrize("command", ["kernel-cert", "certify-nonregular"])
+def test_kernel_matrix_count_is_a_lower_count(tmp_path, command):
+    # the kernel stage's count includes LAPACK's workspace, which only the
+    # process's peak RSS sees: in a fresh process, the peak over the one
+    # reached by the import is at least the count at n_x = 800 (4.7
+    # matrices there, 4.3 at 3200).  The peak is the image's VmHWM, since
+    # ru_maxrss keeps across exec the peak of the forking test process.
+    n_x = 800
+    code = ("def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        kib = [ln.split()[1] for ln in fh if ln.startswith('VmHWM:')]\n"
+            "    return 1024 * int(kib[0])\n"
+            "from modops.cli import RunConfig, run\n"
+            "before = peak()\n"
+            f"run(RunConfig({command!r}, n_x={n_x}, output_path={str(tmp_path / 'k.txt')!r}))\n"
+            "print(peak() - before)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) >= 16 * (n_x + 1) ** 2 * cli._DENSE_MATRICES[command]
 
 
 def test_extend_with_a_modulus_keeps_the_dense_matrix_count(tmp_path):
@@ -435,6 +472,41 @@ def test_spec_paths_exit_as_documented(tmp_path, capsys, argv, spec, code, strea
             "stdout": captured.out, "stderr": captured.err}[stream]
     assert re.search(pattern, text)
     assert stream == "report" or not out.exists()
+
+
+@pytest.mark.parametrize("dims, entries", [
+    ("2", "1e200 0 ; 0 1"), ("1", "1e200"), ("1", "1e308,1e308")],
+    ids=["dims2-1e200", "dims1-1e200", "dims1-1e308-complex"])
+def test_overflowing_symbols_fail_the_condition_gate(tmp_path, capsys, dims, entries):
+    # 1 + T*T overflows, so its eigenvalues and their ratio are NaN, which
+    # the condition gate refuses instead of printing a gap made of NaN
+    spec = write(tmp_path, f"[algebra]\nlabels = a\ndims = {dims}\n\n[operator]\n"
+                           f"kind = symbol\nelement = t\n\n[element t]\na = {entries}\n")
+    out = tmp_path / "never.txt"
+    with pytest.warns(RuntimeWarning):
+        assert main(["zfield", "--config", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "tolerance violation: condition number of (1 + T*T) is nan\n"
+    assert not out.exists()
+
+
+def test_a_failed_circulant_check_exits_3(tmp_path, capsys, monkeypatch):
+    # a broken stencil in every grid operator: the periodic fiber's check
+    # fails and names itself, where a dense transform once stood in silently
+    stencil = GridOperator._stencil
+
+    def bumped(self):
+        rows, cols, vals = stencil(self)
+        return np.append(rows, 7), np.append(cols, 30), np.append(vals, 1.0)
+    monkeypatch.setattr(GridOperator, "_stencil", bumped)
+    spec = write(tmp_path, "[grid]\nn_x = 64\n\n[operator]\nkind = tags\n"
+                           "tags = periodic twisted:0.5\n")
+    out = tmp_path / "never.txt"
+    assert main(["zfield", "--config", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "tolerance violation: GridOperator(n=64, tag=PERIODIC, style=wrap): circulant "
+        "deviation 1.000e+00 exceeds 1.137e-13\n")
+    assert not out.exists()
 
 
 def test_phi_roundtrip_pipeline(tmp_path):

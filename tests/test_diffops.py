@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,6 @@ from modops.diffops import (
     MINIMAL,
     PERIODIC,
     BoundaryTag,
-    GridFunction,
     GridOperator,
     grid_inclusion,
     grid_transform,
@@ -33,8 +34,23 @@ from modops.tolerances import CIRCULANT_MATCH, MEMBERSHIP_SLACK
 
 
 def sampled(f, n):
-    """The grid function of ``f`` sampled at the ``n + 1`` grid points."""
-    return GridFunction(np.asarray([f(x) for x in np.linspace(0.0, 1.0, n + 1)]))
+    """``f`` sampled at the ``n + 1`` grid points."""
+    return np.asarray([f(x) for x in np.linspace(0.0, 1.0, n + 1)], dtype=complex)
+
+
+def trapezoid_norm(f):
+    """The discrete L2 norm of the grid samples ``f``, with trapezoid weights."""
+    return float(np.sqrt(np.sum(trapezoid_weights(f.size - 1) * np.abs(f) ** 2)))
+
+
+def refusal(op):
+    """What :func:`diffops._checked_symbol` names when it refuses ``op``, or
+    None when ``op`` passes its checks."""
+    try:
+        diffops._checked_symbol(op)
+    except NotCirculant as exc:
+        return str(exc)
+    return None
 
 
 def constraint_matrix(op):
@@ -210,17 +226,22 @@ def test_matrix_keys_agree_with_matrix_equality(n):
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_symbol_is_that_of_the_dense_fold(n):
+    checks = []
     for op in every_operator(n):
-        got, want = diffops._checked_symbol(op), dense_symbol(op)
-        assert (got is None) == (want is None), op
-        if got is not None:
-            assert got.tobytes() == want.tobytes(), op
-    # one-sided rows are not circulant, and the seam rows of a twist other
-    # than 0 differ by its phase; a twisted operator reads the periodic symbol
-    assert [diffops._checked_symbol(op) is None for op in every_operator(n)] == \
-        [True, True, False, False, True, False, True, True]
+        message, want = refusal(op), dense_symbol(op)
+        assert (message is None) == (want is not None), op
+        if message is None:
+            assert diffops._checked_symbol(op).tobytes() == want.tobytes(), op
+        else:
+            assert message.startswith(f"{op!r}: "), message
+            checks.append(message.split(": ")[1].split(" ")[0])
+    # one-sided rows are not circulant, nor is the fold of a twist other
+    # than 0, whose phase runs along the grid; a twisted operator reads the
+    # periodic symbol
+    assert [refusal(op) is None for op in every_operator(n)] == \
+        [False, False, True, True, False, True, False, False]
+    assert checks == ["circulant"] * 5
     lam = dense_symbol(GridOperator(n, PERIODIC))
-    assert diffops._periodic_eigenvalues(n).tobytes() == lam.tobytes()
     if n >= 32:
         assert periodic_complement_floor(n) == float(1.0 + np.min(lam ** 2))
         assert periodic_spectrum(n, n // 4).tobytes() == \
@@ -323,14 +344,39 @@ def test_composite_certificate_matrix_is_the_dense_product(n):
 
 def test_checked_symbol_refuses_broken_stencils():
     n = 64
-    for bumps in ({(7, 8): 1e-9}, {(7, 30): 1.0}, {(5, 6): np.nan}, {(0, 1): 1e-6}):
+    head = r"^GridOperator\(n=64, tag=PERIODIC, style=wrap\): "
+    bound = r" exceeds 1\.137e-13$"          # CIRCULANT_MATCH * max|c|, max|c| = 32
+    for bumps, message in (({(7, 8): 1e-9}, r"circulant deviation 1\.000e-09" + bound),
+                           ({(7, 30): 1.0}, r"circulant deviation 1\.000e\+00" + bound),
+                           ({(5, 6): np.nan}, r"circulant deviation nan" + bound),
+                           ({(0, 1): 1e-6}, r"circulant deviation 5\.000e-07" + bound)):
         op = Bumped(n, PERIODIC, bumps=bumps)
-        assert diffops._checked_symbol(op) is None, bumps
+        with pytest.raises(NotCirculant, match=head + message):
+            diffops._checked_symbol(op)
         assert dense_symbol(op) is None, bumps
     # a bump on every interior row along one diagonal keeps the fold circulant
     # but for the seam row, which the check reads too
     op = Bumped(n, PERIODIC, bumps={(j, j + 1): 1.0 for j in range(1, n)})
-    assert diffops._checked_symbol(op) is None and dense_symbol(op) is None
+    assert refusal(op).startswith("GridOperator(n=64, tag=PERIODIC, style=wrap): "
+                                  "circulant deviation ")
+    assert dense_symbol(op) is None
+    # bumping the seam rows too makes the fold a circulant that is not
+    # Hermitian, whose symbol leaves the real axis
+    bumps = {(j, j + 1): 1.0 for j in range(n)} | {(n, 1): 1.0}
+    op = Bumped(n, PERIODIC, bumps=bumps)
+    with pytest.raises(NotCirculant, match=head + r"symbol imaginary part \S+ exceeds \S+$"):
+        diffops._checked_symbol(op)
+    assert dense_symbol(op) is None
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 63, 64, 65, 77, 105, 400, 401, 4096, 12345,
+                               19999, 20000])
+def test_checked_symbol_accepts_the_wrap_operators_over_the_grid_range(n):
+    # both wrap operators pass at every n_x from 8 to 20000, the range the
+    # CLI serves, as a sweep of all of them (9 minutes) found once; these
+    # sizes keep its ends, both parities and exact and inexact 1 / h
+    for op in (GridOperator(n, PERIODIC), GridOperator(n, MINIMAL, "wrap")):
+        assert diffops._checked_symbol(op).shape == (n,)
 
 
 # ---------------------------------------------------------------------- tags
@@ -354,10 +400,21 @@ def test_twisted_tag_refuses_non_finite_angles(theta):
 
 # ------------------------------------------------------------- grid function
 def test_grid_function_norm_is_trapezoid():
-    f = GridFunction(np.ones(11))
-    assert f.norm() == pytest.approx(1.0)
-    g = sampled(lambda x: x, 100)
-    assert g.norm() == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-4)
+    assert trapezoid_norm(np.ones(11)) == pytest.approx(1.0)
+    assert trapezoid_norm(sampled(lambda x: x, 100)) == \
+        pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_apply_is_the_matrix_on_sample_arrays(n):
+    x = sampled(lambda t: np.exp(t) + 1j * np.cos(3.0 * t), n)
+    for op in every_operator(n):
+        y = op.apply(x)
+        assert y.shape == (n + 1,) and y.dtype == complex, op
+        assert_allclose(y, op.matrix @ x, rtol=1e-14, atol=1e-14 * n, err_msg=repr(op))
+    assert_allclose(GridOperator(n, PERIODIC).apply(np.ones(n + 1)), 0.0, rtol=0, atol=0)
+    with pytest.raises(ValueError, match=f"need {n + 1} grid samples, got shape"):
+        GridOperator(n, PERIODIC).apply(np.ones(n))
 
 
 # ----------------------------------------------------------------- operators
@@ -370,8 +427,8 @@ def test_build_derivative_rejects_coarse_grid():
 
 def test_maximal_on_constant_is_zero():
     op = GridOperator(64, MAXIMAL)
-    out = op.apply(GridFunction(np.ones(65)))
-    assert np.max(np.abs(out.samples)) <= 1e-12
+    out = op.apply(np.ones(65))
+    assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_periodic_eigenrelation_second_order():
@@ -380,7 +437,7 @@ def test_periodic_eigenrelation_second_order():
         op = GridOperator(n, PERIODIC)
         f = sampled(lambda x: np.exp(2j * np.pi * x), n)
         out = op.apply(f)
-        errs.append(GridFunction(out.samples + 2 * np.pi * f.samples).norm())
+        errs.append(trapezoid_norm(out + 2 * np.pi * f))
     assert errs[0] <= 0.5 * (2 * np.pi) ** 3 * (1 / 100) ** 2
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -389,7 +446,7 @@ def test_maximal_derivative_second_order_on_nonperiodic_function():
     n = 200
     op = GridOperator(n, MAXIMAL)
     f = sampled(np.exp, n)
-    err = GridFunction(op.apply(f).samples - 1j * f.samples).norm()
+    err = trapezoid_norm(op.apply(f) - 1j * f)
     assert err <= 10 * (1 / n) ** 2
 
 
@@ -629,7 +686,7 @@ def periodic_spectrum(n, m):
     alternating vector sits in the kernel at even n).  For ``m <= n / 4``
     the values approximate -2 pi k with relative error O((k h)^2).
     """
-    return diffops._periodic_eigenvalues(n)[np.arange(-m, m + 1) % n]
+    return diffops._checked_symbol(GridOperator(n, PERIODIC))[np.arange(-m, m + 1) % n]
 
 
 def test_periodic_spectrum_fourier_oracle():
@@ -751,27 +808,46 @@ def test_non_circulant_fibers_take_the_dense_transform(linalg_calls, tag, style)
     assert zt.density_gap == dense.density_gap
 
 
+def _stencil_with(stencil, row, col, value):
+    """``GridOperator._stencil`` with the extra nonzero ``(row, col, value)``,
+    as a broken assembly of every grid operator would have it."""
+    def bumped(self):
+        rows, cols, vals = stencil(self)
+        return np.append(rows, row), np.append(cols, col), np.append(vals, value)
+    return bumped
+
+
 @pytest.mark.parametrize("tag", [PERIODIC, BoundaryTag.twisted(1.1), MINIMAL])
-def test_failed_circulant_check_falls_back_to_the_dense_transform(
-        monkeypatch, linalg_calls, tag):
-    monkeypatch.setattr(diffops, "_checked_symbol", lambda op: None)
-    op = GridOperator(64, tag, "wrap")
-    zt = grid_transform(op)
-    assert linalg_calls == ["eigh"]
-    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
-    with pytest.raises(NotCirculant):
+def test_failed_circulant_check_refuses_the_transform(monkeypatch, linalg_calls, tag):
+    # a wrap-style fiber's one path is its closed form: a broken stencil
+    # raises, naming the operator checked (a twisted fiber reads the
+    # periodic symbol), and no dense transform is built instead
+    monkeypatch.setattr(GridOperator, "_stencil",
+                        _stencil_with(GridOperator._stencil, 7, 30, 1.0))
+    checked = GridOperator(64, MINIMAL if tag == MINIMAL else PERIODIC, "wrap")
+    message = re.escape(f"{checked!r}: circulant deviation 1.000e+00 exceeds 1.137e-13")
+    with pytest.raises(NotCirculant, match=f"^{message}$"):
+        grid_transform(GridOperator(64, tag, "wrap"))
+    with pytest.raises(NotCirculant, match="circulant deviation"):
         periodic_complement_floor(64)
+    assert linalg_calls == []
+    if tag.kind != "twisted":
+        # a one-sided fiber's one path is the dense transform, which reads
+        # no symbol
+        assert type(grid_transform(GridOperator(64, tag, "onesided"))) is ZTransform
+        assert linalg_calls == ["eigh"]
 
 
-def test_unequal_seam_rows_fall_back_to_the_dense_transform(linalg_calls):
+def test_unequal_seam_rows_refuse_the_transform(linalg_calls):
     # opposite changes to rows 0 and n leave the folded T0 circulant, but
     # the action then leaves the periodic domain, so B = F T0 fails
     op = Bumped(64, PERIODIC, bumps={(0, 5): 1.0, (64, 5): -1.0})
     assert circulant_eigenvalues(dense_fold(op)) is not None
-    assert diffops._checked_symbol(op) is None
-    zt = grid_transform(op)
-    assert linalg_calls == ["eigh"]
-    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
+    with pytest.raises(NotCirculant, match=re.escape(
+            "GridOperator(n=64, tag=PERIODIC, style=wrap): seam rows 0 and 64 differ "
+            "by 2.000e+00, not 0")):
+        grid_transform(op)
+    assert linalg_calls == []
 
 
 def test_closed_form_keeps_the_condition_gate(monkeypatch):
@@ -833,13 +909,14 @@ def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_ca
     _minimal_against_the_dense_oracle(n)
 
 
-def test_minimal_fiber_with_another_matrix_takes_the_dense_transform(linalg_calls):
-    # opposite changes to the seam rows: no longer the periodic wrap matrix
+def test_minimal_fiber_with_another_matrix_is_refused(linalg_calls):
+    # opposite changes to the seam rows: no longer the periodic wrap matrix,
+    # so the deflated closed form does not hold, and no dense one is built
     op = Bumped(64, MINIMAL, "wrap", bumps={(0, 5): 1.0, (64, 5): -1.0})
-    assert diffops._checked_symbol(op) is None
-    zt = grid_transform(op)
-    assert linalg_calls == ["eigh"]
-    assert_allclose(zt.z, z_transform(op.as_domained()).z, rtol=0, atol=0)
+    with pytest.raises(NotCirculant, match=r"^GridOperator\(n=64, tag=MINIMAL, "
+                                           r"style=wrap\): seam rows 0 and 64 differ"):
+        grid_transform(op)
+    assert linalg_calls == []
 
 
 def _symbol_fibers(k, seed):
@@ -861,14 +938,13 @@ def test_jump_is_one_lanczos_norm_for_every_pair(linalg_calls, n):
     mw, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
     tw, tw2 = (GridOperator(n, BoundaryTag.twisted(t)) for t in (0.5, 2.9))
     mn, mx = GridOperator(n, MINIMAL), GridOperator(n, MAXIMAL)
-    bumped = Bumped(n, PERIODIC, bumps={(3, 4): 1.0})
-    # a bumped operator compares equal to the periodic one: index a list
-    zts = diffops.grid_transforms([mw, per, tw, tw2, mn, mx, bumped])
+    po = GridOperator(n, PERIODIC, "onesided")
+    zts = diffops.grid_transforms([mw, per, tw, tw2, mn, mx, po])
     assert [isinstance(zt, diffops._GridTransform) for zt in zts] == [True] * 4 + [False] * 3
-    MW, PER, TW, TW2, MN, MX, BUMPED = range(7)
+    MW, PER, TW, TW2, MN, MX, PO = range(7)
     pairs = [(MW, PER),                          # the deflated pair
              (PER, TW), (TW, TW2), (MW, TW),     # closed forms
-             (MW, BUMPED), (PER, MN), (TW, MX),  # a closed form and a dense one
+             (MW, PO), (PER, MN), (TW, MX),      # a closed form and a dense one
              (MN, MX)]                           # dense, one-sided
     cases = [(zts[a], zts[b], n + 1) for a, b in pairs]
     s0, s1 = _symbol_fibers(3, n)
