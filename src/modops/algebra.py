@@ -225,7 +225,8 @@ def ideal_density_check(generators) -> DensityReport:
 
     On a finite model density means equality, and the right ideal generated by
     ``g_1, ..., g_r`` is full in fiber ``pi`` exactly when the combined column
-    spaces of the ``g_i`` fibers span the whole fiber space.
+    spaces of the ``g_i`` fibers span the whole fiber space: the rank counts
+    the singular values above ``TOL_ALG`` times the largest.
     """
     gens = list(generators)
     if not gens:
@@ -237,8 +238,7 @@ def ideal_density_check(generators) -> DensityReport:
     for lab, d in zip(index.labels, index.dims):
         stacked = np.hstack([g.fibers[lab] for g in gens])
         s = np.linalg.svd(stacked, compute_uv=False)
-        rtol = max(max(stacked.shape) * np.finfo(float).eps, TOL_ALG)
-        rank = int(np.sum(s > rtol * s[0]))
+        rank = int(np.sum(s > TOL_ALG * s[0]))
         ranks[lab] = rank
         per_fiber[lab] = rank == d
     return DensityReport(per_fiber=per_fiber, ranks=ranks)

@@ -122,7 +122,6 @@ class RunConfig:
     n_x: int = 400
     n_pi: int = 16
     tol_graph: float = TOL_GRAPH
-    modulus: float | None = None            # validated; cannot change a verdict
     seed: int = 0
     algebra: FiberIndex | None = None
     rows: tuple | None = None
@@ -144,9 +143,6 @@ class RunConfig:
         if not (math.isfinite(self.tol_graph) and self.tol_graph > 0):
             raise MalformedSpec(
                 f"tol_graph = {self.tol_graph} must be finite and positive")
-        if self.modulus is not None and not (math.isfinite(self.modulus)
-                                             and self.modulus >= 0):
-            raise MalformedSpec(f"modulus = {self.modulus} must be finite and >= 0")
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         if self.command == "phi-roundtrip":
@@ -317,7 +313,10 @@ def config_from_sections(command, sections, **overrides):
     if "kind" in gauge:
         cfg["gauge_kind"] = gauge["kind"][0]
     if "modulus" in gauge:
-        cfg["modulus"] = float(gauge["modulus"][0])
+        # checked, then dropped: no gluing modulus changes a glued field
+        modulus = float(gauge["modulus"][0])
+        if not (math.isfinite(modulus) and modulus >= 0):
+            raise MalformedSpec(f"modulus = {modulus} must be finite and >= 0")
     if "samples" in gauge:
         value, lineno = gauge["samples"]
         cfg["gauge_samples"] = np.real(_parse_matrix(value, lineno))
@@ -613,17 +612,13 @@ def main(argv=None):
     parser.add_argument("--n-x", type=int, help="space grid steps")
     parser.add_argument("--n-pi", type=int, help="base grid points")
     parser.add_argument("--tol-graph", type=float, help="graph-inclusion tolerance")
-    parser.add_argument("--modulus", type=float,
-                        help="gluing modulus, checked finite and >= 0; on a finite "
-                             "grid no modulus can change an extend verdict")
     args = parser.parse_args(argv)
 
     try:
         sections = parse_spec_file(args.config) if args.config else {}
         cfg = config_from_sections(
             args.command, sections, output_path=args.out,
-            n_x=args.n_x, n_pi=args.n_pi, tol_graph=args.tol_graph,
-            modulus=args.modulus)
+            n_x=args.n_x, n_pi=args.n_pi, tol_graph=args.tol_graph)
     except (MalformedSpec, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

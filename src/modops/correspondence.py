@@ -25,8 +25,8 @@ import numpy as np
 
 from .algebra import FiberIndex, block_diag
 from .errors import IllDefined
-from .operators import DomainedOperator, graph_inclusion
-from .tolerances import FRAME_ORTHO_ATOL, RANK_RTOL, TOL_ALG
+from .operators import DomainedOperator, frame_gate, graph_inclusion
+from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
     "ModuleModel",
@@ -88,14 +88,7 @@ def left_module_operator(model: ModuleModel, blocks: dict,
             raise ValueError(f"block {lab!r} must be {m}x{m}")
         acts.append(np.kron(b, np.eye(k)))
         v = None if domain_columns is None else domain_columns.get(lab)
-        if v is None:
-            frames.append(np.eye(m * k, dtype=complex))
-            continue
-        v = np.asarray(v, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != m:
-            raise ValueError("frame rows must match the ambient dimension")
-        if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=FRAME_ORTHO_ATOL):
-            raise ValueError("frame columns must be orthonormal")
+        v = np.eye(m) if v is None else frame_gate(v, m)
         frames.append(np.kron(v, np.eye(k)))
     return DomainedOperator._trusted(block_diag(acts), block_diag(frames))
 
@@ -135,7 +128,7 @@ def _left_multiplier(op: DomainedOperator, source: ModuleModel,
         scale = max(scale, np.linalg.norm(y, 2))
         blocks[lab] = (y @ (v / s[:r])) @ u[:, :r].conj().T
         columns[lab] = u[:, :r]
-    if leak > TOL_ALG * (1.0 + scale):
+    if not leak <= TOL_ALG * (1.0 + scale):
         raise IllDefined("two representations of one vector map to "
                          "different images", residual=float(leak))
     return left_module_operator(target, blocks, columns)

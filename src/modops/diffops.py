@@ -30,19 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import complement_eigh, top_singular_value
-from .errors import GridTooCoarse, NotCirculant, SingularResolvent, UnexpectedKernelDim
+from .errors import GridTooCoarse, NotCirculant, UnexpectedKernelDim
 from .operators import (
     DomainedOperator,
     InclusionResult,
     ZTransform,
     graph_inclusion,
+    resolvent_gate,
     z_transform,
 )
 from .tolerances import (
     CIRCULANT_MATCH,
     KERNEL_GAP,
     MEMBERSHIP_SLACK,
-    RESOLVENT_COND_MAX,
     SPECTRUM_GROUP_MATCH,
     TOL_GRAPH,
 )
@@ -357,8 +357,7 @@ def _checked_symbol(op: GridOperator):
     rows and the seam row decide this on those diagonals alone.  Every
     ``fft(c)`` has an imaginary part within ``CIRCULANT_MATCH * sum|c|``,
     the scale of the FFT's roundoff.  Rows 0 and n of the matrix are equal,
-    so the action maps the domain into itself and ``B = F T0``.  The first
-    two are written so that a NaN fails them.
+    so the action maps the domain into itself and ``B = F T0``.
     """
     n = op.n
     j = np.arange(n)
@@ -382,16 +381,6 @@ def _checked_symbol(op: GridOperator):
         raise NotCirculant(f"{op!r}: seam rows 0 and {n} differ by "
                            f"{np.max(np.abs(top - bottom)):.3e}, not 0")
     return lam.real
-
-
-def _resolvent_gap(eigenvalues):
-    """Density gap ``1 / max`` of the eigenvalues of ``1 + B*B``, behind the
-    condition gate of :func:`z_transform`, which a NaN fails."""
-    top = float(eigenvalues.max())
-    cond = top / eigenvalues.min()
-    if not cond <= RESOLVENT_COND_MAX:
-        raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
-    return 1.0 / top
 
 
 def _shared_symbol(op: GridOperator, symbols):
@@ -505,7 +494,7 @@ def _circulant_transform(op: GridOperator, lam, phases=None):
     """Closed-form transform of a wrap-style periodic operator with the
     symbol ``lam`` of :func:`_checked_symbol`, conjugated by ``phases`` when
     given."""
-    gap = _resolvent_gap(1.0 + lam ** 2)
+    gap = resolvent_gate(1.0 + lam ** 2)
     return _CirculantTransform(lam, op._row_weights(), gap, phases)
 
 
@@ -549,7 +538,7 @@ def _deflated_transform(op: GridOperator, lam):
     sizes = np.bincount(labels)
     d = 1.0 + np.bincount(labels, weights=lam ** 2) / sizes
     mu, y = complement_eigh(d, np.sqrt(sizes / op.n))
-    gap = _resolvent_gap(np.concatenate([mu, d[sizes > 1]]))
+    gap = resolvent_gate(np.concatenate([mu, d[sizes > 1]]))
     g = (y / np.sqrt(mu)) @ y.T - np.diag(1.0 / np.sqrt(d))
     return _DeflatedTransform(lam, op._row_weights(), gap, labels, g)
 

@@ -53,6 +53,9 @@ from .operators import (
 from .tolerances import (
     GAUGE_HALVING_RATIO,
     GAUGE_INCREMENT_MATCH,
+    JUMP_FLOOR,
+    JUMP_MEDIAN_FACTOR,
+    PAIRING_DEFECT_C,
     TOL_ALG,
     TOL_GAP,
     TOL_GRAPH,
@@ -74,15 +77,6 @@ __all__ = [
     "gauge_extension",
     "extension_inclusion_check",
 ]
-
-# fields flagged as discontinuous when a deviation exceeds 10x the median,
-# guarded by an absolute floor so constant fields with roundoff never flag
-JUMP_MEDIAN_FACTOR = 10.0
-JUMP_FLOOR = 1e-10
-
-# smooth-probe summation-by-parts defect allowance, units of h^2 (measured
-# constant is ~22 for the stencils in use; factor three of headroom)
-PAIRING_DEFECT_C = 60.0
 
 
 class FiberedOperator:
@@ -541,7 +535,7 @@ def gauge_extension(t0: GridOperator, U: GaugeField) -> GaugeExtensionResult:
     matrix is formed.
     """
     w = grid_transform(t0)
-    if w.density_gap <= TOL_GAP:
+    if not w.density_gap > TOL_GAP:
         raise NotDense("base operator is not regular at this resolution")
 
     devs = _increment_deviations(U.phases, w)
@@ -667,7 +661,7 @@ def _gauge_continuity_check(U: GaugeField, w: ZTransform, z_devs):
     if fine <= JUMP_FLOOR:
         return
     coarse = _conjugation_deviation(U.phases[::2], w)
-    if fine > GAUGE_HALVING_RATIO * coarse:
+    if not fine <= GAUGE_HALVING_RATIO * coarse:
         raise GaugeNotContinuous(
             f"adjacent deviation {fine:.3e} does not halve under step halving "
             f"(coarse {coarse:.3e})")
@@ -715,7 +709,7 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator, tol=TOL_GR
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
-    if not np.allclose(S.pi_grid, T.pi_grid):
+    if not np.array_equal(S.pi_grid, T.pi_grid):
         raise ValueError("fields must share the base grid")
     if gauge is not None:
         if len(gauge) != S.n_fibers:

@@ -63,6 +63,28 @@ def orthonormal_frame(columns):
     return u[:, :rank]
 
 
+def frame_gate(frame, rows):
+    """``frame`` as a complex matrix of ``rows`` rows whose every entry of
+    ``F*F - 1`` is within ``FRAME_ORTHO_ATOL``, or :class:`ValueError`."""
+    frame = np.array(frame, dtype=complex)
+    if frame.ndim != 2 or frame.shape[0] != rows:
+        raise ValueError("frame rows must match the ambient dimension")
+    defect = np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
+    if not np.max(defect, initial=0.0) <= FRAME_ORTHO_ATOL:
+        raise ValueError("frame columns must be orthonormal")
+    return frame
+
+
+def resolvent_gate(eigenvalues) -> float:
+    """Density gap ``min(1, 1 / max)`` of the eigenvalues of ``1 + B*B``;
+    :class:`SingularResolvent` unless ``max / min <= RESOLVENT_COND_MAX``."""
+    top = float(np.max(eigenvalues))
+    cond = top / np.min(eigenvalues)
+    if not cond <= RESOLVENT_COND_MAX:
+        raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
+    return min(1.0, 1.0 / top)
+
+
 class DomainedOperator:
     """A linear action together with an orthonormal frame spanning its domain.
 
@@ -79,13 +101,7 @@ class DomainedOperator:
         n = action.shape[0]
         if frame is None:
             return self._freeze(action, np.eye(n, dtype=complex))
-        frame = np.array(frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] != n:
-            raise ValueError("frame rows must match the ambient dimension")
-        gram = frame.conj().T @ frame
-        if not np.allclose(gram, np.eye(frame.shape[1]), atol=FRAME_ORTHO_ATOL):
-            raise ValueError("frame columns must be orthonormal")
-        self._freeze(action, frame)
+        self._freeze(action, frame_gate(frame, n))
 
     def _freeze(self, action, frame):
         action.flags.writeable = False
@@ -168,7 +184,7 @@ class ZTransform:
     def __init__(self, z):
         z = np.asarray(z, dtype=complex)
         nz = np.linalg.norm(z, 2)
-        if nz > 1.0 + TOL_ALG:
+        if not nz <= 1.0 + TOL_ALG:
             raise ValueError(f"not a contraction: ||z|| = {nz:.6f}")
         gap = float(np.linalg.eigvalsh(np.eye(z.shape[1]) - z.conj().T @ z)[0])
         self._z = z
@@ -219,10 +235,7 @@ def z_transform(T: DomainedOperator) -> ZTransform:
     if d == 0:
         return ZTransform._exact(np.zeros((T.ambient_dim,) * 2, dtype=complex), 1.0)
     inv_sqrt, lam = eigh_sqrt(np.eye(d) + B.conj().T @ B, inverse=True)
-    cond = lam[-1] / lam[0]
-    if not cond <= RESOLVENT_COND_MAX:          # a NaN fails the gate
-        raise SingularResolvent(f"condition number of (1 + T*T) is {cond:.3e}")
-    gap = min(1.0, 1.0 / float(lam[-1]))
+    gap = resolvent_gate(lam)
     return ZTransform._exact(B @ inv_sqrt @ T.frame.conj().T, gap)
 
 
@@ -233,7 +246,7 @@ def from_z(zt: ZTransform) -> DomainedOperator:
     the frame spanning the range of ``(1 - z*z)^{1/2}``, which is everything
     once the gap clears it.
     """
-    if zt.density_gap <= TOL_GAP:
+    if not zt.density_gap > TOL_GAP:
         raise NotDense(f"density gap {zt.density_gap:.3e} <= {TOL_GAP:.1e}")
     z = zt.z
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
@@ -287,7 +300,7 @@ def _check_sqrt_identity(left_inner, right, exc, label):
     lhs = hermitian_sqrt(left_inner)
     residual = np.linalg.norm(lhs - right, 2)
     scale = 1.0 + np.linalg.norm(right, 2)
-    if residual > TOL_ALG * scale:
+    if not residual <= TOL_ALG * scale:
         raise exc(f"{label} residual {residual:.3e} exceeds {TOL_ALG:.1e} (relative)",
                   residual=float(residual))
     return float(residual)
@@ -302,7 +315,8 @@ def restrict_via_isometry(zt: ZTransform, u) -> ZTransform:
     """
     u = np.asarray(u, dtype=complex)
     z = zt.z
-    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) > UNITARY_SLACK * TOL_ALG:
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2)
+    if not defect <= UNITARY_SLACK * TOL_ALG:
         raise NotIsometry("u*u differs from the identity")
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
     _check_sqrt_identity(u.conj().T @ R2 @ u, hermitian_sqrt(R2) @ u,
@@ -315,7 +329,8 @@ def extend_via_coisometry(zt: ZTransform, u) -> ZTransform:
     under the mirrored square-root identity ``(u(1-zz*)u*)^{1/2} = u (1-zz*)^{1/2}``."""
     u = np.asarray(u, dtype=complex)
     z = zt.z
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2) > UNITARY_SLACK * TOL_ALG:
+    defect = np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2)
+    if not defect <= UNITARY_SLACK * TOL_ALG:
         raise NotCoisometry("u u* differs from the identity")
     R2 = np.eye(z.shape[0]) - z @ z.conj().T
     _check_sqrt_identity(u @ R2 @ u.conj().T, u @ hermitian_sqrt(R2),
@@ -341,7 +356,7 @@ def restriction_witness(z_t: ZTransform, z_s: ZTransform) -> WitnessResult:
     ``TOL_ALG`` and reports whether ``w`` is an isometry; raises
     :class:`NotRestriction` with the worst residual otherwise.
     """
-    if z_t.density_gap <= TOL_GAP or z_s.density_gap <= TOL_GAP:
+    if not (z_t.density_gap > TOL_GAP and z_s.density_gap > TOL_GAP):
         raise NotDense("both transforms need a positive density gap")
     zt, zs = z_t.z, z_s.z
     Rt2 = np.eye(zt.shape[1]) - zt.conj().T @ zt
@@ -350,7 +365,7 @@ def restriction_witness(z_t: ZTransform, z_s: ZTransform) -> WitnessResult:
     r1 = np.linalg.norm(zt @ w - zs, 2)
     r2 = np.linalg.norm(w.conj().T @ Rt2 @ w - Rs2, 2)
     scale = 1.0 + np.linalg.norm(w, 2)
-    if r1 > TOL_ALG * scale or r2 > TOL_ALG * scale:
+    if not (r1 <= TOL_ALG * scale and r2 <= TOL_ALG * scale):
         raise NotRestriction(
             f"witness identities fail: factor {r1:.3e}, gram {r2:.3e}",
             residual=float(max(r1, r2)))

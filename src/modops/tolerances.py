@@ -1,11 +1,13 @@
 """Numerical tolerances, shared across the toolkit.
 
 TOL_ALG guards algebraic identities (relative, double-precision
-eigendecomposition accuracy).  TOL_GRAPH separates genuine
-graph violations from roundoff; TOL_GAP decides when (1 - z*z) counts as
-invertible.  Every check reads its constant from here.  Only the graph
-comparisons take a tolerance, ``tol`` of ``graph_inclusion``,
-``grid_inclusion``, ``extension_inclusion_check``,
+eigendecomposition accuracy).  TOL_GRAPH separates genuine graph violations
+from roundoff; TOL_GAP decides when (1 - z*z) counts as invertible.  Every
+check and threshold reads its constant from here, the jump detector's
+JUMP_MEDIAN_FACTOR and JUMP_FLOOR and the adjoint pinning's PAIRING_DEFECT_C
+too, and a gate that raises is written ``if not value <= bound``, which a
+NaN fails.  Only the graph comparisons take a tolerance, ``tol`` of
+``graph_inclusion``, ``grid_inclusion``, ``extension_inclusion_check``,
 ``DomainedOperator.contains`` and ``DomainedOperator.same_domain``, since
 the CLI's ``--tol-graph`` sets it per run; TOL_GRAPH is its default, and
 inside the package each caller passes a constant of this module.
@@ -25,7 +27,8 @@ KERNEL_GAP = 1e-6
 # rank cutoff relative to the largest singular value
 RANK_RTOL = 1e-12
 
-# entrywise tolerance of the Gram-matrix check of a domain frame
+# a domain frame F passes when max |F*F - 1| <= FRAME_ORTHO_ATOL, entry by
+# entry, with no part relative to the entries
 FRAME_ORTHO_ATOL = 1e-10
 
 # graph inclusion accepts a domain-membership residual <= MEMBERSHIP_SLACK * tol
@@ -59,3 +62,13 @@ CIRCULANT_MATCH = 16 * sys.float_info.epsilon
 # mathematically equal ones differ by a few ulps of max d, distinct ones on
 # the periodic grid by more than 1e-8 of it up to n = 20000
 SPECTRUM_GROUP_MATCH = 64 * sys.float_info.epsilon
+
+# a transform field's adjacent deviation flags a discontinuity above both
+# JUMP_MEDIAN_FACTOR times the median and the absolute JUMP_FLOOR, so that
+# constant fields with roundoff never flag
+JUMP_MEDIAN_FACTOR = 10.0
+JUMP_FLOOR = 1e-10
+
+# smooth-probe summation-by-parts defect allowance, units of h^2 (measured
+# constant is ~22 for the stencils in use; factor three of headroom)
+PAIRING_DEFECT_C = 60.0

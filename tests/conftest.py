@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# tier-1 runs numpy's BLAS on one thread, set before numpy is first imported:
+# on a 2-core machine the first SVD of a 401 x 400 matrix took about 1 s on
+# OpenBLAS's default two threads and about 0.05 s on one, and a suite run
+# next to another CPU-bound process can stall on contended BLAS threads
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

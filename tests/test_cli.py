@@ -196,20 +196,21 @@ def test_the_smallest_grids_a_pipeline_serves(tmp_path):
     ("tol_graph", float("nan"), "tol_graph = nan must be finite and positive"),
     ("tol_graph", float("inf"), "tol_graph = inf must be finite and positive"),
     ("tol_graph", -1.0, "tol_graph = -1.0 must be finite and positive"),
-    ("tol_graph", 0.0, "tol_graph = 0.0 must be finite and positive"),
-    ("modulus", float("nan"), "modulus = nan must be finite and >= 0"),
-    ("modulus", float("inf"), "modulus = inf must be finite and >= 0"),
-    ("modulus", -1.0, "modulus = -1.0 must be finite and >= 0")])
+    ("tol_graph", 0.0, "tol_graph = 0.0 must be finite and positive")])
 def test_config_refuses_non_finite_or_negative_tolerances(key, value, message):
     with pytest.raises(MalformedSpec, match=re.escape(message)):
         RunConfig("extend", n_x=40, n_pi=5, **{key: value})
-    RunConfig("extend", n_x=40, n_pi=5, modulus=0.0)      # a zero modulus is fine
 
 
 @pytest.mark.parametrize("argv, message", [
     (["--tol-graph", "nan"], "tol_graph = nan"), (["--tol-graph", "-1"], "tol_graph = -1.0"),
-    (["--modulus", "-1"], "modulus = -1.0"), (["--modulus", "nan"], "modulus = nan")])
-def test_non_finite_options_exit_2(capsys, argv, message):
+    (["--config", "[gauge]\nmodulus = -1\n"], "modulus = -1.0"),
+    (["--config", "[gauge]\nmodulus = nan\n"], "modulus = nan"),
+    (["--config", "[gauge]\nmodulus = inf\n"], "modulus = inf")])
+def test_non_finite_options_exit_2(tmp_path, capsys, argv, message):
+    # a spec's [gauge] modulus is checked, then read by no pipeline
+    if "--config" in argv:
+        argv = argv[:1] + [write(tmp_path, argv[1])]
     assert main(["extend", "--n-x", "40", "--n-pi", "5", *argv]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {message} must be")
 
@@ -292,21 +293,16 @@ def test_kernel_matrix_count_is_a_lower_count(tmp_path, command):
     assert int(out.stdout) >= 16 * (n_x + 1) ** 2 * cli._DENSE_MATRICES[command]
 
 
-def test_extend_with_a_modulus_keeps_the_dense_matrix_count(tmp_path):
-    # a gluing modulus leaves the extend peak where it is without one, so the
-    # gate's count for extend holds with a modulus too
-    def peak(**extra):
-        cfg = RunConfig("extend", n_x=200, n_pi=5, output_path=str(tmp_path / "r.txt"),
-                        **extra)
-        tracemalloc.start()
-        try:
-            run(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak()      # the first run in a process also traces one-time imports
-    assert peak(modulus=0.5) <= 1.1 * peak()
+def test_a_spec_modulus_leaves_the_extend_report_as_it_is(tmp_path):
+    # no gluing modulus changes a glued field, so a valid one, 0 included, is
+    # accepted and the report is the one without it
+    spec = "[grid]\nn_x = 40\nn_pi = 5\n\n[gauge]\nkind = linear-phase\n"
+    reports = []
+    for text in (spec, spec + "modulus = 0\n", spec + "modulus = 0.5\n"):
+        out = tmp_path / "r.txt"
+        assert main(["extend", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        reports.append(out.read_text().splitlines()[2:])
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_counterexample_profile_holds_no_dense_matrix():
@@ -555,7 +551,7 @@ def test_phi_roundtrip_verifies_on_label_shapes_and_seeds(tmp_path, dims, rows, 
     ["kernel-cert", "--n-x", "64"],
     ["certify-nonregular", "--n-x", "64", "--n-pi", "5"],
     ["zfield", "--n-x", "64", "--n-pi", "5"],
-    ["extend", "--n-x", "48", "--n-pi", "5", "--modulus", "0.5"],
+    ["extend", "--n-x", "48", "--n-pi", "5"],
     ["phi-roundtrip"],
     ["density-check", "--config", DENSITY_SPEC],
 ], ids=lambda argv: argv[0])

@@ -233,6 +233,22 @@ def test_left_module_operator_checks_each_fibers_domain_columns():
     assert_allclose(op.frame.conj().T @ op.frame, np.eye(6), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("defect, ok", [(5e-11, True), (5e-6, False), (np.nan, False)])
+def test_both_frame_gates_bound_each_gram_entry_absolutely(defect, ok):
+    # Gram diagonal 1 + defect: FRAME_ORTHO_ATOL = 1e-10 bounds the entry
+    # itself, with no part relative to it, and a NaN entry fails
+    frame = np.eye(3)[:, :2] * np.sqrt(1.0 + defect)
+    blocks = {"p": np.eye(2), "q": np.eye(3)}
+    if ok:
+        assert DomainedOperator(np.eye(3), frame).domain_dim == 2
+        assert left_module_operator(MODEL, blocks, {"q": frame}).domain_dim == 8
+        return
+    with pytest.raises(ValueError, match="frame columns must be orthonormal"):
+        DomainedOperator(np.eye(3), frame)
+    with pytest.raises(ValueError, match="frame columns must be orthonormal"):
+        left_module_operator(MODEL, blocks, {"q": frame})
+
+
 # ---------------------------------------------------------------------- phi1
 def test_phi1_of_identity_and_zero():
     one = left_module_operator(MODEL, {"p": np.eye(2), "q": np.eye(3)})

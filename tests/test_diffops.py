@@ -853,7 +853,7 @@ def test_unequal_seam_rows_refuse_the_transform(linalg_calls):
 def test_closed_form_keeps_the_condition_gate(monkeypatch):
     # at n = 64, cond(1 + T*T) = 1 + max lam^2 is about 4e3, and the minimal
     # fiber's largest secular root sits between the two largest poles
-    monkeypatch.setattr(diffops, "RESOLVENT_COND_MAX", 1e3)
+    # one gate, operators.resolvent_gate, serves every path
     monkeypatch.setattr("modops.operators.RESOLVENT_COND_MAX", 1e3)
     for tag, style in ((PERIODIC, None), (BoundaryTag.twisted(0.4), None), (MINIMAL, "wrap")):
         op = GridOperator(64, tag, style)

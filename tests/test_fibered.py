@@ -22,7 +22,7 @@ from modops.diffops import (
     GridOperator,
     grid_transform,
 )
-from modops.errors import DomainViolation, GaugeNotContinuous, GridTooCoarse
+from modops.errors import DomainViolation, GaugeNotContinuous, GridTooCoarse, NotDense
 from modops.fibered import (
     FiberedOperator,
     GaugeField,
@@ -567,6 +567,25 @@ def test_gauge_gates_fail_on_non_finite_entries(bad):
     samples[0, 1] = 1e-300
     with pytest.raises(ValueError, match="base-point phase row must vanish"):
         GaugeField.from_phase_samples(grid, samples)
+
+
+def test_gauge_extension_refuses_a_nan_density_gap(monkeypatch):
+    n = 32
+    nan = ZTransform._exact(np.full((n + 1, n + 1), np.nan), np.nan)
+    monkeypatch.setattr(fibered, "grid_transform", lambda op: nan)
+    with pytest.raises(NotDense, match="not regular"):
+        gauge_extension(GridOperator(n, PERIODIC),
+                        GaugeField.linear_phase(np.linspace(0, 1, 5), n))
+
+
+def test_extension_check_refuses_base_grids_that_differ_at_all():
+    S = build_counterexample_t(5, 32)
+    grid = S.pi_grid.copy()
+    grid[2] += 1e-9
+    T = FiberedOperator(grid, S.fibers)
+    with pytest.raises(ValueError, match="fields must share the base grid"):
+        extension_inclusion_check(S, T)
+    assert extension_inclusion_check(S, FiberedOperator(S.pi_grid, S.fibers)).included
 
 
 def test_gauge_extension_identity_gauge_constant_field():

@@ -109,6 +109,16 @@ def test_from_z_requires_gap():
         from_z(ZTransform(np.eye(2)))
 
 
+def test_a_nan_density_gap_fails_both_gap_gates():
+    nan = ZTransform._exact(np.full((2, 2), np.nan), np.nan)
+    with pytest.raises(NotDense):
+        from_z(nan)
+    good = z_transform(DomainedOperator.full(np.eye(2)))
+    for pair in ((nan, good), (good, nan)):
+        with pytest.raises(NotDense):
+            restriction_witness(*pair)
+
+
 def test_contraction_enforced():
     with pytest.raises(ValueError):
         ZTransform(2.0 * np.eye(2))

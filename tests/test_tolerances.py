@@ -1,19 +1,32 @@
-"""Lint: no numerical threshold hides in a function body.
+"""Lint: no numerical threshold hides in a function body, and no gate lets
+a NaN through.
 
 Tolerances, cutoffs and gate bounds are named in ``modops.tolerances`` (or
 in one table next to their single user), so every float literal inside a
 function body or a default argument is checked.  A literal is flagged when
 it is nonzero and below 1e-3 in magnitude, or when it sits in a comparison
-operand and is neither 0.0 nor 1.0.
+operand and is neither 0.0 nor 1.0.  A call to ``allclose`` or ``isclose``
+is flagged too, since its default relative tolerance is a threshold of its
+own.  A gate, an ``if`` that raises on a comparison with a constant of
+``modops.tolerances``, is flagged unless it is written ``if not ...``: every
+comparison with NaN is false, so only a negated pass condition fails on it.
 """
 import ast
 from pathlib import Path
 
 import modops
+from modops import tolerances
 
 SRC = Path(modops.__file__).parent
 SMALL = 1e-3
 NEUTRAL = (0.0, 1.0)
+TOLERANCE_NAMES = {name for name in vars(tolerances) if name.isupper()}
+
+
+def _sources():
+    """(file name, syntax tree) of every module of the package."""
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
 
 
 def _floats(node):
@@ -41,6 +54,29 @@ def _hidden_thresholds(tree):
     return found
 
 
+def _implicit_tolerances(tree):
+    """Lines of every call to a function named ``allclose`` or ``isclose``."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in ("allclose", "isclose"))
+
+
+def _nan_passing_gates(tree):
+    """Lines of every ``if`` whose body raises and whose test compares with a
+    name of ``modops.tolerances``, unless the test is ``not ...``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        names = {n.id for c in ast.walk(node.test) if isinstance(c, ast.Compare)
+                 for n in ast.walk(c) if isinstance(n, ast.Name)}
+        negated = isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not)
+        if names & TOLERANCE_NAMES and not negated:
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def test_lint_flags_what_it_is_meant_to():
     tree = ast.parse(
         "def f(x, tol=1e-12):\n"
@@ -49,10 +85,43 @@ def test_lint_flags_what_it_is_meant_to():
     assert sorted(_hidden_thresholds(tree)) == [(1, 1e-12), (2, 2.0), (3, 1e-300)]
 
 
+def test_implicit_tolerance_lint_flags_what_it_is_meant_to():
+    tree = ast.parse(
+        "ok = np.allclose(a, b, atol=TOL_ALG)\n"
+        "ok = numpy.isclose(a, b) & math.isclose(x, y)\n"
+        "ok = np.all(np.abs(a - b) <= TOL_ALG)\n")
+    assert _implicit_tolerances(tree) == [1, 2, 2]
+
+
+def test_gate_lint_flags_what_it_is_meant_to():
+    tree = ast.parse(
+        "def f(x, y):\n"
+        "    if x > TOL_ALG * y:\n"                   # a NaN x passes
+        "        raise ValueError\n"
+        "    if x <= TOL_GAP or y <= TOL_GAP:\n"      # so does a NaN x and y
+        "        raise ValueError\n"
+        "    if not (x > TOL_GAP and y <= UNITARY_SLACK * TOL_ALG):\n"
+        "        raise ValueError\n"
+        "    if x > 1.0:\n"                           # no tolerance compared
+        "        raise ValueError\n"
+        "    if x <= TOL_ALG:\n"                      # no raise: not a gate
+        "        return 0\n")
+    assert _nan_passing_gates(tree) == [2, 4]
+
+
 def test_no_hidden_thresholds_in_src():
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders += [f"{path.name}:{line}: {value!r}"
-                      for line, value in sorted(_hidden_thresholds(tree))]
+    offenders = [f"{name}:{line}: {value!r}" for name, tree in _sources()
+                 for line, value in sorted(_hidden_thresholds(tree))]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_implicit_tolerances_in_src():
+    offenders = [f"{name}:{line}" for name, tree in _sources()
+                 for line in _implicit_tolerances(tree)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_every_gate_in_src_fails_on_nan():
+    offenders = [f"{name}:{line}" for name, tree in _sources()
+                 for line in _nan_passing_gates(tree)]
     assert not offenders, "\n".join(offenders)
