@@ -121,7 +121,6 @@ class RunConfig:
     output_path: str | None = None
     n_x: int = 400
     n_pi: int = 16
-    tol_graph: float = TOL_GRAPH
     seed: int = 0
     algebra: FiberIndex | None = None
     rows: tuple | None = None
@@ -140,9 +139,6 @@ class RunConfig:
             raise MalformedSpec(f"n_x = {self.n_x} outside the supported range")
         if not 2 <= self.n_pi <= 4096:
             raise MalformedSpec(f"n_pi = {self.n_pi} outside the supported range")
-        if not (math.isfinite(self.tol_graph) and self.tol_graph > 0):
-            raise MalformedSpec(
-                f"tol_graph = {self.tol_graph} must be finite and positive")
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         if self.command == "phi-roundtrip":
@@ -352,16 +348,16 @@ class Report:
         self.lines = [f"# modops {command} report",
                       f"# generated: {datetime.now(timezone.utc).isoformat()}"]
 
-    def kv(self, key, value, tol=None):
+    def kv(self, key, value, bound=None):
         if isinstance(value, float):
             value = f"{value:.12e}"
-        suffix = f"  [tol={tol}]" if tol is not None else ""
+        suffix = f"  [tol={bound}]" if bound is not None else ""
         self.lines.append(f"{key} = {value}{suffix}")
 
     def gate(self, key, value):
         """Write ``key`` with its bound from ``_GATES``; return whether it passes."""
         bound = _GATES[key]
-        self.kv(key, value, tol=bound)
+        self.kv(key, value, bound=bound)
         if bound.startswith("in "):
             lo, hi = map(float, bound[4:-1].split(","))
             return bool(lo <= value <= hi)
@@ -424,7 +420,7 @@ def _kernel_stage(cfg: RunConfig, report: Report, verdict_key):
     ratio = half.comparison_error / rep.comparison_error
     floor = periodic_complement_floor(cfg.n_x)
     report.kv("n_x", cfg.n_x)
-    report.kv("kernel_dim", rep.kernel_dim, tol="=1")
+    report.kv("kernel_dim", rep.kernel_dim, bound="=1")
     ok = report.gate("comparison_error", rep.comparison_error)
     report.kv("sigma_small", rep.sigma_small)
     report.kv("sigma_next", rep.sigma_next)
@@ -524,12 +520,12 @@ def run_extend(cfg: RunConfig, report: Report):
     # minimal base fiber shares
     t0 = t.distinct_fibers[t.index_map[-1]]
     result = gauge_extension(t0, gauge)
-    check = extension_inclusion_check(t, result.field, tol=cfg.tol_graph, gauge=gauge)
+    check = extension_inclusion_check(t, result.field, gauge=gauge)
     report.kv("n_x", cfg.n_x)
     report.kv("n_pi", cfg.n_pi)
     report.kv("gauge_kind", cfg.gauge_kind)
     report.kv("max_z_deviation", result.max_deviation)
-    report.kv("inclusion_ok", str(check.included), tol=f"graph tol {cfg.tol_graph}")
+    report.kv("inclusion_ok", str(check.included), bound=f"graph tol {TOL_GRAPH}")
     report.kv("tilde_chain_ok", str(check.tilde_chain_ok))
     report.table("fiber_inclusion", ("pi", "included", "residual"),
                  [(f"{pi:.6f}", str(ok), res) for pi, ok, res in check.rows])
@@ -611,14 +607,13 @@ def main(argv=None):
     parser.add_argument("--out", help="report destination (default stdout)")
     parser.add_argument("--n-x", type=int, help="space grid steps")
     parser.add_argument("--n-pi", type=int, help="base grid points")
-    parser.add_argument("--tol-graph", type=float, help="graph-inclusion tolerance")
     args = parser.parse_args(argv)
 
     try:
         sections = parse_spec_file(args.config) if args.config else {}
         cfg = config_from_sections(
             args.command, sections, output_path=args.out,
-            n_x=args.n_x, n_pi=args.n_pi, tol_graph=args.tol_graph)
+            n_x=args.n_x, n_pi=args.n_pi)
     except (MalformedSpec, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import FiberIndex, block_diag
 from .errors import IllDefined
-from .operators import DomainedOperator, frame_gate, graph_inclusion
+from .operators import DomainedOperator, _inclusion, _same_span, frame_gate
 from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
@@ -175,7 +175,7 @@ class RoundtripVerdict:
 def _equivalent(A: DomainedOperator, B: DomainedOperator):
     """Equal closures at finite scale: same domain span, same action on it,
     both within ``TOL_ALG``."""
-    same_dom = A.same_domain(B, TOL_ALG)
+    same_dom = _same_span(A, B, TOL_ALG)
     act = np.linalg.norm((A.action - B.action) @ A.domain_projector(), 2)
     return same_dom, bool(
         same_dom and act <= TOL_ALG * (1.0 + np.linalg.norm(A.action, 2)))
@@ -197,7 +197,7 @@ def roundtrip_check(op: DomainedOperator, model: ModuleModel,
         back = phi1(phi2(op, model), model)
     else:
         raise ValueError("side must be 'module' or 'compacts'")
-    inc = graph_inclusion(back, op, TOL_ALG)
+    inc = _inclusion(back, op, TOL_ALG)
     same_dom, equal = _equivalent(back, op)
     return RoundtripVerdict(inclusion_ok=inc.included,
                             inclusion_residual=inc.residual,

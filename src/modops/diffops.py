@@ -589,7 +589,7 @@ def _transform(op: GridOperator, symbols) -> ZTransform:
     return _circulant_transform(op, _shared_symbol(op, symbols))
 
 
-def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> InclusionResult:
+def grid_inclusion(a: GridOperator, b: GridOperator) -> InclusionResult:
     """Whether ``a`` is a restriction of ``b``, as :func:`graph_inclusion` of
     ``a.as_domained()`` in ``b.as_domained()`` decides it.
 
@@ -601,16 +601,15 @@ def grid_inclusion(a: GridOperator, b: GridOperator, tol=TOL_GRAPH) -> Inclusion
     domain.  The verdict and the residual then come from the ``2 x k``
     endpoint blocks ``E_a``, ``E_b`` of the frames (rows 0 and n) as the
     column norms of ``E_a - E_b (E_b* E_a)``, gated by ``MEMBERSHIP_SLACK *
-    tol``: ``k`` is 2 for the maximal tag, 1 for the periodic and twisted
-    ones and 0 for the minimal one, whose residual is 0.  Any other pair
-    builds both dense fibers and takes :func:`graph_inclusion`.
+    TOL_GRAPH``: ``k`` is 2 for the maximal tag, 1 for the periodic and
+    twisted ones and 0 for the minimal one, whose residual is 0.  Any other
+    pair builds both dense fibers and takes :func:`graph_inclusion`.
     """
     if a._matrix_key() != b._matrix_key():
-        return graph_inclusion(a.as_domained(), b.as_domained(), tol)
+        return graph_inclusion(a.as_domained(), b.as_domained())
     ea, eb = a._endpoint_block(), b._endpoint_block()
     mem_res = np.linalg.norm(ea - eb @ (eb.conj().T @ ea), axis=0)
-    # the zero residuals pass their gates exactly when tol >= 0
-    ok = bool(0.0 <= tol and np.all(mem_res <= MEMBERSHIP_SLACK * tol))
+    ok = bool(np.all(mem_res <= MEMBERSHIP_SLACK * TOL_GRAPH))
     return InclusionResult(ok, float(mem_res.max(initial=0.0)))
 
 

@@ -58,7 +58,6 @@ from .tolerances import (
     PAIRING_DEFECT_C,
     TOL_ALG,
     TOL_GAP,
-    TOL_GRAPH,
     UNITARY_SLACK,
 )
 
@@ -136,13 +135,12 @@ class FiberedOperator:
 
     def per_point(self, per_fiber):
         """Spread one value per distinct fiber to one value per grid point,
-        conjugated by the phase table when there is one (the values then
-        need ``_phase_rotated``, as fibers and transforms have)."""
-        return tuple(self._at(per_fiber, i) for i in range(self.n_fibers))
+        conjugated by the phase table when there is one (the values are then
+        domained operators)."""
+        return tuple(self._at(per_fiber[k], i) for i, k in enumerate(self.index_map))
 
-    def _at(self, per_fiber, i):
-        """Grid point ``i``'s value of ``per_fiber``, gauged by its phases."""
-        v = per_fiber[self.index_map[i]]
+    def _at(self, v, i):
+        """``v`` at grid point ``i``, gauged by its phases when there are any."""
         return v if self.phases is None else v._phase_rotated(self.phases[i])
 
     def _on_same_index(self, per_fiber, phases, **attrs) -> "FiberedOperator":
@@ -191,8 +189,7 @@ class FiberedOperator:
         return cls(grid, fibers, symbol=symbol, algebra_index=index)
 
     def fiber(self, i) -> DomainedOperator:
-        f = _dense(self.distinct_fibers[self.index_map[i]])
-        return f if self.phases is None else f._phase_rotated(self.phases[i])
+        return self._at(_dense(self.distinct_fibers[self.index_map[i]]), i)
 
     def __repr__(self):
         return (f"FiberedOperator(n_fibers={self.n_fibers}, "
@@ -386,8 +383,9 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     when they exceed ten times the median profile value; an absolute floor
     keeps constant fields with roundoff from flagging.  The floor needs no
     scale: every transform is a contraction.  Each distinct fiber is
-    transformed once, and adjacent points sharing a fiber deviate by 0; a
-    gauged field's transforms are gauged alike, ``z(U T U*) = U z(T) U*``.
+    transformed once, and adjacent points sharing a fiber deviate by 0.  A
+    gauged field is refused with :class:`ValueError`: its transforms are
+    gauged alike, ``z(U T U*) = U z(T) U*``, and no pipeline asks for them.
     A grid fiber is transformed by :func:`grid_transform`, in closed form
     where it is periodic, twisted or wrap-style minimal, and every jump is
     a Lanczos 2-norm over the two transforms' actions
@@ -401,6 +399,8 @@ def zfields(*fields: FiberedOperator) -> list:
     transformed once: grid fibers compare by value, other fibers by
     identity.  The grid fibers share one circulant symbol per distinct
     matrix (:func:`grid_transforms`)."""
+    if any(F.phases is not None for F in fields):
+        raise ValueError("zfield takes no gauged field: it has a phase table")
     distinct = dict.fromkeys(f for F in fields for f in F.distinct_fibers)
     grid = [f for f in distinct if isinstance(f, GridOperator)]
     built = dict(zip(grid, grid_transforms(grid)))
@@ -422,13 +422,13 @@ def _median(values):
 
 def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
     """The report of ``F`` from the transforms of its distinct fibers."""
-    transforms = F.per_point(per_fiber)
+    transforms = [per_fiber[k] for k in F.index_map]
     profile = np.asarray([0.0 if za is zb else transform_jump(za, zb, F.ambient_dim)
                           for za, zb in zip(transforms, transforms[1:])])
     med = _median(profile) if profile.size else 0.0
     flagged = [i for i, d in enumerate(profile)
                if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
-    return ZFieldReport(transforms=list(transforms), profile=profile,
+    return ZFieldReport(transforms=transforms, profile=profile,
                         median=med, flagged=flagged)
 
 
@@ -453,12 +453,12 @@ def fiber_identity_check(T: FiberedOperator, a: AlgebraElement) -> float:
     for i, lab in enumerate(index.labels):
         d = index.dim(lab)
         vec = a.fibers[lab].ravel()
-        ok, res = T.fiber(i).contains(vec, TOL_GRAPH)
+        ok, res = T.fiber(i).contains(vec)
         if not ok:
             raise DomainViolation(f"element is outside the domain at fiber {lab!r}",
                                   residual=res)
         image = T.fiber(i).apply(vec)
-        ok, res = adjoints[i].contains(image, TOL_GRAPH)
+        ok, res = adjoints[i].contains(image)
         if not ok:
             raise DomainViolation(
                 f"image leaves the adjoint domain at fiber {lab!r}", residual=res)
@@ -506,11 +506,6 @@ class GaugeExtensionResult:
     field: FiberedOperator          # t0 under the gauge's phase table
     base_transform: ZTransform      # w, the transform of the base fiber
     deviations: np.ndarray
-
-    @property
-    def transforms(self):
-        """``U_pi w U_pi*`` per grid point, built on each read."""
-        return self.field.per_point([self.base_transform])
 
     @property
     def max_deviation(self):
@@ -686,26 +681,26 @@ class ExtensionReport:
         return self.included
 
 
-def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator, tol=TOL_GRAPH,
+def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
                               gauge: GaugeField | None = None) -> ExtensionReport:
     """Fiberwise graph inclusion of ``S`` in ``T`` plus the gluing chain.
 
     With a gauge, the comparison runs in the gauge frame: fiber ``i`` of
     ``S`` is conjugated by ``U_i`` before the inclusion test (the two fields
-    are then expressed over one trivialization).  When the gauged ``S`` and
-    ``T`` carry equal phase tables, row ``i`` is decided on their ungauged
-    fibers, since a common unitary leaves graph inclusion unchanged, and
-    each distinct pair of fibers is decided once, a pair of grid fibers by
-    :func:`grid_inclusion` from its boundary rows; otherwise every row is
-    decided on the gauged dense fibers.
+    are then expressed over one trivialization).  The gauged ``S`` and ``T``
+    must carry equal phase tables, else :class:`ValueError` is raised; row
+    ``i`` is then decided on their ungauged fibers, since a common unitary
+    leaves graph inclusion unchanged, and each distinct pair of fibers is
+    decided once, within ``TOL_GRAPH``: a pair of grid fibers by
+    :func:`grid_inclusion` from its boundary rows, any other pair by
+    :func:`graph_inclusion` of its dense fibers.
 
     The gluing chain is S inside tilde(S), tilde(S) inside tilde(T), and
     tilde(T) = T fiberwise.  Every glued field keeps its fibers
     (:func:`tilde_extension`), so the outer links join a fiber to itself
     and hold by reflexivity, and the middle link is the row: the chain
     holds exactly when every row does, and ``tilde_chain_ok`` is the row
-    verdict.  Dense fibers are built once per fiber value, and only where
-    a dense test reads them.
+    verdict.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
@@ -717,41 +712,24 @@ def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator, tol=TOL_GR
         phases = gauge.phases if S.phases is None else S.phases * gauge.phases
         S = S._on_same_index(S.distinct_fibers, phases)
 
-    # dense fibers by fiber value (grid operators compare by value)
-    built = {}
-    if _same_phases(S.phases, T.phases):
-        pairs = list(zip(S.index_map, T.index_map))
-        decided = {(a, b): _fiber_inclusion(S.distinct_fibers[a], T.distinct_fibers[b],
-                                            tol, built)
-                   for a, b in dict.fromkeys(pairs)}
-        results = [decided[pair] for pair in pairs]
-    else:
-        s_dense = _dense_once(S.distinct_fibers, built)
-        t_dense = _dense_once(T.distinct_fibers, built)
-        results = [graph_inclusion(S._at(s_dense, i), T._at(t_dense, i), tol)
-                   for i in range(S.n_fibers)]
+    if not _same_phases(S.phases, T.phases):
+        raise ValueError("fields must carry equal phase tables in the gauge frame")
+    pairs = list(zip(S.index_map, T.index_map))
+    decided = {(a, b): _fiber_inclusion(S.distinct_fibers[a], T.distinct_fibers[b])
+               for a, b in dict.fromkeys(pairs)}
+    results = [decided[pair] for pair in pairs]
     rows = [(float(pi), res.included, res.residual)
             for pi, res in zip(S.pi_grid, results)]
     failing = [pi for pi, ok, _ in rows if not ok]
     return ExtensionReport(rows=rows, included=not failing, failing=failing)
 
 
-def _fiber_inclusion(s, t, tol, built):
+def _fiber_inclusion(s, t):
     """Whether the stored fiber ``s`` is a restriction of ``t``: by
-    :func:`grid_inclusion` for two grid fibers, else on their dense fibers,
-    each built once into ``built``."""
+    :func:`grid_inclusion` for two grid fibers, else on their dense fibers."""
     if isinstance(s, GridOperator) and isinstance(t, GridOperator):
-        return grid_inclusion(s, t, tol)
-    return graph_inclusion(*_dense_once((s, t), built), tol)
-
-
-def _dense_once(fibers, built):
-    """:func:`_dense` of each stored fiber, each fiber value built once into
-    the dict ``built``."""
-    for f in fibers:
-        if f not in built:
-            built[f] = _dense(f)
-    return [built[f] for f in fibers]
+        return grid_inclusion(s, t)
+    return graph_inclusion(_dense(s), _dense(t))
 
 
 def _same_phases(a, b):

@@ -142,16 +142,10 @@ class DomainedOperator:
     def domain_projector(self):
         return self.frame @ self.frame.conj().T
 
-    def same_domain(self, other, tol=TOL_GRAPH):
+    def same_domain(self, other):
         """Whether the domain projectors of ``self`` and ``other`` satisfy
-        ``||P - P'||_2 <= PROJECTOR_GATE * tol``.
-
-        The Frobenius norm bounds the 2-norm from above, so the SVD runs
-        only when that bound does not settle the gate.
-        """
-        gap = self.domain_projector() - other.domain_projector()
-        bound = PROJECTOR_GATE * tol
-        return bool(np.linalg.norm(gap) <= bound or np.linalg.norm(gap, 2) <= bound)
+        ``||P - P'||_2 <= PROJECTOR_GATE * TOL_GRAPH`` (:func:`_same_span`)."""
+        return _same_span(self, other, TOL_GRAPH)
 
     def restricted(self):
         """Action composed with the domain frame: ambient x domain matrix."""
@@ -160,10 +154,10 @@ class DomainedOperator:
     def apply(self, v):
         return self.action @ np.asarray(v, dtype=complex)
 
-    def contains(self, v, tol=TOL_GRAPH):
+    def contains(self, v):
         v = np.asarray(v, dtype=complex)
         res = np.linalg.norm(v - self.frame @ (self.frame.conj().T @ v))
-        return res <= tol * (1.0 + np.linalg.norm(v)), float(res)
+        return res <= TOL_GRAPH * (1.0 + np.linalg.norm(v)), float(res)
 
     def __repr__(self):
         return (f"DomainedOperator(ambient={self.ambient_dim}, "
@@ -210,12 +204,6 @@ class ZTransform:
     def apply_adjoint(self, y):
         """``z* y`` along the last axis of ``y``, as ``conj(conj(y) z)``."""
         return (y.conj() @ self.z).conj()
-
-    def _phase_rotated(self, p) -> "ZTransform":
-        """Transform ``diag(p) z diag(p)*`` for unimodular ``p``; the
-        contraction verdict and the density gap are unitarily invariant, so
-        both carry over."""
-        return ZTransform._exact(self.z * np.outer(p, p.conj()), self.density_gap)
 
     def __repr__(self):
         return f"ZTransform(n={self.z.shape[0]}, gap={self.density_gap:.3e})"
@@ -275,10 +263,19 @@ class InclusionResult:
         return self.included
 
 
-def graph_inclusion(S: DomainedOperator, T: DomainedOperator,
-                    tol=TOL_GRAPH) -> InclusionResult:
+def graph_inclusion(S: DomainedOperator, T: DomainedOperator) -> InclusionResult:
     """Check ``S`` is a restriction of ``T``: every domain frame vector of
-    ``S`` lies in the domain of ``T`` and the actions agree there."""
+    ``S`` lies in the domain of ``T`` and the actions agree there, within
+    ``TOL_GRAPH`` (:func:`_inclusion`)."""
+    return _inclusion(S, T, TOL_GRAPH)
+
+
+def _inclusion(S: DomainedOperator, T: DomainedOperator, bound) -> InclusionResult:
+    """:func:`graph_inclusion` within the tolerance constant ``bound``: a
+    frame vector's membership residual within ``MEMBERSHIP_SLACK * bound``,
+    its action residual within ``bound`` relative.  The round trips of
+    :mod:`modops.correspondence` compare operators that are equal by
+    algebra, within ``TOL_ALG``."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("operators must share the ambient space")
     FS = S.frame
@@ -290,10 +287,23 @@ def graph_inclusion(S: DomainedOperator, T: DomainedOperator,
     act_res = np.linalg.norm(T.action @ FS - SD, axis=0)
     scales = 1.0 + np.linalg.norm(SD, axis=0)
     # decision is relative-guarded; the reported residual is absolute
-    ok = bool(np.all(mem_res <= MEMBERSHIP_SLACK * tol)
-              and np.all(act_res <= tol * scales))
+    ok = bool(np.all(mem_res <= MEMBERSHIP_SLACK * bound)
+              and np.all(act_res <= bound * scales))
     worst = float(max(mem_res.max(), act_res.max()))
     return InclusionResult(ok, worst)
+
+
+def _same_span(A: DomainedOperator, B: DomainedOperator, bound) -> bool:
+    """Whether the domain projectors of ``A`` and ``B`` satisfy
+    ``||P_A - P_B||_2 <= PROJECTOR_GATE * bound`` for the tolerance
+    constant ``bound``.
+
+    The Frobenius norm bounds the 2-norm from above, so the SVD runs only
+    when that bound does not settle the gate.
+    """
+    gap = A.domain_projector() - B.domain_projector()
+    gate = PROJECTOR_GATE * bound
+    return bool(np.linalg.norm(gap) <= gate or np.linalg.norm(gap, 2) <= gate)
 
 
 def _check_sqrt_identity(left_inner, right, exc, label):

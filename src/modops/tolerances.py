@@ -6,11 +6,10 @@ from roundoff; TOL_GAP decides when (1 - z*z) counts as invertible.  Every
 check and threshold reads its constant from here, the jump detector's
 JUMP_MEDIAN_FACTOR and JUMP_FLOOR and the adjoint pinning's PAIRING_DEFECT_C
 too, and a gate that raises is written ``if not value <= bound``, which a
-NaN fails.  Only the graph comparisons take a tolerance, ``tol`` of
-``graph_inclusion``, ``grid_inclusion``, ``extension_inclusion_check``,
-``DomainedOperator.contains`` and ``DomainedOperator.same_domain``, since
-the CLI's ``--tol-graph`` sets it per run; TOL_GRAPH is its default, and
-inside the package each caller passes a constant of this module.
+NaN fails.  No function takes a tolerance as a parameter: the graph
+comparisons (``graph_inclusion``, ``grid_inclusion``,
+``extension_inclusion_check``, ``DomainedOperator.contains`` and
+``DomainedOperator.same_domain``) read TOL_GRAPH, and no run can set it.
 """
 import sys
 
@@ -31,13 +30,14 @@ RANK_RTOL = 1e-12
 # entry, with no part relative to the entries
 FRAME_ORTHO_ATOL = 1e-10
 
-# graph inclusion accepts a domain-membership residual <= MEMBERSHIP_SLACK * tol
+# graph inclusion accepts a domain-membership residual
+# <= MEMBERSHIP_SLACK * TOL_GRAPH
 MEMBERSHIP_SLACK = 2.0
 
-# unitarity and isometry gates accept ||u*u - 1||_2 <= UNITARY_SLACK * tol
+# unitarity and isometry gates accept ||u*u - 1||_2 <= UNITARY_SLACK * TOL_ALG
 UNITARY_SLACK = 10.0
 
-# two domains count as one when ||P_1 - P_2||_2 <= PROJECTOR_GATE * tol
+# two domains count as one when ||P_1 - P_2||_2 <= PROJECTOR_GATE * TOL_GRAPH
 PROJECTOR_GATE = 10.0
 
 # a continuous gauge's adjacent conjugation deviation roughly halves when

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import os
+import sys
 
 # tier-1 runs numpy's BLAS on one thread, set before numpy is first imported:
 # on a 2-core machine the first SVD of a 401 x 400 matrix took about 1 s on
@@ -9,6 +12,9 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
+
+from modops.diffops import GridOperator
+from modops.operators import z_transform
 
 # tier-1 decides alike on a cold machine and a warm one: each test draws its
 # examples from a seed fixed by the test itself, and no local example
@@ -35,3 +41,37 @@ def linalg_calls(monkeypatch):
         return norm(x, ord, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return calls
+
+
+@pytest.fixture(scope="session")
+def graph_tolerance():
+    """A context manager that sets ``TOL_GRAPH`` to a value in every loaded
+    ``modops`` module that reads it, for tests that sweep the graph gates
+    over tolerances no run can choose; the constant is restored on exit."""
+    @contextlib.contextmanager
+    def setting(value):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("modops.") and hasattr(module, "TOL_GRAPH"):
+                    mp.setattr(module, "TOL_GRAPH", value)
+            yield
+    return setting
+
+
+@functools.cache
+def _dense_transform(op):
+    zt = z_transform(op.as_domained())
+    zt.z.flags.writeable = False
+    return zt
+
+
+@pytest.fixture(scope="session")
+def dense_transform():
+    """The dense oracle ``z_transform(op.as_domained())`` of a grid operator,
+    taken once per operator value and shared by every test that reads it,
+    so its ``z`` is read-only.  Only a plain :class:`GridOperator` is
+    taken: a subclass compares equal to its parent by value."""
+    def oracle(op):
+        assert type(op) is GridOperator, op
+        return _dense_transform(op)
+    return oracle

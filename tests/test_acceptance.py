@@ -125,7 +125,7 @@ def test_criterion_06_restriction_extension_calculus():
         # the tolerance scale
         u = (v * np.exp(1j * 1e-11 * rng.standard_normal(n))) @ v.conj().T
         zs = restrict_via_isometry(zt, u)
-        inc = graph_inclusion(from_z(zs), from_z(zt), tol=1e-9)
+        inc = graph_inclusion(from_z(zs), from_z(zt))
         wit = restriction_witness(zt, zs)
         if inc.included and wit.is_isometry:
             passed += 1

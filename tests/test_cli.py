@@ -192,27 +192,57 @@ def test_the_smallest_grids_a_pipeline_serves(tmp_path):
     RunConfig("zfield", n_x=8, operator_kind="symbol")
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("tol_graph", float("nan"), "tol_graph = nan must be finite and positive"),
-    ("tol_graph", float("inf"), "tol_graph = inf must be finite and positive"),
-    ("tol_graph", -1.0, "tol_graph = -1.0 must be finite and positive"),
-    ("tol_graph", 0.0, "tol_graph = 0.0 must be finite and positive")])
-def test_config_refuses_non_finite_or_negative_tolerances(key, value, message):
-    with pytest.raises(MalformedSpec, match=re.escape(message)):
+def test_the_graph_tolerance_is_no_option(capsys):
+    # every graph comparison reads TOL_GRAPH: argparse refuses the flag with
+    # its usage exit code, and a config takes no graph tolerance
+    for value in ("1e-9", "1e-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["extend", "--n-x", "40", "--n-pi", "5", "--tol-graph", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-graph" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="tol_graph"):
+        RunConfig("extend", n_x=40, n_pi=5, tol_graph=1e-9)
+
+
+# a config takes no graph tolerance, so it refuses these values with every other;
+# explicit ids keep each case's name stable as cases come and go
+@pytest.mark.parametrize("key, value", [
+    pytest.param("tol_graph", float("nan"),
+                 id="tol_graph-nan-tol_graph = nan must be finite and positive"),
+    pytest.param("tol_graph", float("inf"),
+                 id="tol_graph-inf-tol_graph = inf must be finite and positive"),
+    pytest.param("tol_graph", -1.0,
+                 id="tol_graph--1.0-tol_graph = -1.0 must be finite and positive"),
+    pytest.param("tol_graph", 0.0,
+                 id="tol_graph-0.0-tol_graph = 0.0 must be finite and positive")])
+def test_config_refuses_non_finite_or_negative_tolerances(key, value):
+    with pytest.raises(TypeError, match=key):
         RunConfig("extend", n_x=40, n_pi=5, **{key: value})
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--tol-graph", "nan"], "tol_graph = nan"), (["--tol-graph", "-1"], "tol_graph = -1.0"),
-    (["--config", "[gauge]\nmodulus = -1\n"], "modulus = -1.0"),
-    (["--config", "[gauge]\nmodulus = nan\n"], "modulus = nan"),
-    (["--config", "[gauge]\nmodulus = inf\n"], "modulus = inf")])
+    pytest.param(["--tol-graph", "nan"], None, id="argv0-tol_graph = nan"),
+    pytest.param(["--tol-graph", "-1"], None, id="argv1-tol_graph = -1.0"),
+    pytest.param(["--config", "[gauge]\nmodulus = -1\n"], "modulus = -1.0",
+                 id="argv2-modulus = -1.0"),
+    pytest.param(["--config", "[gauge]\nmodulus = nan\n"], "modulus = nan",
+                 id="argv3-modulus = nan"),
+    pytest.param(["--config", "[gauge]\nmodulus = inf\n"], "modulus = inf",
+                 id="argv4-modulus = inf")])
 def test_non_finite_options_exit_2(tmp_path, capsys, argv, message):
-    # a spec's [gauge] modulus is checked, then read by no pipeline
-    if "--config" in argv:
+    # a spec's [gauge] modulus is checked, then read by no pipeline; the graph
+    # tolerance is no option, so argparse refuses its flag with the same exit code
+    head = ["extend", "--n-x", "40", "--n-pi", "5"]
+    if argv[0] == "--config":
         argv = argv[:1] + [write(tmp_path, argv[1])]
-    assert main(["extend", "--n-x", "40", "--n-pi", "5", *argv]) == 2
-    assert capsys.readouterr().err.startswith(f"input error: {message} must be")
+        assert main([*head, *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message} must be")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([*head, *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv)}\n")
 
 
 def _samples_spec(n_x, n_pi, entry):

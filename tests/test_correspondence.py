@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import modops.correspondence as correspondence
+
 from modops.algebra import AlgebraElement, FiberIndex
 from modops.correspondence import (
     ModuleModel,
@@ -19,7 +21,7 @@ from modops.operators import (
     orthonormal_frame,
     z_transform,
 )
-from modops.tolerances import RANK_RTOL, TOL_ALG
+from modops.tolerances import PROJECTOR_GATE, RANK_RTOL, TOL_ALG
 
 MODEL = ModuleModel(FiberIndex(("p", "q"), (2, 2)), (2, 3))
 
@@ -419,6 +421,42 @@ def test_roundtrip_compacts_side():
     S = left_module_operator(MODEL.compact_model, random_blocks(rng, MODEL), cols)
     verdict = roundtrip_check(S, MODEL, side="compacts")
     assert verdict.inclusion_ok and verdict.closure_equal
+
+
+def _moved_operator(T, part, rng):
+    """``T`` with its action scaled by ``1 + 3 TOL_ALG``, or with one domain
+    direction turned by the angle ``3 PROJECTOR_GATE TOL_ALG`` out of the
+    domain: beyond the round trip's ``TOL_ALG`` gates, within the graph
+    comparisons' ``TOL_GRAPH = 10 TOL_ALG``."""
+    if part == "action":
+        return DomainedOperator(T.action * (1.0 + 3 * TOL_ALG), T.frame)
+    F = T.frame
+    outside = orthonormal_frame((np.eye(F.shape[0]) - F @ F.conj().T)
+                                @ rng.standard_normal((F.shape[0], 1)))
+    angle = 3 * PROJECTOR_GATE * TOL_ALG
+    turned = F.copy()
+    turned[:, 0] = np.cos(angle) * F[:, 0] + np.sin(angle) * outside[:, 0]
+    return DomainedOperator(T.action, turned)
+
+
+@pytest.mark.parametrize("part", ["action", "domain"])
+def test_roundtrip_compares_within_tol_alg(monkeypatch, part):
+    # a round trip compares operators that are equal by algebra, so a map
+    # back that moves the action or the domain by three times TOL_ALG fails
+    # it, where the graph comparisons, within TOL_GRAPH, would let it pass
+    rng = np.random.default_rng(10)
+    T = left_module_operator(MODEL, random_blocks(rng, MODEL),
+                             {"p": np.array([[1.0], [0.0]]), "q": None})
+    moved = _moved_operator(T, part, rng)
+    monkeypatch.setattr(correspondence, "phi2", lambda S, model: moved)
+    verdict = roundtrip_check(T, MODEL, side="module")
+    if part == "action":
+        assert graph_inclusion(moved, T).included
+        assert not verdict.inclusion_ok
+    else:
+        assert moved.same_domain(T)
+        assert not verdict.domains_match
+    assert not verdict
 
 
 def test_monotonicity_of_phi1():

@@ -30,7 +30,7 @@ from modops.operators import (
     graph_inclusion,
     z_transform,
 )
-from modops.tolerances import CIRCULANT_MATCH, MEMBERSHIP_SLACK
+from modops.tolerances import CIRCULANT_MATCH, MEMBERSHIP_SLACK, TOL_GRAPH
 
 
 def sampled(f, n):
@@ -249,7 +249,7 @@ def test_symbol_is_that_of_the_dense_fold(n):
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_closed_forms_match_the_dense_transform(n):
+def test_closed_forms_match_the_dense_transform(dense_transform, n):
     rng = np.random.default_rng(n)
     for op in every_operator(n):
         zt = grid_transform(op)
@@ -257,7 +257,7 @@ def test_closed_forms_match_the_dense_transform(n):
             assert not isinstance(zt, diffops._GridTransform)
             continue
         assert isinstance(zt, diffops._GridTransform), op
-        dense = z_transform(op.as_domained()).z
+        dense = dense_transform(op).z
         assert_allclose(zt.z, dense, rtol=0, atol=1e-13)
         for _ in range(2):
             x = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
@@ -606,7 +606,7 @@ def test_periodic_operator_is_symmetric_via_graph_machinery():
     # therefore agree on the domain, where kernels live.
     dom = GridOperator(64, PERIODIC).as_domained()
     adj = adjoint_via_graph(dom)
-    res = graph_inclusion(dom, adj, tol=1e-9)
+    res = graph_inclusion(dom, adj)
     assert res.included
     P = dom.domain_projector()
     assert np.linalg.norm((adj.action - dom.action) @ P, 2) <= 1e-9
@@ -745,9 +745,9 @@ def _twisted_or_periodic(theta):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(32, 160),
        theta=st.one_of(st.none(), st.floats(0.0, 2 * np.pi, exclude_max=True)))
-def test_closed_form_transform_matches_the_dense_oracle(n, theta):
+def test_closed_form_transform_matches_the_dense_oracle(dense_transform, n, theta):
     op = GridOperator(n, _twisted_or_periodic(theta))
-    closed, dense = grid_transform(op), z_transform(op.as_domained())
+    closed, dense = grid_transform(op), dense_transform(op)
     assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
     assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
     # the SVD resolves the smallest singular value to about eps ||1 + T0*T0||
@@ -757,11 +757,11 @@ def test_closed_form_transform_matches_the_dense_oracle(n, theta):
 
 @pytest.mark.parametrize("n, tag", [(400, PERIODIC), (401, BoundaryTag.twisted(0.7)),
                                     (400, BoundaryTag.twisted(3.0))])
-def test_closed_form_transform_at_size(linalg_calls, n, tag):
+def test_closed_form_transform_at_size(linalg_calls, dense_transform, n, tag):
     op = GridOperator(n, tag)
     closed = grid_transform(op)
     assert linalg_calls == []
-    dense = z_transform(op.as_domained())
+    dense = dense_transform(op)
     assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
     assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
 
@@ -864,28 +864,29 @@ def test_closed_form_keeps_the_condition_gate(monkeypatch):
 
 
 # ------------------------------------------------- deflated minimal closed form
-def _minimal_against_the_dense_oracle(n):
+def _minimal_against_the_dense_oracle(n, dense_transform):
     """The wrap-style minimal fiber's closed-form transform, gap and jump to
-    the periodic transform, each against ``z_transform`` of the dense fiber
-    and the dense 2-norm."""
+    the periodic transform, each against the dense oracle transform of the
+    fiber and the dense 2-norm."""
     op, per = GridOperator(n, MINIMAL, "wrap"), GridOperator(n, PERIODIC)
     closed, zp = grid_transform(op), grid_transform(per)
-    dense = z_transform(op.as_domained())
+    dense = dense_transform(op)
     assert_allclose(closed.z, dense.z, rtol=0, atol=1e-12)
     assert closed.density_gap == pytest.approx(dense.density_gap, rel=1e-14, abs=0)
-    oracle = np.linalg.norm(dense.z - z_transform(per.as_domained()).z, 2)
+    oracle = np.linalg.norm(dense.z - dense_transform(per).z, 2)
     assert transform_jump(closed, zp, n + 1) == pytest.approx(oracle, rel=1e-12, abs=0)
     assert transform_jump(zp, closed, n + 1) == transform_jump(closed, zp, n + 1)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(32, 160))
-def test_minimal_closed_form_matches_the_dense_oracle(n):
-    _minimal_against_the_dense_oracle(n)
+def test_minimal_closed_form_matches_the_dense_oracle(dense_transform, n):
+    _minimal_against_the_dense_oracle(n, dense_transform)
 
 
 @pytest.mark.parametrize("n, m", [(8, 3), (9, 5), (400, 101), (401, 201)])
-def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_calls, n, m):
+def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_calls,
+                                                          dense_transform, n, m):
     # the 1 + lam^2 of the periodic symbol fall into m distinct poles: at even
     # n the modes k, -k, n/2 - k and n/2 + k share one, at odd n only k and -k
     shapes = []
@@ -906,7 +907,7 @@ def test_minimal_closed_form_at_size_takes_one_small_eigh(monkeypatch, linalg_ca
     assert shapes[1:] == [(j, j) for j in range(1, k + 1)]
     assert closed.g.shape == (m, m)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    _minimal_against_the_dense_oracle(n)
+    _minimal_against_the_dense_oracle(n, dense_transform)
 
 
 def test_minimal_fiber_with_another_matrix_is_refused(linalg_calls):
@@ -991,17 +992,18 @@ def _inclusion_operators(n, theta1, theta2):
 
 def _inclusions_against_the_dense_oracle(n, theta1, theta2, tol):
     """Every ordered pair's grid inclusion against ``graph_inclusion`` of the
-    dense fibers, each built once.  A pair of agreeing matrices must not take
-    the dense path, and must agree with the oracle.  Any other pair must take
-    it, on the dense fibers and ``tol``, and return its result unchanged:
-    that result is the oracle's by construction, so a marker stands in for
-    it and the oracle is not computed twice."""
+    dense fibers, each built once, with ``TOL_GRAPH`` set to ``tol``.  A pair
+    of agreeing matrices must not take the dense path, and must agree with
+    the oracle.  Any other pair must take it, on the dense fibers, and
+    return its result unchanged: that result is the oracle's by
+    construction, so a marker stands in for it and the oracle is not
+    computed twice."""
     ops = _inclusion_operators(n, theta1, theta2)
     dense = [op.as_domained() for op in ops]
     calls, marker = [], object()
 
-    def recorded(S, T, tol):
-        calls.append((S, T, tol))
+    def recorded(S, T):
+        calls.append((S, T))
         return marker
 
     def same(x, y):
@@ -1012,38 +1014,39 @@ def _inclusions_against_the_dense_oracle(n, theta1, theta2, tol):
         for a, da in zip(ops, dense):
             for b, db in zip(ops, dense):
                 calls.clear()
-                got = grid_inclusion(a, b, tol)
+                got = grid_inclusion(a, b)
                 if np.array_equal(a.matrix, b.matrix):
                     assert calls == [], (a, b)
-                    oracle = graph_inclusion(da, db, tol)
+                    oracle = graph_inclusion(da, db)
                     assert got.residual == pytest.approx(oracle.residual, rel=0, abs=1e-15)
                     # the verdict is the residual's against the gate, and the
                     # oracle's unless the gate separates the two residuals,
                     # which then agree only to roundoff
                     gate = MEMBERSHIP_SLACK * tol
-                    assert got.included == (0.0 <= tol and got.residual <= gate), (a, b)
+                    assert got.included == (got.residual <= gate), (a, b)
                     if (got.residual <= gate) == (oracle.residual <= gate):
                         assert got.included == oracle.included, (a, b)
                 else:
-                    [(S, T, t)] = calls
-                    assert got is marker and t == tol, (a, b)
+                    [(S, T)] = calls
+                    assert got is marker, (a, b)
                     assert same(S, da) and same(T, db), (a, b)
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(32, 160), theta1=st.floats(0.0, 6.28), theta2=st.floats(0.0, 6.28),
-       tol=st.sampled_from([1e-9, 1e-12, 1e-15, 1e-17, 0.0, -1e-9]))
+       tol=st.sampled_from([1e-9, 1e-12, 1e-15, 1e-17]))
 # twisted(1) in itself: the endpoint Gram entry is exactly 1, so the residual
 # is its exact value 0, where zgemm's 0.9999999999999999 leaves 1.67e-16
 # above the gate 2e-17
 @example(n=128, theta1=0.0, theta2=1.0, tol=1e-17)
-def test_grid_inclusion_matches_the_dense_oracle(n, theta1, theta2, tol):
-    _inclusions_against_the_dense_oracle(n, theta1, theta2, tol)
+def test_grid_inclusion_matches_the_dense_oracle(graph_tolerance, n, theta1, theta2, tol):
+    with graph_tolerance(tol):
+        _inclusions_against_the_dense_oracle(n, theta1, theta2, tol)
 
 
 @pytest.mark.parametrize("n", [400, 401])
 def test_grid_inclusion_at_size(n):
-    _inclusions_against_the_dense_oracle(n, 0.7, 2.9, 1e-9)
+    _inclusions_against_the_dense_oracle(n, 0.7, 2.9, TOL_GRAPH)
 
 
 def test_grid_inclusion_reads_the_endpoint_blocks(linalg_calls):

@@ -158,26 +158,38 @@ def test_zfield_shared_fibers_match_dense_reference(seed, pattern):
         assert np.linalg.norm(got.z - ref.z, 2) <= 1e-12
 
 
-def test_gauged_field_operations_match_their_dense_fibers():
-    # zfield and adjoint_field of a phase-table field against the same
-    # operations on its materialized fibers
-    n_x, n_pi = 24, 6
+def _gauged_field(n_x=24, n_pi=6):
+    """The gauge extension field of the periodic fiber under a smooth phase
+    table, ``n_pi`` points over ``n_x`` steps."""
     grid = np.linspace(0, 1, n_pi)
     g = _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)
-    F = gauge_extension(GridOperator(n_x, PERIODIC),
-                        GaugeField.from_phase_samples(grid, g)).field
-    assert F.distinct_fibers == (GridOperator(n_x, PERIODIC),)
+    return gauge_extension(GridOperator(n_x, PERIODIC),
+                           GaugeField.from_phase_samples(grid, g)).field
+
+
+def test_gauged_field_operations_match_their_dense_fibers():
+    # adjoint_field of a phase-table field against the graph adjoints of its
+    # materialized fibers
+    F = _gauged_field()
+    assert F.distinct_fibers == (GridOperator(24, PERIODIC),)
     dense = list(F.fibers)
-    rep = zfield(F)
-    transforms, profile, flagged = reference_zfield(dense)
-    assert_allclose(rep.profile, profile, rtol=0, atol=1e-12)
-    assert rep.flagged == flagged
-    for got, ref in zip(rep.transforms, transforms):
-        assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
     adj = adjoint_field(F)
     assert adj.phases is F.phases and len(adj.distinct_fibers) == 1
     for got, f in zip(adj.fibers, dense):
         assert_allclose(got.action, adjoint_via_graph(f).action, rtol=0, atol=1e-12)
+
+
+def test_zfield_refuses_a_gauged_field(monkeypatch):
+    # no pipeline transforms a gauged field, so zfield and zfields refuse one
+    # by name, also beside an ungauged field, before any transform is taken
+    F = _gauged_field()
+    plain = build_counterexample_t(4, 32)
+    for name in ("grid_transforms", "z_transform"):
+        monkeypatch.setattr(fibered, name, lambda *args: pytest.fail("a transform was taken"))
+    for call in (lambda: zfield(F), lambda: fibered.zfields(plain, F)):
+        with pytest.raises(ValueError, match="^zfield takes no gauged field: "
+                                             "it has a phase table$"):
+            call()
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
@@ -727,6 +739,13 @@ def _phase_table(n_pi, n_x, coeffs, jump, jump_at, pi_grid=None):
     return g + jump * (np.arange(n_pi)[:, None] >= jump_at) * x
 
 
+def gauged_transforms(res):
+    """The matrices ``U_pi w U_pi*`` of a gauge extension, one per grid
+    point, from its base transform's ``z`` and its field's phase table."""
+    z = res.base_transform.z
+    return [z * np.outer(p, p.conj()) for p in res.field.phases]
+
+
 # the dense reference subtracts O(1) matrices, so agreement is relative
 # 1e-12 above an absolute roundoff floor of 1e-14
 RTOL, ATOL = 1e-12, 1e-14
@@ -767,14 +786,14 @@ def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, g
             assert_allclose(got.action, ref.action, rtol=0, atol=1e-12)
             assert_allclose(got.domain_projector(), ref.domain_projector(),
                             rtol=0, atol=1e-12)
-        for got, ref in zip(res.transforms, transforms):
-            assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
-        # the reference gaps are eigvalsh(1 - z*z), subject to the absolute
-        # floor; the dense transform's 1 / lambda_max is accurate relatively
-        assert_allclose([t.density_gap for t in res.transforms],
-                        [t.density_gap for t in transforms], rtol=RTOL, atol=ATOL)
-        assert_allclose([t.density_gap for t in res.transforms], w.density_gap,
-                        rtol=RTOL)
+        for got, ref in zip(gauged_transforms(res), transforms):
+            assert_allclose(got, ref.z, rtol=0, atol=1e-12)
+        # every gauged transform has the base transform's gap; the reference
+        # gaps are eigvalsh(1 - z*z), subject to the absolute floor, and the
+        # dense transform's 1 / lambda_max is accurate relatively
+        gap = res.base_transform.density_gap
+        assert_allclose([t.density_gap for t in transforms], gap, rtol=RTOL, atol=ATOL)
+        assert_allclose(gap, w.density_gap, rtol=RTOL)
         assert_allclose(res.deviations, devs, rtol=RTOL, atol=ATOL)
     # through the dense transform's products and the closed form's FFTs
     for zt in (w, grid_transform(t0)):
@@ -823,7 +842,7 @@ def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
     u = np.diag(p)
     dense = z_transform(DomainedOperator(u @ T.action @ u.conj().T,
                                          orthonormal_frame(u @ T.frame))).z
-    assert_allclose(z_transform(T)._phase_rotated(p).z, dense, rtol=0, atol=1e-12)
+    assert_allclose(z_transform(T).z * np.outer(p, p.conj()), dense, rtol=0, atol=1e-12)
     assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
 
 
@@ -997,8 +1016,8 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg
         res = gauge_extension(t0, gauge)
         assert norm_calls == [n_x + 1] * (fine + coarse), name
         assert "norm2" not in linalg_calls, name
-        dense = [np.linalg.norm(b.z - a.z, 2)
-                 for a, b in zip(res.transforms, res.transforms[1:])]
+        zs = gauged_transforms(res)
+        dense = [np.linalg.norm(b - a, 2) for a, b in zip(zs, zs[1:])]
         assert_allclose(res.deviations, dense, rtol=RTOL, atol=ATOL)
 
 
@@ -1049,17 +1068,19 @@ def test_increment_norm_matches_the_dense_norm(seed, n, log_amp):
 @example(seed=0, n_x=8, log_amp=0.0, fiber="periodic")
 @example(seed=1, n_x=9, log_amp=-6.0, fiber="minimal")
 @example(seed=2, n_x=160, log_amp=0.5, fiber="twisted")
-def test_increment_norm_through_the_closed_form_matches_the_dense_norm(seed, n_x,
-                                                                       log_amp, fiber):
-    # the closed form acts by FFTs, its dense ZTransform by products with z
+def test_increment_norm_through_the_closed_form_matches_the_dense_norm(dense_transform, seed,
+                                                                       n_x, log_amp, fiber):
+    # the closed form acts by FFTs, the dense oracle transform by products
+    # with its z
     tag, style = {"periodic": (PERIODIC, None), "twisted": (BoundaryTag.twisted(0.7), None),
                   "minimal": (MINIMAL, "wrap")}[fiber]
-    w = grid_transform(GridOperator(n_x, tag, style))
+    op = GridOperator(n_x, tag, style)
+    w = grid_transform(op)
     rng = np.random.default_rng(seed)
     q = np.exp(1j * 10.0 ** log_amp * rng.uniform(-np.pi, np.pi, n_x + 1))
     oracle = _dense_increment_norm(w.z, q)
     assert fibered._increment_norm(w, q) == pytest.approx(oracle, rel=1e-13)
-    assert fibered._increment_norm(ZTransform(w.z), q) == pytest.approx(oracle, rel=1e-13)
+    assert fibered._increment_norm(dense_transform(op), q) == pytest.approx(oracle, rel=1e-13)
 
 
 def _benchmark_phase(variant, n_x):
@@ -1072,21 +1093,22 @@ def _benchmark_phase(variant, n_x):
 
 
 @pytest.mark.parametrize("variant", range(8))
-def test_increment_norm_on_the_benchmark_gauges(variant):
+def test_increment_norm_on_the_benchmark_gauges(dense_transform, variant):
     # g(pi, x) = pi * phi(x) over 16 points: one increment, whose deviation
     # has a doubled top singular value about 7% above the next
     n_x, n_pi = 400, 16
     phi = _benchmark_phase(variant, n_x)
     g = [[i / (n_pi - 1) * f for f in phi] for i in range(n_pi)]
     phases = GaugeField.from_phase_samples(np.linspace(0, 1, n_pi), g).phases
-    w = grid_transform(GridOperator(n_x, PERIODIC))
+    op = GridOperator(n_x, PERIODIC)
+    w = grid_transform(op)
     z = w.z
     q = phases[1] * phases[0].conj()
     s = np.linalg.svd(z * np.outer(q, q.conj()) - z, compute_uv=False)
     assert s[1] == pytest.approx(s[0], rel=1e-12) and s[2] < 0.95 * s[0]
-    # through the closed form's FFTs and through the dense transform
+    # through the closed form's FFTs and through the dense oracle transform
     assert fibered._increment_norm(w, q) == pytest.approx(s[0], rel=1e-13)
-    assert fibered._increment_norm(ZTransform(z), q) == pytest.approx(s[0], rel=1e-13)
+    assert fibered._increment_norm(dense_transform(op), q) == pytest.approx(s[0], rel=1e-13)
     assert _dense_increment_norm(z, q) == pytest.approx(s[0], rel=1e-13)
 
 
@@ -1137,13 +1159,16 @@ def test_extension_check_gauged_linear_phase():
 
 
 def test_extension_check_trivial_gauge_extends_plainly():
+    # the identity gauge's field carries a phase table of ones, so it is
+    # compared in that gauge's frame, where it extends t plainly
     n_pi, n_x = 6, N_X
     grid = np.linspace(0, 1, n_pi)
     t = build_counterexample_t(n_pi, n_x)
-    res = gauge_extension(GridOperator(n_x, PERIODIC),
-                          GaugeField.identity(grid, n_x + 1))
-    rep = extension_inclusion_check(t, res.field)
+    identity = GaugeField.identity(grid, n_x + 1)
+    res = gauge_extension(GridOperator(n_x, PERIODIC), identity)
+    rep = extension_inclusion_check(t, res.field, gauge=identity)
     assert rep.included and rep.tilde_chain_ok
+    assert rep.rows == extension_inclusion_check(t, t).rows
 
 
 def test_extension_check_reports_failing_fiber():
@@ -1157,7 +1182,7 @@ def test_extension_check_reports_failing_fiber():
     assert rep.failing == [pytest.approx(0.5)]
 
 
-def reference_extension_check(S, T, tol, gauge, modulus):
+def reference_extension_check(S, T, gauge, modulus):
     """Dense reference: every row inclusion, and every link of the gluing
     chain decided by its own graph inclusion and projector comparison, on
     the dense fibers, each built once, and their glued fields by the dense
@@ -1171,7 +1196,7 @@ def reference_extension_check(S, T, tol, gauge, modulus):
 
     def included(a, b):
         if (id(a), id(b)) not in decided:
-            decided[id(a), id(b)] = graph_inclusion(a, b, tol)
+            decided[id(a), id(b)] = graph_inclusion(a, b)
         return decided[id(a), id(b)]
 
     rows, failing = [], []
@@ -1189,7 +1214,7 @@ def reference_extension_check(S, T, tol, gauge, modulus):
             chain = False
         if not included(st_, tt).included:
             chain = False
-        same_dom = tt.same_domain(tf, tol)
+        same_dom = tt.same_domain(tf)
         same_act = included(tf, tt).included
         if not (same_dom and same_act):
             chain = False
@@ -1199,8 +1224,9 @@ def reference_extension_check(S, T, tol, gauge, modulus):
 # gauges of the extension check: "linear" and "group" (pi * phi(x)) have
 # equal increments, "table" (a pi^2 term) and "step" do not; "mismatch"
 # gauges S by a table and T linearly, and "none" gives T the identity
-# table, so that its rows cannot share S's phases
+# table and S none, so that their phase tables differ and the check refuses
 GAUGE_KINDS = ["none", "linear", "group", "table", "step", "mismatch"]
+UNEQUAL_TABLES = ("none", "mismatch")
 
 
 def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
@@ -1256,18 +1282,24 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
          perturb=5, tol=1e-12)
 @example(n_x=24, n_pi=5, gauge_kind="mismatch", coeffs=(1.0, 0.3, -0.5),
          modulus=None, perturb=None, tol=1e-9)
-def test_extension_check_matches_dense_reference(n_x, n_pi, gauge_kind, coeffs,
-                                                 modulus, perturb, tol):
+def test_extension_check_matches_dense_reference(graph_tolerance, n_x, n_pi, gauge_kind,
+                                                 coeffs, modulus, perturb, tol):
     # the reference glues under a modulus; the check has none, since no
-    # modulus can change a glued field
+    # modulus can change a glued field.  Both decide with TOL_GRAPH = tol;
+    # fields whose phase tables differ are refused
     if perturb is not None:
         perturb %= n_pi
     try:
         S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
     except GaugeNotContinuous:
         assume(False)
-    rep = extension_inclusion_check(S, T, tol=tol, gauge=gauge)
-    rows, included, failing, chain = reference_extension_check(S, T, tol, gauge, modulus)
+    if gauge_kind in UNEQUAL_TABLES:
+        with pytest.raises(ValueError, match="equal phase tables"):
+            extension_inclusion_check(S, T, gauge=gauge)
+        return
+    with graph_tolerance(tol):
+        rep = extension_inclusion_check(S, T, gauge=gauge)
+        rows, included, failing, chain = reference_extension_check(S, T, gauge, modulus)
     # rows decided on the ungauged fibers move their residuals at roundoff
     assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
     assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows],
@@ -1285,9 +1317,9 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
         calls["graph_inclusion"] += 1
         return graph_inclusion(*args)
 
-    def counting_same_domain(self, other, tol):
+    def counting_same_domain(self, other):
         calls["same_domain"] += 1
-        return same_domain(self, other, tol)
+        return same_domain(self, other)
 
     def counting_grid_inclusion(*args):
         calls["grid_inclusion"] += 1
@@ -1307,8 +1339,7 @@ def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
 @pytest.mark.parametrize("gauge_kind, perturb, rows", [
     ("linear", None, 2), ("group", None, 2), ("table", None, 2),
     ("linear", 3, 3),          # the shifted fiber is a third distinct S fiber
-    ("linear", 0, 2),          # ... replacing the only minimal one
-    ("mismatch", None, 6), ("none", None, 6)])  # unequal phase tables
+    ("linear", 0, 2)])         # ... replacing the only minimal one
 def test_rows_are_decided_once_per_distinct_pair(monkeypatch, gauge_kind, perturb, rows):
     n_pi, n_x = 6, 24
     S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, (1.0, 0.3, -0.5), perturb)
@@ -1320,12 +1351,25 @@ def test_rows_are_decided_once_per_distinct_pair(monkeypatch, gauge_kind, pertur
             return inclusion(*args)
         return counted
 
-    # a pair of grid fibers is decided by grid_inclusion, any other pair and
-    # every gauged row by graph_inclusion
+    # a pair of grid fibers is decided by grid_inclusion, any other pair by
+    # graph_inclusion
     monkeypatch.setattr(fibered, "graph_inclusion", counting(graph_inclusion))
     monkeypatch.setattr(fibered, "grid_inclusion", counting(fibered.grid_inclusion))
     extension_inclusion_check(S, T, gauge=gauge)
     assert len(calls) == rows
+
+
+@pytest.mark.parametrize("gauge_kind", UNEQUAL_TABLES)
+def test_extension_check_refuses_unequal_phase_tables(monkeypatch, gauge_kind):
+    # S in the gauge frame and T carry different phase tables: no row is
+    # decided, on the dense fibers or any other way
+    S, T, gauge = _extension_case(24, 6, gauge_kind, (1.0, 0.3, -0.5), None)
+    assert not fibered._same_phases(S.phases if gauge is None else gauge.phases, T.phases)
+    for name in ("graph_inclusion", "grid_inclusion"):
+        monkeypatch.setattr(fibered, name, lambda *args: pytest.fail("a row was decided"))
+    with pytest.raises(ValueError, match="^fields must carry equal phase tables "
+                                         "in the gauge frame$"):
+        extension_inclusion_check(S, T, gauge=gauge)
 
 
 def test_refinement_stability_of_fiber_verdicts_and_deviations():

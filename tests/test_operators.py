@@ -245,12 +245,12 @@ def test_tau_orthogonality_dimension_count():
     assert g.shape[1] + ga.shape[1] == 2 * n
 
 
-def in_graph(T, left, right, tol=TOL_GRAPH):
+def in_graph(T, left, right):
     """Whether the pair ``(left, right)`` lies in the graph of ``T``."""
-    if not T.contains(left, tol)[0]:
+    if not T.contains(left)[0]:
         return False
     res = np.linalg.norm(T.apply(left) - right)
-    return res <= tol * (1.0 + np.linalg.norm(right))
+    return res <= TOL_GRAPH * (1.0 + np.linalg.norm(right))
 
 
 def test_graph_pair_membership():
@@ -266,7 +266,7 @@ def test_graph_pair_membership():
        tol=st.sampled_from([1e-9, 1e-10]))
 @example(k=12, log_angle=np.log10(8e-9), tol=1e-9)   # Frobenius above, 2-norm below
 @example(k=1, log_angle=-10.0, tol=1e-9)             # settled by the Frobenius bound
-def test_same_domain_matches_the_dense_two_norm_gate(k, log_angle, tol):
+def test_same_domain_matches_the_dense_two_norm_gate(graph_tolerance, k, log_angle, tol):
     # k orthonormal directions each rotated by one small angle: the projector
     # difference has 2-norm sin(angle) and Frobenius norm sqrt(2k) sin(angle)
     n = 2 * k + 1
@@ -276,7 +276,8 @@ def test_same_domain_matches_the_dense_two_norm_gate(k, log_angle, tol):
     G = np.cos(angle) * eye[:, :k] + np.sin(angle) * eye[:, k:2 * k]
     A, B = DomainedOperator(np.eye(n), F), DomainedOperator(np.eye(n), G)
     dense = np.linalg.norm(A.domain_projector() - B.domain_projector(), 2) <= 10 * tol
-    assert A.same_domain(B, tol) == dense
+    with graph_tolerance(tol):
+        assert A.same_domain(B) == dense
 
 
 # ----------------------------------------------------------- graph inclusion
@@ -319,7 +320,7 @@ def test_restrict_accepts_commuting_unitary_within_tolerance():
     R2 = np.eye(6) - zt.z.conj().T @ zt.z
     u = near_identity_commuting_unitary(rng, R2)
     zs = restrict_via_isometry(zt, u)
-    assert graph_inclusion(from_z(zs), from_z(zt), tol=1e-9).included
+    assert graph_inclusion(from_z(zs), from_z(zt)).included
     w = restriction_witness(zt, zs)
     assert np.linalg.norm(w.w - u, 2) <= 1e-9
     assert w.is_isometry

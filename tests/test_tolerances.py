@@ -1,5 +1,5 @@
-"""Lint: no numerical threshold hides in a function body, and no gate lets
-a NaN through.
+"""Lint: no numerical threshold hides in a function body, no gate lets a
+NaN through, and no function takes a tolerance from its caller.
 
 Tolerances, cutoffs and gate bounds are named in ``modops.tolerances`` (or
 in one table next to their single user), so every float literal inside a
@@ -10,6 +10,8 @@ is flagged too, since its default relative tolerance is a threshold of its
 own.  A gate, an ``if`` that raises on a comparison with a constant of
 ``modops.tolerances``, is flagged unless it is written ``if not ...``: every
 comparison with NaN is false, so only a negated pass condition fails on it.
+A parameter named ``tol`` (or ``tol_...``) is flagged: a gate reads its
+bound from ``modops.tolerances``, and no run or caller sets it.
 """
 import ast
 from pathlib import Path
@@ -77,6 +79,19 @@ def _nan_passing_gates(tree):
     return sorted(found)
 
 
+def _tolerance_parameters(tree):
+    """(line, name) of every function parameter named ``tol`` or ``tol_...``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found += [(p.lineno, p.arg) for p in params
+                  if p.arg == "tol" or p.arg.startswith("tol_")]
+    return sorted(found)
+
+
 def test_lint_flags_what_it_is_meant_to():
     tree = ast.parse(
         "def f(x, tol=1e-12):\n"
@@ -109,6 +124,17 @@ def test_gate_lint_flags_what_it_is_meant_to():
     assert _nan_passing_gates(tree) == [2, 4]
 
 
+def test_tolerance_parameter_lint_flags_what_it_is_meant_to():
+    tree = ast.parse(
+        "def f(x, tol=TOL_GRAPH):\n"
+        "    return x <= TOL_GRAPH\n"
+        "def g(x, *, tol_graph):\n"
+        "    return lambda tol: x\n"
+        "def h(x, bound, total, atol=None, *tols):\n"
+        "    return x\n")
+    assert _tolerance_parameters(tree) == [(1, "tol"), (3, "tol_graph"), (4, "tol")]
+
+
 def test_no_hidden_thresholds_in_src():
     offenders = [f"{name}:{line}: {value!r}" for name, tree in _sources()
                  for line, value in sorted(_hidden_thresholds(tree))]
@@ -124,4 +150,10 @@ def test_no_implicit_tolerances_in_src():
 def test_every_gate_in_src_fails_on_nan():
     offenders = [f"{name}:{line}" for name, tree in _sources()
                  for line in _nan_passing_gates(tree)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_function_in_src_takes_a_tolerance():
+    offenders = [f"{name}:{line}: {param}" for name, tree in _sources()
+                 for line, param in _tolerance_parameters(tree)]
     assert not offenders, "\n".join(offenders)
