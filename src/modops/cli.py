@@ -55,11 +55,11 @@ _SECTION_KEYS = {
 
 # dense (n_x + 1)^2 complex matrices a grid pipeline keeps alive at once,
 # counted low from the code and checked by tracemalloc, or by the peak RSS
-# where LAPACK allocates; none is per base point, since gauged fields are
-# phase tables over their grid fibers, and grid operators and closed-form
-# transforms build their dense matrices only where one is read.  A request
-# whose count cannot fit in physical memory is refused before anything is
-# allocated.  A real matrix counts one half.
+# where LAPACK allocates; none is per base point, since a field holds grid
+# fibers, and grid operators and closed-form transforms build their dense
+# matrices only where one is read.  A request whose count cannot fit in
+# physical memory is refused before anything is allocated.  A real matrix
+# counts one half.
 _DENSE_MATRICES = {
     # the kernel certificate's real K, weighted in place, the SVD's two real
     # factors, and LAPACK's copy of K and its workspace, which tracemalloc
@@ -84,6 +84,11 @@ _DENSE_MATRICES = {
     "extend": 0,
 }
 
+# complex n_pi x (n_x + 1) phase tables extend keeps alive while it builds its
+# gauge, counted low and checked by tracemalloc and the peak RSS: the
+# identity gauge's table, its modulus and the normalized table (2.5)
+_PHASE_TABLES = 2.5
+
 # dense complex matrices of side max(sum m^2, sum m k) phi-roundtrip keeps
 # alive at once, counted low and checked by tracemalloc: an induced operator
 # on the larger of the module and its compacts holds its action and frame,
@@ -105,14 +110,14 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_beyond_memory(subject, k, n):
-    """Refuse a request whose ``k`` dense complex ``n x n`` matrices cannot
-    fit in physical memory."""
-    need, have = 16 * n ** 2 * k, _physical_memory()
+def _refuse_beyond_memory(subject, k, rows, cols, kind):
+    """Refuse a request whose ``k`` dense complex ``rows x cols`` arrays,
+    named ``kind``, cannot fit in physical memory."""
+    need, have = 16 * rows * cols * k, _physical_memory()
     if need > have:
         raise MalformedSpec(
-            f"{subject} needs at least {need / 1e9:.1f} GB for {k} dense {n}x{n} "
-            f"complex matrices, more than the {have / 1e9:.1f} GB of physical memory")
+            f"{subject} needs at least {need / 1e9:.1f} GB for {k} dense {rows}x{cols} "
+            f"complex {kind}, more than the {have / 1e9:.1f} GB of physical memory")
 
 
 @dataclass
@@ -143,16 +148,20 @@ class RunConfig:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         if self.command == "phi-roundtrip":
             model = self._roundtrip_model()
+            side = max(model.flat_dim, model.compact_model.flat_dim)
             _refuse_beyond_memory(f"a module of dimension {model.flat_dim}",
-                                  _ROUNDTRIP_MATRICES,
-                                  max(model.flat_dim, model.compact_model.flat_dim))
+                                  _ROUNDTRIP_MATRICES, side, side, "matrices")
         pipeline = self._grid_pipeline()
         if pipeline is None:
             return                      # no grid: n_x is never read
         low = _MIN_N_X.get(pipeline, 0)
         if self.n_x < low:
             raise MalformedSpec(f"{pipeline} needs n_x >= {low}, got {self.n_x}")
-        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], self.n_x + 1)
+        n = self.n_x + 1
+        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], n, n, "matrices")
+        if pipeline == "extend":
+            _refuse_beyond_memory(f"n_x = {self.n_x}, n_pi = {self.n_pi}", _PHASE_TABLES,
+                                  self.n_pi, n, "phase tables")
 
     def _grid_pipeline(self):
         """The key of this run in ``_DENSE_MATRICES``, or None when it reads
@@ -520,13 +529,13 @@ def run_extend(cfg: RunConfig, report: Report):
     # minimal base fiber shares
     t0 = t.distinct_fibers[t.index_map[-1]]
     result = gauge_extension(t0, gauge)
-    check = extension_inclusion_check(t, result.field, gauge=gauge)
+    check = extension_inclusion_check(t, result.field)
     report.kv("n_x", cfg.n_x)
     report.kv("n_pi", cfg.n_pi)
     report.kv("gauge_kind", cfg.gauge_kind)
     report.kv("max_z_deviation", result.max_deviation)
     report.kv("inclusion_ok", str(check.included), bound=f"graph tol {TOL_GRAPH}")
-    report.kv("tilde_chain_ok", str(check.tilde_chain_ok))
+    report.kv("tilde_chain_ok", str(check.included))
     report.table("fiber_inclusion", ("pi", "included", "residual"),
                  [(f"{pi:.6f}", str(ok), res) for pi, ok, res in check.rows])
     ok = bool(check)

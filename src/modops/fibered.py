@@ -1,18 +1,19 @@
 """Operator fields over a grid of base points in [0, 1].
 
-A :class:`FiberedOperator` holds one domained operator per grid point, each
-distinct one stored once: the fibers of an operator on a module of
+A :class:`FiberedOperator` is its fibers: one operator per grid point,
+each distinct one stored once, the fibers of an operator on a module of
 operator-valued functions.  The module provides the nonregular
 counterexample field (minimal condition at the base point 0, periodic
 elsewhere), bounded-transform fields and their jump detector, the glued
 ("tilde") extension whose admitted elements have continuously varying image
-fields, and gauge-conjugated regular fields.
+fields, and gauge extensions ``U t0 U*``, held in the gauge frame beside
+``U``, where graph inclusion is decided, since a common unitary keeps it.
 
 Continuity of a field over a finite grid has no literal meaning, so it is
 surrogated by adjacent-fiber deviations: the jump detector of a transform
 field and the step-halving gate of a gauge.  The glued extension needs no
 such surrogate: on a finite grid no gluing modulus can shrink it, so it
-keeps the fibers of its field (:func:`tilde_extension`).
+is its field (:func:`tilde_extension`).
 """
 from __future__ import annotations
 
@@ -87,17 +88,11 @@ class FiberedOperator:
     dense work once per distinct fiber.  Sharing is safe because domained
     and grid operators freeze their arrays.
 
-    A gauged field also holds a phase table ``phases``, one unimodular row
-    per grid point as a :class:`GaugeField` stores them: fiber ``i`` is then
-    ``distinct_fibers[index_map[i]]`` conjugated by ``diag(phases[i])``, and
-    it is built only when read.
-
     A grid fiber is stored as its :class:`GridOperator`, and its dense
     :class:`DomainedOperator` is built only where one is read.
     """
 
-    def __init__(self, pi_grid, fibers, symbol=None, algebra_index=None,
-                 phases=None):
+    def __init__(self, pi_grid, fibers):
         pi_grid = np.asarray(pi_grid, dtype=float)
         if pi_grid.ndim != 1 or pi_grid.size < 1:
             raise ValueError("pi_grid must be a nonempty 1-d array")
@@ -116,38 +111,19 @@ class FiberedOperator:
             index_map.append(slot[id(f)])
         if len({f.ambient_dim for f in distinct}) != 1:
             raise ValueError("all fibers must share one ambient dimension")
-        if phases is not None:
-            phases = np.asarray(phases, dtype=complex)
-            if phases.shape != (pi_grid.size, distinct[0].ambient_dim):
-                raise ValueError("phase table must be (n_pi, ambient_dim)")
         self.pi_grid = pi_grid
         self.distinct_fibers = tuple(distinct)
         self.index_map = tuple(index_map)
-        self.symbol = symbol
-        self.algebra_index = algebra_index
-        self.phases = phases
 
     @property
     def fibers(self):
-        """One dense fiber per grid point (read-only), built on each read:
-        shared references, or with a phase table, gauged fibers."""
+        """One dense fiber per grid point (read-only), built on each read;
+        equal points share one object."""
         return self.per_point([_dense(f) for f in self.distinct_fibers])
 
     def per_point(self, per_fiber):
-        """Spread one value per distinct fiber to one value per grid point,
-        conjugated by the phase table when there is one (the values are then
-        domained operators)."""
-        return tuple(self._at(per_fiber[k], i) for i, k in enumerate(self.index_map))
-
-    def _at(self, v, i):
-        """``v`` at grid point ``i``, gauged by its phases when there are any."""
-        return v if self.phases is None else v._phase_rotated(self.phases[i])
-
-    def _on_same_index(self, per_fiber, phases, **attrs) -> "FiberedOperator":
-        """A field on this grid and index map over the distinct fibers
-        ``per_fiber``, with the phase table ``phases``."""
-        return FiberedOperator(self.pi_grid, [per_fiber[k] for k in self.index_map],
-                               phases=phases, **attrs)
+        """Spread one value per distinct fiber to one value per grid point."""
+        return tuple(per_fiber[k] for k in self.index_map)
 
     @property
     def n_fibers(self):
@@ -186,14 +162,7 @@ class FiberedOperator:
             fibers.append(DomainedOperator(act, frame))
         npts = len(index.labels)
         grid = np.arange(npts) / max(npts - 1, 1)
-        return cls(grid, fibers, symbol=symbol, algebra_index=index)
-
-    def fiber(self, i) -> DomainedOperator:
-        return self._at(_dense(self.distinct_fibers[self.index_map[i]]), i)
-
-    def __repr__(self):
-        return (f"FiberedOperator(n_fibers={self.n_fibers}, "
-                f"ambient={self.ambient_dim})")
+        return cls(grid, fibers)
 
 
 def _dense(f) -> DomainedOperator:
@@ -321,7 +290,7 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
     """Adjoint of a fibered operator, fiber by fiber, with the module
     continuity correction at isolated exceptional fibers.
 
-    For an ungauged field of grid fibers the boundary tags map to their
+    For a field of grid fibers the boundary tags map to their
     adjoint tags; then any fiber whose neighbors all carry one common adjoint
     operator different from the local one is pinned to that neighbor
     operator, because over a connected base the adjoint's image field must
@@ -331,17 +300,9 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
     field takes the graph adjoint of each distinct fiber.
     """
     ops = F.distinct_fibers
-    if F.phases is not None or not all(isinstance(f, GridOperator) for f in ops):
-        dense = [_dense(f) for f in ops]
-        # the adjoint symbol is the conjugate field only while every fiber is
-        # everywhere defined; operator-part extraction breaks the match else
-        sym = None
-        if F.symbol is not None and all(f.is_full_domain for f in dense):
-            sym = F.symbol.H
-        # (U T U*)* = U T* U*: a gauged field keeps its phase table
-        adjoints = [adjoint_via_graph(f) for f in dense]
-        return F._on_same_index(adjoints, F.phases, symbol=sym,
-                                algebra_index=F.algebra_index)
+    if not all(isinstance(f, GridOperator) for f in ops):
+        adjoints = [adjoint_via_graph(_dense(f)) for f in ops]
+        return FiberedOperator(F.pi_grid, F.per_point(adjoints))
     adjoint_of = [g.adjoint() for g in ops]
     adj_ops = [adjoint_of[k] for k in F.index_map]
     pinned = list(adj_ops)
@@ -383,9 +344,7 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     when they exceed ten times the median profile value; an absolute floor
     keeps constant fields with roundoff from flagging.  The floor needs no
     scale: every transform is a contraction.  Each distinct fiber is
-    transformed once, and adjacent points sharing a fiber deviate by 0.  A
-    gauged field is refused with :class:`ValueError`: its transforms are
-    gauged alike, ``z(U T U*) = U z(T) U*``, and no pipeline asks for them.
+    transformed once, and adjacent points sharing a fiber deviate by 0.
     A grid fiber is transformed by :func:`grid_transform`, in closed form
     where it is periodic, twisted or wrap-style minimal, and every jump is
     a Lanczos 2-norm over the two transforms' actions
@@ -399,8 +358,6 @@ def zfields(*fields: FiberedOperator) -> list:
     transformed once: grid fibers compare by value, other fibers by
     identity.  The grid fibers share one circulant symbol per distinct
     matrix (:func:`grid_transforms`)."""
-    if any(F.phases is not None for F in fields):
-        raise ValueError("zfield takes no gauged field: it has a phase table")
     distinct = dict.fromkeys(f for F in fields for f in F.distinct_fibers)
     grid = [f for f in distinct if isinstance(f, GridOperator)]
     built = dict(zip(grid, grid_transforms(grid)))
@@ -435,35 +392,38 @@ def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
 # --------------------------------------------------------------------------
 # fiber identity on finite models
 # --------------------------------------------------------------------------
-def fiber_identity_check(T: FiberedOperator, a: AlgebraElement) -> float:
+def fiber_identity_check(T: FiberedOperator, symbol: AlgebraElement,
+                         a: AlgebraElement) -> float:
     """Residual of the fiberwise identity (1 + T_x* T_x) a_x = ((1 + T*T) a)_x.
 
     The left side goes through the per-fiber matrices and graph adjoints; the
-    right side goes through plain algebra arithmetic with the field's symbol.
+    right side goes through plain algebra arithmetic with ``symbol``, whose
+    left multiplication ``T`` is (:meth:`FiberedOperator.from_algebra_symbol`).
     The element must sit in the fibered domain (and its image in the adjoint
     domain) within ``TOL_GRAPH``, otherwise :class:`DomainViolation` is raised.
     """
-    if T.algebra_index is None or T.symbol is None:
-        raise ValueError("fiber identity check needs an algebra-backed field")
-    index = T.algebra_index
+    index = symbol.index
     if a.index != index:
         raise ValueError("element lives over a different index")
+    if T.n_fibers != len(index.labels):
+        raise ValueError("the field needs one fiber per label of the symbol")
     worst = 0.0
+    fibers = T.fibers
     adjoints = T.per_point([adjoint_via_graph(f) for f in T.distinct_fibers])
     for i, lab in enumerate(index.labels):
         d = index.dim(lab)
         vec = a.fibers[lab].ravel()
-        ok, res = T.fiber(i).contains(vec)
+        ok, res = fibers[i].contains(vec)
         if not ok:
             raise DomainViolation(f"element is outside the domain at fiber {lab!r}",
                                   residual=res)
-        image = T.fiber(i).apply(vec)
+        image = fibers[i].apply(vec)
         ok, res = adjoints[i].contains(image)
         if not ok:
             raise DomainViolation(
                 f"image leaves the adjoint domain at fiber {lab!r}", residual=res)
         lhs = (vec + adjoints[i].apply(image)).reshape(d, d)
-        rhs = (a + T.symbol.H @ (T.symbol @ a)).fibers[lab]
+        rhs = (a + symbol.H @ (symbol @ a)).fibers[lab]
         worst = max(worst, np.linalg.norm(lhs - rhs, 2))
     return float(worst)
 
@@ -490,12 +450,10 @@ def tilde_extension(F: FiberedOperator) -> FiberedOperator:
     at least 1, since ``[I, keep][I, keep]* = I + keep keep* >= I``; so no
     rank cutoff drops a direction, the admitted span is the whole product
     whatever the modulus is, and its block ``i`` spans ``F``'s domain at
-    fiber ``i``.  The result therefore holds ``F``'s own fibers under its
-    phase table, and the product stays implicit, with no dense block
-    matrix, no SVD and no new frame.
+    fiber ``i``.  The result is therefore ``F``, and the product stays
+    implicit, with no dense block matrix, no SVD and no new frame.
     """
-    return F._on_same_index(F.distinct_fibers, F.phases, symbol=F.symbol,
-                            algebra_index=F.algebra_index)
+    return F
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +461,11 @@ def tilde_extension(F: FiberedOperator) -> FiberedOperator:
 # --------------------------------------------------------------------------
 @dataclass
 class GaugeExtensionResult:
-    field: FiberedOperator          # t0 under the gauge's phase table
+    """``T_pi = U_pi t0 U_pi*`` (:func:`gauge_extension`) in the gauge
+    frame: fiber ``i`` is ``t0`` conjugated by ``diag(gauge.phases[i])``."""
+
+    field: FiberedOperator          # U_pi* T_pi U_pi = t0 at every grid point
+    gauge: GaugeField               # U
     base_transform: ZTransform      # w, the transform of the base fiber
     deviations: np.ndarray
 
@@ -524,10 +486,10 @@ def gauge_extension(t0: GridOperator, U: GaugeField) -> GaugeExtensionResult:
     of ``pi -> U_pi S U_pi*`` over probe compacts has to drop by roughly half
     when the grid step does, else :class:`GaugeNotContinuous` is raised.
 
-    The field holds ``t0`` itself under ``U``'s phase table, so no dense
-    fiber is built until a caller reads one, and the gates act by ``w``'s
-    ``apply``, in ``O(n log n)`` for a closed form: no ``(n + 1)^2``
-    matrix is formed.
+    The result holds the field in the gauge frame, ``t0`` itself at every
+    grid point, beside ``U``, so no dense fiber is built until a caller
+    reads one, and the gates act by ``w``'s ``apply``, in ``O(n log n)``
+    for a closed form: no ``(n + 1)^2`` matrix is formed.
     """
     w = grid_transform(t0)
     if not w.density_gap > TOL_GAP:
@@ -535,8 +497,8 @@ def gauge_extension(t0: GridOperator, U: GaugeField) -> GaugeExtensionResult:
 
     devs = _increment_deviations(U.phases, w)
     _gauge_continuity_check(U, w, devs)
-    field = FiberedOperator(U.pi_grid, [t0] * len(U), phases=U.phases)
-    return GaugeExtensionResult(field=field, base_transform=w, deviations=devs)
+    field = FiberedOperator(U.pi_grid, [t0] * len(U))
+    return GaugeExtensionResult(field=field, gauge=U, base_transform=w, deviations=devs)
 
 
 def _per_increment(phases, f):
@@ -671,49 +633,31 @@ class ExtensionReport:
     included: bool
     failing: list
 
-    @property
-    def tilde_chain_ok(self):
-        """The gluing chain's verdict, which is the rows' verdict
-        (:func:`extension_inclusion_check`)."""
-        return self.included
-
     def __bool__(self):
         return self.included
 
 
-def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator,
-                              gauge: GaugeField | None = None) -> ExtensionReport:
+def extension_inclusion_check(S: FiberedOperator, T: FiberedOperator) -> ExtensionReport:
     """Fiberwise graph inclusion of ``S`` in ``T`` plus the gluing chain.
 
-    With a gauge, the comparison runs in the gauge frame: fiber ``i`` of
-    ``S`` is conjugated by ``U_i`` before the inclusion test (the two fields
-    are then expressed over one trivialization).  The gauged ``S`` and ``T``
-    must carry equal phase tables, else :class:`ValueError` is raised; row
-    ``i`` is then decided on their ungauged fibers, since a common unitary
-    leaves graph inclusion unchanged, and each distinct pair of fibers is
-    decided once, within ``TOL_GRAPH``: a pair of grid fibers by
-    :func:`grid_inclusion` from its boundary rows, any other pair by
-    :func:`graph_inclusion` of its dense fibers.
+    Row ``i`` is whether fiber ``i`` of ``S`` is a restriction of fiber
+    ``i`` of ``T``, and each distinct pair of fibers is decided once,
+    within ``TOL_GRAPH``: a pair of grid fibers by :func:`grid_inclusion`
+    from its boundary rows, any other pair by :func:`graph_inclusion` of
+    its dense fibers.  A gauge extension is compared in its gauge frame
+    (:class:`GaugeExtensionResult`): a common unitary at each point leaves
+    every row unchanged.
 
     The gluing chain is S inside tilde(S), tilde(S) inside tilde(T), and
-    tilde(T) = T fiberwise.  Every glued field keeps its fibers
+    tilde(T) = T fiberwise.  Every glued field is its field
     (:func:`tilde_extension`), so the outer links join a fiber to itself
     and hold by reflexivity, and the middle link is the row: the chain
-    holds exactly when every row does, and ``tilde_chain_ok`` is the row
-    verdict.
+    holds exactly when every row does, so ``included`` is its verdict too.
     """
     if S.n_fibers != T.n_fibers or S.ambient_dim != T.ambient_dim:
         raise ValueError("fields must share the grid and ambient dimension")
     if not np.array_equal(S.pi_grid, T.pi_grid):
         raise ValueError("fields must share the base grid")
-    if gauge is not None:
-        if len(gauge) != S.n_fibers:
-            raise ValueError("gauge must match the grid")
-        phases = gauge.phases if S.phases is None else S.phases * gauge.phases
-        S = S._on_same_index(S.distinct_fibers, phases)
-
-    if not _same_phases(S.phases, T.phases):
-        raise ValueError("fields must carry equal phase tables in the gauge frame")
     pairs = list(zip(S.index_map, T.index_map))
     decided = {(a, b): _fiber_inclusion(S.distinct_fibers[a], T.distinct_fibers[b])
                for a, b in dict.fromkeys(pairs)}
@@ -730,8 +674,3 @@ def _fiber_inclusion(s, t):
     if isinstance(s, GridOperator) and isinstance(t, GridOperator):
         return grid_inclusion(s, t)
     return graph_inclusion(_dense(s), _dense(t))
-
-
-def _same_phases(a, b):
-    """Whether two phase tables (or ``None``, no gauge) are equal by value."""
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))

@@ -122,30 +122,12 @@ class DomainedOperator:
         out._freeze(action, frame)
         return out
 
-    def _phase_rotated(self, p) -> "DomainedOperator":
-        """``diag(p) T diag(p)*`` on the domain ``diag(p) D(T)``, for unimodular ``p``.
-
-        Conjugation by a diagonal unitary is elementwise, and it maps the
-        orthonormal frame to an orthonormal frame, so no Gram check is run.
-        """
-        return DomainedOperator._trusted(self.action * np.outer(p, p.conj()),
-                                         p[:, None] * self.frame)
-
     @property
     def domain_dim(self):
         return self.frame.shape[1]
 
-    @property
-    def is_full_domain(self):
-        return self.domain_dim == self.ambient_dim
-
     def domain_projector(self):
         return self.frame @ self.frame.conj().T
-
-    def same_domain(self, other):
-        """Whether the domain projectors of ``self`` and ``other`` satisfy
-        ``||P - P'||_2 <= PROJECTOR_GATE * TOL_GRAPH`` (:func:`_same_span`)."""
-        return _same_span(self, other, TOL_GRAPH)
 
     def restricted(self):
         """Action composed with the domain frame: ambient x domain matrix."""

@@ -7,9 +7,8 @@ check and threshold reads its constant from here, the jump detector's
 JUMP_MEDIAN_FACTOR and JUMP_FLOOR and the adjoint pinning's PAIRING_DEFECT_C
 too, and a gate that raises is written ``if not value <= bound``, which a
 NaN fails.  No function takes a tolerance as a parameter: the graph
-comparisons (``graph_inclusion``, ``grid_inclusion``,
-``extension_inclusion_check``, ``DomainedOperator.contains`` and
-``DomainedOperator.same_domain``) read TOL_GRAPH, and no run can set it.
+comparisons (``graph_inclusion``, ``grid_inclusion`` and
+``DomainedOperator.contains``) read TOL_GRAPH, and no run can set it.
 """
 import sys
 
@@ -37,7 +36,8 @@ MEMBERSHIP_SLACK = 2.0
 # unitarity and isometry gates accept ||u*u - 1||_2 <= UNITARY_SLACK * TOL_ALG
 UNITARY_SLACK = 10.0
 
-# two domains count as one when ||P_1 - P_2||_2 <= PROJECTOR_GATE * TOL_GRAPH
+# two domains count as one when ||P_1 - P_2||_2 <= PROJECTOR_GATE * TOL_ALG,
+# in the round trips of the correspondence
 PROJECTOR_GATE = 10.0
 
 # a continuous gauge's adjacent conjugation deviation roughly halves when

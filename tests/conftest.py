@@ -13,6 +13,7 @@ import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 
+import modops.operators as operators
 from modops.diffops import GridOperator
 from modops.operators import z_transform
 
@@ -56,6 +57,17 @@ def graph_tolerance():
                     mp.setattr(module, "TOL_GRAPH", value)
             yield
     return setting
+
+
+@pytest.fixture(scope="session")
+def same_domain():
+    """Whether two domained operators have one domain: their projectors
+    within ``PROJECTOR_GATE * TOL_GRAPH`` in the 2-norm, by
+    ``operators._same_span``.  ``TOL_GRAPH`` is read at each call, so that
+    ``graph_tolerance`` sweeps it."""
+    def same(a, b):
+        return operators._same_span(a, b, operators.TOL_GRAPH)
+    return same
 
 
 @functools.cache

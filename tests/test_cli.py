@@ -123,8 +123,24 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
         RunConfig("kernel-cert", n_x=2000, operator_kind="symbol")   # it ignores it
-    # extend counts no dense matrix, so no memory refuses it
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
+
+
+def test_extend_refuses_a_gauge_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # extend counts no dense matrix, but its gauge is n_pi x (n_x + 1) phase
+    # tables: 2.5 of 4096x20001 take 3.3 GB, more than 1 GB, so the request
+    # is refused before any table is allocated
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 9)
+    message = ("n_x = 20000, n_pi = 4096 needs at least 3.3 GB for 2.5 dense 4096x20001 "
+               "complex phase tables, more than the 1.0 GB of physical memory")
+    with pytest.raises(MalformedSpec, match=re.escape(message)):
+        RunConfig("extend", n_x=20000, n_pi=4096)
+    out = tmp_path / "never.txt"
+    assert main(["extend", "--n-x", "20000", "--n-pi", "4096", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+    RunConfig("extend", n_x=20000, n_pi=512)     # 0.4 GB of tables
+    # with 8.4 GB the largest grid is admitted
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8.4 * 10 ** 9)
     RunConfig("extend", n_x=20000, n_pi=4096)
 
 
@@ -291,6 +307,28 @@ def test_dense_matrix_counts_are_lower_counts(tmp_path, command, extra):
     finally:
         tracemalloc.stop()
     assert peak >= 16 * (n_x + 1) ** 2 * k
+
+
+@pytest.mark.parametrize("kind", ["identity", "linear-phase", "phase-samples"])
+def test_phase_table_count_is_a_lower_count(tmp_path, kind):
+    # the gate's estimate of extend's gauge never exceeds the memory it
+    # really takes; with many base points over a short grid the tables
+    # outweigh the rest of the peak.  A spec's samples are held before the
+    # run, so tracemalloc sees them as the identity gauge's table of ones
+    n_x, n_pi = 64, 2048
+    extra = {}
+    if kind == "phase-samples":
+        x = np.linspace(0, 1, n_x + 1)
+        extra["gauge_samples"] = np.outer(np.linspace(0, 1, n_pi), x + 0.01 * np.sin(x))
+    cfg = RunConfig("extend", n_x=n_x, n_pi=n_pi, gauge_kind=kind,
+                    output_path=str(tmp_path / "r.txt"), **extra)
+    tracemalloc.start()
+    try:
+        assert run(cfg)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= 16 * n_pi * (n_x + 1) * cli._PHASE_TABLES
 
 
 # the part of a pipeline's count that LAPACK allocates, out of tracemalloc's

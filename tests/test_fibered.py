@@ -57,9 +57,17 @@ def identity_element(index):
     return AlgebraElement(index, {lab: np.eye(d) for lab, d in zip(index.labels, index.dims)})
 
 
-def assert_same_element(a, b):
-    for lab in a.index.labels:
-        assert_allclose(a.fibers[lab], b.fibers[lab], rtol=0, atol=1e-10)
+def gauged(f, p):
+    """``diag(p) f diag(p)*`` on the domain ``diag(p) D(f)``, for unimodular
+    ``p``: the dense oracle of a gauged fiber, conjugated elementwise, its
+    frame Gram-checked by :class:`DomainedOperator`."""
+    return DomainedOperator(f.action * np.outer(p, p.conj()), p[:, None] * f.frame)
+
+
+def gauged_fibers(res):
+    """The dense fibers ``U_i t0 U_i*`` of a gauge extension: its field, held
+    in the gauge frame, conjugated by the gauge's phase table."""
+    return [gauged(f, p) for f, p in zip(res.field.fibers, res.gauge.phases)]
 
 
 # ------------------------------------------------------------- construction
@@ -156,40 +164,6 @@ def test_zfield_shared_fibers_match_dense_reference(seed, pattern):
     assert rep.flagged == flagged
     for got, ref in zip(rep.transforms, transforms):
         assert np.linalg.norm(got.z - ref.z, 2) <= 1e-12
-
-
-def _gauged_field(n_x=24, n_pi=6):
-    """The gauge extension field of the periodic fiber under a smooth phase
-    table, ``n_pi`` points over ``n_x`` steps."""
-    grid = np.linspace(0, 1, n_pi)
-    g = _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1)
-    return gauge_extension(GridOperator(n_x, PERIODIC),
-                           GaugeField.from_phase_samples(grid, g)).field
-
-
-def test_gauged_field_operations_match_their_dense_fibers():
-    # adjoint_field of a phase-table field against the graph adjoints of its
-    # materialized fibers
-    F = _gauged_field()
-    assert F.distinct_fibers == (GridOperator(24, PERIODIC),)
-    dense = list(F.fibers)
-    adj = adjoint_field(F)
-    assert adj.phases is F.phases and len(adj.distinct_fibers) == 1
-    for got, f in zip(adj.fibers, dense):
-        assert_allclose(got.action, adjoint_via_graph(f).action, rtol=0, atol=1e-12)
-
-
-def test_zfield_refuses_a_gauged_field(monkeypatch):
-    # no pipeline transforms a gauged field, so zfield and zfields refuse one
-    # by name, also beside an ungauged field, before any transform is taken
-    F = _gauged_field()
-    plain = build_counterexample_t(4, 32)
-    for name in ("grid_transforms", "z_transform"):
-        monkeypatch.setattr(fibered, name, lambda *args: pytest.fail("a transform was taken"))
-    for call in (lambda: zfield(F), lambda: fibered.zfields(plain, F)):
-        with pytest.raises(ValueError, match="^zfield takes no gauged field: "
-                                             "it has a phase table$"):
-            call()
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
@@ -387,7 +361,10 @@ def test_adjoint_field_algebra_backed_is_fiberwise_graph_adjoint():
     adj = adjoint_field(F)
     for f, a in zip(F.fibers, adj.fibers):
         assert_allclose(a.action, adjoint_via_graph(f).action, atol=1e-10)
-    assert_same_element(adj.symbol, sym.H)
+    # everywhere defined fibers: the adjoint multiplies by the conjugate symbol
+    conjugate = FiberedOperator.from_algebra_symbol(idx, sym.H)
+    for a, b in zip(adj.fibers, conjugate.fibers):
+        assert_allclose(a.action, b.action, rtol=0, atol=1e-10)
 
 
 def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
@@ -396,8 +373,7 @@ def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     sym = AlgebraElement(idx, {lab: m for lab in idx.labels})
     op = DomainedOperator.full(np.kron(m, np.eye(2)))
-    F = FiberedOperator(np.linspace(0, 1, 5), [op] * 5, symbol=sym,
-                        algebra_index=idx)
+    F = FiberedOperator(np.linspace(0, 1, 5), [op] * 5)
     calls = []
 
     def counting(T):
@@ -408,9 +384,9 @@ def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
     adj = adjoint_field(F)
     assert len(calls) == 1 and len(adj.distinct_fibers) == 1
     assert adj.n_fibers == 5
-    assert_same_element(adj.symbol, sym.H)
+    assert_allclose(adj.fibers[0].action, np.kron(m.conj().T, np.eye(2)), rtol=0, atol=1e-12)
     a = random_symbol(rng, idx)
-    assert fiber_identity_check(F, a) <= 1e-9
+    assert fiber_identity_check(F, sym, a) <= 1e-9
     assert len(calls) == 2
 
 
@@ -420,7 +396,7 @@ def test_fiber_identity_constant_diagonal_field():
     sym = AlgebraElement(idx, {lab: np.diag([1.0, 2.0]) for lab in idx.labels})
     F = FiberedOperator.from_algebra_symbol(idx, sym)
     a = identity_element(idx)
-    assert fiber_identity_check(F, a) <= 1e-10
+    assert fiber_identity_check(F, sym, a) <= 1e-10
 
 
 def test_fiber_identity_random_models():
@@ -429,7 +405,7 @@ def test_fiber_identity_random_models():
     sym = random_symbol(rng, idx)
     F = FiberedOperator.from_algebra_symbol(idx, sym)
     a = random_symbol(rng, idx)
-    assert fiber_identity_check(F, a) <= 1e-9
+    assert fiber_identity_check(F, sym, a) <= 1e-9
 
 
 def test_fiber_identity_domain_violation():
@@ -440,7 +416,19 @@ def test_fiber_identity_domain_violation():
     F = FiberedOperator.from_algebra_symbol(idx, sym, domain_columns=cols)
     outside = identity_element(idx)
     with pytest.raises(DomainViolation):
-        fiber_identity_check(F, outside)
+        fiber_identity_check(F, sym, outside)
+
+
+def test_fiber_identity_refuses_a_symbol_that_is_not_the_fields():
+    rng = np.random.default_rng(6)
+    idx, other = FiberIndex.points(3, dim=2), FiberIndex.points(4, dim=2)
+    sym = random_symbol(rng, idx)
+    F = FiberedOperator.from_algebra_symbol(idx, sym)
+    with pytest.raises(ValueError, match="different index"):
+        fiber_identity_check(F, sym, random_symbol(rng, other))
+    wide = random_symbol(rng, other)
+    with pytest.raises(ValueError, match="one fiber per label"):
+        fiber_identity_check(F, wide, random_symbol(rng, other))
 
 
 # ------------------------------------------------------------------- tilde
@@ -479,8 +467,10 @@ def test_tilde_of_gauge_built_field_is_itself():
     grid = np.linspace(0, 1, 6)
     g = GaugeField.linear_phase(grid, N_X)
     res = gauge_extension(GridOperator(N_X, PERIODIC), g)
-    S = tilde_extension(res.field)
-    for a, b in zip(res.field.fibers, S.fibers):
+    assert tilde_extension(res.field) is res.field
+    F = FiberedOperator(grid, gauged_fibers(res))
+    S = tilde_extension(F)
+    for a, b in zip(F.fibers, S.fibers):
         assert graph_inclusion(a, b).included and graph_inclusion(b, a).included
 
 
@@ -526,9 +516,9 @@ def _snapped(glued, fibers):
 
 def _oracle_fields(n_pi=6, n_x=48):
     grid = np.linspace(0, 1, n_pi)
-    gauged = gauge_extension(GridOperator(n_x, PERIODIC),
-                             GaugeField.linear_phase(grid, n_x)).field
-    return {"counterexample": build_counterexample_t(n_pi, n_x), "linear-phase": gauged}
+    res = gauge_extension(GridOperator(n_x, PERIODIC), GaugeField.linear_phase(grid, n_x))
+    return {"counterexample": build_counterexample_t(n_pi, n_x),
+            "linear-phase": FiberedOperator(grid, gauged_fibers(res))}
 
 
 @pytest.mark.parametrize("modulus", [0.0, 0.25, 0.5, 1.0, 2.0, 10.0])
@@ -541,8 +531,7 @@ def test_tilde_with_a_modulus_keeps_the_fibers_of_the_dense_oracle(linalg_calls,
     linalg_calls.clear()
     fast = tilde_extension(F)
     assert linalg_calls == []
-    assert fast.index_map == F.index_map and fast.phases is F.phases
-    assert all(a is b for a, b in zip(fast.distinct_fibers, F.distinct_fibers))
+    assert fast is F
     assert all(_same_fiber(a, b)
                for a, b in zip(fast.fibers, reference_tilde(F, modulus).fibers))
 
@@ -602,11 +591,14 @@ def test_extension_check_refuses_base_grids_that_differ_at_all():
 
 def test_gauge_extension_identity_gauge_constant_field():
     grid = np.linspace(0, 1, 5)
-    res = gauge_extension(GridOperator(N_X, PERIODIC),
-                          GaugeField.identity(grid, N_X + 1))
+    t0 = GridOperator(N_X, PERIODIC)
+    gauge = GaugeField.identity(grid, N_X + 1)
+    res = gauge_extension(t0, gauge)
     assert res.max_deviation <= 1e-12
-    base = res.field.fibers[0]
-    for f in res.field.fibers[1:]:
+    # the field in the gauge frame is t0 at every point, beside its gauge
+    assert res.field.distinct_fibers == (t0,) and res.gauge is gauge
+    base, *rest = gauged_fibers(res)
+    for f in rest:
         assert_allclose(f.action, base.action, atol=1e-12)
 
 
@@ -639,7 +631,7 @@ def test_gauge_extension_linear_phase_yields_twisted_domains():
     n = 64
     grid = np.linspace(0, 1, 5)
     res = gauge_extension(GridOperator(n, PERIODIC), GaugeField.linear_phase(grid, n))
-    for pi_val, fiber in zip(grid, res.field.fibers):
+    for pi_val, fiber in zip(grid, gauged_fibers(res)):
         tw = GridOperator(n, BoundaryTag.twisted(pi_val)).as_domained()
         assert np.linalg.norm(fiber.domain_projector() - tw.domain_projector(),
                               2) <= 1e-10
@@ -676,7 +668,7 @@ def test_general_gauge_twist_phase_matches_endpoint_difference():
     g = np.outer(grid, np.sin(1.1 * x) + x)
     gauge = GaugeField.from_phase_samples(grid, g)
     res = gauge_extension(GridOperator(n, PERIODIC), gauge)
-    for i, fiber in enumerate(res.field.fibers):
+    for i, fiber in enumerate(gauged_fibers(res)):
         theta = g[i, -1] - g[i, 0]
         # twist constraint f(1) = e^{i theta} f(0) annihilates the gauge-built
         # domain
@@ -741,9 +733,9 @@ def _phase_table(n_pi, n_x, coeffs, jump, jump_at, pi_grid=None):
 
 def gauged_transforms(res):
     """The matrices ``U_pi w U_pi*`` of a gauge extension, one per grid
-    point, from its base transform's ``z`` and its field's phase table."""
+    point, from its base transform's ``z`` and its gauge's phase table."""
     z = res.base_transform.z
-    return [z * np.outer(p, p.conj()) for p in res.field.phases]
+    return [z * np.outer(p, p.conj()) for p in res.gauge.phases]
 
 
 # the dense reference subtracts O(1) matrices, so agreement is relative
@@ -782,7 +774,8 @@ def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, g
             gauge_extension(t0, gauge)
     else:
         res = gauge_extension(t0, gauge)
-        for got, ref in zip(res.field.fibers, fibers):
+        assert res.field.distinct_fibers == (t0,) and res.gauge is gauge
+        for got, ref in zip(gauged_fibers(res), fibers):
             assert_allclose(got.action, ref.action, rtol=0, atol=1e-12)
             assert_allclose(got.domain_projector(), ref.domain_projector(),
                             rtol=0, atol=1e-12)
@@ -816,24 +809,11 @@ def test_rank_two_norm_matches_dense_norm(seed, n, log_step):
                     rtol=1e-10, atol=ATOL * 10)
 
 
-def test_phase_rotated_frames_are_orthonormal():
-    n_pi = 9
-    grid = np.linspace(0, 1, n_pi)
-    g = _phase_table(n_pi, N_X, (1.0, 0.3, -0.5), 0.0, 1)
-    gauge = GaugeField.from_phase_samples(grid, g)
-    t = build_counterexample_t(n_pi, N_X)
-    res = gauge_extension(GridOperator(N_X, PERIODIC), gauge)
-    rotated = [f._phase_rotated(p) for p, f in zip(gauge.phases, t.fibers)]
-    for f in list(res.field.fibers) + rotated:
-        F = f.frame
-        assert np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1]), 2) <= 1e-12
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 8), proper=st.booleans())
 def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
-    # z(U T U*) = U z(T) U* with U = diag(p), the phase path against the
-    # transform of the densely conjugated operator
+    # z(U T U*) = U z(T) U* with U = diag(p), the elementwise conjugation
+    # against the transform of the densely conjugated operator
     rng = np.random.default_rng(seed)
     act = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     frame = orthonormal_frame(rng.standard_normal((n, n - 1))) if proper else None
@@ -843,7 +823,7 @@ def test_gauge_covariance_with_a_diagonal_unitary(seed, n, proper):
     dense = z_transform(DomainedOperator(u @ T.action @ u.conj().T,
                                          orthonormal_frame(u @ T.frame))).z
     assert_allclose(z_transform(T).z * np.outer(p, p.conj()), dense, rtol=0, atol=1e-12)
-    assert_allclose(z_transform(T._phase_rotated(p)).z, dense, rtol=0, atol=1e-12)
+    assert_allclose(z_transform(gauged(T, p)).z, dense, rtol=0, atol=1e-12)
 
 
 def _column_bound(phases, z):
@@ -1121,31 +1101,27 @@ def test_uniform_gauge_increments_match_within_the_tolerance():
         assert np.max(np.abs(q - q[0])) <= GAUGE_INCREMENT_MATCH
 
 
-def test_gauged_fields_build_fibers_only_when_read(monkeypatch):
+def test_gauged_fields_build_fibers_only_when_read(as_domained_calls):
+    # the extension holds t0 in the gauge frame beside its gauge, and the
+    # check decides its rows from the grid fibers' boundary rows: no dense
+    # fiber is built until one is read
     n_x, n_pi = 48, 6
     grid = np.linspace(0, 1, n_pi)
     gauge = GaugeField.linear_phase(grid, n_x)
-    rotations = []
-    rotate = DomainedOperator._phase_rotated
-
-    def counting(self, p):
-        rotations.append(p)
-        return rotate(self, p)
-
-    monkeypatch.setattr(DomainedOperator, "_phase_rotated", counting)
-    res = gauge_extension(GridOperator(n_x, PERIODIC), gauge)
-    t = build_counterexample_t(n_pi, 48)
-    rep = extension_inclusion_check(t, res.field, gauge=gauge)
-    assert rep and rotations == []
-    assert len(res.field.distinct_fibers) == 1 and res.field.phases is gauge.phases
-    assert len(res.field.fibers) == n_pi and len(rotations) == n_pi
+    t0 = GridOperator(n_x, PERIODIC)
+    res = gauge_extension(t0, gauge)
+    t = build_counterexample_t(n_pi, n_x)
+    rep = extension_inclusion_check(t, res.field)
+    assert rep and as_domained_calls == []
+    assert res.field.distinct_fibers == (t0,) and res.gauge is gauge
+    assert len(res.field.fibers) == n_pi and as_domained_calls == ["periodic"]
 
 
 # ------------------------------------------------------------- extension check
 def test_extension_check_reflexive():
     t = build_counterexample_t(4, 48)
     rep = extension_inclusion_check(t, t)
-    assert rep.included and rep.tilde_chain_ok and not rep.failing
+    assert rep.included and not rep.failing
 
 
 def test_extension_check_gauged_linear_phase():
@@ -1154,20 +1130,20 @@ def test_extension_check_gauged_linear_phase():
     t = build_counterexample_t(n_pi, n_x)
     gauge = GaugeField.linear_phase(grid, n_x)
     res = gauge_extension(GridOperator(n_x, PERIODIC), gauge)
-    rep = extension_inclusion_check(t, res.field, gauge=gauge)
-    assert rep.included and rep.tilde_chain_ok
+    rep = extension_inclusion_check(t, res.field)
+    assert rep.included
 
 
 def test_extension_check_trivial_gauge_extends_plainly():
-    # the identity gauge's field carries a phase table of ones, so it is
-    # compared in that gauge's frame, where it extends t plainly
+    # under the identity gauge the extension is t0 in any frame, and it
+    # extends t plainly
     n_pi, n_x = 6, N_X
     grid = np.linspace(0, 1, n_pi)
     t = build_counterexample_t(n_pi, n_x)
     identity = GaugeField.identity(grid, n_x + 1)
     res = gauge_extension(GridOperator(n_x, PERIODIC), identity)
-    rep = extension_inclusion_check(t, res.field, gauge=identity)
-    assert rep.included and rep.tilde_chain_ok
+    rep = extension_inclusion_check(t, res.field)
+    assert rep.included
     assert rep.rows == extension_inclusion_check(t, t).rows
 
 
@@ -1182,16 +1158,17 @@ def test_extension_check_reports_failing_fiber():
     assert rep.failing == [pytest.approx(0.5)]
 
 
-def reference_extension_check(S, T, gauge, modulus):
-    """Dense reference: every row inclusion, and every link of the gluing
-    chain decided by its own graph inclusion and projector comparison, on
-    the dense fibers, each built once, and their glued fields by the dense
-    oracle :func:`reference_tilde` under ``modulus``.  A link between two
-    dense fibers already compared, as the same objects, reuses that
-    decision.  Returns (rows, included, failing, tilde_chain_ok)."""
-    s_fibers, t_fibers = S.fibers, T.fibers
-    if gauge is not None:
-        s_fibers = [f._phase_rotated(p) for p, f in zip(gauge.phases, s_fibers)]
+def reference_extension_check(S, T, gauge, modulus, same_domain):
+    """Dense reference in the gauged frame: fiber ``i`` of both fields
+    conjugated by ``diag(gauge.phases[i])``, every row inclusion, and every
+    link of the gluing chain decided by its own graph inclusion and
+    projector comparison (``same_domain``), on the dense gauged fibers, each
+    built once, and their glued fields by the dense oracle
+    :func:`reference_tilde` under ``modulus``.  A link between two dense
+    fibers already compared, as the same objects, reuses that decision.
+    Returns (rows, included, failing, tilde_chain_ok)."""
+    s_fibers = [gauged(f, p) for f, p in zip(S.fibers, gauge.phases)]
+    t_fibers = [gauged(f, p) for f, p in zip(T.fibers, gauge.phases)]
     decided = {}
 
     def included(a, b):
@@ -1214,24 +1191,23 @@ def reference_extension_check(S, T, gauge, modulus):
             chain = False
         if not included(st_, tt).included:
             chain = False
-        same_dom = tt.same_domain(tf)
+        same_dom = same_domain(tt, tf)
         same_act = included(tf, tt).included
         if not (same_dom and same_act):
             chain = False
     return rows, not failing, failing, chain
 
 
-# gauges of the extension check: "linear" and "group" (pi * phi(x)) have
-# equal increments, "table" (a pi^2 term) and "step" do not; "mismatch"
-# gauges S by a table and T linearly, and "none" gives T the identity
-# table and S none, so that their phase tables differ and the check refuses
-GAUGE_KINDS = ["none", "linear", "group", "table", "step", "mismatch"]
-UNEQUAL_TABLES = ("none", "mismatch")
+# gauges of the extension check: "none" is the identity gauge, "linear" and
+# "group" (pi * phi(x)) have equal increments, "table" (a pi^2 term) and
+# "step" do not
+GAUGE_KINDS = ["none", "linear", "group", "table", "step"]
 
 
 def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
     """(S, T, gauge) as ``extend`` builds them, on a grid too coarse for
-    ``build_counterexample_t``; ``perturb`` shifts one fiber of ``S``."""
+    ``build_counterexample_t``: ``T`` is the gauge extension of the periodic
+    fiber in its gauge frame; ``perturb`` shifts one fiber of ``S``."""
     grid = np.linspace(0, 1, n_pi)
     ops = [GridOperator(n_x, MINIMAL, "wrap")] + [GridOperator(n_x, PERIODIC)] * (n_pi - 1)
     S = FiberedOperator.from_grid_operators(grid, ops)
@@ -1241,8 +1217,7 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
         fibers[perturb] = DomainedOperator(bad.action + 1e-2 * np.eye(n_x + 1), bad.frame)
         S = FiberedOperator(grid, fibers)
     c0, c1, c2 = coeffs
-    tables = {"group": (c0, c1, 0.0), "table": coeffs, "step": coeffs,
-              "mismatch": coeffs}
+    tables = {"group": (c0, c1, 0.0), "table": coeffs, "step": coeffs}
     if gauge_kind == "none":
         gauge = GaugeField.identity(grid, n_x + 1)
     elif gauge_kind == "linear":
@@ -1254,13 +1229,11 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
     t0 = GridOperator(n_x, PERIODIC)
     if gauge_kind == "step":
         # a step fails the continuity gate: the field is built as
-        # gauge_extension would build it
-        T = FiberedOperator(grid, [t0.as_domained()] * n_pi, phases=gauge.phases)
-    elif gauge_kind == "mismatch":
-        T = gauge_extension(t0, GaugeField.linear_phase(grid, n_x)).field
+        # gauge_extension would build it, with t0's dense fibers
+        T = FiberedOperator(grid, [t0.as_domained()] * n_pi)
     else:
         T = gauge_extension(t0, gauge).field
-    return S, T, (None if gauge_kind == "none" else gauge)
+    return S, T, gauge
 
 
 @settings(max_examples=40, deadline=None)
@@ -1280,60 +1253,49 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
          perturb=3, tol=1e-15)
 @example(n_x=24, n_pi=7, gauge_kind="step", coeffs=(0.5, 0.3, -0.5), modulus=None,
          perturb=5, tol=1e-12)
-@example(n_x=24, n_pi=5, gauge_kind="mismatch", coeffs=(1.0, 0.3, -0.5),
-         modulus=None, perturb=None, tol=1e-9)
-def test_extension_check_matches_dense_reference(graph_tolerance, n_x, n_pi, gauge_kind,
-                                                 coeffs, modulus, perturb, tol):
-    # the reference glues under a modulus; the check has none, since no
-    # modulus can change a glued field.  Both decide with TOL_GRAPH = tol;
-    # fields whose phase tables differ are refused
+def test_extension_check_matches_dense_reference(graph_tolerance, same_domain, n_x, n_pi,
+                                                 gauge_kind, coeffs, modulus, perturb, tol):
+    # the check decides in the gauge frame, the reference on the gauged
+    # dense fibers; the reference glues under a modulus, the check has none,
+    # since no modulus can change a glued field.  Both decide with
+    # TOL_GRAPH = tol, and the gluing chain holds exactly when the rows do
     if perturb is not None:
         perturb %= n_pi
     try:
         S, T, gauge = _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb)
     except GaugeNotContinuous:
         assume(False)
-    if gauge_kind in UNEQUAL_TABLES:
-        with pytest.raises(ValueError, match="equal phase tables"):
-            extension_inclusion_check(S, T, gauge=gauge)
-        return
     with graph_tolerance(tol):
-        rep = extension_inclusion_check(S, T, gauge=gauge)
-        rows, included, failing, chain = reference_extension_check(S, T, gauge, modulus)
+        rep = extension_inclusion_check(S, T)
+        rows, included, failing, chain = reference_extension_check(S, T, gauge, modulus,
+                                                                   same_domain)
     # rows decided on the ungauged fibers move their residuals at roundoff
     assert [r[:2] for r in rep.rows] == [r[:2] for r in rows]
     assert_allclose([r[2] for r in rep.rows], [r[2] for r in rows],
                     rtol=RTOL, atol=ATOL)
-    assert rep.included == included and rep.failing == failing
-    assert rep.tilde_chain_ok == chain
+    assert rep.included == included == chain and rep.failing == failing
 
 
 def test_unconstrained_chain_reuses_the_row_verdicts(monkeypatch):
     n_pi, n_x = 6, 48
-    S, T, gauge = _extension_case(n_x, n_pi, "linear", (0, 0, 0), None)
-    calls = {"grid_inclusion": 0, "graph_inclusion": 0, "same_domain": 0}
+    S, T, _ = _extension_case(n_x, n_pi, "linear", (0, 0, 0), None)
+    calls = {"grid_inclusion": 0, "graph_inclusion": 0}
 
     def counting_inclusion(*args):
         calls["graph_inclusion"] += 1
         return graph_inclusion(*args)
 
-    def counting_same_domain(self, other):
-        calls["same_domain"] += 1
-        return same_domain(self, other)
-
     def counting_grid_inclusion(*args):
         calls["grid_inclusion"] += 1
         return grid_inclusion(*args)
 
-    same_domain = DomainedOperator.same_domain
     grid_inclusion = fibered.grid_inclusion
     monkeypatch.setattr(fibered, "graph_inclusion", counting_inclusion)
     monkeypatch.setattr(fibered, "grid_inclusion", counting_grid_inclusion)
-    monkeypatch.setattr(DomainedOperator, "same_domain", counting_same_domain)
-    rep = extension_inclusion_check(S, T, gauge=gauge)
+    rep = extension_inclusion_check(S, T)
     # rows: one per distinct pair (minimal, t0) and (periodic, t0), both
-    # pairs of grid fibers
-    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0, "same_domain": 0}
+    # pairs of grid fibers; the chain adds no comparison
+    assert rep and calls == {"grid_inclusion": 2, "graph_inclusion": 0}
 
 
 @pytest.mark.parametrize("gauge_kind, perturb, rows", [
@@ -1355,21 +1317,12 @@ def test_rows_are_decided_once_per_distinct_pair(monkeypatch, gauge_kind, pertur
     # graph_inclusion
     monkeypatch.setattr(fibered, "graph_inclusion", counting(graph_inclusion))
     monkeypatch.setattr(fibered, "grid_inclusion", counting(fibered.grid_inclusion))
-    extension_inclusion_check(S, T, gauge=gauge)
+    rep = extension_inclusion_check(S, T)
     assert len(calls) == rows
-
-
-@pytest.mark.parametrize("gauge_kind", UNEQUAL_TABLES)
-def test_extension_check_refuses_unequal_phase_tables(monkeypatch, gauge_kind):
-    # S in the gauge frame and T carry different phase tables: no row is
-    # decided, on the dense fibers or any other way
-    S, T, gauge = _extension_case(24, 6, gauge_kind, (1.0, 0.3, -0.5), None)
-    assert not fibered._same_phases(S.phases if gauge is None else gauge.phases, T.phases)
-    for name in ("graph_inclusion", "grid_inclusion"):
-        monkeypatch.setattr(fibered, name, lambda *args: pytest.fail("a row was decided"))
-    with pytest.raises(ValueError, match="^fields must carry equal phase tables "
-                                         "in the gauge frame$"):
-        extension_inclusion_check(S, T, gauge=gauge)
+    # the verdicts are the gauged dense fibers' own
+    dense = [graph_inclusion(gauged(s, p), gauged(t, p)).included
+             for s, t, p in zip(S.fibers, T.fibers, gauge.phases)]
+    assert [ok for _, ok, _ in rep.rows] == dense
 
 
 def test_refinement_stability_of_fiber_verdicts_and_deviations():
@@ -1380,7 +1333,7 @@ def test_refinement_stability_of_fiber_verdicts_and_deviations():
         gauge = GaugeField.linear_phase(grid, n_x)
         res = gauge_extension(GridOperator(n_x, PERIODIC), gauge)
         t = build_counterexample_t(n_pi, n_x)
-        rep = extension_inclusion_check(t, res.field, gauge=gauge)
+        rep = extension_inclusion_check(t, res.field)
         assert rep.included
         devs[n_pi] = res.max_deviation
     ratio = devs[9] / devs[5]

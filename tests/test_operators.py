@@ -183,7 +183,7 @@ def test_adjoint_full_domain_is_conjugate_transpose():
     rng = np.random.default_rng(4)
     T = random_operator(rng, 5)
     adj = adjoint_via_graph(T)
-    assert adj.is_full_domain
+    assert adj.domain_dim == adj.ambient_dim
     assert_allclose(adj.action, T.action.conj().T, atol=1e-10)
     assert np.all(adjoint_via_graph(DomainedOperator.full(np.zeros((4, 4)))).action
                   == pytest.approx(0, abs=1e-12))
@@ -198,14 +198,14 @@ def test_adjoint_of_subdomain_operator_matches_direct_transpose_oracle():
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     T = DomainedOperator(A, F)
     adj = adjoint_via_graph(T)
-    assert adj.is_full_domain
+    assert adj.domain_dim == adj.ambient_dim
     oracle = F @ (A @ F).conj().T
     assert np.linalg.norm(adj.action - oracle, 2) <= 1e-10
 
 
 def assert_adjoint_matches_the_graph_complement_oracle(T):
     adj, oracle = adjoint_via_graph(T), graph_complement_adjoint(T)
-    assert adj.is_full_domain and oracle.is_full_domain
+    assert adj.domain_dim == adj.ambient_dim and oracle.domain_dim == oracle.ambient_dim
     bound = 1e-10 * (1.0 + np.linalg.norm(T.action, 2))
     assert np.linalg.norm(adj.action - oracle.action, 2) <= bound
 
@@ -266,7 +266,8 @@ def test_graph_pair_membership():
        tol=st.sampled_from([1e-9, 1e-10]))
 @example(k=12, log_angle=np.log10(8e-9), tol=1e-9)   # Frobenius above, 2-norm below
 @example(k=1, log_angle=-10.0, tol=1e-9)             # settled by the Frobenius bound
-def test_same_domain_matches_the_dense_two_norm_gate(graph_tolerance, k, log_angle, tol):
+def test_same_domain_matches_the_dense_two_norm_gate(graph_tolerance, same_domain, k,
+                                                     log_angle, tol):
     # k orthonormal directions each rotated by one small angle: the projector
     # difference has 2-norm sin(angle) and Frobenius norm sqrt(2k) sin(angle)
     n = 2 * k + 1
@@ -277,7 +278,7 @@ def test_same_domain_matches_the_dense_two_norm_gate(graph_tolerance, k, log_ang
     A, B = DomainedOperator(np.eye(n), F), DomainedOperator(np.eye(n), G)
     dense = np.linalg.norm(A.domain_projector() - B.domain_projector(), 2) <= 10 * tol
     with graph_tolerance(tol):
-        assert A.same_domain(B) == dense
+        assert same_domain(A, B) == dense
 
 
 # ----------------------------------------------------------- graph inclusion
