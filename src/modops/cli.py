@@ -219,26 +219,31 @@ def _parse_complex(token, lineno):
                             line=lineno) from None
 
 
-def _parse_row(row, lineno):
-    """Entries of one matrix row.  A row with no ``re,im`` entry is read by
-    one ``float`` map; a bad entry falls back to the per-token parse, which
-    names it."""
+def _parse_row(row, lineno, dtype):
+    """Entries of one matrix row as an array.  A row with no ``re,im`` entry
+    is read by one ``float`` map, and a bad entry falls back to the
+    per-token parse, which names it; a real matrix refuses ``re,im``."""
     if "," not in row:
         try:
-            return list(map(float, row.split()))
+            return np.fromiter(map(float, row.split()), dtype=float)
         except ValueError:
             pass
-    return [_parse_complex(t, lineno) for t in row.split()]
+    elif dtype is float:
+        token = next(t for t in row.split() if "," in t)
+        raise MalformedSpec(f"line {lineno}: complex entry {token!r} in a real matrix",
+                            line=lineno)
+    return np.asarray([_parse_complex(t, lineno) for t in row.split()])
 
 
-def _parse_matrix(value, lineno):
+def _parse_matrix(value, lineno, dtype):
+    """The matrix ``value``, rows separated by ';', as a ``dtype`` array."""
     rows = [r.strip() for r in value.split(";") if r.strip()]
     if not rows:
         raise MalformedSpec(f"line {lineno}: empty matrix", line=lineno)
-    data = [_parse_row(r, lineno) for r in rows]
+    data = [_parse_row(r, lineno, dtype) for r in rows]
     if len({len(r) for r in data}) != 1:
         raise MalformedSpec(f"line {lineno}: ragged matrix rows", line=lineno)
-    return np.asarray(data, dtype=complex)
+    return np.asarray(data, dtype=dtype)
 
 
 def parse_spec_file(path):
@@ -283,35 +288,51 @@ def parse_spec_file(path):
         if base != "element" and key not in _SECTION_KEYS[base]:
             raise MalformedSpec(f"line {lineno}: unknown key {key!r} in [{current}]",
                                 line=lineno)
+        if key in sections[current]:
+            raise MalformedSpec(f"line {lineno}: repeated key {key!r} in [{current}], "
+                                f"first set on line {sections[current][key][1]}",
+                                line=lineno)
         sections[current][key] = (value, lineno)
     return sections
 
 
+def _spec_value(section, key, convert):
+    """``convert`` of the value of ``key`` in a parsed section; a value it
+    refuses is an input error naming the line and the key."""
+    value, lineno = section[key]
+    try:
+        return convert(value)
+    except ValueError:
+        raise MalformedSpec(f"line {lineno}: bad value {value!r} for {key}",
+                            line=lineno) from None
+
+
+def _integers(value):
+    return tuple(int(t) for t in value.split())
+
+
 def config_from_sections(command, sections, **overrides):
+    """The :class:`RunConfig` of ``command`` from the parsed ``sections``,
+    with the ``overrides`` that are not None.  Its gates run before any
+    matrix value, the gauge samples or an element's fibers, is parsed."""
     cfg = {"command": command}
     grid = sections.get("grid", {})
-    if "n_x" in grid:
-        cfg["n_x"] = int(grid["n_x"][0])
-    if "n_pi" in grid:
-        cfg["n_pi"] = int(grid["n_pi"][0])
+    for key in ("n_x", "n_pi"):
+        if key in grid:
+            cfg[key] = _spec_value(grid, key, int)
     alg = sections.get("algebra", {})
     if alg:
-        labels = tuple(alg["labels"][0].split()) if "labels" in alg else None
-        dims = tuple(int(t) for t in alg["dims"][0].split()) if "dims" in alg else None
-        if labels is None or dims is None:
+        if "labels" not in alg or "dims" not in alg:
             raise MalformedSpec("[algebra] needs both labels and dims")
-        cfg["algebra"] = FiberIndex(labels, dims)
-        if "rows" in alg:
-            cfg["rows"] = tuple(int(t) for t in alg["rows"][0].split())
-        if "seed" in alg:
-            cfg["seed"] = int(alg["seed"][0])
+        cfg["algebra"] = FiberIndex(tuple(alg["labels"][0].split()),
+                                    _spec_value(alg, "dims", _integers))
+        for key, convert in (("rows", _integers), ("seed", int)):
+            if key in alg:
+                cfg[key] = _spec_value(alg, key, convert)
     op = sections.get("operator", {})
-    if "kind" in op:
-        cfg["operator_kind"] = op["kind"][0]
-    if "element" in op:
-        cfg["operator_element"] = op["element"][0]
-    if "domain" in op:
-        cfg["operator_domain"] = op["domain"][0]
+    for key in ("kind", "element", "domain"):
+        if key in op:
+            cfg[f"operator_{key}"] = op[key][0]
     if "tags" in op:
         cfg["operator_tags"] = tuple(op["tags"][0].split())
     gauge = sections.get("gauge", {})
@@ -319,27 +340,25 @@ def config_from_sections(command, sections, **overrides):
         cfg["gauge_kind"] = gauge["kind"][0]
     if "modulus" in gauge:
         # checked, then dropped: no gluing modulus changes a glued field
-        modulus = float(gauge["modulus"][0])
+        modulus = _spec_value(gauge, "modulus", float)
         if not (math.isfinite(modulus) and modulus >= 0):
             raise MalformedSpec(f"modulus = {modulus} must be finite and >= 0")
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    config = RunConfig(**cfg)
     if "samples" in gauge:
-        value, lineno = gauge["samples"]
-        cfg["gauge_samples"] = np.real(_parse_matrix(value, lineno))
-    elements = {}
+        config.gauge_samples = _parse_matrix(*gauge["samples"], float)
     for name, body in sections.items():
         if not name.startswith("element "):
             continue
         ename = name.split()[1]
-        elements[ename] = {}
+        config.elements[ename] = {}
         for key, (value, lineno) in body.items():
-            m = _parse_matrix(value, lineno)
+            m = _parse_matrix(value, lineno, complex)
             if not np.all(np.isfinite(m)):
                 raise MalformedSpec(f"line {lineno}: element {ename!r} entries "
                                     "must be finite", line=lineno)
-            elements[ename][key] = m
-    cfg["elements"] = elements
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**cfg)
+            config.elements[ename][key] = m
+    return config
 
 
 # --------------------------------------------------------------------------

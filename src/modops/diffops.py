@@ -8,11 +8,12 @@ which makes their reduced matrices exactly Hermitian.  Boundary conditions
 are eliminated (the domain is a constrained subspace), never penalized:
 penalties would distort spectra.
 
-An operator is a description of its stencil, and its dense matrix is
-assembled only when read.  The reduced periodic matrix is moreover
-circulant, so the DFT diagonalizes it: its bounded transform and complement
-floor come from an FFT of its first column (its symbol), read off
-the stencil in O(n) once that structure is checked, and a twisted operator
+An operator is a description of its stencil, which every reader reads: a
+twisted stencil carries its phases, and the dense matrix is assembled only
+when read.  The reduced periodic matrix is moreover circulant, so the DFT
+diagonalizes it: its bounded transform and complement floor come from an
+FFT of its first column (its symbol), read off the stencil folded onto the
+seam frame in O(n) once that structure is checked, and a twisted operator
 is the periodic one conjugated by a diagonal phase.  The wrap-style minimal
 operator is the periodic matrix on the subspace without the seam
 coordinate, so its transform deflates to one symmetric eigenproblem of
@@ -181,10 +182,10 @@ class GridOperator:
         return self.n, self.action_style, theta
 
     def _stencil(self):
-        """Rows, columns and real values of the nonzeros of ``d/dx`` before
-        the twist: the centred rows 1..n-1, then rows 0 and n, second-order
-        one-sided or the wraparound rows, which agree, so that the image of
-        a periodic vector is again periodic."""
+        """Rows, columns and values of the nonzeros of ``d/dx``: the centred
+        rows 1..n-1, then rows 0 and n, second-order one-sided or the
+        wraparound rows, which agree, so that the image of a periodic vector
+        is again periodic.  Twisted values are ``u[r] v conj(u[c])``."""
         n, h = self.n, self.h
         j = np.arange(1, n)
         if self.action_style == "wrap":
@@ -194,69 +195,38 @@ class GridOperator:
             edges = [(0, 0, -1.5 / h), (0, 1, 2.0 / h), (0, 2, -0.5 / h),
                      (n, n, 1.5 / h), (n, n - 1, -2.0 / h), (n, n - 2, 0.5 / h)]
         er, ec, ev = zip(*edges)
-        return (np.concatenate([j, j, er]), np.concatenate([j - 1, j + 1, ec]),
-                np.concatenate([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h), ev]))
+        rows, cols = np.concatenate([j, j, er]), np.concatenate([j - 1, j + 1, ec])
+        vals = np.concatenate([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h), ev])
+        if self.tag.kind == "twisted":
+            u = _twist_phases(n, self.tag.theta)
+            vals = (u[rows] * vals) * np.conj(u[cols])
+        return rows, cols, vals
 
     @property
     def matrix(self):
         """The dense ``(n + 1) x (n + 1)`` matrix, read-only, assembled from
         the stencil on each read and not kept."""
         rows, cols, vals = self._stencil()
-        D = np.zeros((self.n + 1, self.n + 1))
+        D = np.zeros((self.n + 1, self.n + 1), dtype=vals.dtype)
         D[rows, cols] = vals
-        if self.tag.kind == "twisted":
-            u = _twist_phases(self.n, self.tag.theta)
-            D = (u[:, None] * D) * np.conj(u)[None, :]
         m = 1j * D
         m.flags.writeable = False
         return m
 
-    def _entries(self, r, c):
-        """``matrix[r, c]`` for index arrays ``r`` and ``c``, by the same
-        elementwise operations that assemble ``matrix``, so bitwise equal."""
-        rows, cols, vals = self._stencil()
-        keys = rows * self.ambient_dim + cols
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        want = r * self.ambient_dim + c
-        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        D = np.where(keys[at] == want, vals[at], 0.0)
-        if self.tag.kind == "twisted":
-            u = _twist_phases(self.n, self.tag.theta)
-            D = (u[r] * D) * np.conj(u)[c]
-        return 1j * D
-
-    def _folded_at(self, j, k):
-        """Entries ``T0[j, k]`` of ``F* A F``, the weighted action ``A``
-        folded onto the seam frame ``F`` of :meth:`_row_weights`: the
-        reduced matrix of a periodic or twisted operator, and of a minimal
-        one on the periodic subspace.
-
-        With ``M = F~* A F~`` for the diagonal ``F~ = diag(f)``, ``T0`` is
-        ``M[:n, :n]`` plus row ``n`` of ``M`` in row 0, then column ``n`` in
-        column 0, then ``M[n, n]`` at ``(0, 0)``; each entry is taken by the
-        operations and in the order of that dense fold, so bitwise equal.
-        """
+    def _folded(self):
+        """Nonzeros ``(rows, cols, vals)`` of ``T0 = F* A F``, the weighted
+        action ``A`` folded onto the seam frame ``F`` of :meth:`_row_weights`,
+        entries at one position to be summed: with ``M = F~* A F~`` for
+        ``F~ = diag(f)``, ``T0`` is ``M[:n, :n]`` plus row ``n`` of ``M`` in
+        row 0, then column ``n`` in column 0, then ``M[n, n]`` at ``(0, 0)``.
+        The values are taken by that dense fold's operations and come in its
+        order, so ``np.add.at`` sums them bitwise as it does."""
         n, f = self.n, self._row_weights()
         s = np.sqrt(trapezoid_weights(n))
-
-        def m(r, c):
-            return (f.conj()[r] * ((s[r] * self._entries(r, c)) / s[c])) * f[c]
-
-        t = m(j, k)
-        top, left = j == 0, k == 0
-        t[top] += m(n, k[top])
-        t[left] += m(j[left], n)
-        t[top & left] += m(n, n)
-        return t
-
-    def _fold_diagonals(self):
-        """The wrapped diagonals ``(j - k) mod n`` that the stencil's
-        nonzeros reach in the fold; every other entry of ``T0`` is 0."""
-        rows, cols, _ = self._stencil()
-        n = self.n
-        diagonals = (np.where(rows < n, rows, 0) - np.where(cols < n, cols, 0)) % n
-        return np.flatnonzero(np.bincount(diagonals, minlength=n))
+        rows, cols, vals = self._stencil()
+        vals = (f.conj()[rows] * ((s[rows] * (1j * vals)) / s[cols])) * f[cols]
+        order = np.argsort((rows == n) + 2 * (cols == n), kind="stable")
+        return rows[order] % n, cols[order] % n, vals[order]
 
     def domain_frame(self):
         """Orthonormal frame (in weighted coordinates) of the tag's subspace.
@@ -321,13 +291,9 @@ class GridOperator:
         if x.shape != (self.n + 1,):
             raise ValueError(f"need {self.n + 1} grid samples, got shape {x.shape}")
         rows, cols, vals = self._stencil()
-        if self.tag.kind == "twisted":
-            u = _twist_phases(self.n, self.tag.theta)
-            x = np.conj(u) * x
         y = np.zeros(self.n + 1, dtype=complex)
         np.add.at(y, rows, vals * x[cols])
-        y = 1j * y
-        return u * y if self.tag.kind == "twisted" else y
+        return 1j * y
 
     def adjoint(self) -> "GridOperator":
         """Tag-level adjoint (default action style for the adjoint tag); a
@@ -343,29 +309,31 @@ class GridOperator:
 
 def _checked_symbol(op: GridOperator):
     """Real eigenvalues ``lam`` of ``T0``, the matrix of ``op`` folded onto
-    its seam frame (:meth:`GridOperator._folded_at`), when ``T0`` is a
-    Hermitian circulant and the seam rows 0 and n of the matrix are equal;
-    otherwise :class:`NotCirculant`, naming the check that failed with its
-    quantity and its bound.
+    its seam frame, read off the folded stencil (:meth:`GridOperator._folded`)
+    when ``T0`` is a Hermitian circulant and the seam rows 0 and n of the
+    stencil are equal; otherwise :class:`NotCirculant`, naming the check
+    that failed with its quantity and its bound.
 
     A circulant is fixed by its first column ``c``, and the DFT diagonalizes
     it: the vector ``exp(2 pi i j k / n)`` (over ``j``) has eigenvalue
     ``fft(c)[k]``, which is the order returned.  Three checks run on the
-    stencil, in ``O(n)``, before the eigenvalues are trusted.  Every entry
-    of ``T0`` matches the shifted ``c`` within ``CIRCULANT_MATCH * max|c|``:
-    off the folded diagonals of the stencil both are 0, so the interior
-    rows and the seam row decide this on those diagonals alone.  Every
-    ``fft(c)`` has an imaginary part within ``CIRCULANT_MATCH * sum|c|``,
-    the scale of the FFT's roundoff.  Rows 0 and n of the matrix are equal,
-    so the action maps the domain into itself and ``B = F T0``.
+    folded stencil, in ``O(n)``, before the eigenvalues are trusted.  Every
+    entry of ``T0`` matches the shifted ``c`` within ``CIRCULANT_MATCH *
+    max|c|``: off the wrapped diagonals ``(j - k) mod n`` that the folded
+    nonzeros reach both are 0, so a table of those diagonals decides this.
+    Every ``fft(c)`` has an imaginary part within ``CIRCULANT_MATCH *
+    sum|c|``, the scale of the FFT's roundoff.  Rows 0 and n of the stencil
+    are equal, so the action maps the domain into itself and ``B = F T0``.
     """
     n = op.n
-    j = np.arange(n)
-    c = op._folded_at(j, np.zeros(n, dtype=int))
-    diagonals = op._fold_diagonals()
-    rows = np.tile(j, diagonals.size)
-    shifts = np.repeat(diagonals, n)
-    deviation = np.max(np.abs(op._folded_at(rows, (rows - shifts) % n) - c[shifts]))
+    rows, cols, vals = op._folded()
+    c = np.zeros(n, dtype=complex)
+    np.add.at(c, rows[cols == 0], vals[cols == 0])
+    shifts = (rows - cols) % n
+    diagonals = np.flatnonzero(np.bincount(shifts, minlength=n))
+    table = np.zeros((diagonals.size, n), dtype=complex)
+    np.add.at(table, (np.searchsorted(diagonals, shifts), rows), vals)
+    deviation = np.max(np.abs(table - c[diagonals, None]))
     bound = CIRCULANT_MATCH * np.max(np.abs(c))
     if not deviation <= bound:
         raise NotCirculant(f"{op!r}: circulant deviation {deviation:.3e} "
@@ -375,8 +343,9 @@ def _checked_symbol(op: GridOperator):
     if not imag <= bound:
         raise NotCirculant(f"{op!r}: symbol imaginary part {imag:.3e} "
                            f"exceeds {bound:.3e}")
-    cols = np.arange(n + 1)
-    top, bottom = op._entries(0, cols), op._entries(n, cols)
+    rows, cols, vals = op._stencil()
+    top, bottom = (np.zeros(n + 1, dtype=vals.dtype) for _ in range(2))
+    top[cols[rows == 0]], bottom[cols[rows == n]] = vals[rows == 0], vals[rows == n]
     if not np.array_equal(top, bottom):
         raise NotCirculant(f"{op!r}: seam rows 0 and {n} differ by "
                            f"{np.max(np.abs(top - bottom)):.3e}, not 0")

@@ -523,10 +523,10 @@ def _per_increment(phases, f):
     return values
 
 
-def _increment_deviations(phases, w: ZTransform):
+def _increment_deviations(phases, w):
     """Adjacent deviations ``||U_{i+1} z U_{i+1}* - U_i z U_i*||_2`` of the
-    transform ``w`` with matrix ``z``: conjugated by ``U_i*``, each is
-    ``||z o (q q*) - z||_2`` for the increment ``q``
+    transform or probe ``w`` with matrix ``z``: conjugated by ``U_i*``, each
+    is ``||z o (q q*) - z||_2`` for the increment ``q``
     (:func:`_increment_norm`), and for ``||z|| <= 1`` two increments'
     values differ by ``|Delta| <= ||z o (q q* - r r*)||_2 <= 2 ||q -
     r||_inf``."""
@@ -534,10 +534,10 @@ def _increment_deviations(phases, w: ZTransform):
                       dtype=float)
 
 
-def _increment_norm(w: ZTransform, q):
-    """``||z o (q q*) - z||_2`` for the matrix ``z`` of the transform ``w``,
-    by :func:`top_singular_value`; neither ``z`` nor the difference is
-    formed.
+def _increment_norm(w, q):
+    """``||z o (q q*) - z||_2`` for the matrix ``z`` of the transform or
+    probe ``w``, by :func:`top_singular_value`; neither ``z`` nor the
+    difference is formed.
 
     With ``d = q - 1`` the matrix is ``diag(q) z diag(conj(d)) + diag(d) z``:
     no two terms of size ``||z||`` cancel, so small deviations keep their
@@ -562,62 +562,44 @@ def _increment_norm(w: ZTransform, q):
     return scale * top_singular_value(apply, apply_adjoint, q.size)
 
 
-def _rank_one_probe(n):
-    """Unit vectors ``a, b`` of the rank-one probe compact ``a b*``."""
-    return seeded_unit_vectors(n, 2, seed=7)
+class _RankOneProbe:
+    """The rank-one probe compact ``a b*`` for fixed generic unit vectors
+    ``a, b``, given as a transform is, by ``apply`` and ``apply_adjoint``."""
+
+    def __init__(self, n):
+        self.a, self.b = seeded_unit_vectors(n, 2, seed=7)
+
+    def apply(self, x):
+        return self.a * np.vdot(self.b, x)
+
+    def apply_adjoint(self, y):
+        return self.b * np.vdot(self.a, y)
 
 
-def _rank_two_norm(x1, y1, x0, y0):
-    """Exact ``||x1 y1* - x0 y0*||_2`` from a 2x2 Hermitian eigenproblem, for
-    vectors of length at least 2.
-
-    The difference is ``X Y*`` with ``X = [x1 - x0, x0]`` and
-    ``Y = [y1, y1 - y0]``; with ``X = Q_X R_X`` and ``Y = Q_Y R_Y`` its norm
-    is that of the 2x2 matrix ``C = R_X R_Y*``.
-    """
-    rx = np.linalg.qr(np.column_stack([x1 - x0, x0]), mode="r")
-    ry = np.linalg.qr(np.column_stack([y1, y1 - y0]), mode="r")
-    c = rx @ ry.conj().T
-    h = c @ c.conj().T
-    a, d = h[0, 0].real, h[1, 1].real
-    return float(np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), abs(h[0, 1]))))
-
-
-def _exact_probe_deviation(phases):
-    """Largest adjacent deviation of the rank-one probe, exact without a
-    dense 2-norm: ``a b*`` conjugated by ``U_i*`` is ``(q a)(q b)*`` for the
-    increment ``q``, once per distinct increment."""
-    a, b = _rank_one_probe(phases.shape[1])
-    rank_one = _per_increment(phases, lambda q: _rank_two_norm(q * a, q * b, a, b))
-    return float(max(rank_one, default=0.0))
-
-
-def _conjugation_deviation(phases, w: ZTransform, z_devs=None):
+def _conjugation_deviation(phases, z_devs):
     """Largest adjacent deviation of ``pi -> U_pi S U_pi*`` over the probe
-    compacts ``S``: the transform ``w`` and a rank-one ``a b*``.  The
-    identity is no probe: the phases are unimodular, so it conjugates to
-    itself up to roundoff, which cannot decide a gate that looks only at
-    deviations above ``JUMP_FLOOR``.
-
-    The ``w`` probe takes one :func:`_increment_norm` per distinct
-    increment, and none when its deviations ``z_devs`` are given.
+    compacts ``S``: the transform ``w``, whose deviations ``z_devs`` are
+    given, and a rank-one ``a b*``, one :func:`_increment_norm` per
+    distinct increment.  The identity is no probe: the phases are
+    unimodular, so it conjugates to itself up to roundoff, which cannot
+    decide a gate that looks only at deviations above ``JUMP_FLOOR``.
     """
-    if z_devs is None:
-        z_devs = _increment_deviations(phases, w)
-    return float(max(max(z_devs, default=0.0), _exact_probe_deviation(phases)))
+    rank_one = _increment_deviations(phases, _RankOneProbe(phases.shape[1]))
+    return float(max(max(z_devs, default=0.0), max(rank_one, default=0.0)))
 
 
 def _gauge_continuity_check(U: GaugeField, w: ZTransform, z_devs):
     """Linear-in-step bound checked against the twice-coarsened subgrid;
     ``z_devs`` are the adjacent deviations of the gauged transform ``w`` on
     the full grid.  The coarse deviation is exact, one
-    :func:`_increment_norm` per distinct coarse increment."""
+    :func:`_increment_norm` per probe and distinct coarse increment."""
     if len(U) < 5:
         return
-    fine = _conjugation_deviation(U.phases, w, z_devs)
+    fine = _conjugation_deviation(U.phases, z_devs)
     if fine <= JUMP_FLOOR:
         return
-    coarse = _conjugation_deviation(U.phases[::2], w)
+    phases = U.phases[::2]
+    coarse = _conjugation_deviation(phases, _increment_deviations(phases, w))
     if not fine <= GAUGE_HALVING_RATIO * coarse:
         raise GaugeNotContinuous(
             f"adjacent deviation {fine:.3e} does not halve under step halving "

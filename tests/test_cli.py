@@ -761,6 +761,95 @@ def test_gauge_samples_spec(tmp_path):
     assert "REGULAR-EXTENSION-VERIFIED" in out.read_text()
 
 
+def _samples(n_pi, n_x):
+    """The text of a linear phase-samples table of ``n_pi`` rows."""
+    x = np.linspace(0, 1, n_x + 1)
+    return " ; ".join(" ".join(repr(float(v)) for v in p * x)
+                      for p in np.linspace(0, 1, n_pi))
+
+
+def test_gauge_samples_are_parsed_into_a_real_array(tmp_path):
+    spec = ("[grid]\nn_x = 32\nn_pi = 3\n\n[gauge]\nkind = phase-samples\n"
+            f"samples = {_samples(3, 32)}\n")
+    cfg = config_from_sections("extend", parse_spec_file(write(tmp_path, spec)))
+    # no complex buffer stays alive behind the real table
+    assert cfg.gauge_samples.dtype == np.float64 and cfg.gauge_samples.base is None
+    assert cfg.gauge_samples.shape == (3, 33)
+
+
+def test_complex_gauge_sample_exits_2_naming_its_line(tmp_path, capsys):
+    # an entry written re,im in a table of real phases
+    rows = [row.split() for row in _samples(2, 32).split(" ; ")]
+    rows[1][1] = "0.01,5"
+    spec = ("[grid]\nn_x = 32\nn_pi = 2\n\n[gauge]\nkind = phase-samples\n"
+            f"samples = {' ; '.join(' '.join(row) for row in rows)}\n")
+    out = tmp_path / "never.txt"
+    assert main(["extend", "--config", write(tmp_path, spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: line 7: complex entry '0.01,5' in a real matrix\n"
+    assert not out.exists()
+
+
+def _never_parsed(value, lineno, *args):
+    raise AssertionError(f"line {lineno}: a matrix was parsed before the gates ran")
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("extend", f"[grid]\nn_x = 400\nn_pi = 64\n\n[gauge]\nkind = phase-samples\n"
+               f"samples = {_samples(64, 400)}\n",
+     "n_x = 400, n_pi = 64 needs at least 0.0 GB for 2.5 dense 64x401 complex "
+     "phase tables"),
+    ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 300\n\n[element e]\na = 1\n",
+     "a module of dimension 900 needs at least 0.1 GB"),
+    ("density-check", "[grid]\nn_x = 4\n\n[algebra]\nlabels = a\ndims = 1\n\n"
+                      "[element e]\na = 1\n",
+     "n_x = 4 outside the supported range")], ids=["samples", "elements", "range"])
+def test_gates_run_before_any_matrix_is_parsed(tmp_path, capsys, monkeypatch, command,
+                                               spec, message):
+    # a spec too large to hold is refused before its samples or fibers are
+    # held, as are one out of range
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(cli, "_parse_matrix", _never_parsed)
+    out = tmp_path / "never.txt"
+    assert main([command, "--config", write(tmp_path, spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, line, key, first", [
+    ("[grid]\nn_x = 400\nn_pi = 4\nn_x = 64\n", 4, "'n_x' in [grid]", 2),
+    ("[grid]\nn_x = 64\n\n[grid]\nn_x = 400\n", 5, "'n_x' in [grid]", 2),
+    ("[element e]\na = 1\na = 2\n", 3, "'a' in [element e]", 2)],
+    ids=["one-header", "two-headers", "element"])
+def test_repeated_key_exits_2_naming_both_lines(tmp_path, capsys, spec, line, key, first):
+    path = write(tmp_path, spec)
+    message = f"line {line}: repeated key {key}, first set on line {first}"
+    with pytest.raises(MalformedSpec, match=re.escape(message)) as err:
+        parse_spec_file(path)
+    assert err.value.line == line
+    assert main(["zfield", "--config", path]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command, spec, line, key, value", [
+    ("zfield", "[grid]\nn_x = abc\n", 2, "n_x", "abc"),
+    ("zfield", "[grid]\nn_x = 64\nn_pi = 4.5\n", 3, "n_pi", "4.5"),
+    ("phi-roundtrip", "[algebra]\nlabels = a b\ndims = 2 x\n", 3, "dims", "2 x"),
+    ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 2\nrows = three\n", 4, "rows", "three"),
+    ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 2\nseed = 0x1\n", 4, "seed", "0x1"),
+    ("extend", "[grid]\nn_x = 32\nn_pi = 5\n\n[gauge]\nmodulus = wide\n", 6, "modulus",
+     "wide")], ids=["n_x", "n_pi", "dims", "rows", "seed", "modulus"])
+def test_malformed_numbers_exit_2_naming_line_and_key(tmp_path, capsys, command, spec,
+                                                      line, key, value):
+    path = write(tmp_path, spec)
+    message = f"line {line}: bad value {value!r} for {key}"
+    with pytest.raises(MalformedSpec, match=re.escape(message)) as err:
+        config_from_sections(command, parse_spec_file(path))
+    assert err.value.line == line
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("tag", ["twisted:abc", "twisted:nan", "twisted:inf",
                                  "twisted:", "twisted:-inf"])
 def test_malformed_twisted_tags_exit_2(tmp_path, capsys, tag):

@@ -205,13 +205,21 @@ ORACLE_SIZES = [8, 9, 64, 401]
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_matrix_is_the_dense_assembly(n):
-    rows, cols = np.divmod(np.arange((n + 1) ** 2), n + 1)
     for op in every_operator(n):
         m = op.matrix
         assert m.tobytes() == dense_matrix(op).tobytes(), op
         assert not m.flags.writeable
-        assert op._entries(rows, cols).tobytes() == m.ravel().tobytes(), op
         assert op.matrix is not m            # built on each read, not kept
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_folded_stencil_sums_to_the_dense_fold(n):
+    # the folded triple, summed in its order, is the dense fold bit for bit
+    for op in every_operator(n):
+        rows, cols, vals = op._folded()
+        T0 = np.zeros((n, n), dtype=complex)
+        np.add.at(T0, (rows, cols), vals)
+        assert T0.tobytes() == dense_fold(op).tobytes(), op
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
@@ -365,6 +373,14 @@ def test_checked_symbol_refuses_broken_stencils():
     bumps = {(j, j + 1): 1.0 for j in range(n)} | {(n, 1): 1.0}
     op = Bumped(n, PERIODIC, bumps=bumps)
     with pytest.raises(NotCirculant, match=head + r"symbol imaginary part \S+ exceeds \S+$"):
+        diffops._checked_symbol(op)
+    assert dense_symbol(op) is None
+    # a twisted stencil carries its phases, and a bump on it is read as the
+    # dense fold reads it
+    op = Bumped(n, BoundaryTag.twisted(0.0), bumps={(7, 8): 1e-9})
+    with pytest.raises(NotCirculant, match=r"^GridOperator\(n=64, tag=BoundaryTag\.twisted"
+                                           r"\(0\.000000\), style=wrap\): circulant "
+                                           r"deviation 1\.000e-09" + bound):
         diffops._checked_symbol(op)
     assert dense_symbol(op) is None
 

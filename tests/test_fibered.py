@@ -604,8 +604,9 @@ def test_gauge_extension_identity_gauge_constant_field():
 
 def test_gauge_extension_transforms_its_periodic_base_in_closed_form(monkeypatch):
     # the only eigh calls are the Lanczos projections of the deviation
-    # norm, one per step, of sizes 1, 2, ..., k, in one run for the fine
-    # increment and one for the coarse increment
+    # norms, one per step, of sizes 1, 2, ..., k, in one run for each probe,
+    # the transform and the rank-one one, on the fine and the coarse
+    # increment
     shapes = []
     eigh = np.linalg.eigh
 
@@ -616,9 +617,9 @@ def test_gauge_extension_transforms_its_periodic_base_in_closed_form(monkeypatch
     t0 = GridOperator(N_X, PERIODIC)
     res = gauge_extension(t0, GaugeField.linear_phase(np.linspace(0, 1, 5), N_X))
     starts = [i for i, shape in enumerate(shapes) if shape == (1, 1)]
-    assert starts[0] == 0 and len(starts) == 2
-    for run in (shapes[:starts[1]], shapes[starts[1]:]):
-        assert run == [(k, k) for k in range(1, len(run) + 1)]
+    assert starts[0] == 0 and len(starts) == 4
+    for i, j in zip(starts, starts[1:] + [len(shapes)]):
+        assert shapes[i:j] == [(k, k) for k in range(1, j - i + 1)]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     dense = z_transform(t0.as_domained())
     assert_allclose(res.base_transform.z, dense.z, rtol=0, atol=1e-12)
@@ -703,8 +704,8 @@ def dense_gauge_reference(t0, g):
     devs = np.asarray([np.linalg.norm(b.z - a.z, 2)
                        for a, b in zip(transforms, transforms[1:])])
     n = base.ambient_dim
-    a, b = fibered._rank_one_probe(n)
-    probes = [w.z, np.eye(n, dtype=complex), np.outer(a, b.conj())]
+    probe = fibered._RankOneProbe(n)
+    probes = [w.z, np.eye(n, dtype=complex), np.outer(probe.a, probe.b.conj())]
 
     def max_dev(unitaries):
         worst = 0.0
@@ -736,6 +737,18 @@ def gauged_transforms(res):
     point, from its base transform's ``z`` and its gauge's phase table."""
     z = res.base_transform.z
     return [z * np.outer(p, p.conj()) for p in res.gauge.phases]
+
+
+def conjugation_deviation(phases, w):
+    """``fibered._conjugation_deviation`` with the deviations of the
+    transform ``w`` taken over ``phases``."""
+    return fibered._conjugation_deviation(phases, fibered._increment_deviations(phases, w))
+
+
+def rank_one_deviation(phases):
+    """Largest adjacent deviation of the rank-one probe alone."""
+    probe = fibered._RankOneProbe(phases.shape[1])
+    return float(np.max(fibered._increment_deviations(phases, probe), initial=0.0))
 
 
 # the dense reference subtracts O(1) matrices, so agreement is relative
@@ -790,23 +803,10 @@ def test_phase_gauge_matches_dense_reference(n_x, n_pi, coeffs, jump, jump_at, g
         assert_allclose(res.deviations, devs, rtol=RTOL, atol=ATOL)
     # through the dense transform's products and the closed form's FFTs
     for zt in (w, grid_transform(t0)):
-        assert_allclose(fibered._conjugation_deviation(gauge.phases, zt),
+        assert_allclose(conjugation_deviation(gauge.phases, zt),
                         fine, rtol=RTOL, atol=ATOL)
-        assert_allclose(fibered._conjugation_deviation(gauge.phases[::2], zt),
+        assert_allclose(conjugation_deviation(gauge.phases[::2], zt),
                         coarse, rtol=RTOL, atol=ATOL)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
-       log_step=st.floats(-8, 0))
-def test_rank_two_norm_matches_dense_norm(seed, n, log_step):
-    rng = np.random.default_rng(seed)
-    x0, y0, dx, dy = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                      for _ in range(4))
-    x1, y1 = x0 + 10.0 ** log_step * dx, y0 + 10.0 ** log_step * dy
-    dense = np.linalg.norm(np.outer(x1, y1.conj()) - np.outer(x0, y0.conj()), 2)
-    assert_allclose(fibered._rank_two_norm(x1, y1, x0, y0), dense,
-                    rtol=1e-10, atol=ATOL * 10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -847,13 +847,13 @@ def _old_probe_deviation(phases):
     """The probe deviation of the old decision: the rank-one probe and the
     identity, which conjugates to ``diag(|p|^2)``, roundoff away from 1."""
     identity = np.max(np.abs(np.diff(np.abs(phases) ** 2, axis=0)), initial=0.0)
-    return max(identity, fibered._exact_probe_deviation(phases))
+    return max(identity, rank_one_deviation(phases))
 
 
 def _old_conjugation_deviation(phases, w):
-    """``fibered._conjugation_deviation`` with the identity probe of the
-    old decision."""
-    return max(fibered._conjugation_deviation(phases, w), _old_probe_deviation(phases))
+    """:func:`conjugation_deviation` with the identity probe of the old
+    decision."""
+    return max(conjugation_deviation(phases, w), _old_probe_deviation(phases))
 
 
 def _dense_column_bound(phases, z):
@@ -963,27 +963,29 @@ def test_continuity_gate_takes_one_coarse_norm_per_distinct_increment(norm_calls
     smooth = GaugeField.from_phase_samples(
         grid, _phase_table(n_pi, n_x, (1.0, 0.3, -0.5), 0.0, 1))
     gauge_extension(t0, smooth)
-    # the fine transform deviations, then the exact coarse ones: every
-    # increment is distinct on both grids
-    assert norm_calls == [n_x + 1] * ((n_pi - 1) + (n_pi - 1) // 2)
+    # the fine transform deviations, the fine rank-one ones, then the exact
+    # coarse ones of both probes: every increment is distinct on both grids
+    assert norm_calls == [n_x + 1] * 2 * ((n_pi - 1) + (n_pi - 1) // 2)
     assert "norm2" not in linalg_calls
     # a step raises, with the exact coarse value in its message
     x = np.linspace(0, 1, n_x + 1)
     step = GaugeField.from_phase_samples(grid, np.outer((grid >= 0.5) * 1.0, 2.0 * x))
-    coarse = fibered._conjugation_deviation(step.phases[::2], z_transform(t0.as_domained()))
+    coarse = conjugation_deviation(step.phases[::2], z_transform(t0.as_domained()))
     norm_calls.clear()
     with pytest.raises(GaugeNotContinuous, match=re.escape(f"(coarse {coarse:.3e})")):
         gauge_extension(t0, step)
-    # 2 distinct increments (the identity and the step) on either grid
-    assert len(norm_calls) == 2 + 2 and "norm2" not in linalg_calls
+    # 2 distinct increments (the identity and the step) on either grid, for
+    # either probe
+    assert len(norm_calls) == 2 * (2 + 2) and "norm2" not in linalg_calls
 
 
 def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg_calls):
     n_x, n_pi = 64, 9
     grid = np.linspace(0, 1, n_pi)
     t0 = GridOperator(n_x, PERIODIC)
-    # (fine, coarse) distinct increments; the continuity gate takes the
-    # coarse ones after the fine ones
+    # (fine, coarse) distinct increments, each taken for the transform and
+    # the rank-one probe; the continuity gate takes the coarse ones after
+    # the fine ones
     cases = {"linear": (GaugeField.linear_phase(grid, n_x), 1, 1),
              "group": (GaugeField.from_phase_samples(
                  grid, _phase_table(n_pi, n_x, (1.0, 0.3, 0.0), 0.0, 1)), 1, 1),
@@ -994,7 +996,7 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg
         norm_calls.clear()
         linalg_calls.clear()
         res = gauge_extension(t0, gauge)
-        assert norm_calls == [n_x + 1] * (fine + coarse), name
+        assert norm_calls == [n_x + 1] * 2 * (fine + coarse), name
         assert "norm2" not in linalg_calls, name
         zs = gauged_transforms(res)
         dense = [np.linalg.norm(b - a, 2) for a, b in zip(zs, zs[1:])]
@@ -1003,19 +1005,20 @@ def test_fine_deviations_take_one_norm_per_distinct_increment(norm_calls, linalg
 
 def test_probe_deviations_take_one_value_per_distinct_increment(monkeypatch, norm_calls):
     # a uniform gauge has one increment on the grid and one on the coarse
-    # subgrid: two transform norms and two rank-two norms
+    # subgrid: a transform norm and a rank-one probe norm on each
     n_x, n_pi = 64, 9
-    values, rank_two = [], []
-    per_increment, rank_two_norm = fibered._per_increment, fibered._rank_two_norm
+    values, probes = [], []
+    per_increment, increment_norm = fibered._per_increment, fibered._increment_norm
 
     def counted(phases, f):
         return per_increment(phases, lambda q: values.append(q) or f(q))
     monkeypatch.setattr(fibered, "_per_increment", counted)
-    monkeypatch.setattr(fibered, "_rank_two_norm",
-                        lambda *args: rank_two.append(args) or rank_two_norm(*args))
+    monkeypatch.setattr(fibered, "_increment_norm",
+                        lambda w, q: probes.append(type(w)) or increment_norm(w, q))
     gauge_extension(GridOperator(n_x, PERIODIC),
                     GaugeField.linear_phase(np.linspace(0, 1, n_pi), n_x))
-    assert len(norm_calls) == 2 and len(rank_two) == 2 and len(values) == 4
+    assert len(norm_calls) == 4 and len(values) == 4
+    assert probes.count(fibered._RankOneProbe) == 2
 
 
 def _dense_increment_norm(z, q):

@@ -1,0 +1,106 @@
+"""Start-up cost of ``import modops.cli`` in fresh interpreters, per checkout.
+
+    python3 tools/import_cost.py ROOT [ROOT ...]
+
+The benchmark's ``setup_s`` is the median wall time of a few fresh
+``python -c "import modops.cli"`` processes, so machine noise moves it as
+much as the code does.  This script runs 21 rounds; each round imports once
+per checkout, in alternating order, so that drift in the machine's load
+falls on every checkout alike.  One untimed import per checkout comes first,
+so every timed one finds its bytecode cached.  Each import runs twice: once
+plain, for the wall time, and once under ``-X importtime``, for the self
+time of every module it imports.  Per checkout it prints the median and the
+interquartile range of the wall time, the median summed self time of the
+``modops`` modules, and the modules that ``modops.cli`` imports beyond
+those of a bare interpreter (``-c pass``): their count and their top-level
+packages.  With more than one checkout it also prints the modules each
+imports that the first does not, and the reverse:
+
+    python3 tools/import_cost.py PARENT .
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROUNDS = 21
+IMPORT = [sys.executable, "-c", "import modops.cli"]
+TIMED = [sys.executable, "-X", "importtime", "-c"]
+
+
+def environment(root):
+    """The environment of a fresh interpreter that imports ``root/src``."""
+    src = (root / "src").resolve()
+    if not (src / "modops" / "cli.py").is_file():
+        raise SystemExit(f"no modops sources under {src}")
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def run(argv, env):
+    """Run ``argv`` to completion; returns (wall seconds, stderr)."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, check=False)
+    seconds = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"import modops.cli failed:\n{proc.stderr}")
+    return seconds, proc.stderr
+
+
+def self_times(importtime):
+    """``{module: self microseconds}`` from ``-X importtime`` output."""
+    out = {}
+    for line in importtime.splitlines():
+        if not line.startswith("import time:") or "self [us]" in line:
+            continue
+        self_us, _, name = line[len("import time:"):].split("|")
+        out[name.strip()] = int(self_us)
+    return out
+
+
+def quartiles(values):
+    """(median, interquartile range) of ``values``."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("roots", type=Path, nargs="+", metavar="ROOT",
+                        help="checkout whose src/ is imported")
+    args = parser.parse_args(argv)
+    envs = [environment(root) for root in args.roots]
+    for env in envs:
+        run(IMPORT, env)
+    bare = set(self_times(run(TIMED + ["pass"], envs[0])[1]))
+    walls = [[] for _ in envs]
+    own = [[] for _ in envs]
+    modules = [set() for _ in envs]
+    for r in range(ROUNDS):
+        order = range(len(envs)) if r % 2 == 0 else reversed(range(len(envs)))
+        for i in order:
+            walls[i].append(run(IMPORT, envs[i])[0])
+            times = self_times(run(TIMED + [IMPORT[-1]], envs[i])[1])
+            own[i].append(sum(us for name, us in times.items()
+                              if name.split(".")[0] == "modops") / 1e6)
+            modules[i] |= set(times) - bare
+    for root, wall, mine, mods in zip(args.roots, walls, own, modules):
+        median, iqr = quartiles(wall)
+        print(f"{root}: wall median {median:.4f} s, IQR {iqr:.4f} s (n={ROUNDS}); "
+              f"modops self time median {statistics.median(mine):.4f} s")
+        print(f"  {len(mods)} modules, top-level: "
+              + " ".join(sorted({m.split('.')[0] for m in mods})))
+    for root, mods in zip(args.roots[1:], modules[1:]):
+        print(f"{root} vs {args.roots[0]}: "
+              f"+[{' '.join(sorted(mods - modules[0]))}] "
+              f"-[{' '.join(sorted(modules[0] - mods))}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
