@@ -5,9 +5,8 @@ An algebra here is a finite direct sum of full matrix algebras, indexed by a
 models both matrix-valued function algebras over a finite point set and plain
 direct sums.  Elements carry the arithmetic the pipelines use (sum, product
 and adjoint); the module provides the fiberwise density check for right
-ideals, and owns the shared dense kernels: block-diagonal assembly,
-Hermitian roots, seeded probe vectors and the matrix-free top singular
-value.
+ideals, and owns the shared dense kernels: Hermitian roots, seeded probe
+vectors and the matrix-free top singular value.
 """
 from __future__ import annotations
 
@@ -31,18 +30,6 @@ def _freeze(a):
     a = np.ascontiguousarray(a, dtype=complex)
     a.flags.writeable = False
     return a
-
-
-def block_diag(blocks):
-    """Block-diagonal matrix of the (possibly rectangular) ``blocks``, in order."""
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
-                   dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
 
 
 def eigh_sqrt(m, inverse=False, floor=0.0):

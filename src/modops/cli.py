@@ -89,14 +89,11 @@ _DENSE_MATRICES = {
 # identity gauge's table, its modulus and the normalized table (2.5)
 _PHASE_TABLES = 2.5
 
-# dense complex matrices of side max(sum m^2, sum m k) phi-roundtrip keeps
-# alive at once, counted low and checked by tracemalloc: an induced operator
-# on the larger of the module and its compacts holds its action and frame,
-# the map back reads its restricted action, and per-fiber blocks and their
-# products sit beside them while a map runs; left_module_operator checks
-# each fiber's domain columns, so no assembled frame is copied or
-# Gram-checked
-_ROUNDTRIP_MATRICES = 5
+# copies of its m x m label blocks (sum m^2 complex entries) phi-roundtrip
+# keeps alive at once, counted low and checked by tracemalloc: the seeded
+# draw, the action and frame of T and of phi1(T), and while the map back
+# runs its two singular factors and its images
+_ROUNDTRIP_MATRICES = 8
 
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
 # at n_x // 2, and a kernel certificate needs 32 steps, as does the
@@ -110,14 +107,14 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_beyond_memory(subject, k, rows, cols, kind):
-    """Refuse a request whose ``k`` dense complex ``rows x cols`` arrays,
-    named ``kind``, cannot fit in physical memory."""
-    need, have = 16 * rows * cols * k, _physical_memory()
+def _refuse_beyond_memory(subject, k, entries, what):
+    """Refuse a request whose ``k`` complex arrays of ``entries`` entries
+    each, described as ``what``, cannot fit in physical memory."""
+    need, have = 16 * entries * k, _physical_memory()
     if need > have:
         raise MalformedSpec(
-            f"{subject} needs at least {need / 1e9:.1f} GB for {k} dense {rows}x{cols} "
-            f"complex {kind}, more than the {have / 1e9:.1f} GB of physical memory")
+            f"{subject} needs at least {need / 1e9:.1f} GB for {k} {what}, "
+            f"more than the {have / 1e9:.1f} GB of physical memory")
 
 
 @dataclass
@@ -147,10 +144,10 @@ class RunConfig:
         if self.operator_tags is not None:
             self.operator_tags = tuple(_parse_tag(t) for t in self.operator_tags)
         if self.command == "phi-roundtrip":
-            model = self._roundtrip_model()
-            side = max(model.flat_dim, model.compact_model.flat_dim)
-            _refuse_beyond_memory(f"a module of dimension {model.flat_dim}",
-                                  _ROUNDTRIP_MATRICES, side, side, "matrices")
+            rows = self._roundtrip_model().row_dims
+            _refuse_beyond_memory(f"a module with rows {' '.join(map(str, rows))}",
+                                  _ROUNDTRIP_MATRICES, sum(m * m for m in rows),
+                                  "dense complex copies of its label blocks")
         pipeline = self._grid_pipeline()
         if pipeline is None:
             return                      # no grid: n_x is never read
@@ -158,10 +155,11 @@ class RunConfig:
         if self.n_x < low:
             raise MalformedSpec(f"{pipeline} needs n_x >= {low}, got {self.n_x}")
         n = self.n_x + 1
-        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], n, n, "matrices")
+        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], n * n,
+                              f"dense {n}x{n} complex matrices")
         if pipeline == "extend":
             _refuse_beyond_memory(f"n_x = {self.n_x}, n_pi = {self.n_pi}", _PHASE_TABLES,
-                                  self.n_pi, n, "phase tables")
+                                  self.n_pi * n, f"dense {self.n_pi}x{n} complex phase tables")
 
     def _grid_pipeline(self):
         """The key of this run in ``_DENSE_MATRICES``, or None when it reads

@@ -9,13 +9,14 @@ families:
     phi1(T) |x><y| = |Tx><y|        (module -> compacts)
     phi2(S) (a x)  = (S a) x        (compacts -> module)
 
-Each defining pair touches one fiber, so either map is one SVD per fiber of
-the ``m x (k d)`` block of the domain frame (rows ``m``, fiber dimension
-``k`` of the source, domain dimension ``d``), whose pseudo-inverse gives the
-left multiplier handed to :func:`left_module_operator`.  Well-definedness is
-checked: two representations ``a x = a' x'`` of one vector have to receive
-one image, else the input was not right-linear and :class:`IllDefined` is
-raised.
+A module operator is a left multiplier: per label ``lab`` of the algebra it
+multiplies the fiber, an ``m x k`` matrix (rows ``m``, fiber dimension
+``k``), by an ``m x m`` action ``b`` on the submodule of fibers with range
+inside an orthonormal column frame ``V``.  So it is held as its labels, a
+dict ``{lab: DomainedOperator on C^m}`` in the index's label order, and each
+map is one SVD of ``V`` per label.  Its action on the flattened module is
+``b (x) 1_k``, whose 2-norm is ``b``'s and whose domain projector is
+``V V* (x) 1_k``, so every comparison runs on the ``m x m`` blocks.
 """
 from __future__ import annotations
 
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiberIndex, block_diag
-from .errors import IllDefined
-from .operators import DomainedOperator, _inclusion, _same_span, frame_gate
+from .algebra import FiberIndex
+from .operators import DomainedOperator, _inclusion, _same_span
 from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
@@ -57,10 +57,6 @@ class ModuleModel:
             raise ValueError("row dimensions must be >= 1")
 
     @property
-    def flat_dim(self):
-        return sum(m * k for m, k in zip(self.row_dims, self.index.dims))
-
-    @property
     def compact_index(self) -> FiberIndex:
         """Index of K(E): one full matrix algebra of size m per fiber."""
         return FiberIndex(self.index.labels, self.row_dims)
@@ -72,91 +68,75 @@ class ModuleModel:
 
 
 def left_module_operator(model: ModuleModel, blocks: dict,
-                         domain_columns: dict | None = None) -> DomainedOperator:
-    """Flattened operator acting by per-fiber left multiplication.
+                         domain_columns: dict | None = None) -> dict:
+    """The module operator acting by per-fiber left multiplication.
 
     ``blocks[lab]`` is the ``(m, m)`` action; ``domain_columns[lab]``, when
     given, is an orthonormal ``m x d`` column frame V making the domain the
-    submodule of vectors with fiber range inside V.  The frame of that
-    domain is ``V (x) 1``, whose Gram matrix is ``(V*V) (x) 1``, so each V is
-    checked as it is given and the assembled frame is not checked again.
+    submodule of vectors with fiber range inside V, and each V is checked as
+    it is given.  Returns ``{lab: DomainedOperator}`` in label order.
     """
-    acts, frames = [], []
-    for lab, k, m in zip(model.index.labels, model.index.dims, model.row_dims):
-        b = np.asarray(blocks[lab], dtype=complex)
-        if b.shape != (m, m):
+    out = {}
+    for lab, m in zip(model.index.labels, model.row_dims):
+        if np.shape(blocks[lab]) != (m, m):
             raise ValueError(f"block {lab!r} must be {m}x{m}")
-        acts.append(np.kron(b, np.eye(k)))
-        v = None if domain_columns is None else domain_columns.get(lab)
-        v = np.eye(m) if v is None else frame_gate(v, m)
-        frames.append(np.kron(v, np.eye(k)))
-    return DomainedOperator._trusted(block_diag(acts), block_diag(frames))
-
-
-def _fiber_blocks(columns, model: ModuleModel):
-    """Per fiber, the ``(m, k c)`` matrix whose columns are the fiber
-    columns of the ``c`` flattened module vectors in ``columns``."""
-    out, pos = [], 0
-    for k, m in zip(model.index.dims, model.row_dims):
-        out.append(columns[pos:pos + m * k].reshape(m, k * columns.shape[1]))
-        pos += m * k
+        out[lab] = DomainedOperator(blocks[lab], None if domain_columns is None
+                                    else domain_columns.get(lab))
     return out
 
 
-def _left_multiplier(op: DomainedOperator, source: ModuleModel,
-                     target: ModuleModel) -> DomainedOperator:
-    """Left multiplier on ``target`` that ``op`` induces on ``source``.
+def _acts_on(op: dict, model: ModuleModel):
+    """Whether ``op`` holds one operator on ``C^m`` per label of ``model``."""
+    return (op.keys() == set(model.index.labels)
+            and all(op[lab].ambient_dim == m
+                    for lab, m in zip(model.index.labels, model.row_dims)))
 
-    Each defining pair of the correspondence touches one fiber only, and in
-    fiber ``lab`` the pairs are the columns of ``X (x) 1`` and ``Y (x) 1``,
-    with ``X`` the fiber columns of the domain frame and ``Y`` those of its
-    images.  So the induced operator multiplies by ``B = Y X^+`` on the right
-    ideal of matrices with range in ``range(X)``.  The rank is cut at
-    ``RANK_RTOL`` of the largest singular value over all fibers.  An image of
-    the kernel of ``X`` beyond ``TOL_ALG`` relative means one vector received
-    two images: the defining formula was inconsistent.
+
+def _left_multiplier(op: dict, labels, dims) -> dict:
+    """Left multiplier that the module operator ``op`` induces through the
+    defining pairs, for source fiber dimensions ``dims``.
+
+    The pairs touch one label each, and in label ``lab`` they are the
+    columns of ``V (x) 1_k`` and ``b V (x) 1_k``, up to their order, so the
+    induced operator multiplies by ``B = (b V) V^+`` on the right ideal of
+    matrices with range in ``range(V)``, framed by the left singular
+    vectors of ``V``.  The stacked pairs ``X`` satisfy ``X X* = k V V*``,
+    so the rank is cut where ``sqrt(k)`` times a singular value of ``V`` is
+    at most ``RANK_RTOL`` of the largest such value over all labels, as one
+    SVD of the stacked pairs cuts it.  An image ``b V`` is determined by its
+    input, so every module operator is right-linear by construction.
     """
-    xs = _fiber_blocks(op.frame, source)
-    ys = _fiber_blocks(op.restricted(), source)
-    svds = [np.linalg.svd(x, full_matrices=False) for x in xs]
-    cut = RANK_RTOL * max(np.max(s, initial=0.0) for _, s, _ in svds)
-    blocks, columns, leak, scale = {}, {}, 0.0, 0.0
-    for lab, y, (u, s, vh) in zip(target.index.labels, ys, svds):
-        r = int(np.sum(s > cut))
-        v = vh[:r].conj().T
-        leak = max(leak, np.linalg.norm(y - (y @ v) @ v.conj().T, 2))
-        scale = max(scale, np.linalg.norm(y, 2))
-        blocks[lab] = (y @ (v / s[:r])) @ u[:, :r].conj().T
-        columns[lab] = u[:, :r]
-    if not leak <= TOL_ALG * (1.0 + scale):
-        raise IllDefined("two representations of one vector map to "
-                         "different images", residual=float(leak))
-    return left_module_operator(target, blocks, columns)
+    svds = [np.linalg.svd(op[lab].frame, full_matrices=False) for lab in labels]
+    scaled = [np.sqrt(k) * s for k, (_, s, _) in zip(dims, svds)]
+    cut = RANK_RTOL * max(np.max(s, initial=0.0) for s in scaled)
+    out = {}
+    for lab, (u, s, vh), sk in zip(labels, svds, scaled):
+        r = int(np.sum(sk > cut))
+        images = op[lab].restricted() @ (vh[:r].conj().T / s[:r])
+        out[lab] = DomainedOperator._trusted(images @ u[:, :r].conj().T, u[:, :r])
+    return out
 
 
-def phi1(T: DomainedOperator, model: ModuleModel) -> DomainedOperator:
+def phi1(T: dict, model: ModuleModel) -> dict:
     """Operator on K(E) induced by ``T`` through |x><y| -> |Tx><y|.
 
     With x running over the domain and y over the module, the rank ones
     span the right ideal of matrices whose fiber ranges lie in the span of
     the domain's fiber columns; the result multiplies it on the left.
     """
-    if T.ambient_dim != model.flat_dim:
+    if not _acts_on(T, model):
         raise ValueError("operator does not act on this module")
-    return _left_multiplier(T, model, model.compact_model)
+    return _left_multiplier(T, model.index.labels, model.index.dims)
 
 
-def phi2(S: DomainedOperator, model: ModuleModel) -> DomainedOperator:
+def phi2(S: dict, model: ModuleModel) -> dict:
     """Operator on E induced by ``S`` on K(E) through a x -> (S a) x.
 
-    The domain is the span of products a x with a in the domain of ``S``;
-    consistency across representations of one product is verified and
-    :class:`IllDefined` reports the leak when it fails.
+    The domain is the span of products a x with a in the domain of ``S``.
     """
-    kmodel = model.compact_model
-    if S.ambient_dim != kmodel.flat_dim:
+    if not _acts_on(S, model.compact_model):
         raise ValueError("operator does not act on the compacts of this module")
-    return _left_multiplier(S, kmodel, model)
+    return _left_multiplier(S, model.index.labels, model.row_dims)
 
 
 @dataclass
@@ -172,24 +152,28 @@ class RoundtripVerdict:
         return self.inclusion_ok and self.closure_equal
 
 
-def _equivalent(A: DomainedOperator, B: DomainedOperator):
+def _equivalent(A: dict, B: dict):
     """Equal closures at finite scale: same domain span, same action on it,
-    both within ``TOL_ALG``."""
-    same_dom = _same_span(A, B, TOL_ALG)
-    act = np.linalg.norm((A.action - B.action) @ A.domain_projector(), 2)
-    return same_dom, bool(
-        same_dom and act <= TOL_ALG * (1.0 + np.linalg.norm(A.action, 2)))
+    both within ``TOL_ALG``.  A block-diagonal 2-norm is its largest
+    block's, so the action gate compares the worst label's residual with
+    the largest label action."""
+    same_dom = all(_same_span(A[lab], B[lab], TOL_ALG) for lab in A)
+    act = max(np.linalg.norm((a.action - B[lab].action) @ a.domain_projector(), 2)
+              for lab, a in A.items())
+    scale = max(np.linalg.norm(a.action, 2) for a in A.values())
+    return same_dom, bool(same_dom and act <= TOL_ALG * (1.0 + scale))
 
 
-def roundtrip_check(op: DomainedOperator, model: ModuleModel,
+def roundtrip_check(op: dict, model: ModuleModel,
                     side="module") -> RoundtripVerdict:
-    """Verify the round-trip laws for one operator.
+    """Verify the round-trip laws for one module operator.
 
     For ``side="module"``: phi2(phi1(T)) is included in T and the two have
     equal closures.  For ``side="compacts"``: phi1(phi2(S)) is included in S
     with equal closures.  At finite scale a closure is the operator on its
     domain span, so equality is projector equality plus action agreement;
-    every comparison is within ``TOL_ALG``.
+    every comparison is within ``TOL_ALG``, label by label, and the
+    reported residual is the worst label's.
     """
     if side == "module":
         back = phi2(phi1(op, model), model)
@@ -197,8 +181,8 @@ def roundtrip_check(op: DomainedOperator, model: ModuleModel,
         back = phi1(phi2(op, model), model)
     else:
         raise ValueError("side must be 'module' or 'compacts'")
-    inc = _inclusion(back, op, TOL_ALG)
+    incs = [_inclusion(back[lab], op[lab], TOL_ALG) for lab in model.index.labels]
     same_dom, equal = _equivalent(back, op)
-    return RoundtripVerdict(inclusion_ok=inc.included,
-                            inclusion_residual=inc.residual,
+    return RoundtripVerdict(inclusion_ok=all(inc.included for inc in incs),
+                            inclusion_residual=max(inc.residual for inc in incs),
                             domains_match=same_dom, closure_equal=equal)

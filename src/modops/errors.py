@@ -77,10 +77,6 @@ class GaugeNotContinuous(ModopsError):
     """Gauge field fails the linear-in-step continuity bound."""
 
 
-class IllDefined(ResidualError):
-    """Two representations of the same vector map to different images."""
-
-
 class MalformedSpec(ModopsError):
     """An input spec file cannot be parsed; the message names the line."""
 

@@ -16,6 +16,7 @@ from hypothesis import settings
 import modops.operators as operators
 from modops.diffops import GridOperator
 from modops.operators import z_transform
+from modops.tolerances import PROJECTOR_GATE, TOL_ALG
 
 # tier-1 decides alike on a cold machine and a warm one: each test draws its
 # examples from a seed fixed by the test itself, and no local example
@@ -68,6 +69,33 @@ def same_domain():
     def same(a, b):
         return operators._same_span(a, b, operators.TOL_GRAPH)
     return same
+
+
+def _moved(op, part):
+    if part == "action":
+        return {lab: operators.DomainedOperator(a.action * (1.0 + 3 * TOL_ALG), a.frame)
+                for lab, a in op.items()}
+    room = [lab for lab, a in op.items() if a.domain_dim < a.ambient_dim]
+    if not room:
+        return dict(op)
+    F = op[room[0]].frame
+    outside = operators.orthonormal_frame(np.eye(F.shape[0]) - F @ F.conj().T)[:, 0]
+    angle = 3 * PROJECTOR_GATE * TOL_ALG
+    turned = F.copy()
+    turned[:, 0] = np.cos(angle) * F[:, 0] + np.sin(angle) * outside
+    return dict(op, **{room[0]: operators.DomainedOperator(op[room[0]].action, turned)})
+
+
+@pytest.fixture(scope="session")
+def moved():
+    """``moved(op, part)``: the module operator ``op``, a dict of label
+    operators, moved beyond the round trip's ``TOL_ALG`` gates but within
+    the graph comparisons' ``TOL_GRAPH = 10 TOL_ALG``.  For ``part =
+    "action"`` every label's action is scaled by ``1 + 3 TOL_ALG``; for
+    ``"domain"`` the first domain direction of the first label with room
+    is turned out of the domain by the angle ``3 PROJECTOR_GATE TOL_ALG``
+    (a module whose domains are all full is returned as it is)."""
+    return _moved
 
 
 @functools.cache

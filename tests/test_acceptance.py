@@ -5,7 +5,9 @@ import pathlib
 import time
 
 import numpy as np
+import pytest
 
+import modops.correspondence as correspondence
 from modops.algebra import AlgebraElement, FiberIndex, ideal_density_check
 from modops.correspondence import ModuleModel, left_module_operator, roundtrip_check
 from modops.diffops import PERIODIC, GridOperator, kernel_certificate, \
@@ -150,7 +152,10 @@ def test_criterion_06_restriction_extension_calculus():
                f"witness error={worst_wit:.1e}")
 
 
-def test_criterion_07_phi_round_trips():
+def phi_round_trips():
+    """Criterion 07's predicate: on 20 seeded two-label modules with proper
+    submodule domains, whether the round trips on both sides hold with
+    every inclusion residual within 1e-10, and the worst residual."""
     rng = np.random.default_rng(11)
     ok = True
     worst = 0.0
@@ -174,8 +179,27 @@ def test_criterion_07_phi_round_trips():
         ok = ok and bool(v1) and bool(v2)
         worst = max(worst, v1.inclusion_residual, v2.inclusion_residual)
     ok = ok and worst <= 1e-10
+    return ok, worst
+
+
+def test_criterion_07_phi_round_trips():
+    ok, worst = phi_round_trips()
     _criterion(7, "module/compacts round trips", ok,
                f"worst inclusion residual={worst:.2e}")
+
+
+@pytest.mark.parametrize("part", ["action", "domain"])
+def test_criterion_07_fails_on_a_mutant_map_back(monkeypatch, moved, part):
+    # negative control: a map back that scales the action by 1 + 3 TOL_ALG,
+    # or turns one domain direction by 3 PROJECTOR_GATE TOL_ALG, fails the
+    # criterion
+    phi2 = correspondence.phi2
+    monkeypatch.setattr(correspondence, "phi2",
+                        lambda S, model: moved(phi2(S, model), part))
+    start = time.perf_counter()
+    ok, _ = phi_round_trips()
+    assert time.perf_counter() - start < 0.1
+    assert not ok
 
 
 def test_criterion_08_fiber_identity():

@@ -118,7 +118,7 @@ def test_memory_gate_compares_with_physical_memory(monkeypatch):
     with pytest.raises(MalformedSpec, match=r"needs at least 0\.3 GB for 4 dense"):
         RunConfig("certify-nonregular", n_x=2000)
     # commands without a grid are not gated by n_x; the default phi-roundtrip
-    # module's 5 matrices of 18x18 take 26 KB
+    # module's 8 copies of its two 3x3 label blocks take 2.3 KB
     RunConfig("phi-roundtrip", n_x=2000)
     RunConfig("zfield", n_x=2000, operator_kind="symbol")
     with pytest.raises(MalformedSpec, match="needs at least"):
@@ -145,31 +145,34 @@ def test_extend_refuses_a_gauge_too_large_to_hold(tmp_path, capsys, monkeypatch)
 
 
 def test_phi_roundtrip_refuses_a_module_too_large_to_hold(tmp_path, capsys, monkeypatch):
-    # 101 rows over a one-dimensional fiber: the compacts are 10201-dimensional,
-    # and 5 matrices of 10201x10201 complex entries take 8.3 GB, more than 8 GB
+    # 8100 rows over a one-dimensional fiber: 8 copies of the 8100x8100
+    # complex label block take 8.4 GB, more than 8 GB
     monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
-    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 1\nrows = 101\n")
+    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 1\nrows = 8100\n")
     out = tmp_path / "never.txt"
     assert main(["phi-roundtrip", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "input error: a module of dimension 101 needs at least 8.3 GB for 5 dense "
-        "10201x10201 complex matrices, more than the 8.0 GB of physical memory\n")
+        "input error: a module with rows 8100 needs at least 8.4 GB for 8 dense complex "
+        "copies of its label blocks, more than the 8.0 GB of physical memory\n")
     assert not out.exists()
-    # 100 rows need exactly the 8.0 GB there are, which is admitted
-    RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (1,)), rows=(100,))
-    # a 900-dimensional module over 900 compacts takes 65 MB by this count
-    RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (30,)), rows=(30,))
+    # 7905 rows are the largest that fit the 8.0 GB there are
+    RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (1,)), rows=(7905,))
+    with pytest.raises(MalformedSpec, match="a module with rows 7906 needs at least 8.0 GB"):
+        RunConfig("phi-roundtrip", algebra=FiberIndex(("a",), (1,)), rows=(7906,))
+    # the count sums the label blocks, and no fiber dimension adds to it
+    RunConfig("phi-roundtrip", algebra=FiberIndex(("a", "b"), (1, 10 ** 6)), rows=(7905, 1))
+    with pytest.raises(MalformedSpec, match="a module with rows 7905 105 needs"):
+        RunConfig("phi-roundtrip", algebra=FiberIndex(("a", "b"), (1, 1)), rows=(7905, 105))
 
 
 @pytest.mark.parametrize("dims, rows", [
-    ((3, 3), (4, 4)), ((1, 1, 1, 1), (4, 4, 4, 4)), ((30,), (1,))])
+    ((1,), (60,)), ((2, 1, 1), (40, 2, 3)), ((1,) * 12, (3,) * 12)])
 def test_roundtrip_matrix_count_is_a_lower_count(tmp_path, dims, rows):
     # the gate's estimate never exceeds the memory phi-roundtrip really takes,
-    # whether the compacts or the module are the larger
-    cfg = RunConfig("phi-roundtrip", algebra=FiberIndex(tuple("abcd"[:len(dims)]), dims),
+    # on one dominant label and on many small ones
+    cfg = RunConfig("phi-roundtrip",
+                    algebra=FiberIndex(tuple(f"q{j}" for j in range(len(dims))), dims),
                     rows=rows, output_path=str(tmp_path / "p.txt"))
-    model = cfg._roundtrip_model()
-    n = max(model.flat_dim, model.compact_model.flat_dim)
     tracemalloc.start()
     try:
         status, _ = run(cfg)
@@ -177,7 +180,19 @@ def test_roundtrip_matrix_count_is_a_lower_count(tmp_path, dims, rows):
     finally:
         tracemalloc.stop()
     assert status == 0
-    assert peak >= 16 * n ** 2 * cli._ROUNDTRIP_MATRICES
+    assert peak >= 16 * sum(m * m for m in rows) * cli._ROUNDTRIP_MATRICES
+
+
+@pytest.mark.parametrize("rows", [101, 400])
+def test_phi_roundtrip_verifies_one_label_of_many_rows(tmp_path, rows):
+    # a label of m rows costs m x m blocks: 101 rows were refused, and 400
+    # were out of reach, while the round trip ran on the flattened compacts
+    spec = write(tmp_path, f"[algebra]\nlabels = a\ndims = 1\nrows = {rows}\n")
+    out = tmp_path / "p.txt"
+    assert main(["phi-roundtrip", "--config", spec, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "inclusion_ok = True\n" in text and "closure_equal = True\n" in text
+    assert text.endswith("verdict = ROUNDTRIP-VERIFIED\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -799,8 +814,8 @@ def _never_parsed(value, lineno, *args):
                f"samples = {_samples(64, 400)}\n",
      "n_x = 400, n_pi = 64 needs at least 0.0 GB for 2.5 dense 64x401 complex "
      "phase tables"),
-    ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 300\n\n[element e]\na = 1\n",
-     "a module of dimension 900 needs at least 0.1 GB"),
+    ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 300\nrows = 1000\n\n[element e]\na = 1\n",
+     "a module with rows 1000 needs at least 0.1 GB"),
     ("density-check", "[grid]\nn_x = 4\n\n[algebra]\nlabels = a\ndims = 1\n\n"
                       "[element e]\na = 1\n",
      "n_x = 4 outside the supported range")], ids=["samples", "elements", "range"])

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import modops.diffops as diffops
 import modops.fibered as fibered
 
-from modops.algebra import AlgebraElement, FiberIndex, block_diag
+from modops.algebra import AlgebraElement, FiberIndex
 from modops.cli import RunConfig, run
 from modops.diffops import (
     MAXIMAL,
@@ -472,6 +472,18 @@ def test_tilde_of_gauge_built_field_is_itself():
     S = tilde_extension(F)
     for a, b in zip(F.fibers, S.fibers):
         assert graph_inclusion(a, b).included and graph_inclusion(b, a).included
+
+
+def block_diag(blocks):
+    """Block-diagonal matrix of the (possibly rectangular) ``blocks``, in order."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def reference_tilde(F, modulus=None):
