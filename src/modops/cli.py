@@ -95,6 +95,12 @@ _PHASE_TABLES = 2.5
 # runs its two singular factors and its images
 _ROUNDTRIP_MATRICES = 8
 
+# copies of its k x k label blocks (sum k^2 complex entries) zfield on a
+# symbol field keeps alive at once, counted low and checked by tracemalloc:
+# the parsed symbol, each fiber's action and each fiber's transform; a full
+# domain's identity frame and each label's transient work come on top
+_SYMBOL_MATRICES = 3
+
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
 # at n_x // 2, and a kernel certificate needs 32 steps, as does the
 # counterexample field; every other grid pipeline serves the range's 8
@@ -147,6 +153,11 @@ class RunConfig:
             rows = self._roundtrip_model().row_dims
             _refuse_beyond_memory(f"a module with rows {' '.join(map(str, rows))}",
                                   _ROUNDTRIP_MATRICES, sum(m * m for m in rows),
+                                  "dense complex copies of its label blocks")
+        if (self.command, self.operator_kind) == ("zfield", "symbol") and self.algebra:
+            dims = self.algebra.dims
+            _refuse_beyond_memory(f"a symbol field with dims {' '.join(map(str, dims))}",
+                                  _SYMBOL_MATRICES, sum(k * k for k in dims),
                                   "dense complex copies of its label blocks")
         pipeline = self._grid_pipeline()
         if pipeline is None:

@@ -660,7 +660,7 @@ def kernel_certificate(n) -> KernelReport:
     w = trapezoid_weights(n)
     Kw = _composite_certificate_matrix(n)
     Kw *= np.sqrt(w)[:, None]
-    _, s, vh = np.linalg.svd(Kw)
+    _, s, vh = np.linalg.svd(Kw, full_matrices=False)
     # deepest relative gap nearest the tail decides the kernel dimension
     dim = 0
     for j in range(s.size - 1, 0, -1):

@@ -145,21 +145,19 @@ class FiberedOperator:
                             domain_columns=None):
         """Left multiplication by a matrix field on a finite function algebra.
 
-        Fibers act on the flattened matrix fiber (row-major); a domain given
-        as per-label column frames V yields the right-ideal domain of all
-        matrices with range inside V.
+        Fiber ``x`` is the ``k x k`` symbol ``s_x`` itself: left
+        multiplication on the matrix fiber is ``s_x (x) 1_k``, which acts on
+        a ``k x k`` matrix column by column as ``s_x``, so its transform,
+        graph adjoint and 2-norms are ``s_x``'s.  A domain given as
+        per-label column frames V is the right-ideal domain of all matrices
+        with range inside V, with frame V on the columns.
         """
-        dims = set(index.dims)
-        if len(dims) != 1:
+        if len(set(index.dims)) != 1:
             raise ValueError("fibered models need one common fiber dimension")
-        k = dims.pop()
         fibers = []
         for lab in index.labels:
-            act = np.kron(symbol.fibers[lab], np.eye(k))
-            frame = None
-            if domain_columns is not None and domain_columns.get(lab) is not None:
-                frame = np.kron(domain_columns[lab], np.eye(k))
-            fibers.append(DomainedOperator(act, frame))
+            frame = None if domain_columns is None else domain_columns.get(lab)
+            fibers.append(DomainedOperator(symbol.fibers[lab], frame))
         npts = len(index.labels)
         grid = np.arange(npts) / max(npts - 1, 1)
         return cls(grid, fibers)
@@ -396,11 +394,13 @@ def fiber_identity_check(T: FiberedOperator, symbol: AlgebraElement,
                          a: AlgebraElement) -> float:
     """Residual of the fiberwise identity (1 + T_x* T_x) a_x = ((1 + T*T) a)_x.
 
-    The left side goes through the per-fiber matrices and graph adjoints; the
-    right side goes through plain algebra arithmetic with ``symbol``, whose
-    left multiplication ``T`` is (:meth:`FiberedOperator.from_algebra_symbol`).
+    The left side goes through the per-fiber matrices and graph adjoints,
+    each acting on the ``k x k`` matrix ``a_x`` column by column; the right
+    side goes through plain algebra arithmetic with ``symbol``, whose left
+    multiplication ``T`` is (:meth:`FiberedOperator.from_algebra_symbol`).
     The element must sit in the fibered domain (and its image in the adjoint
-    domain) within ``TOL_GRAPH``, otherwise :class:`DomainViolation` is raised.
+    domain) within ``TOL_GRAPH`` in the Frobenius norm, otherwise
+    :class:`DomainViolation` is raised.
     """
     index = symbol.index
     if a.index != index:
@@ -411,18 +411,17 @@ def fiber_identity_check(T: FiberedOperator, symbol: AlgebraElement,
     fibers = T.fibers
     adjoints = T.per_point([adjoint_via_graph(f) for f in T.distinct_fibers])
     for i, lab in enumerate(index.labels):
-        d = index.dim(lab)
-        vec = a.fibers[lab].ravel()
-        ok, res = fibers[i].contains(vec)
+        ax = a.fibers[lab]
+        ok, res = fibers[i].contains(ax)
         if not ok:
             raise DomainViolation(f"element is outside the domain at fiber {lab!r}",
                                   residual=res)
-        image = fibers[i].apply(vec)
+        image = fibers[i].apply(ax)
         ok, res = adjoints[i].contains(image)
         if not ok:
             raise DomainViolation(
                 f"image leaves the adjoint domain at fiber {lab!r}", residual=res)
-        lhs = (vec + adjoints[i].apply(image)).reshape(d, d)
+        lhs = ax + adjoints[i].apply(image)
         rhs = (a + symbol.H @ (symbol @ a)).fibers[lab]
         worst = max(worst, np.linalg.norm(lhs - rhs, 2))
     return float(worst)

@@ -202,7 +202,9 @@ def test_criterion_07_fails_on_a_mutant_map_back(monkeypatch, moved, part):
     assert not ok
 
 
-def test_criterion_08_fiber_identity():
+def fiber_identities():
+    """Criterion 08's predicate: on 50 seeded finite models, whether the
+    fiber identity holds within 1e-9, and the worst residual."""
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(50):
@@ -217,8 +219,33 @@ def test_criterion_08_fiber_identity():
             lab: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             for lab in idx.labels})
         worst = max(worst, fiber_identity_check(F, sym, a))
+    return worst <= 1e-9, worst
+
+
+def test_criterion_08_fiber_identity():
+    ok, worst = fiber_identities()
     _criterion(8, "fiber identity on 50 random finite models",
-               worst <= 1e-9, f"worst residual={worst:.2e}")
+               ok, f"worst residual={worst:.2e}")
+
+
+def test_criterion_08_fails_on_a_moved_symbol(monkeypatch):
+    # negative control: each field, built from its symbol, is checked against
+    # that symbol with one entry of its first fiber moved by 1e-6; on k x k
+    # fibers both sides of the identity are plain products, so only this
+    # shows that the criterion can fail
+    check = fiber_identity_check
+
+    def against_moved(F, sym, a):
+        first = sym.index.labels[0]
+        moved = sym.fibers[first].copy()
+        moved[0, 0] += 1e-6
+        return check(F, AlgebraElement(sym.index, dict(sym.fibers, **{first: moved})), a)
+
+    monkeypatch.setitem(globals(), "fiber_identity_check", against_moved)
+    start = time.perf_counter()
+    ok, worst = fiber_identities()
+    assert time.perf_counter() - start < 0.1
+    assert not ok and worst > 1e-7
 
 
 def test_criterion_09_gauge_extension():

@@ -183,6 +183,55 @@ def test_roundtrip_matrix_count_is_a_lower_count(tmp_path, dims, rows):
     assert peak >= 16 * sum(m * m for m in rows) * cli._ROUNDTRIP_MATRICES
 
 
+def test_zfield_refuses_a_symbol_field_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # one label of dimension 12910: 3 copies of its 12910x12910 complex symbol
+    # take 8.0 GB, more than 8 GB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 10 ** 9)
+    path = write(tmp_path, "[algebra]\nlabels = a\ndims = 12910\n\n[operator]\n"
+                           "kind = symbol\nelement = e\n\n[element e]\na = 1\n")
+    out = tmp_path / "never.txt"
+    assert main(["zfield", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: a symbol field with dims 12910 needs at least 8.0 GB for 3 dense "
+        "complex copies of its label blocks, more than the 8.0 GB of physical memory\n")
+    assert not out.exists()
+    # 12909 is the largest dimension that fits the 8.0 GB there are
+    symbol = {"command": "zfield", "operator_kind": "symbol"}
+    RunConfig(algebra=FiberIndex(("a",), (12909,)), **symbol)
+    # the count sums the label blocks
+    with pytest.raises(MalformedSpec, match="a symbol field with dims 12909 200 needs"):
+        RunConfig(algebra=FiberIndex(("a", "b"), (12909, 200)), **symbol)
+    # a grid field does not read the algebra
+    RunConfig("zfield", algebra=FiberIndex(("a",), (12910,)))
+
+
+@pytest.mark.parametrize("dims, columns", [
+    ((200,), 1), ((200,), None), ((60,) * 12, 1), ((60,) * 12, 30)],
+    ids=["one-thin", "one-full", "many-thin", "many-half"])
+def test_symbol_matrix_count_is_a_lower_count(tmp_path, dims, columns):
+    # the gate's estimate never exceeds the memory zfield on a symbol field
+    # really takes, the symbol and domain of the spec included, on one label and
+    # on many, with full and thin domains
+    labels = tuple(f"s{j}" for j in range(len(dims)))
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        cfg = RunConfig("zfield", algebra=FiberIndex(labels, dims), operator_kind="symbol",
+                        operator_element="s", output_path=str(tmp_path / "z.txt"),
+                        operator_domain=None if columns is None else "v")
+        cfg.elements["s"] = {lab: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                             for lab, k in zip(labels, dims)}
+        if columns is not None:
+            cfg.elements["v"] = {lab: rng.standard_normal((k, columns))
+                                 for lab, k in zip(labels, dims)}
+        status, _ = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak >= 16 * sum(k * k for k in dims) * cli._SYMBOL_MATRICES
+
+
 @pytest.mark.parametrize("rows", [101, 400])
 def test_phi_roundtrip_verifies_one_label_of_many_rows(tmp_path, rows):
     # a label of m rows costs m x m blocks: 101 rows were refused, and 400
@@ -816,9 +865,12 @@ def _never_parsed(value, lineno, *args):
      "phase tables"),
     ("phi-roundtrip", "[algebra]\nlabels = a\ndims = 300\nrows = 1000\n\n[element e]\na = 1\n",
      "a module with rows 1000 needs at least 0.1 GB"),
+    ("zfield", "[algebra]\nlabels = a b\ndims = 2000 2000\n\n[operator]\nkind = symbol\n"
+               "element = e\n\n[element e]\na = 1\nb = 1\n",
+     "a symbol field with dims 2000 2000 needs at least 0.4 GB"),
     ("density-check", "[grid]\nn_x = 4\n\n[algebra]\nlabels = a\ndims = 1\n\n"
                       "[element e]\na = 1\n",
-     "n_x = 4 outside the supported range")], ids=["samples", "elements", "range"])
+     "n_x = 4 outside the supported range")], ids=["samples", "elements", "symbol", "range"])
 def test_gates_run_before_any_matrix_is_parsed(tmp_path, capsys, monkeypatch, command,
                                                spec, message):
     # a spec too large to hold is refused before its samples or fibers are

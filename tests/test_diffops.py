@@ -674,6 +674,24 @@ def test_kernel_certificate_second_order_convergence():
     assert e100 / e200 == pytest.approx(4.0, rel=0.25)
 
 
+@pytest.mark.parametrize("n", [64, 400])
+def test_kernel_svd_is_reduced_and_bitwise_the_full_one(monkeypatch, n):
+    # the square left factor is never read, so the kernel stage takes the
+    # reduced SVD, whose singular values and right factor are the full one's
+    svd, taken = np.linalg.svd, []
+
+    def both(a, full_matrices=True):
+        u, s, vh = svd(a, full_matrices=full_matrices)
+        _, s_full, vh_full = svd(a, full_matrices=True)
+        taken.append((full_matrices, np.array_equal(s, s_full),
+                      np.array_equal(vh, vh_full)))
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", both)
+    kernel_certificate(n)
+    assert taken == [(False, True, True)]
+
+
 def test_kernel_certificate_rejects_coarse_grid():
     with pytest.raises(GridTooCoarse):
         kernel_certificate(16)
@@ -965,7 +983,7 @@ def test_jump_is_one_lanczos_norm_for_every_pair(linalg_calls, n):
              (MN, MX)]                           # dense, one-sided
     cases = [(zts[a], zts[b], n + 1) for a, b in pairs]
     s0, s1 = _symbol_fibers(3, n)
-    cases.append((z_transform(s0), z_transform(s1), 9))
+    cases.append((z_transform(s0), z_transform(s1), 3))
     zs = [zt.z for zt in zts]                    # each closed form's z read once
     oracles = [np.linalg.norm(zs[b] - zs[a], 2) for a, b in pairs]
     oracles.append(np.linalg.norm(cases[-1][1].z - cases[-1][0].z, 2))

@@ -372,7 +372,7 @@ def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
     idx = FiberIndex.points(5, dim=2)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     sym = AlgebraElement(idx, {lab: m for lab in idx.labels})
-    op = DomainedOperator.full(np.kron(m, np.eye(2)))
+    op = DomainedOperator.full(m)
     F = FiberedOperator(np.linspace(0, 1, 5), [op] * 5)
     calls = []
 
@@ -384,7 +384,7 @@ def test_shared_algebra_fibers_take_one_graph_adjoint(monkeypatch):
     adj = adjoint_field(F)
     assert len(calls) == 1 and len(adj.distinct_fibers) == 1
     assert adj.n_fibers == 5
-    assert_allclose(adj.fibers[0].action, np.kron(m.conj().T, np.eye(2)), rtol=0, atol=1e-12)
+    assert_allclose(adj.fibers[0].action, m.conj().T, rtol=0, atol=1e-12)
     a = random_symbol(rng, idx)
     assert fiber_identity_check(F, sym, a) <= 1e-9
     assert len(calls) == 2
@@ -429,6 +429,106 @@ def test_fiber_identity_refuses_a_symbol_that_is_not_the_fields():
     wide = random_symbol(rng, other)
     with pytest.raises(ValueError, match="one fiber per label"):
         fiber_identity_check(F, wide, random_symbol(rng, other))
+
+
+# ------------------------------------------------------------- kron oracle
+def kron_field(index, symbol, domain_columns=None):
+    """The symbol field on the flattened (row-major) matrix fiber: ``s (x)
+    1_k`` on the domain ``V (x) 1_k``, the oracle of
+    :meth:`FiberedOperator.from_algebra_symbol`."""
+    eye = np.eye(index.dims[0])
+    fibers = []
+    for lab in index.labels:
+        V = None if domain_columns is None else domain_columns.get(lab)
+        fibers.append(DomainedOperator(np.kron(symbol.fibers[lab], eye),
+                                       None if V is None else np.kron(V, eye)))
+    npts = len(index.labels)
+    return FiberedOperator(np.arange(npts) / max(npts - 1, 1), fibers)
+
+
+def kron_fiber_identity(T, symbol, a):
+    """:func:`fiber_identity_check` of the :func:`kron_field` ``T``, on each
+    ``a_x`` raveled row-major."""
+    fibers = T.fibers
+    adjoints = T.per_point([adjoint_via_graph(f) for f in T.distinct_fibers])
+    worst = 0.0
+    for i, lab in enumerate(symbol.index.labels):
+        d = symbol.index.dim(lab)
+        vec = a.fibers[lab].ravel()
+        if not fibers[i].contains(vec)[0]:
+            raise DomainViolation(f"element is outside the domain at fiber {lab!r}")
+        image = fibers[i].apply(vec)
+        if not adjoints[i].contains(image)[0]:
+            raise DomainViolation(f"image leaves the adjoint domain at fiber {lab!r}")
+        lhs = (vec + adjoints[i].apply(image)).reshape(d, d)
+        rhs = (a + symbol.H @ (symbol @ a)).fibers[lab]
+        worst = max(worst, np.linalg.norm(lhs - rhs, 2))
+    return float(worst)
+
+
+def _random_symbol_model(seed, with_domain):
+    """A random symbol field's index, symbol and per-label column frames
+    (some labels without one), or None for the frames."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    idx = FiberIndex.points(int(rng.integers(2, 6)), dim=k)
+    sym = random_symbol(rng, idx)
+    if not with_domain:
+        return rng, idx, sym, None
+    cols = {}
+    for lab in idx.labels:
+        d = int(rng.integers(1, k + 1))
+        cols[lab] = (np.linalg.qr(rng.standard_normal((k, d)))[0]
+                     if rng.random() < 0.75 else None)
+    return rng, idx, sym, cols
+
+
+@pytest.mark.parametrize("with_domain", [False, True], ids=["full", "domain"])
+@pytest.mark.parametrize("seed", range(8))
+def test_symbol_field_matches_the_kron_oracle(seed, with_domain):
+    # every reported quantity of the k x k field equals the flattened one's:
+    # z(s (x) 1, V (x) 1) = z(s, V) (x) 1, ||X (x) 1||_2 = ||X||_2, and the
+    # graph adjoint is (V (s V)*) (x) 1
+    rng, idx, sym, cols = _random_symbol_model(seed, with_domain)
+    k = idx.dims[0]
+    F, K = (build(idx, sym, cols) for build in (FiberedOperator.from_algebra_symbol,
+                                                kron_field))
+    assert F.ambient_dim == k and K.ambient_dim == k * k
+    zf, zk = zfield(F), zfield(K)
+    assert_allclose(zf.gaps, zk.gaps, rtol=1e-12, atol=1e-14)
+    assert_allclose(zf.profile, zk.profile, rtol=1e-12, atol=1e-14)
+    assert zf.flagged == zk.flagged
+    eye = np.eye(k)
+    for a, b in zip(adjoint_field(F).fibers, adjoint_field(K).fibers):
+        assert_allclose(np.kron(a.action, eye), b.action, rtol=0, atol=1e-12)
+        assert_allclose(np.kron(a.domain_projector(), eye), b.domain_projector(),
+                        rtol=0, atol=1e-12)
+    # extension rows: the field inside its full-domain field, and inside a
+    # field with another symbol at one label
+    full = FiberedOperator.from_algebra_symbol(idx, sym)
+    first = idx.labels[0]
+    other = AlgebraElement(idx, dict(sym.fibers, **{first: 2 * sym.fibers[first]}))
+    for T, KT in ((full, kron_field(idx, sym)),
+                  (FiberedOperator.from_algebra_symbol(idx, other), kron_field(idx, other))):
+        rf, rk = extension_inclusion_check(F, T), extension_inclusion_check(K, KT)
+        assert [r[:2] for r in rf.rows] == [r[:2] for r in rk.rows]
+        assert_allclose([r[2] for r in rf.rows], [r[2] for r in rk.rows],
+                        rtol=1e-12, atol=1e-14)
+    # the fiber identity residual of an element of the domain (it holds on a
+    # full domain only, where T* multiplies by the conjugate symbol), and the
+    # refusal of an element outside the domain
+    a = random_symbol(rng, idx)
+    inside = AlgebraElement(idx, {
+        lab: a.fibers[lab] if V is None else V @ (V.conj().T @ a.fibers[lab])
+        for lab, V in ((lab, (cols or {}).get(lab)) for lab in idx.labels)})
+    residual = fiber_identity_check(F, sym, inside)
+    assert residual == pytest.approx(kron_fiber_identity(K, sym, inside),
+                                     rel=1e-12, abs=1e-14)
+    assert with_domain or residual <= 1e-9
+    if any(V is not None and V.shape[1] < k for V in (cols or {}).values()):
+        for check, T in ((fiber_identity_check, F), (kron_fiber_identity, K)):
+            with pytest.raises(DomainViolation):
+                check(T, sym, a)
 
 
 # ------------------------------------------------------------------- tilde

@@ -6,21 +6,28 @@ The benchmark's ``setup_s`` is the median wall time of a few fresh
 ``python -c "import modops.cli"`` processes, so machine noise moves it as
 much as the code does.  This script runs 21 rounds; each round imports once
 per checkout, in alternating order, so that drift in the machine's load
-falls on every checkout alike.  One untimed import per checkout comes first,
-so every timed one finds its bytecode cached.  Each import runs twice: once
-plain, for the wall time, and once under ``-X importtime``, for the self
-time of every module it imports.  Per checkout it prints the median and the
+falls on every checkout alike.  One untimed import per checkout comes first.
+It caches the bytecode of every module only where the interpreters may
+write it: they inherit this process's environment, which the script does
+not change, and with ``PYTHONDONTWRITEBYTECODE`` set and no bytecode on
+disk every import compiles the ``modops`` sources again, as the
+benchmark's own imports then do.  Each import runs twice: once plain, for
+the wall time, and once under ``-X importtime``, for the self time of
+every module it imports.  Per checkout it prints the median and the
 interquartile range of the wall time, the median summed self time of the
-``modops`` modules, and the modules that ``modops.cli`` imports beyond
-those of a bare interpreter (``-c pass``): their count and their top-level
-packages.  With more than one checkout it also prints the modules each
-imports that the first does not, and the reverse:
+``modops`` modules, how many of those had current bytecode on disk after
+the untimed import (the rest were compiled at every import), and the
+modules that ``modops.cli`` imports beyond those of a bare interpreter
+(``-c pass``): their count and their top-level packages.  With more than
+one checkout it also prints the modules each imports that the first does
+not, and the reverse:
 
     python3 tools/import_cost.py PARENT .
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import statistics
 import subprocess
@@ -50,6 +57,25 @@ def run(argv, env):
     if proc.returncode != 0:
         raise SystemExit(f"import modops.cli failed:\n{proc.stderr}")
     return seconds, proc.stderr
+
+
+def cached_modules(root):
+    """(cached, total) for the ``modops`` sources of ``root``: how many have
+    bytecode on disk that is current for the source, so that an import
+    reads it instead of compiling the source."""
+    sources = sorted((root / "src" / "modops").resolve().glob("*.py"))
+    cached = 0
+    for py in sources:
+        try:
+            with open(importlib.util.cache_from_source(str(py)), "rb") as fh:
+                header = fh.read(16)
+        except OSError:
+            continue
+        st = py.stat()
+        stamp = b"".join((int(v) & 0xFFFFFFFF).to_bytes(4, "little")
+                         for v in (st.st_mtime, st.st_size))
+        cached += header == importlib.util.MAGIC_NUMBER + bytes(4) + stamp
+    return cached, len(sources)
 
 
 def self_times(importtime):
@@ -93,6 +119,10 @@ def main(argv=None):
         median, iqr = quartiles(wall)
         print(f"{root}: wall median {median:.4f} s, IQR {iqr:.4f} s (n={ROUNDS}); "
               f"modops self time median {statistics.median(mine):.4f} s")
+        cached, total = cached_modules(root)
+        print(f"  modops bytecode: {cached} of {total} modules cached, the rest "
+              "compiled at every import (PYTHONDONTWRITEBYTECODE="
+              f"{os.environ.get('PYTHONDONTWRITEBYTECODE') or 'unset'})")
         print(f"  {len(mods)} modules, top-level: "
               + " ".join(sorted({m.split('.')[0] for m in mods})))
     for root, mods in zip(args.roots[1:], modules[1:]):
