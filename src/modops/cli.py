@@ -9,8 +9,10 @@ given one config; only the "# generated:" header line varies.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -245,11 +247,13 @@ def _parse_row(row, lineno, dtype):
 
 
 def _parse_matrix(value, lineno, dtype):
-    """The matrix ``value``, rows separated by ';', as a ``dtype`` array."""
-    rows = [r.strip() for r in value.split(";") if r.strip()]
-    if not rows:
+    """The matrix ``value``, rows separated by ';', as a ``dtype`` array.
+    Its rows are cut from the text one at a time, so no copy of the text is
+    held beside it while they are parsed."""
+    data = [_parse_row(m[0], lineno, dtype) for m in re.finditer("[^;]+", value)
+            if not m[0].isspace()]
+    if not data:
         raise MalformedSpec(f"line {lineno}: empty matrix", line=lineno)
-    data = [_parse_row(r, lineno, dtype) for r in rows]
     if len({len(r) for r in data}) != 1:
         raise MalformedSpec(f"line {lineno}: ragged matrix rows", line=lineno)
     return np.asarray(data, dtype=dtype)
@@ -261,15 +265,32 @@ def parse_spec_file(path):
     Sections: [grid], [algebra], [operator], [gauge], and [element NAME]
     (one per algebra element; one key per fiber label, value a matrix with
     rows separated by ';' and complex entries written "re,im")."""
-    sections = {}
-    current = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            # map drops each line read once its content is cut, so a table,
+            # one line of the spec, is held at most twice: as read and cut,
+            # then as cut and as its value
+            return _sections(map(_content, fh))
     except OSError as exc:
         raise MalformedSpec(f"cannot read spec file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+
+
+def _content(raw):
+    """A spec line without its comment and the whitespace around it."""
+    return raw.split("#", 1)[0].strip()
+
+
+# the key of a key = value line, and the '=' with the space after it
+_KEY = re.compile(r"([^=]*)=\s*")
+
+
+def _sections(lines):
+    """``{section: {key: (value, line number)}}`` of the spec whose
+    ``lines`` are given by :func:`_content`; a value is cut from its line
+    in one slice."""
+    sections = {}
+    current = None
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         if line.startswith("["):
@@ -287,12 +308,13 @@ def parse_spec_file(path):
             current = name
             sections.setdefault(name, {})
             continue
-        if "=" not in line:
+        match = _KEY.match(line)
+        if match is None:
             raise MalformedSpec(f"line {lineno}: expected key = value", line=lineno)
         if current is None:
             raise MalformedSpec(f"line {lineno}: key outside any section",
                                 line=lineno)
-        key, value = (s.strip() for s in line.split("=", 1))
+        key, value = match[1].strip(), line[match.end():]
         base = current.split()[0]
         if base != "element" and key not in _SECTION_KEYS[base]:
             raise MalformedSpec(f"line {lineno}: unknown key {key!r} in [{current}]",
@@ -666,5 +688,20 @@ def main(argv=None):
     return status
 
 
+def entry():
+    """The process entry of ``python -m modops.cli`` and of the ``modops``
+    console script: exit with the status of :func:`main`.
+
+    The collector is frozen first, so the interpreter's finalization runs
+    no collection over the objects the run leaves alive, whose memory the
+    process gives back as it exits; module teardown, ``atexit`` and the
+    flush of stdout and stderr still run.  Only the process entry does this:
+    ``main`` is also called in-process, and leaves the collector as it found
+    it."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

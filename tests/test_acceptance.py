@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 import modops.correspondence as correspondence
+import modops.diffops as diffops
 from modops.algebra import AlgebraElement, FiberIndex, ideal_density_check
 from modops.correspondence import ModuleModel, left_module_operator, roundtrip_check
 from modops.diffops import PERIODIC, GridOperator, kernel_certificate, \
     periodic_complement_floor
-from modops.errors import ExtensionIdentityViolated, RestrictionIdentityViolated
+from modops.errors import (
+    ExtensionIdentityViolated,
+    GaugeNotContinuous,
+    NotCirculant,
+    RestrictionIdentityViolated,
+    UnexpectedKernelDim,
+)
 from modops.fibered import (
     FiberedOperator,
     GaugeField,
@@ -33,6 +40,7 @@ from modops.operators import (
     restriction_witness,
     z_transform,
 )
+from test_diffops import Bumped
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -46,7 +54,11 @@ def _criterion(num, name, ok, detail=""):
 
 
 # --------------------------------------------------------------------------
-def test_criterion_01_kernel_certificate():
+def kernel_certificates():
+    """Criterion 01's predicate: whether the kernel certificate at n_x = 400
+    has kernel dimension 1, its comparison error and gap within their
+    bounds, second-order convergence against n_x = 200, and took under a
+    second; with the two reports, the ratio and the time."""
     # the half-size certificate runs first so that the timed call finds the
     # LAPACK path warm: a cold first SVD can take a second on its own
     half = kernel_certificate(200)
@@ -59,35 +71,106 @@ def test_criterion_01_kernel_certificate():
           and rep.gap_ratio <= 1e-6
           and elapsed < 1.0
           and 3.0 <= ratio <= 5.0)
+    return ok, rep, ratio, elapsed
+
+
+def test_criterion_01_kernel_certificate():
+    ok, rep, ratio, elapsed = kernel_certificates()
     _criterion(1, "kernel certificate at n_x=400", ok,
                f"err={rep.comparison_error:.2e}, gap={rep.gap_ratio:.1e}, "
                f"conv={ratio:.2f}, {elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_02_regular_complement_floor():
+def test_criterion_01_fails_on_a_second_kernel_direction(monkeypatch):
+    # negative control: the certificate matrix with its next-smallest
+    # singular value moved down to its smallest, so that two directions
+    # share the kernel's size.  Zeroing a column instead makes that
+    # column's unit vector the one kernel direction: the kernel vector has
+    # no zero entry, so the old direction leaves the kernel.
+    matrix = diffops._composite_certificate_matrix
+
+    def with_second_direction(n):
+        K = matrix(n)
+        root_w = np.sqrt(diffops.trapezoid_weights(n))
+        u, s, vh = np.linalg.svd(K * root_w[:, None], full_matrices=False)
+        K -= (s[-2] - s[-1]) * np.outer(u[:, -2] / root_w, vh[-2])
+        return K
+
+    monkeypatch.setattr(diffops, "_composite_certificate_matrix", with_second_direction)
+    start = time.perf_counter()
+    with pytest.raises(UnexpectedKernelDim) as refusal:
+        kernel_certificates()
+    assert time.perf_counter() - start < 0.1
+    assert refusal.value.dimension == 2
+
+
+def complement_floor():
+    """Criterion 02's predicate: whether the periodic complement floor at
+    n_x = 400 is at least 0.999, and the floor."""
     floor = periodic_complement_floor(400)
-    _criterion(2, "periodic complement floor at n_x=400", floor >= 0.999,
+    return floor >= 0.999, floor
+
+
+def test_criterion_02_regular_complement_floor():
+    ok, floor = complement_floor()
+    _criterion(2, "periodic complement floor at n_x=400", ok,
                f"sigma_min={floor:.12f}")
 
 
-def test_criterion_03_zfield_jump():
+def test_criterion_02_fails_on_a_bumped_stencil(monkeypatch):
+    # negative control: the periodic operator with one stencil entry moved
+    # by 1e-9 off the circulant is refused before its floor is read
+    monkeypatch.setattr(diffops, "GridOperator",
+                        lambda n, tag: Bumped(n, tag, bumps={(7, 8): 1e-9}))
+    start = time.perf_counter()
+    with pytest.raises(NotCirculant, match="circulant deviation 1.000e-09"):
+        complement_floor()
+    assert time.perf_counter() - start < 0.1
+
+
+def zfield_jump():
+    """Criterion 03's predicate: whether the counterexample field's
+    transform jumps at the base fiber within the oracle's bracket while its
+    positive base stays constant; with the jump, the bulk and the bracket."""
     ref = json.loads((FIXTURES / "zjump_reference.json").read_text())
     t = build_counterexample_t(16, 400)
     rep = zfield(t)
-    zs = [zt.z for zt in rep.transforms]
-    # pairs of one shared transform object differ by exactly 0, so the
-    # pairwise bulk runs over the distinct objects of the positive base
-    bulk_zs = list({id(zt): zt.z for zt in rep.transforms[1:]}.values())
+    # each distinct transform object's z is read once; pairs of one shared
+    # object differ by exactly 0, so the pairwise bulk runs over the
+    # distinct objects of the positive base
+    distinct = {id(zt): zt for zt in rep.transforms}
+    zs = {key: zt.z for key, zt in distinct.items()}
+    bulk_zs = [zs[i] for i in dict.fromkeys(id(zt) for zt in rep.transforms[1:])]
     bulk = 0.0
     for i in range(len(bulk_zs)):
         for j in range(i + 1, len(bulk_zs)):
             bulk = max(bulk, np.linalg.norm(bulk_zs[i] - bulk_zs[j], 2))
-    jump = float(np.linalg.norm(zs[1] - zs[0], 2))
+    z0, z1 = (zs[id(zt)] for zt in rep.transforms[:2])
+    jump = float(np.linalg.norm(z1 - z0, 2))
     lo, hi = ref["consistency_bracket"]
     ok = bulk <= 1e-8 and jump >= ref["hard_lower_bound"] and lo <= jump <= hi
+    return ok, jump, bulk, (lo, hi)
+
+
+def test_criterion_03_zfield_jump():
+    ok, jump, bulk, (lo, hi) = zfield_jump()
     _criterion(3, "transform-field jump at the base fiber", ok,
                f"jump={jump:.4f} (oracle bracket [{lo:.3f}, {hi:.1f}]), "
                f"bulk={bulk:.1e}")
+
+
+def test_criterion_03_fails_on_an_all_periodic_field(monkeypatch):
+    # negative control: a field periodic at every base point, the base fiber
+    # included, has no jump, below the oracle's bracket
+    def all_periodic(n_pi, n_x):
+        return FiberedOperator.from_grid_operators(np.linspace(0.0, 1.0, n_pi),
+                                                   [GridOperator(n_x, PERIODIC)] * n_pi)
+
+    monkeypatch.setitem(globals(), "build_counterexample_t", all_periodic)
+    start = time.perf_counter()
+    ok, jump, _, _ = zfield_jump()
+    assert time.perf_counter() - start < 0.1
+    assert not ok and jump == 0.0
 
 
 def test_criterion_04_adjoint_field_regular():
@@ -248,7 +331,11 @@ def test_criterion_08_fails_on_a_moved_symbol(monkeypatch):
     assert not ok and worst > 1e-7
 
 
-def test_criterion_09_gauge_extension():
+def gauge_extensions():
+    """Criterion 09's predicate: whether the periodic operator's gauge
+    extensions by the winding gauge on 9 and 17 base points have a
+    transform field linear in the step and pass the inclusion check; with
+    the halving ratio, the deviations and the inclusion verdict."""
     n_x = 400
     devs = {}
     reports = {}
@@ -264,11 +351,35 @@ def test_criterion_09_gauge_extension():
     step = 1.0 / 8.0
     slope = devs[9] / step
     linear_bound = devs[17] <= 1.5 * slope * (step / 2.0)
-    ok = (0.33 <= ratio <= 0.75 and linear_bound
-          and all(bool(r) for r in reports.values()))
+    included = all(bool(r) for r in reports.values())
+    ok = 0.33 <= ratio <= 0.75 and linear_bound and included
+    return ok, ratio, devs, included
+
+
+def test_criterion_09_gauge_extension():
+    ok, ratio, devs, included = gauge_extensions()
     _criterion(9, "gauge extension: linear transform field + inclusion", ok,
                f"halving ratio={ratio:.3f}, max dev={devs[17]:.2e}, "
-               f"inclusion ok={all(bool(r) for r in reports.values())}")
+               f"inclusion ok={included}")
+
+
+def test_criterion_09_fails_on_a_jumping_gauge(monkeypatch):
+    # negative control: the winding gauge times exp(2i sin(pi x)) on the
+    # upper half of the base grid jumps between two base points, so its
+    # deviation does not halve with the step
+    linear_phase = GaugeField.linear_phase
+
+    def jumping(pi_grid, n_x):
+        phases = linear_phase(pi_grid, n_x).phases.copy()
+        x = np.linspace(0.0, 1.0, n_x + 1)
+        phases[len(pi_grid) // 2:] *= np.exp(2j * np.sin(np.pi * x))
+        return GaugeField(pi_grid, phases)
+
+    monkeypatch.setattr(GaugeField, "linear_phase", jumping)
+    start = time.perf_counter()
+    with pytest.raises(GaugeNotContinuous, match="does not halve under step halving"):
+        gauge_extensions()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_criterion_10_tilde_laws():

@@ -1,3 +1,5 @@
+import ast
+import gc
 import os
 import pathlib
 import re
@@ -48,6 +50,13 @@ def write(tmp_path, text, name="spec.ini"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this ``modops``."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ------------------------------------------------------------------ parsing
@@ -395,6 +404,27 @@ def test_phase_table_count_is_a_lower_count(tmp_path, kind):
     assert peak >= 16 * n_pi * (n_x + 1) * cli._PHASE_TABLES
 
 
+def test_parsing_phase_samples_stays_within_the_phase_table_count(tmp_path):
+    # a spec's samples table is one line, read once and cut once into its
+    # value, so parsing it holds at most two copies of its text (2.44 phase
+    # tables for numbers written by repr, at this size as at n_x = 20000)
+    # and stays within what the extend gate counts
+    n_x, n_pi = 2000, 64
+    x = np.linspace(0, 1, n_x + 1)
+    g = np.outer(np.linspace(0, 1, n_pi), x + 0.01 * np.sin(7 * x))
+    samples = " ; ".join(" ".join(repr(float(v)) for v in row) for row in g)
+    path = write(tmp_path, f"[grid]\nn_x = {n_x}\nn_pi = {n_pi}\n\n"
+                           f"[gauge]\nkind = phase-samples\nsamples = {samples}\n")
+    tracemalloc.start()
+    try:
+        cfg = config_from_sections("extend", parse_spec_file(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cfg.gauge_samples, g)
+    assert peak <= 16 * n_pi * (n_x + 1) * cli._PHASE_TABLES
+
+
 # the part of a pipeline's count that LAPACK allocates, out of tracemalloc's
 # sight: the kernel SVD's copy of K and its workspace, which
 # test_kernel_matrix_count_is_a_lower_count counts from the peak RSS
@@ -417,11 +447,8 @@ def test_kernel_matrix_count_is_a_lower_count(tmp_path, command):
             "before = peak()\n"
             f"run(RunConfig({command!r}, n_x={n_x}, output_path={str(tmp_path / 'k.txt')!r}))\n"
             "print(peak() - before)\n")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
     assert int(out.stdout) >= 16 * (n_x + 1) ** 2 * cli._DENSE_MATRICES[command]
 
 
@@ -487,11 +514,8 @@ def test_pipelines_do_not_import_numpy_ma(tmp_path):
             f"assert main({phi!r}) == 0 and main({dense!r}) == 0\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
     assert "PROFILE-EMITTED" in (tmp_path / "z.txt").read_text()
     assert "REGULAR-EXTENSION-VERIFIED" in (tmp_path / "e.txt").read_text()
@@ -991,3 +1015,86 @@ def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, m
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+# ------------------------------------------------------------ process entry
+_ENTRY_CASES = [(["zfield", "--n-x", "64", "--n-pi", "5"], None, 0),
+                (["density-check"], SPARSE_SPEC, 1),
+                (["density-check"], None, 2),
+                (["extend"], _jumping_gauge_spec(), 3)]
+_ENTRY_IDS = ["exit-0", "exit-1", "exit-2", "exit-3"]
+
+
+def _entry_argv(tmp_path, argv, spec, name):
+    """``argv`` with its spec written and a report path named ``name``."""
+    if spec is not None:
+        argv = argv + ["--config", write(tmp_path, spec)]
+    return argv + ["--out", str(tmp_path / name)]
+
+
+def _report_body(path):
+    """A report's lines less its ``# generated:`` line, or None if absent."""
+    if not path.exists():
+        return None
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("# generated:")
+    return [lines[0]] + lines[2:]
+
+
+@pytest.mark.parametrize("argv, spec, code", _ENTRY_CASES, ids=_ENTRY_IDS)
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, argv, spec, code):
+    # main is called in-process, by the tests and the benchmark's traced
+    # pass: only the process entry may freeze the collector
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(_entry_argv(tmp_path, argv, spec, "r.txt")) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+@pytest.mark.parametrize("argv, spec, code", _ENTRY_CASES, ids=_ENTRY_IDS)
+def test_a_fresh_process_exits_as_main_does(tmp_path, capsys, argv, spec, code):
+    # python -m modops.cli runs the process entry: the same report, less
+    # its "# generated:" line, the same output and the same exit code as
+    # the in-process call
+    assert main(_entry_argv(tmp_path, argv, spec, "main.txt")) == code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "modops.cli",
+                           *_entry_argv(tmp_path, argv, spec, "entry.txt")],
+                          env=_fresh_env(), capture_output=True, text=True, check=False)
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert _report_body(tmp_path / "entry.txt") == _report_body(tmp_path / "main.txt")
+    assert (code in (0, 1)) == (tmp_path / "main.txt").exists()
+
+
+def test_the_process_entry_alone_freezes_the_collector(tmp_path):
+    # importing modops.cli leaves the collector alone; the entry freezes it
+    # after main returns, so the objects alive at exit are frozen when the
+    # atexit hooks run
+    code = ("import atexit, gc, sys\n"
+            "import modops.cli\n"
+            "print(gc.get_freeze_count(), gc.isenabled())\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled()))\n"
+            "sys.argv = ['modops', 'density-check']\n"
+            "modops.cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == "0 True\nTrue True\n"
+    assert proc.stderr == "input error: density-check needs an [algebra] section\n"
+
+
+def test_the_console_script_runs_the_process_entry():
+    # pyproject's console script and the __main__ block of modops.cli name
+    # one function, which takes no argument
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1
+    (statement,) = blocks[0]
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+    call = statement.value
+    assert isinstance(call.func, ast.Name) and not call.args and not call.keywords
+    pyproject = pathlib.Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)",
+                        pyproject.read_text(encoding="utf-8"), re.M)
+    assert scripts[1].strip() == f'modops = "modops.cli:{call.func.id}"'

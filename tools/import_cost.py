@@ -18,9 +18,17 @@ interquartile range of the wall time, the median summed self time of the
 ``modops`` modules, how many of those had current bytecode on disk after
 the untimed import (the rest were compiled at every import), and the
 modules that ``modops.cli`` imports beyond those of a bare interpreter
-(``-c pass``): their count and their top-level packages.  With more than
-one checkout it also prints the modules each imports that the first does
-not, and the reverse:
+(``-c pass``): their count and their top-level packages.
+
+Each round also runs, per checkout, a whole ``python -m modops.cli zfield
+--n-x 4`` process, a request it refuses with exit 2 before any numeric
+work: the process imports, parses its arguments, writes one line to
+stderr and exits.  Its wall time less the same round's import is the exit
+share, whose median is printed: what a CLI process costs beyond ``import
+modops.cli``, which is mostly how its interpreter exits, since the bare
+import's interpreter runs its full collections at exit too.  With more
+than one checkout it also prints the modules each imports that the first
+does not, and the reverse:
 
     python3 tools/import_cost.py PARENT .
 """
@@ -38,6 +46,8 @@ from pathlib import Path
 ROUNDS = 21
 IMPORT = [sys.executable, "-c", "import modops.cli"]
 TIMED = [sys.executable, "-X", "importtime", "-c"]
+# a CLI process refused with exit 2 before any numeric work
+REFUSED = [sys.executable, "-m", "modops.cli", "zfield", "--n-x", "4"]
 
 
 def environment(root):
@@ -48,14 +58,16 @@ def environment(root):
     return dict(os.environ, PYTHONPATH=str(src))
 
 
-def run(argv, env):
-    """Run ``argv`` to completion; returns (wall seconds, stderr)."""
+def run(argv, env, code=0):
+    """Run ``argv`` to completion, which must exit with ``code``; returns
+    (wall seconds, stderr)."""
     t0 = time.perf_counter()
     proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
                           capture_output=True, text=True, check=False)
     seconds = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise SystemExit(f"import modops.cli failed:\n{proc.stderr}")
+    if proc.returncode != code:
+        raise SystemExit(f"{' '.join(argv[1:])} exited {proc.returncode}, "
+                         f"not {code}:\n{proc.stderr}")
     return seconds, proc.stderr
 
 
@@ -105,20 +117,24 @@ def main(argv=None):
         run(IMPORT, env)
     bare = set(self_times(run(TIMED + ["pass"], envs[0])[1]))
     walls = [[] for _ in envs]
+    exits = [[] for _ in envs]
     own = [[] for _ in envs]
     modules = [set() for _ in envs]
     for r in range(ROUNDS):
         order = range(len(envs)) if r % 2 == 0 else reversed(range(len(envs)))
         for i in order:
             walls[i].append(run(IMPORT, envs[i])[0])
+            exits[i].append(run(REFUSED, envs[i], 2)[0] - walls[i][-1])
             times = self_times(run(TIMED + [IMPORT[-1]], envs[i])[1])
             own[i].append(sum(us for name, us in times.items()
                               if name.split(".")[0] == "modops") / 1e6)
             modules[i] |= set(times) - bare
-    for root, wall, mine, mods in zip(args.roots, walls, own, modules):
+    for root, wall, out, mine, mods in zip(args.roots, walls, exits, own, modules):
         median, iqr = quartiles(wall)
         print(f"{root}: wall median {median:.4f} s, IQR {iqr:.4f} s (n={ROUNDS}); "
               f"modops self time median {statistics.median(mine):.4f} s")
+        print(f"  exit share: a refused zfield process less the import, median "
+              f"{statistics.median(out) * 1e3:+.1f} ms")
         cached, total = cached_modules(root)
         print(f"  modops bytecode: {cached} of {total} modules cached, the rest "
               "compiled at every import (PYTHONDONTWRITEBYTECODE="
