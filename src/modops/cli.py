@@ -39,7 +39,6 @@ from .fibered import (
     extension_inclusion_check,
     gauge_extension,
     zfield,
-    zfields,
 )
 from .operators import orthonormal_frame
 from .tolerances import TOL_GRAPH
@@ -103,6 +102,13 @@ _ROUNDTRIP_MATRICES = 8
 # domain's identity frame and each label's transient work come on top
 _SYMBOL_MATRICES = 3
 
+# copies of a spec file's text that parsing holds at once, counted low and
+# checked by tracemalloc: a table is one line, held as read and as cut, then
+# as cut and as its value (parse_spec_file).  A copy is counted as the
+# file's size in bytes, one per character of ASCII text, which every number
+# is, so the count holds whatever the characters per number
+_SPEC_TEXT_COPIES = 2
+
 # smallest n_x a grid pipeline serves: the kernel stage certifies at n_x and
 # at n_x // 2, and a kernel certificate needs 32 steps, as does the
 # counterexample field; every other grid pipeline serves the range's 8
@@ -115,10 +121,10 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_beyond_memory(subject, k, entries, what):
-    """Refuse a request whose ``k`` complex arrays of ``entries`` entries
-    each, described as ``what``, cannot fit in physical memory."""
-    need, have = 16 * entries * k, _physical_memory()
+def _refuse_beyond_memory(subject, k, size, what):
+    """Refuse a request whose ``k`` arrays of ``size`` bytes each, described
+    as ``what``, cannot fit in physical memory."""
+    need, have = size * k, _physical_memory()
     if need > have:
         raise MalformedSpec(
             f"{subject} needs at least {need / 1e9:.1f} GB for {k} {what}, "
@@ -154,12 +160,12 @@ class RunConfig:
         if self.command == "phi-roundtrip":
             rows = self._roundtrip_model().row_dims
             _refuse_beyond_memory(f"a module with rows {' '.join(map(str, rows))}",
-                                  _ROUNDTRIP_MATRICES, sum(m * m for m in rows),
+                                  _ROUNDTRIP_MATRICES, 16 * sum(m * m for m in rows),
                                   "dense complex copies of its label blocks")
         if (self.command, self.operator_kind) == ("zfield", "symbol") and self.algebra:
             dims = self.algebra.dims
             _refuse_beyond_memory(f"a symbol field with dims {' '.join(map(str, dims))}",
-                                  _SYMBOL_MATRICES, sum(k * k for k in dims),
+                                  _SYMBOL_MATRICES, 16 * sum(k * k for k in dims),
                                   "dense complex copies of its label blocks")
         pipeline = self._grid_pipeline()
         if pipeline is None:
@@ -168,11 +174,12 @@ class RunConfig:
         if self.n_x < low:
             raise MalformedSpec(f"{pipeline} needs n_x >= {low}, got {self.n_x}")
         n = self.n_x + 1
-        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], n * n,
+        _refuse_beyond_memory(f"n_x = {self.n_x}", _DENSE_MATRICES[pipeline], 16 * n * n,
                               f"dense {n}x{n} complex matrices")
         if pipeline == "extend":
             _refuse_beyond_memory(f"n_x = {self.n_x}, n_pi = {self.n_pi}", _PHASE_TABLES,
-                                  self.n_pi * n, f"dense {self.n_pi}x{n} complex phase tables")
+                                  16 * self.n_pi * n,
+                                  f"dense {self.n_pi}x{n} complex phase tables")
 
     def _grid_pipeline(self):
         """The key of this run in ``_DENSE_MATRICES``, or None when it reads
@@ -267,6 +274,8 @@ def parse_spec_file(path):
     rows separated by ';' and complex entries written "re,im")."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            _refuse_beyond_memory(f"spec file {path}", _SPEC_TEXT_COPIES,
+                                  os.fstat(fh.fileno()).st_size, "copies of its text")
             # map drops each line read once its content is cut, so a table,
             # one line of the spec, is held at most twice: as read and cut,
             # then as cut and as its value
@@ -434,9 +443,12 @@ class Report:
         text = "\n".join(self.lines) + "\n"
         if path is None:
             sys.stdout.write(text)
-        else:
+            return
+        try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        except OSError as exc:
+            raise MalformedSpec(f"cannot write report: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -500,9 +512,7 @@ def run_kernel_cert(cfg: RunConfig, report: Report):
 
 def _counterexample_profile(cfg: RunConfig):
     t = build_counterexample_t(cfg.n_pi, cfg.n_x)
-    # the adjoint field's periodic fibers equal t's: transformed once
-    zrep, arep = zfields(t, adjoint_field(t))
-    return t, zrep, arep
+    return t, zfield(t), zfield(adjoint_field(t))
 
 
 def _field_from_config(cfg: RunConfig) -> FiberedOperator:
@@ -514,7 +524,7 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
             raise MalformedSpec("operator kind tags needs a tags list")
         ops = [GridOperator(cfg.n_x, tag) for tag in cfg.operator_tags]
         grid = np.linspace(0.0, 1.0, len(ops))
-        return FiberedOperator.from_grid_operators(grid, ops)
+        return FiberedOperator(grid, ops)
     if cfg.operator_kind == "symbol":
         if cfg.algebra is None or cfg.operator_element not in cfg.elements:
             raise MalformedSpec(
@@ -526,11 +536,22 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
             if cfg.operator_domain not in cfg.elements:
                 raise MalformedSpec(
                     f"domain element {cfg.operator_domain!r} not defined")
-            domains = {}
-            for lab, cols in cfg.elements[cfg.operator_domain].items():
-                domains[lab] = orthonormal_frame(cols)
-        return _from_spec(FiberedOperator.from_algebra_symbol, cfg.algebra, symbol,
-                          domains)
+            domains = {lab: orthonormal_frame(cols)
+                       for lab, cols in cfg.elements[cfg.operator_domain].items()}
+        field = _from_spec(FiberedOperator.from_algebra_symbol, cfg.algebra, symbol,
+                           domains)
+        if domains is not None:
+            # the library reads a missing label as the full domain and skips
+            # an unknown one; a spec names each label, once its frames are
+            # valid
+            labels = cfg.algebra.labels
+            missing = [lab for lab in labels if lab not in domains]
+            unknown = [lab for lab in domains if lab not in labels]
+            if missing or unknown:
+                raise MalformedSpec(
+                    f"domain element {cfg.operator_domain!r} must name every label "
+                    f"exactly once: missing {missing}, unknown {unknown}")
+        return field
     raise MalformedSpec(f"unknown operator kind {cfg.operator_kind!r}")
 
 

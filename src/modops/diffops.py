@@ -57,7 +57,6 @@ __all__ = [
     "KernelReport",
     "grid_inclusion",
     "grid_transform",
-    "grid_transforms",
     "kernel_certificate",
     "periodic_complement_floor",
     "transform_jump",
@@ -352,17 +351,6 @@ def _checked_symbol(op: GridOperator):
     return lam.real
 
 
-def _shared_symbol(op: GridOperator, symbols):
-    """:func:`_checked_symbol` of an untwisted wrap-style operator, whose
-    seam frame is the periodic one, so the symbol is a function of its
-    matrix alone: read from the dict ``symbols`` under the operator's
-    matrix key, and added to it when absent."""
-    key = op._matrix_key()
-    if key not in symbols:
-        symbols[key] = _checked_symbol(op)
-    return symbols[key]
-
-
 class _GridTransform(ZTransform):
     """A grid fiber's transform in closed form, kept as what defines it: the
     symbol ``lam`` of the periodic matrix, the seam weights ``weights`` of
@@ -532,30 +520,15 @@ def grid_transform(op: GridOperator) -> ZTransform:
     a wrap-style operator whose circulant check fails raises
     :class:`NotCirculant`: no operator falls back to another path.
     """
-    return grid_transforms([op])[0]
-
-
-def grid_transforms(ops) -> list:
-    """:func:`grid_transform` of each operator in ``ops``, with the circulant
-    symbol checked once per distinct wrap matrix: the wrap-style minimal
-    and periodic operators of one grid share one matrix, and a twisted
-    operator reads the periodic one's symbol."""
-    symbols = {}
-    return [_transform(op, symbols) for op in ops]
-
-
-def _transform(op: GridOperator, symbols) -> ZTransform:
-    """:func:`grid_transform` of ``op``, its symbol shared through ``symbols``
-    (see :func:`_shared_symbol`): the path is the description's."""
     if op.action_style == "onesided":
         return z_transform(op.as_domained())
     if op.tag.kind == "minimal":
-        return _deflated_transform(op, _shared_symbol(op, symbols))
+        return _deflated_transform(op, _checked_symbol(op))
     if op.tag.kind == "twisted":
         periodic = GridOperator(op.n, PERIODIC)
-        return _circulant_transform(periodic, _shared_symbol(periodic, symbols),
+        return _circulant_transform(periodic, _checked_symbol(periodic),
                                     _twist_phases(op.n, op.tag.theta))
-    return _circulant_transform(op, _shared_symbol(op, symbols))
+    return _circulant_transform(op, _checked_symbol(op))
 
 
 def grid_inclusion(a: GridOperator, b: GridOperator) -> InclusionResult:

@@ -34,7 +34,6 @@ from .diffops import (
     GridOperator,
     grid_inclusion,
     grid_transform,
-    grid_transforms,
     transform_jump,
     trapezoid_weights,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_counterexample_t",
     "adjoint_field",
     "zfield",
-    "zfields",
     "fiber_identity_check",
     "tilde_extension",
     "gauge_extension",
@@ -83,10 +81,12 @@ class FiberedOperator:
     """Grid-indexed family of operators sharing one ambient space.
 
     Each distinct fiber is stored once in ``distinct_fibers``; ``index_map``
-    sends grid point ``i`` to its fiber there.  Fibers passed as one object
-    are one fiber (no content comparison), so field operations do their
-    dense work once per distinct fiber.  Sharing is safe because domained
-    and grid operators freeze their arrays.
+    sends grid point ``i`` to its fiber there.  This is the one place fibers
+    are shared, and they compare by equality: a :class:`GridOperator` by its
+    ``(n, tag, action_style)`` description, any other fiber by identity, as
+    :class:`DomainedOperator` defines no ``__eq__`` (no content comparison).
+    So field operations do their dense work once per distinct fiber.
+    Sharing is safe because domained and grid operators freeze their arrays.
 
     A grid fiber is stored as its :class:`GridOperator`, and its dense
     :class:`DomainedOperator` is built only where one is read.
@@ -103,16 +103,12 @@ class FiberedOperator:
         fibers = list(fibers)
         if len(fibers) != pi_grid.size:
             raise ValueError("need one fiber per grid point")
-        distinct, index_map, slot = [], [], {}
-        for f in fibers:
-            if id(f) not in slot:
-                slot[id(f)] = len(distinct)
-                distinct.append(f)
-            index_map.append(slot[id(f)])
-        if len({f.ambient_dim for f in distinct}) != 1:
+        slot = {}
+        index_map = [slot.setdefault(f, len(slot)) for f in fibers]
+        if len({f.ambient_dim for f in slot}) != 1:
             raise ValueError("all fibers must share one ambient dimension")
         self.pi_grid = pi_grid
-        self.distinct_fibers = tuple(distinct)
+        self.distinct_fibers = tuple(slot)
         self.index_map = tuple(index_map)
 
     @property
@@ -132,13 +128,6 @@ class FiberedOperator:
     @property
     def ambient_dim(self):
         return self.distinct_fibers[0].ambient_dim
-
-    @classmethod
-    def from_grid_operators(cls, pi_grid, grid_ops):
-        """Field of grid derivatives; equal operators share one fiber."""
-        ops = list(grid_ops)
-        shared = {g: g for g in ops}
-        return cls(pi_grid, [shared[g] for g in ops])
 
     @classmethod
     def from_algebra_symbol(cls, index: FiberIndex, symbol: AlgebraElement,
@@ -245,7 +234,7 @@ def build_counterexample_t(n_pi, n_x) -> FiberedOperator:
     # limit
     periodic = GridOperator(n_x, PERIODIC)
     ops = [GridOperator(n_x, MINIMAL, "wrap")] + [periodic] * (n_pi - 1)
-    return FiberedOperator.from_grid_operators(np.linspace(0.0, 1.0, n_pi), ops)
+    return FiberedOperator(np.linspace(0.0, 1.0, n_pi), ops)
 
 
 _PROBES = {
@@ -315,7 +304,7 @@ def adjoint_field(F: FiberedOperator) -> FiberedOperator:
         defect = _pairing_defect(ops[F.index_map[i]], ref)
         if defect <= PAIRING_DEFECT_C * h2:
             pinned[i] = ref
-    return FiberedOperator.from_grid_operators(F.pi_grid, pinned)
+    return FiberedOperator(F.pi_grid, pinned)
 
 
 # --------------------------------------------------------------------------
@@ -348,19 +337,16 @@ def zfield(F: FiberedOperator) -> ZFieldReport:
     a Lanczos 2-norm over the two transforms' actions
     (:func:`transform_jump`), so no closed form's ``z`` is formed.
     """
-    return zfields(F)[0]
-
-
-def zfields(*fields: FiberedOperator) -> list:
-    """:func:`zfield` of each field, every distinct fiber among them
-    transformed once: grid fibers compare by value, other fibers by
-    identity.  The grid fibers share one circulant symbol per distinct
-    matrix (:func:`grid_transforms`)."""
-    distinct = dict.fromkeys(f for F in fields for f in F.distinct_fibers)
-    grid = [f for f in distinct if isinstance(f, GridOperator)]
-    built = dict(zip(grid, grid_transforms(grid)))
-    built.update((f, z_transform(f)) for f in distinct if f not in built)
-    return [_zfield_report(F, [built[f] for f in F.distinct_fibers]) for F in fields]
+    per_fiber = [grid_transform(f) if isinstance(f, GridOperator) else z_transform(f)
+                 for f in F.distinct_fibers]
+    transforms = list(F.per_point(per_fiber))
+    profile = np.asarray([0.0 if za is zb else transform_jump(za, zb, F.ambient_dim)
+                          for za, zb in zip(transforms, transforms[1:])])
+    med = _median(profile) if profile.size else 0.0
+    flagged = [i for i, d in enumerate(profile)
+               if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
+    return ZFieldReport(transforms=transforms, profile=profile,
+                        median=med, flagged=flagged)
 
 
 def _median(values):
@@ -373,18 +359,6 @@ def _median(values):
         return float("nan")
     k = s.size // 2
     return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2.0)
-
-
-def _zfield_report(F: FiberedOperator, per_fiber) -> ZFieldReport:
-    """The report of ``F`` from the transforms of its distinct fibers."""
-    transforms = [per_fiber[k] for k in F.index_map]
-    profile = np.asarray([0.0 if za is zb else transform_jump(za, zb, F.ambient_dim)
-                          for za, zb in zip(transforms, transforms[1:])])
-    med = _median(profile) if profile.size else 0.0
-    flagged = [i for i, d in enumerate(profile)
-               if d > JUMP_MEDIAN_FACTOR * med and d > JUMP_FLOOR]
-    return ZFieldReport(transforms=transforms, profile=profile,
-                        median=med, flagged=flagged)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import modops.algebra as algebra
 import modops.correspondence as correspondence
 import modops.diffops as diffops
 from modops.algebra import AlgebraElement, FiberIndex, ideal_density_check
@@ -39,6 +40,7 @@ from modops.operators import (
     restrict_via_isometry,
     restriction_witness,
     z_transform,
+    ZTransform,
 )
 from test_diffops import Bumped
 
@@ -163,8 +165,8 @@ def test_criterion_03_fails_on_an_all_periodic_field(monkeypatch):
     # negative control: a field periodic at every base point, the base fiber
     # included, has no jump, below the oracle's bracket
     def all_periodic(n_pi, n_x):
-        return FiberedOperator.from_grid_operators(np.linspace(0.0, 1.0, n_pi),
-                                                   [GridOperator(n_x, PERIODIC)] * n_pi)
+        return FiberedOperator(np.linspace(0.0, 1.0, n_pi),
+                               [GridOperator(n_x, PERIODIC)] * n_pi)
 
     monkeypatch.setitem(globals(), "build_counterexample_t", all_periodic)
     start = time.perf_counter()
@@ -173,15 +175,35 @@ def test_criterion_03_fails_on_an_all_periodic_field(monkeypatch):
     assert not ok and jump == 0.0
 
 
-def test_criterion_04_adjoint_field_regular():
+def adjoint_field_flatness():
+    """Criterion 04's predicate: whether the transform field of the
+    counterexample's adjoint is constant, its largest adjacent deviation
+    within 1e-8; with that deviation."""
     t = build_counterexample_t(16, 400)
-    rep = zfield(adjoint_field(t))
-    dev = float(rep.profile.max())
-    _criterion(4, "adjoint field transform is constant", dev <= 1e-8,
+    dev = float(zfield(adjoint_field(t)).profile.max())
+    return dev <= 1e-8, dev
+
+
+def test_criterion_04_adjoint_field_regular():
+    ok, dev = adjoint_field_flatness()
+    _criterion(4, "adjoint field transform is constant", ok,
                f"max adjacent deviation={dev:.1e}")
 
 
-def test_criterion_05_transform_round_trip():
+def test_criterion_04_fails_on_the_counterexample_itself(monkeypatch):
+    # negative control: fed the counterexample instead of its adjoint, the
+    # profile keeps the jump at the base point
+    monkeypatch.setitem(globals(), "adjoint_field", lambda t: t)
+    start = time.perf_counter()
+    ok, dev = adjoint_field_flatness()
+    assert time.perf_counter() - start < 0.1
+    assert not ok and dev == pytest.approx(1.4813, abs=1e-4)
+
+
+def transform_round_trips():
+    """Criterion 05's predicate: whether the transform and its inverse
+    bring back 100 seeded random operators within 1e-8 relative to
+    ``1 + ||A||``; with the worst relative error."""
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
@@ -191,8 +213,25 @@ def test_criterion_05_transform_round_trip():
         back = from_z(z_transform(T))
         worst = max(worst, np.linalg.norm(back.action - A, 2)
                     / (1.0 + np.linalg.norm(A, 2)))
+    return worst <= 1e-8, worst
+
+
+def test_criterion_05_transform_round_trip():
+    ok, worst = transform_round_trips()
     _criterion(5, "transform round trip on 100 random operators",
-               worst <= 1e-8, f"worst relative error={worst:.2e}")
+               ok, f"worst relative error={worst:.2e}")
+
+
+def test_criterion_05_fails_on_a_moved_transform(monkeypatch):
+    # negative control: each transform scaled by 1 - 1e-6, which moves it
+    # by about 1e-6 in the 2-norm and keeps it a contraction
+    transform = z_transform
+    monkeypatch.setitem(globals(), "z_transform",
+                        lambda T: ZTransform(transform(T).z * (1.0 - 1e-6)))
+    start = time.perf_counter()
+    ok, worst = transform_round_trips()
+    assert time.perf_counter() - start < 0.1
+    assert not ok and worst > 1e-7
 
 
 def test_criterion_06_restriction_extension_calculus():
@@ -439,7 +478,10 @@ def _brute_force_density(generators):
     return verdict
 
 
-def test_criterion_11_density_checker_vs_oracle():
+def density_disagreements():
+    """Criterion 11's predicate: whether the density checker agrees with
+    the span oracle, fiber by fiber, on 100 seeded generator sets of
+    chosen ranks; with the count of sets where they disagree."""
     rng = np.random.default_rng(19)
     disagreements = 0
     for _ in range(100):
@@ -460,5 +502,20 @@ def test_criterion_11_density_checker_vs_oracle():
             gens.append(AlgebraElement(idx, fibers))
         if ideal_density_check(gens).per_fiber != _brute_force_density(gens):
             disagreements += 1
+    return disagreements == 0, disagreements
+
+
+def test_criterion_11_density_checker_vs_oracle():
+    ok, disagreements = density_disagreements()
     _criterion(11, "density checker vs span oracle (100 sets)",
-               disagreements == 0, f"{disagreements} disagreements")
+               ok, f"{disagreements} disagreements")
+
+
+def test_criterion_11_fails_on_a_wrong_rank_cut(monkeypatch):
+    # negative control: the checker's rank cut at half the largest singular
+    # value drops directions the oracle counts
+    monkeypatch.setattr(algebra, "TOL_ALG", 0.5)
+    start = time.perf_counter()
+    ok, disagreements = density_disagreements()
+    assert time.perf_counter() - start < 0.1
+    assert not ok and disagreements > 0

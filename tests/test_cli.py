@@ -425,6 +425,50 @@ def test_parsing_phase_samples_stays_within_the_phase_table_count(tmp_path):
     assert peak <= 16 * n_pi * (n_x + 1) * cli._PHASE_TABLES
 
 
+def test_spec_text_count_is_a_lower_count(tmp_path):
+    # the parse gate counts two copies of the file's text, which parsing
+    # holds whatever the characters per number: here 3.50 phase tables by
+    # the count and 3.52 by tracemalloc, beyond the 2.5 of extend's gate
+    n_x, n_pi = 2000, 64
+    x = np.linspace(0, 1, n_x + 1)
+    g = np.outer(np.linspace(0, 1, n_pi), x + 0.01 * np.sin(7 * x))
+    samples = " ; ".join(" ".join(f"{v:+.20e}" for v in row) for row in g)
+    path = write(tmp_path, f"[grid]\nn_x = {n_x}\nn_pi = {n_pi}\n\n"
+                           f"[gauge]\nkind = phase-samples\nsamples = {samples}\n")
+    tracemalloc.start()
+    try:
+        cfg = config_from_sections("extend", parse_spec_file(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cfg.gauge_samples, g)
+    assert peak >= os.path.getsize(path) * cli._SPEC_TEXT_COPIES
+    assert peak > 16 * n_pi * (n_x + 1) * cli._PHASE_TABLES
+
+
+def test_a_spec_too_large_to_parse_is_refused_before_any_line(tmp_path, capsys,
+                                                              monkeypatch):
+    # two copies of a 596-byte spec take 1192 bytes: with one byte less of
+    # memory it is refused from the file's size, before a line is read
+    path = write(tmp_path, "[grid]\nn_x = 64\n" + "# padding\n" * 58)
+    assert os.path.getsize(path) == 596
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1191)
+
+    def never_read(lines):
+        raise AssertionError("a line was read")
+
+    monkeypatch.setattr(cli, "_sections", never_read)
+    out = tmp_path / "never.txt"
+    assert main(["zfield", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: spec file {path} needs at least 0.0 GB for 2 copies of its "
+        "text, more than the 0.0 GB of physical memory\n")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1192)
+    with pytest.raises(AssertionError, match="a line was read"):
+        parse_spec_file(path)
+
+
 # the part of a pipeline's count that LAPACK allocates, out of tracemalloc's
 # sight: the kernel SVD's copy of K and its workspace, which
 # test_kernel_matrix_count_is_a_lower_count counts from the peak RSS
@@ -1004,7 +1048,12 @@ def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
      "frame rows must match the ambient dimension"),
     ("zfield", "[algebra]\nlabels = a b\ndims = 1 2\n\n[operator]\nkind = symbol\n"
                "element = s\n\n[element s]\na = 1\nb = 1 0 ; 0 1\n",
-     "fibered models need one common fiber dimension")])
+     "fibered models need one common fiber dimension"),
+    ("zfield", "[algebra]\nlabels = a b\ndims = 2 2\n\n[operator]\nkind = symbol\n"
+               "element = s\ndomain = dom\n\n[element s]\na = 1 0 ; 0 1\nb = 1 0 ; 0 1\n"
+               "\n[element dom]\na = 1 ; 0\nc = 0 ; 1\n",
+     "domain element 'dom' must name every label exactly once: "
+     "missing ['b'], unknown ['c']")])
 def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, message):
     # exit 1 is a certified negative result, so a spec whose module or
     # element cannot be built must not reach it
@@ -1015,6 +1064,26 @@ def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, m
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("directory", "[Errno 21] Is a directory"),
+    ("missing parent", "[Errno 2] No such file or directory")])
+def test_an_unwritable_report_exits_2(tmp_path, capsys, where, reason):
+    # exit 1 is a certified negative result, so a report that cannot be
+    # written is an input error, in process as in a fresh process, with no
+    # traceback
+    out = tmp_path if where == "directory" else tmp_path / "absent" / "r.txt"
+    argv = ["zfield", "--n-x", "32", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: cannot write report: {reason}: '{out}'\n"
+    proc = subprocess.run([sys.executable, "-m", "modops.cli", *argv],
+                          env=_fresh_env(), capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert not (tmp_path / "absent").exists()
 
 
 # ------------------------------------------------------------ process entry

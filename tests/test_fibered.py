@@ -167,21 +167,20 @@ def test_zfield_shared_fibers_match_dense_reference(seed, pattern):
 
 
 def test_zfield_transforms_each_distinct_fiber_once(monkeypatch):
-    # a grid-backed field goes through grid_transforms, any other field
-    # through z_transform; both paths are counted
+    # a grid fiber goes through grid_transform, any other fiber through
+    # z_transform; both paths are counted
     calls = []
 
     def counted(T):
         calls.append(T)
         return z_transform(T)
 
-    def counted_grid(ops):
-        calls.extend(ops)
-        return transforms(ops)
+    def counted_grid(op):
+        calls.append(op)
+        return grid_transform(op)
 
-    transforms = fibered.grid_transforms
     monkeypatch.setattr(fibered, "z_transform", counted)
-    monkeypatch.setattr(fibered, "grid_transforms", counted_grid)
+    monkeypatch.setattr(fibered, "grid_transform", counted_grid)
     t = build_counterexample_t(8, 48)
     rep = zfield(t)
     assert len(calls) == 2 and len(rep.transforms) == 8
@@ -236,41 +235,22 @@ def test_median_is_numpys(profile):
         assert np.float64(got).tobytes() == want.tobytes()
 
 
-def test_zfields_transform_equal_fibers_once_across_fields(monkeypatch):
-    calls = []
-    transforms = fibered.grid_transforms
-    monkeypatch.setattr(fibered, "grid_transforms", lambda ops: calls.extend(
-        op.tag.kind for op in ops) or transforms(ops))
-    t = build_counterexample_t(6, 48)
-    adj = adjoint_field(t)
-    rep, arep = fibered.zfields(t, adj)
-    assert calls == ["minimal", "periodic"]
-    assert arep.transforms[0] is rep.transforms[1]
-    alone = zfield(adj)
-    assert_allclose(arep.profile, alone.profile, rtol=0, atol=0)
-    assert_allclose(arep.gaps, alone.gaps, rtol=0, atol=0)
-    # fibers that are not grid operators are shared by identity only
-    op = DomainedOperator.full(np.diag([1.0, 2.0]))
-    twin = DomainedOperator.full(np.diag([1.0, 2.0]))
-    a, b = fibered.zfields(FiberedOperator([0.0], [op]), FiberedOperator([0.0], [twin]))
-    assert a.transforms[0] is not b.transforms[0]
-
-
 def test_certify_nonregular_transforms_each_fiber_once(monkeypatch, tmp_path):
     calls = []
-    transforms = fibered.grid_transforms
-    monkeypatch.setattr(fibered, "grid_transforms", lambda ops: calls.extend(
-        op.tag.kind for op in ops) or transforms(ops))
+    monkeypatch.setattr(fibered, "grid_transform", lambda op: calls.append(
+        op.tag.kind) or grid_transform(op))
     checked = []
     symbol = diffops._checked_symbol
     monkeypatch.setattr(diffops, "_checked_symbol",
                         lambda op: checked.append(op._matrix_key()) or symbol(op))
     run(RunConfig("certify-nonregular", n_x=64, n_pi=8,
                   output_path=str(tmp_path / "c.txt")))
-    assert calls == ["minimal", "periodic"]
-    # the periodic symbol is checked once in the kernel stage and once for
-    # both fibers, which share one matrix
-    assert checked == [(64, "wrap", 0.0)] * 2
+    # each field transforms its own distinct fibers: t its minimal and its
+    # periodic fiber, the adjoint field its one periodic fiber
+    assert calls == ["minimal", "periodic", "periodic"]
+    # the periodic symbol is checked once in the kernel stage and once per
+    # transform, the minimal fiber sharing the periodic matrix
+    assert checked == [(64, "wrap", 0.0)] * 4
 
 
 @settings(max_examples=15, deadline=None)
@@ -279,8 +259,8 @@ def test_certify_nonregular_transforms_each_fiber_once(monkeypatch, tmp_path):
            st.sampled_from([MINIMAL, PERIODIC, MAXIMAL]),
            st.floats(0.0, 6.28).map(BoundaryTag.twisted)), min_size=1, max_size=6))
 def test_zfield_of_grid_fields_matches_dense_reference(n_x, tags):
-    F = FiberedOperator.from_grid_operators(np.linspace(0, 1, len(tags)),
-                                            [GridOperator(n_x, tag) for tag in tags])
+    F = FiberedOperator(np.linspace(0, 1, len(tags)),
+                        [GridOperator(n_x, tag) for tag in tags])
     rep = zfield(F)
     transforms, profile, flagged = reference_zfield(F.fibers)
     assert_allclose(rep.profile, profile, rtol=0, atol=1e-12)
@@ -290,17 +270,27 @@ def test_zfield_of_grid_fields_matches_dense_reference(n_x, tags):
         assert_allclose(got.z, ref.z, rtol=0, atol=1e-12)
 
 
-def test_from_grid_operators_shares_equal_operators():
+def test_the_constructor_shares_equal_fibers():
+    # grid operators compare by their description: four equal periodic
+    # operators, built apart, are one fiber
     ops = [GridOperator(48, MINIMAL, "wrap")] + [GridOperator(48, PERIODIC)
                                                 for _ in range(4)]
-    F = FiberedOperator.from_grid_operators(np.linspace(0, 1, 5), ops)
+    F = FiberedOperator(np.linspace(0, 1, 5), ops)
     assert len(F.distinct_fibers) == 2 and F.index_map == (0, 1, 1, 1, 1)
     assert [F.distinct_fibers[k] for k in F.index_map] == ops
     fs = F.fibers                       # one read: equal points, one object
     assert fs[1] is fs[4] and fs[0] is not fs[1]
     twisted = [GridOperator(48, PERIODIC), GridOperator(48, BoundaryTag.twisted(0.0))]
-    G = FiberedOperator.from_grid_operators([0.0, 1.0], twisted)
+    G = FiberedOperator([0.0, 1.0], twisted)
     assert len(G.distinct_fibers) == 2
+    # fibers that are not grid operators are shared by identity only
+    op = DomainedOperator.full(np.diag([1.0, 2.0]))
+    twin = DomainedOperator.full(np.diag([1.0, 2.0]))
+    H = FiberedOperator([0.0, 0.5, 1.0], [op, twin, op])
+    assert H.distinct_fibers == (op, twin) and H.index_map == (0, 1, 0)
+    rep = zfield(H)
+    assert rep.transforms[0] is rep.transforms[2]
+    assert rep.transforms[0] is not rep.transforms[1]
 
 
 @pytest.fixture
@@ -1325,7 +1315,7 @@ def _extension_case(n_x, n_pi, gauge_kind, coeffs, perturb):
     fiber in its gauge frame; ``perturb`` shifts one fiber of ``S``."""
     grid = np.linspace(0, 1, n_pi)
     ops = [GridOperator(n_x, MINIMAL, "wrap")] + [GridOperator(n_x, PERIODIC)] * (n_pi - 1)
-    S = FiberedOperator.from_grid_operators(grid, ops)
+    S = FiberedOperator(grid, ops)
     if perturb is not None:
         fibers = list(S.fibers)
         bad = fibers[perturb]
