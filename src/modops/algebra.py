@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFiber
-from .tolerances import RITZ_RESIDUAL, TOL_ALG
+from .tolerances import RITZ_RESIDUAL, TOL_ALG, TOL_GAP
 
 __all__ = [
     "FiberIndex",
@@ -32,17 +32,17 @@ def _freeze(a):
     return a
 
 
-def eigh_sqrt(m, inverse=False, floor=0.0):
-    """``hermitian_sqrt(m, inverse, floor)`` together with the eigenvalues of
-    the Hermitian part of ``m``, ascending and before the ``floor`` clip."""
+def hermitian_sqrt(m):
+    """Principal square root of a Hermitian PSD matrix, eigenvalues clipped at 0."""
     lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    vals = np.sqrt(np.clip(lam, floor, None))
-    return (v / vals if inverse else v * vals) @ v.conj().T, lam
+    return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
 
 
-def hermitian_sqrt(m, inverse=False, floor=0.0):
-    """Principal square root (or inverse square root) of a Hermitian PSD matrix."""
-    return eigh_sqrt(m, inverse, floor)[0]
+def inverse_sqrt(m):
+    """Inverse square root of a Hermitian positive definite matrix, its
+    eigenvalues clipped at ``TOL_GAP``, and those eigenvalues, ascending."""
+    lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (v / np.sqrt(np.clip(lam, TOL_GAP, None))) @ v.conj().T, lam
 
 
 def complement_eigh(d, b):

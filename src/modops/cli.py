@@ -9,6 +9,7 @@ given one config; only the "# generated:" header line varies.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -191,9 +192,8 @@ class RunConfig:
         if self.operator_kind != "tags":
             return "zfield counterexample"
         tags = self.operator_tags or ()
-        if any(t.kind in ("minimal", "maximal") for t in tags):
-            return "zfield one-sided tags"
-        return "zfield tags"
+        styles = {GridOperator(self.n_x, t).action_style for t in tags}
+        return "zfield one-sided tags" if "onesided" in styles else "zfield tags"
 
     def _roundtrip_model(self) -> ModuleModel:
         """The module of a phi-roundtrip run: the [algebra] index and rows,
@@ -282,6 +282,8 @@ def parse_spec_file(path):
             return _sections(map(_content, fh))
     except OSError as exc:
         raise MalformedSpec(f"cannot read spec file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedSpec(str(exc)) from exc
 
 
 def _content(raw):
@@ -364,7 +366,7 @@ def config_from_sections(command, sections, **overrides):
     if alg:
         if "labels" not in alg or "dims" not in alg:
             raise MalformedSpec("[algebra] needs both labels and dims")
-        cfg["algebra"] = FiberIndex(tuple(alg["labels"][0].split()),
+        cfg["algebra"] = _from_spec(FiberIndex, tuple(alg["labels"][0].split()),
                                     _spec_value(alg, "dims", _integers))
         for key, convert in (("rows", _integers), ("seed", int)):
             if key in alg:
@@ -538,20 +540,8 @@ def _field_from_config(cfg: RunConfig) -> FiberedOperator:
                     f"domain element {cfg.operator_domain!r} not defined")
             domains = {lab: orthonormal_frame(cols)
                        for lab, cols in cfg.elements[cfg.operator_domain].items()}
-        field = _from_spec(FiberedOperator.from_algebra_symbol, cfg.algebra, symbol,
-                           domains)
-        if domains is not None:
-            # the library reads a missing label as the full domain and skips
-            # an unknown one; a spec names each label, once its frames are
-            # valid
-            labels = cfg.algebra.labels
-            missing = [lab for lab in labels if lab not in domains]
-            unknown = [lab for lab in domains if lab not in labels]
-            if missing or unknown:
-                raise MalformedSpec(
-                    f"domain element {cfg.operator_domain!r} must name every label "
-                    f"exactly once: missing {missing}, unknown {unknown}")
-        return field
+        return _from_spec(FiberedOperator.from_algebra_symbol, cfg.algebra, symbol,
+                          domains)
     raise MalformedSpec(f"unknown operator kind {cfg.operator_kind!r}")
 
 
@@ -671,7 +661,15 @@ _RUNNERS = {
 
 
 def run(config: RunConfig):
-    """Run one pipeline; returns (exit_status, Report)."""
+    """Run one pipeline; returns (exit_status, Report).  A report path that
+    is a directory, or in a missing one, is refused first, as writing it is."""
+    path = config.output_path
+    if path is not None:
+        missing = not os.path.exists(os.path.dirname(path) or ".")
+        if missing or os.path.isdir(path):
+            code = errno.ENOENT if missing else errno.EISDIR
+            error = OSError(code, os.strerror(code), path)
+            raise MalformedSpec(f"cannot write report: {error}")
     report = Report(config.command)
     status = _RUNNERS[config.command](config, report)
     report.write(config.output_path)
@@ -691,14 +689,8 @@ def main(argv=None):
 
     try:
         sections = parse_spec_file(args.config) if args.config else {}
-        cfg = config_from_sections(
-            args.command, sections, output_path=args.out,
-            n_x=args.n_x, n_pi=args.n_pi)
-    except (MalformedSpec, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        cfg = config_from_sections(args.command, sections, output_path=args.out,
+                                   n_x=args.n_x, n_pi=args.n_pi)
         status, _ = run(cfg)
     except MalformedSpec as exc:
         print(f"input error: {exc}", file=sys.stderr)

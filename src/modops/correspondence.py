@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiberIndex
-from .operators import DomainedOperator, _inclusion, _same_span
+from .operators import DomainedOperator, _inclusion, _same_span, per_label_operators
 from .tolerances import RANK_RTOL, TOL_ALG
 
 __all__ = [
@@ -71,18 +71,17 @@ def left_module_operator(model: ModuleModel, blocks: dict,
                          domain_columns: dict | None = None) -> dict:
     """The module operator acting by per-fiber left multiplication.
 
-    ``blocks[lab]`` is the ``(m, m)`` action; ``domain_columns[lab]``, when
-    given, is an orthonormal ``m x d`` column frame V making the domain the
-    submodule of vectors with fiber range inside V, and each V is checked as
-    it is given.  Returns ``{lab: DomainedOperator}`` in label order.
+    ``blocks[lab]`` is the ``(m, m)`` action; ``domain_columns``, if given,
+    names every label once, with an orthonormal ``m x d`` column frame V,
+    checked as it is given, making the domain the submodule of vectors with
+    fiber range inside V, or None for the full domain.  Returns
+    ``{lab: DomainedOperator}`` in label order.
     """
-    out = {}
     for lab, m in zip(model.index.labels, model.row_dims):
         if np.shape(blocks[lab]) != (m, m):
             raise ValueError(f"block {lab!r} must be {m}x{m}")
-        out[lab] = DomainedOperator(blocks[lab], None if domain_columns is None
-                                    else domain_columns.get(lab))
-    return out
+    return per_label_operators({lab: blocks[lab] for lab in model.index.labels},
+                               domain_columns)
 
 
 def _acts_on(op: dict, model: ModuleModel):

@@ -353,13 +353,13 @@ def _checked_symbol(op: GridOperator):
 
 class _GridTransform(ZTransform):
     """A grid fiber's transform in closed form, kept as what defines it: the
-    symbol ``lam`` of the periodic matrix, the seam weights ``weights`` of
-    the periodic frame ``F`` and the density gap.  ``apply`` and
-    ``apply_adjoint`` act by FFTs along the last axis, on a vector or on a
-    stack of vectors, and are the only definition of the map: ``z`` is
-    ``apply`` of the identity, formed each time it is read and not kept."""
+    seam weights ``weights`` of the periodic frame ``F``, the density gap and
+    what the periodic matrix's symbol ``lam`` gives.  ``apply`` and
+    ``apply_adjoint`` act by FFTs along the last axis, on a vector or a stack
+    of vectors, and are the only definition of the map: ``z`` is ``apply``
+    of the identity, formed each time it is read and not kept."""
 
-    __slots__ = ("lam", "weights")
+    __slots__ = ("weights",)
 
     @property
     def z(self):
@@ -368,7 +368,7 @@ class _GridTransform(ZTransform):
 
     def _fold(self, x):
         """``F* x``: the seam coordinate gathers both endpoints."""
-        n = self.lam.size
+        n = self.weights.size - 1
         y = self.weights[:n].conj() * x[..., :n]
         y[..., 0] += self.weights[n].conj() * x[..., n]
         return y
@@ -387,21 +387,18 @@ class _CirculantTransform(_GridTransform):
     circulant with eigenvalues ``g = lam / sqrt(1 + lam^2)``; with
     ``phases`` ``u``, the twisted transform ``diag(u) F z0 F* diag(u)*``."""
 
-    __slots__ = ("phases",)
+    __slots__ = ("g", "phases")
 
-    def __init__(self, lam, weights, density_gap, phases=None):
-        self.lam, self.weights = lam, weights
+    def __init__(self, lam, d, weights, density_gap, phases=None):
+        self.g, self.weights = lam / np.sqrt(d), weights
         self.density_gap, self.phases = density_gap, phases
-
-    def _symbol(self):
-        return self.lam / np.sqrt(1.0 + self.lam ** 2)
 
     def apply(self, x):
         # z0 y = ifft(g fft(y)): V diag(g) V* for the unitary DFT V
         u = self.phases
         if u is not None:
             x = u.conj() * x
-        y = self._unfold(np.fft.ifft(self._symbol() * np.fft.fft(self._fold(x))))
+        y = self._unfold(np.fft.ifft(self.g * np.fft.fft(self._fold(x))))
         return y if u is None else u * y
 
     # g is real, so z0 and z are Hermitian
@@ -413,27 +410,22 @@ class _DeflatedTransform(_GridTransform):
     :func:`_deflated_transform`), kept as the symbol, the pole ``labels``
     and the ``m x m`` core ``g`` (``G`` below).  ``X = V R V*`` with
     ``X e_0 = 0``, and ``R = diag(d^{-1/2}) + S G S^T`` applied through the
-    group sums, so an action costs two FFTs and one product with ``G``."""
+    group sums, so an action costs two FFTs and one product with ``G``; per
+    index ``s`` and ``d_inv`` are ``1 / sqrt(|group|)`` and ``1 / sqrt(d)``."""
 
-    __slots__ = ("labels", "g")
+    __slots__ = ("lam", "labels", "g", "s", "d_inv", "order", "starts")
 
-    def __init__(self, lam, weights, density_gap, labels, g):
+    def __init__(self, lam, weights, density_gap, labels, sizes, d, g):
         self.lam, self.weights, self.density_gap = lam, weights, density_gap
         self.labels, self.g = labels, g
-
-    def _scales(self):
-        """Per index: ``1 / sqrt(|group|)`` and ``1 / sqrt(d)`` of its pole."""
-        sizes = np.bincount(self.labels)
-        d = 1.0 + np.bincount(self.labels, weights=self.lam ** 2) / sizes
-        return 1.0 / np.sqrt(sizes)[self.labels], 1.0 / np.sqrt(d)[self.labels]
+        self.s, self.d_inv = 1.0 / np.sqrt(sizes)[labels], 1.0 / np.sqrt(d)[labels]
+        self.order = np.argsort(labels, kind="stable")
+        self.starts = np.searchsorted(labels[self.order], np.arange(sizes.size))
 
     def _r(self, w, g):
         """``R w`` with ``g`` in the place of ``G``, along the last axis."""
-        s, d_inv = self._scales()
-        order = np.argsort(self.labels, kind="stable")
-        starts = np.searchsorted(self.labels[order], np.arange(g.shape[0]))
-        sums = np.add.reduceat((s * w)[..., order], starts, axis=-1)
-        return d_inv * w + s * (sums @ g.T)[..., self.labels]
+        sums = np.add.reduceat((self.s * w)[..., self.order], self.starts, axis=-1)
+        return self.d_inv * w + self.s * (sums @ g.T)[..., self.labels]
 
     def apply(self, x):
         # z0 = V diag(lam) R V* without column 0: z0 v = ifft(lam R fft(v))
@@ -451,8 +443,8 @@ def _circulant_transform(op: GridOperator, lam, phases=None):
     """Closed-form transform of a wrap-style periodic operator with the
     symbol ``lam`` of :func:`_checked_symbol`, conjugated by ``phases`` when
     given."""
-    gap = resolvent_gate(1.0 + lam ** 2)
-    return _CirculantTransform(lam, op._row_weights(), gap, phases)
+    d = 1.0 + lam ** 2
+    return _CirculantTransform(lam, d, op._row_weights(), resolvent_gate(d), phases)
 
 
 def _pole_labels(d):
@@ -497,7 +489,7 @@ def _deflated_transform(op: GridOperator, lam):
     mu, y = complement_eigh(d, np.sqrt(sizes / op.n))
     gap = resolvent_gate(np.concatenate([mu, d[sizes > 1]]))
     g = (y / np.sqrt(mu)) @ y.T - np.diag(1.0 / np.sqrt(d))
-    return _DeflatedTransform(lam, op._row_weights(), gap, labels, g)
+    return _DeflatedTransform(lam, op._row_weights(), gap, labels, sizes, d, g)
 
 
 def grid_transform(op: GridOperator) -> ZTransform:

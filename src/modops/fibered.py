@@ -48,6 +48,7 @@ from .operators import (
     ZTransform,
     adjoint_via_graph,
     graph_inclusion,
+    per_label_operators,
     z_transform,
 )
 from .tolerances import (
@@ -139,17 +140,16 @@ class FiberedOperator:
         a ``k x k`` matrix column by column as ``s_x``, so its transform,
         graph adjoint and 2-norms are ``s_x``'s.  A domain given as
         per-label column frames V is the right-ideal domain of all matrices
-        with range inside V, with frame V on the columns.
+        with range inside V, with frame V on the columns; ``domain_columns``
+        names every label exactly once, a None frame being the full domain.
         """
         if len(set(index.dims)) != 1:
             raise ValueError("fibered models need one common fiber dimension")
-        fibers = []
-        for lab in index.labels:
-            frame = None if domain_columns is None else domain_columns.get(lab)
-            fibers.append(DomainedOperator(symbol.fibers[lab], frame))
+        fibers = per_label_operators({lab: symbol.fibers[lab] for lab in index.labels},
+                                     domain_columns)
         npts = len(index.labels)
         grid = np.arange(npts) / max(npts - 1, 1)
-        return cls(grid, fibers)
+        return cls(grid, fibers.values())
 
 
 def _dense(f) -> DomainedOperator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import eigh_sqrt, hermitian_sqrt
+from .algebra import hermitian_sqrt, inverse_sqrt
 from .errors import (
     ExtensionIdentityViolated,
     NotCoisometry,
@@ -73,6 +73,20 @@ def frame_gate(frame, rows):
     if not np.max(defect, initial=0.0) <= FRAME_ORTHO_ATOL:
         raise ValueError("frame columns must be orthonormal")
     return frame
+
+
+def per_label_operators(actions: dict, domain_columns) -> dict:
+    """``{lab: DomainedOperator(action, domain_columns[lab])}`` over the labels
+    of ``actions``: ``domain_columns`` is None or names every label exactly
+    once, a None frame being the full domain; frames are gated first."""
+    frames = domain_columns or {}
+    out = {lab: DomainedOperator(a, frames.get(lab)) for lab, a in actions.items()}
+    if domain_columns is not None and domain_columns.keys() != out.keys():
+        missing = [lab for lab in out if lab not in domain_columns]
+        unknown = [lab for lab in domain_columns if lab not in out]
+        raise ValueError("domain columns must name every label exactly once: "
+                         f"missing {missing}, unknown {unknown}")
+    return out
 
 
 def resolvent_gate(eigenvalues) -> float:
@@ -204,7 +218,7 @@ def z_transform(T: DomainedOperator) -> ZTransform:
     d = T.domain_dim
     if d == 0:
         return ZTransform._exact(np.zeros((T.ambient_dim,) * 2, dtype=complex), 1.0)
-    inv_sqrt, lam = eigh_sqrt(np.eye(d) + B.conj().T @ B, inverse=True)
+    inv_sqrt, lam = inverse_sqrt(np.eye(d) + B.conj().T @ B)
     gap = resolvent_gate(lam)
     return ZTransform._exact(B @ inv_sqrt @ T.frame.conj().T, gap)
 
@@ -220,7 +234,7 @@ def from_z(zt: ZTransform) -> DomainedOperator:
         raise NotDense(f"density gap {zt.density_gap:.3e} <= {TOL_GAP:.1e}")
     z = zt.z
     R2 = np.eye(z.shape[1]) - z.conj().T @ z
-    return DomainedOperator.full(z @ hermitian_sqrt(R2, inverse=True, floor=TOL_GAP))
+    return DomainedOperator.full(z @ inverse_sqrt(R2)[0])
 
 
 def adjoint_via_graph(T: DomainedOperator) -> DomainedOperator:
@@ -353,7 +367,7 @@ def restriction_witness(z_t: ZTransform, z_s: ZTransform) -> WitnessResult:
     zt, zs = z_t.z, z_s.z
     Rt2 = np.eye(zt.shape[1]) - zt.conj().T @ zt
     Rs2 = np.eye(zs.shape[1]) - zs.conj().T @ zs
-    w = hermitian_sqrt(Rt2, inverse=True, floor=TOL_GAP) @ hermitian_sqrt(Rs2)
+    w = inverse_sqrt(Rt2)[0] @ hermitian_sqrt(Rs2)
     r1 = np.linalg.norm(zt @ w - zs, 2)
     r2 = np.linalg.norm(w.conj().T @ Rt2 @ w - Rs2, 2)
     scale = 1.0 + np.linalg.norm(w, 2)

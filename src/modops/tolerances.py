@@ -8,7 +8,9 @@ JUMP_MEDIAN_FACTOR and JUMP_FLOOR and the adjoint pinning's PAIRING_DEFECT_C
 too, and a gate that raises is written ``if not value <= bound``, which a
 NaN fails.  No function takes a tolerance as a parameter: the graph
 comparisons (``graph_inclusion``, ``grid_inclusion`` and
-``DomainedOperator.contains``) read TOL_GRAPH, and no run can set it.
+``DomainedOperator.contains``) read TOL_GRAPH, and no run can set it.  The
+one exception is ``operators._inclusion`` and ``_same_span``: their ``bound``
+is TOL_GRAPH in ``graph_inclusion``, TOL_ALG in the correspondence's round trips.
 """
 import sys
 

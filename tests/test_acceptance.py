@@ -99,10 +99,10 @@ def test_criterion_01_fails_on_a_second_kernel_direction(monkeypatch):
         return K
 
     monkeypatch.setattr(diffops, "_composite_certificate_matrix", with_second_direction)
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(UnexpectedKernelDim) as refusal:
         kernel_certificates()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert refusal.value.dimension == 2
 
 
@@ -124,10 +124,10 @@ def test_criterion_02_fails_on_a_bumped_stencil(monkeypatch):
     # by 1e-9 off the circulant is refused before its floor is read
     monkeypatch.setattr(diffops, "GridOperator",
                         lambda n, tag: Bumped(n, tag, bumps={(7, 8): 1e-9}))
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(NotCirculant, match="circulant deviation 1.000e-09"):
         complement_floor()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
 
 
 def zfield_jump():
@@ -169,9 +169,9 @@ def test_criterion_03_fails_on_an_all_periodic_field(monkeypatch):
                                [GridOperator(n_x, PERIODIC)] * n_pi)
 
     monkeypatch.setitem(globals(), "build_counterexample_t", all_periodic)
-    start = time.perf_counter()
+    start = time.process_time()
     ok, jump, _, _ = zfield_jump()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok and jump == 0.0
 
 
@@ -194,9 +194,9 @@ def test_criterion_04_fails_on_the_counterexample_itself(monkeypatch):
     # negative control: fed the counterexample instead of its adjoint, the
     # profile keeps the jump at the base point
     monkeypatch.setitem(globals(), "adjoint_field", lambda t: t)
-    start = time.perf_counter()
+    start = time.process_time()
     ok, dev = adjoint_field_flatness()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok and dev == pytest.approx(1.4813, abs=1e-4)
 
 
@@ -228,9 +228,9 @@ def test_criterion_05_fails_on_a_moved_transform(monkeypatch):
     transform = z_transform
     monkeypatch.setitem(globals(), "z_transform",
                         lambda T: ZTransform(transform(T).z * (1.0 - 1e-6)))
-    start = time.perf_counter()
+    start = time.process_time()
     ok, worst = transform_round_trips()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok and worst > 1e-7
 
 
@@ -318,9 +318,9 @@ def test_criterion_07_fails_on_a_mutant_map_back(monkeypatch, moved, part):
     phi2 = correspondence.phi2
     monkeypatch.setattr(correspondence, "phi2",
                         lambda S, model: moved(phi2(S, model), part))
-    start = time.perf_counter()
+    start = time.process_time()
     ok, _ = phi_round_trips()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok
 
 
@@ -364,9 +364,9 @@ def test_criterion_08_fails_on_a_moved_symbol(monkeypatch):
         return check(F, AlgebraElement(sym.index, dict(sym.fibers, **{first: moved})), a)
 
     monkeypatch.setitem(globals(), "fiber_identity_check", against_moved)
-    start = time.perf_counter()
+    start = time.process_time()
     ok, worst = fiber_identities()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok and worst > 1e-7
 
 
@@ -415,10 +415,10 @@ def test_criterion_09_fails_on_a_jumping_gauge(monkeypatch):
         return GaugeField(pi_grid, phases)
 
     monkeypatch.setattr(GaugeField, "linear_phase", jumping)
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(GaugeNotContinuous, match="does not halve under step halving"):
         gauge_extensions()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
 
 
 def test_criterion_10_tilde_laws():
@@ -466,14 +466,10 @@ def _brute_force_density(generators):
     index = generators[0].index
     verdict = {}
     for lab, d in zip(index.labels, index.dims):
-        prods = []
-        for g in generators:
-            for i in range(d):
-                for j in range(d):
-                    e = np.zeros((d, d))
-                    e[i, j] = 1.0
-                    prods.append((g.fibers[lab] @ e).ravel())
-        rank = np.linalg.matrix_rank(np.column_stack(prods), tol=1e-9)
+        # column i d + j of kron(g, 1_d) is g E_ij raveled row by row: the
+        # generator's products with every matrix unit, in one operation
+        prods = [np.kron(g.fibers[lab], np.eye(d)) for g in generators]
+        rank = np.linalg.matrix_rank(np.hstack(prods), tol=1e-9)
         verdict[lab] = rank == d * d
     return verdict
 
@@ -515,7 +511,7 @@ def test_criterion_11_fails_on_a_wrong_rank_cut(monkeypatch):
     # negative control: the checker's rank cut at half the largest singular
     # value drops directions the oracle counts
     monkeypatch.setattr(algebra, "TOL_ALG", 0.5)
-    start = time.perf_counter()
+    start = time.process_time()
     ok, disagreements = density_disagreements()
-    assert time.perf_counter() - start < 0.1
+    assert time.process_time() - start < 0.1
     assert not ok and disagreements > 0

@@ -771,6 +771,23 @@ def test_missing_config_is_input_error(tmp_path):
     assert main(["density-check"]) == 2  # density needs an algebra section
 
 
+def test_an_undecodable_spec_exits_2(tmp_path, capsys):
+    # a spec is UTF-8 text, comments included: a byte that does not decode
+    # is an input error, in process as in a fresh process, with no traceback
+    path = tmp_path / "spec.ini"
+    path.write_bytes(b"[grid]\nn_x = 64  # \xff\n")
+    argv = ["zfield", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"input error: 'utf-8' codec can't decode byte 0xff in "
+                        r"position \d+: invalid start byte\n", captured.err)
+    proc = subprocess.run([sys.executable, "-m", "modops.cli", *argv],
+                          env=_fresh_env(), capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
 def test_reports_reproducible_modulo_timestamp(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
@@ -1052,7 +1069,7 @@ def test_non_finite_element_entries_exit_2(tmp_path, capsys, entry):
     ("zfield", "[algebra]\nlabels = a b\ndims = 2 2\n\n[operator]\nkind = symbol\n"
                "element = s\ndomain = dom\n\n[element s]\na = 1 0 ; 0 1\nb = 1 0 ; 0 1\n"
                "\n[element dom]\na = 1 ; 0\nc = 0 ; 1\n",
-     "domain element 'dom' must name every label exactly once: "
+     "domain columns must name every label exactly once: "
      "missing ['b'], unknown ['c']")])
 def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, message):
     # exit 1 is a certified negative result, so a spec whose module or
@@ -1069,13 +1086,16 @@ def test_objects_the_spec_cannot_build_exit_2(tmp_path, capsys, command, spec, m
 @pytest.mark.parametrize("where, reason", [
     ("directory", "[Errno 21] Is a directory"),
     ("missing parent", "[Errno 2] No such file or directory")])
-def test_an_unwritable_report_exits_2(tmp_path, capsys, where, reason):
+def test_an_unwritable_report_exits_2(tmp_path, capsys, monkeypatch, where, reason):
     # exit 1 is a certified negative result, so a report that cannot be
     # written is an input error, in process as in a fresh process, with no
-    # traceback
+    # traceback; it is refused before the pipeline runs
     out = tmp_path if where == "directory" else tmp_path / "absent" / "r.txt"
     argv = ["zfield", "--n-x", "32", "--out", str(out)]
+    runs = []
+    monkeypatch.setitem(cli._RUNNERS, "zfield", lambda cfg, report: runs.append(cfg))
     assert main(argv) == 2
+    assert runs == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: cannot write report: {reason}: '{out}'\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -259,12 +261,31 @@ def test_left_module_operator_checks_each_fibers_domain_columns():
     # one operator on C^m per label, in label order: the block's copy with
     # the checked V as its frame, or the identity frame when none is given
     v = orthonormal_frame(np.array([[1.0], [1.0j], [2.0]]))
-    op = left_module_operator(MODEL, blocks, {"q": v})
+    op = left_module_operator(MODEL, blocks, {"p": None, "q": v})
     assert list(op) == ["p", "q"]
     assert_allclose(op["p"].frame, np.eye(2), rtol=0, atol=0)
     assert_allclose(op["q"].frame, v, rtol=0, atol=0)
     assert_allclose(op["q"].action, blocks["q"], rtol=0, atol=0)
     assert op["q"].action is not blocks["q"]
+
+
+def test_left_module_operator_takes_domains_for_exactly_its_labels():
+    # domain_columns names every label once, and a None frame is the full
+    # domain; a wrong set of labels is refused once every frame given for a
+    # label has passed its gate
+    blocks = {"p": np.eye(2), "q": np.eye(3)}
+    v = orthonormal_frame(np.array([[1.0], [1.0j], [2.0]]))
+    for columns, missing, unknown in [({"typo": v}, ["p", "q"], ["typo"]),
+                                      ({"p": None, "q": v, "typo": v}, [], ["typo"]),
+                                      ({"q": v}, ["p"], [])]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"every label exactly once: missing {missing}, unknown {unknown}")):
+            left_module_operator(MODEL, blocks, columns)
+    with pytest.raises(ValueError, match="frame rows must match"):
+        left_module_operator(MODEL, blocks, {"q": np.eye(2)[:, :1], "typo": v})
+    op = left_module_operator(MODEL, blocks, {"p": None, "q": None})
+    assert [o.domain_dim for o in op.values()] == [2, 3]
+    assert_allclose(op["q"].frame, np.eye(3), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("defect, ok", [(5e-11, True), (5e-6, False), (np.nan, False)])
@@ -275,7 +296,7 @@ def test_both_frame_gates_bound_each_gram_entry_absolutely(defect, ok):
     blocks = {"p": np.eye(2), "q": np.eye(3)}
     if ok:
         assert DomainedOperator(np.eye(3), frame).domain_dim == 2
-        assert flattened(left_module_operator(MODEL, blocks, {"q": frame}),
+        assert flattened(left_module_operator(MODEL, blocks, {"p": None, "q": frame}),
                          MODEL).domain_dim == 8
         return
     with pytest.raises(ValueError, match="frame columns must be orthonormal"):

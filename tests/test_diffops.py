@@ -280,10 +280,11 @@ def test_closed_forms_form_z_only_when_read(linalg_calls):
     zp, zm = grid_transform(per), grid_transform(mw)
     tw = grid_transform(GridOperator(n, BoundaryTag.twisted(0.3)))
     # each keeps O(n) values, the minimal fiber its m x m core, and no z
-    for zt in (zp, zm, tw):
-        assert zt.lam.shape == (n,) and zt.weights.shape == (n + 1,)
+    for zt, symbol in ((zp, zp.g), (zm, zm.lam), (tw, tw.g)):
+        assert symbol.shape == (n,) and zt.weights.shape == (n + 1,)
         assert not hasattr(zt, "_z")
-    assert tw.phases.shape == (n + 1,) and zm.labels.shape == (n,)
+    assert tw.phases.shape == (n + 1,)
+    assert zm.labels.shape == zm.s.shape == zm.d_inv.shape == zm.order.shape == (n,)
     assert zm.g.shape == (101, 101)
     linalg_calls.clear()
     for zt in (zp, zm, tw):
@@ -962,7 +963,7 @@ def _symbol_fibers(k, seed):
     sym = AlgebraElement(idx, {lab: rng.standard_normal((k, k))
                                + 1j * rng.standard_normal((k, k)) for lab in idx.labels})
     frame = np.linalg.qr(rng.standard_normal((k, 1)))[0]
-    return FiberedOperator.from_algebra_symbol(idx, sym, {"x1": frame}).fibers
+    return FiberedOperator.from_algebra_symbol(idx, sym, {"x0": None, "x1": frame}).fibers
 
 
 @pytest.mark.parametrize("n", [9, 64, 400])

@@ -409,6 +409,26 @@ def test_fiber_identity_domain_violation():
         fiber_identity_check(F, sym, outside)
 
 
+def test_symbol_domains_name_exactly_the_labels():
+    # domain_columns names every label once, and a None frame is the full
+    # domain; a wrong set of labels is refused once every frame given for a
+    # label has passed its gate
+    rng = np.random.default_rng(8)
+    idx = FiberIndex.points(2, dim=2)
+    sym = random_symbol(rng, idx)
+    v = np.array([[1.0], [0.0]])
+    for cols, missing, unknown in [({"typo": v}, ["x0", "x1"], ["typo"]),
+                                   ({"x0": v, "typo": v}, ["x1"], ["typo"])]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"every label exactly once: missing {missing}, unknown {unknown}")):
+            FiberedOperator.from_algebra_symbol(idx, sym, cols)
+    with pytest.raises(ValueError, match="frame rows must match"):
+        FiberedOperator.from_algebra_symbol(idx, sym, {"x0": np.eye(3)[:, :1], "typo": v})
+    F = FiberedOperator.from_algebra_symbol(idx, sym, {"x0": v, "x1": None})
+    assert [f.domain_dim for f in F.fibers] == [1, 2]
+    assert_allclose(F.fibers[1].frame, np.eye(2), rtol=0, atol=0)
+
+
 def test_fiber_identity_refuses_a_symbol_that_is_not_the_fields():
     rng = np.random.default_rng(6)
     idx, other = FiberIndex.points(3, dim=2), FiberIndex.points(4, dim=2)

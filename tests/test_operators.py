@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from modops.algebra import inverse_sqrt
 from modops.diffops import MAXIMAL, MINIMAL, PERIODIC, BoundaryTag, GridOperator
 from modops.errors import (
     ExtensionIdentityViolated,
@@ -395,5 +396,6 @@ def test_hermitian_sqrt_agrees_with_eigen_oracle():
     m = b.conj().T @ b
     r = hermitian_sqrt(m)
     assert np.linalg.norm(r @ r - m, 2) <= 1e-10 * (1 + np.linalg.norm(m, 2))
-    ri = hermitian_sqrt(m + np.eye(5), inverse=True)
+    ri, lam = inverse_sqrt(m + np.eye(5))
+    assert_allclose(lam, np.linalg.eigvalsh(m + np.eye(5)), rtol=1e-12)
     assert np.linalg.norm(ri @ (m + np.eye(5)) @ ri - np.eye(5), 2) <= 1e-10

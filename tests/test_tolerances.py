@@ -11,7 +11,11 @@ own.  A gate, an ``if`` that raises on a comparison with a constant of
 ``modops.tolerances``, is flagged unless it is written ``if not ...``: every
 comparison with NaN is false, so only a negated pass condition fails on it.
 A parameter named ``tol`` (or ``tol_...``) is flagged: a gate reads its
-bound from ``modops.tolerances``, and no run or caller sets it.
+bound from ``modops.tolerances``, and no run or caller sets it.  So is a
+call to a function of the package that passes a constant of
+``modops.tolerances`` in an argument, except to ``_inclusion`` and
+``_same_span`` (``BOUND_TAKERS``); a constant formatted into text is not
+passed as a bound.
 """
 import ast
 from pathlib import Path
@@ -23,6 +27,10 @@ SRC = Path(modops.__file__).parent
 SMALL = 1e-3
 NEUTRAL = (0.0, 1.0)
 TOLERANCE_NAMES = {name for name in vars(tolerances) if name.isupper()}
+# the functions whose callers set their bound, as two callers need two
+# values: graph_inclusion passes TOL_GRAPH, the correspondence's round trips
+# TOL_ALG
+BOUND_TAKERS = {"_inclusion", "_same_span"}
 
 
 def _sources():
@@ -92,6 +100,37 @@ def _tolerance_parameters(tree):
     return sorted(found)
 
 
+def _functions(trees):
+    """Names of every function and method defined in ``trees``."""
+    return {fn.name for tree in trees for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _passed_names(node):
+    """Names that ``node`` reads as a value it passes on: not inside a call
+    of its own, which is checked as a call, nor inside text."""
+    if isinstance(node, (ast.Call, ast.JoinedStr)):
+        return set()
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set().union(*map(_passed_names, ast.iter_child_nodes(node)))
+
+
+def _tolerance_arguments(tree, functions):
+    """(line, callee) of every call to one of ``functions``, outside
+    ``BOUND_TAKERS``, with an argument that passes a name of
+    ``modops.tolerances``."""
+    found = []
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name not in functions or name in BOUND_TAKERS:
+            continue
+        args = call.args + [k.value for k in call.keywords]
+        if set().union(*map(_passed_names, args)) & TOLERANCE_NAMES:
+            found.append((call.lineno, name))
+    return sorted(found)
+
+
 def test_lint_flags_what_it_is_meant_to():
     tree = ast.parse(
         "def f(x, tol=1e-12):\n"
@@ -135,6 +174,22 @@ def test_tolerance_parameter_lint_flags_what_it_is_meant_to():
     assert _tolerance_parameters(tree) == [(1, "tol"), (3, "tol_graph"), (4, "tol")]
 
 
+def test_tolerance_argument_lint_flags_what_it_is_meant_to():
+    tree = ast.parse(
+        "def f(x, floor=0.0):\n"
+        "    return np.clip(x, TOL_GAP, None)\n"      # not a package function
+        "def _inclusion(s, t, bound):\n"
+        "    return f(s, floor=2 * TOL_GAP)\n"        # in an expression
+        "f(x, TOL_GAP)\n"
+        "obj.f(x, floor=TOL_GAP)\n"
+        "_inclusion(s, t, TOL_GRAPH)\n"               # a bound taker
+        "f(x, f'tol {TOL_GAP}')\n"                    # text, not a bound
+        "f(x, TOL)\n"                                 # not a tolerance name
+        "f(f(x, floor=TOL_GAP))\n")                   # the inner call only
+    assert _tolerance_arguments(tree, _functions([tree])) == [
+        (4, "f"), (5, "f"), (6, "f"), (10, "f")]
+
+
 def test_no_hidden_thresholds_in_src():
     offenders = [f"{name}:{line}: {value!r}" for name, tree in _sources()
                  for line, value in sorted(_hidden_thresholds(tree))]
@@ -156,4 +211,12 @@ def test_every_gate_in_src_fails_on_nan():
 def test_no_function_in_src_takes_a_tolerance():
     offenders = [f"{name}:{line}: {param}" for name, tree in _sources()
                  for line, param in _tolerance_parameters(tree)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_call_in_src_passes_a_tolerance():
+    sources = _sources()
+    functions = _functions(tree for _, tree in sources)
+    offenders = [f"{name}:{line}: {callee}" for name, tree in sources
+                 for line, callee in _tolerance_arguments(tree, functions)]
     assert not offenders, "\n".join(offenders)
